@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Generator
 from scipy.special import logsumexp, ndtr
 
-from .paths import PathEnsemble, SemimartingaleModel, TimeGrid
+from .paths import PathEnsemble, SemimartingaleModel, TimeGrid, path_streams
 
 __all__ = [
     "BridgeProblem",
@@ -336,8 +336,7 @@ def fbsde_simulate(spec: FbsdeSpec, grid: TimeGrid, n_paths: int, seed: int,
     noise = np.empty((n, m, d))
     znoise = np.empty((n, m, d)) if spec.z_mode == "independent_brownian" else None
     y0 = np.empty((n, d))
-    for i in range(n):
-        g = Generator(Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, i]))
+    for i, g in path_streams(seed, 0, n):
         if spec.initial_sampler is not None:
             states[i, 0] = np.asarray(spec.initial_sampler(g), dtype=np.float64)
         else:
@@ -347,9 +346,9 @@ def fbsde_simulate(spec: FbsdeSpec, grid: TimeGrid, n_paths: int, seed: int,
             y0[i] = mu + np.sqrt(var) * g.standard_normal(d)
         else:
             y0[i] = np.asarray(spec.y0_fn(states[i, 0]), dtype=np.float64)
-        noise[i] = g.standard_normal((m, d))
+        g.standard_normal(out=noise[i])
         if znoise is not None:
-            znoise[i] = g.standard_normal((m, d))
+            g.standard_normal(out=znoise[i])
 
     drifts = np.empty((n, m, d))
     yrec = np.empty((n, m, d))

@@ -129,6 +129,17 @@ def _law(cfg, grid, n, seed, threads):
     return ens
 
 
+def _verdict(stats, threshold):
+    """PASS flag and largest statistic; any non-finite statistic is a FAIL.
+
+    ``np.max`` propagates NaN, where Python's ``max`` drops a NaN that
+    follows a finite value.
+    """
+    arr = np.asarray(stats, dtype=np.float64)
+    max_stat = float(np.max(arr))
+    return bool(np.isfinite(arr).all()) and max_stat <= threshold, max_stat
+
+
 def _lagrangian(cfg, default="kinetic"):
     name = str(cfg["scenario"].get("lagrangian", default))
     return catalog.get_lagrangian(name, **cfg["lagrangian"])
@@ -153,9 +164,9 @@ def run_simulate(cfg, grid, n, seed, threads, threshold, probes):
             stats.append(abs(float(mean[k]) - float(s["expected_mean"])) / max(float(se[k]), 1e-300))
         if "expected_var" in s:
             stats.append(abs(var_k - float(s["expected_var"])) / max(float(se2[k]), 1e-300))
-    max_stat = float(max(stats))
+    passed, max_stat = _verdict(stats, threshold)
     header = ["quantity", "value", "stderr"]
-    return max_stat <= threshold, max_stat, header, rows, ens, None
+    return passed, max_stat, header, rows, ens, None
 
 
 def run_action(cfg, grid, n, seed, threads, threshold, probes):
@@ -172,7 +183,8 @@ def run_action(cfg, grid, n, seed, threads, threshold, probes):
         gap = max(0.0, abs(est.mean - float(s["expected"])) - allowance)
         max_stat = gap / max(est.stderr, 1e-300)
         rows.append(("expected", float(s["expected"]), allowance))
-    return max_stat <= threshold, max_stat, ["quantity", "value", "stderr"], rows, ens, None
+    passed, max_stat = _verdict([max_stat], threshold)
+    return passed, max_stat, ["quantity", "value", "stderr"], rows, ens, None
 
 
 def run_el_certify(cfg, grid, n, seed, threads, threshold, probes):
@@ -205,11 +217,11 @@ def run_variational(cfg, grid, n, seed, threads, threshold, probes):
                      / max(res.formula_se, 1e-300))
         stats.append(max(0.0, abs(res.fd) - res.allowance)
                      / max(res.fd_se, res.formula_se, 1e-300))
-    max_stat = float(max(stats))
+    passed, max_stat = _verdict(stats, threshold)
     rows = [("fd", res.fd, res.fd_se), ("formula", res.formula, res.formula_se),
             ("difference", res.diff, res.diff_se),
             ("allowance", res.allowance, 0.0), ("epsilon", res.epsilon, 0.0)]
-    return max_stat <= threshold, max_stat, ["quantity", "value", "stderr"], rows, ens, None
+    return passed, max_stat, ["quantity", "value", "stderr"], rows, ens, None
 
 
 def run_noether(cfg, grid, n, seed, threads, threshold, probes):
@@ -271,8 +283,8 @@ def run_bridge(cfg, grid, n, seed, threads, threshold, probes):
         etol = float(s.get("entropy_tol", 2e-3))
         stats.append(threshold * abs(solution.entropy - float(s["expected_entropy"])) / etol)
         rows.append(("expected_entropy", float(s["expected_entropy"]), etol))
-    max_stat = float(max(stats))
-    return max_stat <= threshold, max_stat, ["quantity", "value", "tolerance_or_stderr"], rows, ens, None
+    passed, max_stat = _verdict(stats, threshold)
+    return passed, max_stat, ["quantity", "value", "tolerance_or_stderr"], rows, ens, None
 
 
 def run_fbsde(cfg, grid, n, seed, threads, threshold, probes):
@@ -322,8 +334,8 @@ def run_fbsde(cfg, grid, n, seed, threads, threshold, probes):
                                         threshold=threshold)
         rows.append(("el_certify_max_stat", report.max_abs_statistic, threshold))
         stats.append(report.max_abs_statistic)
-    max_stat = float(max(stats))
-    return max_stat <= threshold, max_stat, ["quantity", "value", "tolerance"], rows, ens, report
+    passed, max_stat = _verdict(stats, threshold)
+    return passed, max_stat, ["quantity", "value", "tolerance"], rows, ens, report
 
 
 def run_navier_stokes(cfg, grid, n, seed, threads, threshold, probes):
@@ -339,8 +351,8 @@ def run_navier_stokes(cfg, grid, n, seed, threads, threshold, probes):
              report.max_abs_statistic]
     rows = [("ns_residual", residual, res_tol), ("divergence", div, div_tol),
             ("el_certify_max_stat", report.max_abs_statistic, threshold)]
-    max_stat = float(max(stats))
-    return max_stat <= threshold, max_stat, ["quantity", "value", "tolerance"], rows, ens, report
+    passed, max_stat = _verdict(stats, threshold)
+    return passed, max_stat, ["quantity", "value", "tolerance"], rows, ens, report
 
 
 def _shift_diff(u, v):
@@ -398,8 +410,8 @@ def run_operators(cfg, grid, n, seed, threads, threshold, probes):
         level = float(s.get("level", float(np.median(np.sqrt(norm)))))
         excess = float(np.max(h_norm_sq(stop_truncate(u, level)) - norm))
         stats.append(0.0 if excess <= slack else float("inf"))
-    max_stat = float(max(stats))
-    return max_stat <= threshold, max_stat, ["check", "value", "tolerance"], rows, ens, None
+    passed, max_stat = _verdict(stats, threshold)
+    return passed, max_stat, ["check", "value", "tolerance"], rows, ens, None
 
 
 _RUNNERS = {

@@ -10,8 +10,12 @@ drift and diffusion coefficients of a :class:`SemimartingaleModel` are
 :func:`adaptedness_probe`.
 
 Randomness is counter-based and splittable: path ``i`` of a simulation with
-seed ``s`` draws from ``Philox(key=[s, i])``, so ensembles are bit-identical
-for any worker-thread count or chunking of the path axis.
+seed ``s`` draws from Philox4x32-10 keyed by ``[s mod 2**64, i]`` from counter
+zero, so ensembles are bit-identical for any worker-thread count or chunking
+of the path axis.  :func:`simulate` runs each worker's path range in blocks of
+:data:`PATH_BLOCK` paths: it draws a block's normals into that block's rows of
+the drift records, then runs the block's Euler steps while those rows are
+still cache-resident.
 """
 
 from __future__ import annotations
@@ -175,16 +179,51 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _fill_noise(model, seed, states, noise, lo, hi):
-    m, d = noise.shape[1], noise.shape[2]
+# Paths per block of the simulation loop.  A block's rows of states and drifts
+# (the drifts holding its normals until each step consumes them) stay
+# cache-resident across the m Euler steps.
+PATH_BLOCK = 4096
+
+
+def path_streams(seed: int, lo: int, hi: int):
+    """Yield ``(i, generator)`` for paths ``lo .. hi-1``.
+
+    Path ``i`` draws from Philox4x32-10 keyed by ``[seed mod 2**64, i]`` from
+    counter zero.  One bit generator is re-keyed per path through its
+    ``state`` setter, which skips the OS-entropy seeding that constructing a
+    ``Philox`` per path would pay for.  The same generator object is yielded
+    each time; it is valid only until the next path.
+    """
+    bits = Philox(0)
+    gen = Generator(bits)
+    # An explicit uint64 key: numpy converts a list holding a word >= 2**63
+    # through float64, which rounds it and collides distinct seeds.
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
+    zeros = np.zeros(4, dtype=np.uint64)
+    # buffer_pos 4 marks the four-word output buffer as empty.
+    state = {"bit_generator": "Philox",
+             "state": {"counter": zeros, "key": key},
+             "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for i in range(lo, hi):
-        g = Generator(Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, i]))
-        x0 = np.asarray(model.initial_sampler(g), dtype=np.float64).reshape(d)
-        states[i, 0] = x0
-        noise[i] = g.standard_normal((m, d))
+        key[1] = i
+        bits.state = state
+        yield i, gen
 
 
-def _euler_chunk(model, grid, states, drifts, diffusions, noise, lo, hi):
+def _fill_noise(model, seed, states, drifts, lo, hi):
+    """Initial points into ``states[lo:hi, 0]`` and normals into ``drifts[lo:hi]``."""
+    d = states.shape[2]
+    for i, g in path_streams(seed, lo, hi):
+        states[i, 0] = np.asarray(model.initial_sampler(g), dtype=np.float64).reshape(d)
+        g.standard_normal(out=drifts[i])
+
+
+def _euler_chunk(model, grid, states, drifts, diffusions, lo, hi):
+    """Euler steps of paths ``lo .. hi-1`` whose normals sit in ``drifts[lo:hi]``.
+
+    Step ``j`` reads its normals from ``drifts[:, j]`` before it writes the
+    drift there, so the drift records double as the noise buffer.
+    """
     m, d = grid.m, states.shape[2]
     dt = grid.dt
     sqdt = np.sqrt(dt)
@@ -198,8 +237,8 @@ def _euler_chunk(model, grid, states, drifts, diffusions, noise, lo, hi):
             i = lo + int(np.argwhere(~np.isfinite(v).all(axis=1))[0, 0])
             raise SimulationError(
                 f"model '{model.name}': non-finite drift at step {j}, path {i}")
+        db = drifts[lo:hi, j] * sqdt
         drifts[lo:hi, j] = v
-        db = noise[lo:hi, j] * sqdt
         if diff is None:
             inc = db
         elif const_diff:
@@ -215,20 +254,33 @@ def _euler_chunk(model, grid, states, drifts, diffusions, noise, lo, hi):
         states[lo:hi, j + 1] = states[lo:hi, j] + v * dt + inc
 
 
+def _simulate_range(model, grid, seed, states, drifts, diffusions, lo, hi):
+    """Noise fill and Euler steps for paths ``lo .. hi-1``, block by block."""
+    for b0 in range(lo, hi, PATH_BLOCK):
+        b1 = min(b0 + PATH_BLOCK, hi)
+        _fill_noise(model, seed, states, drifts, b0, b1)
+        _euler_chunk(model, grid, states, drifts, diffusions, b0, b1)
+
+
 def simulate(model: SemimartingaleModel, grid: TimeGrid, n_paths: int,
              seed: int, threads: int = 1, label: str = "",
              t_max: float = 1.0) -> PathEnsemble:
     """Euler-Maruyama simulation of ``n_paths`` paths of ``model``.
 
     Increments for path ``i`` come from the counter-based stream keyed by
-    ``(seed, i)``; the result is bit-identical for any ``threads``.
+    ``(seed, i)``; the result is bit-identical for any ``threads``.  Each of
+    the ``threads`` path ranges is walked in blocks of :data:`PATH_BLOCK`
+    paths, so ``drift`` and a callable ``diffusion_factor`` see at most that
+    many paths per call.  A block's normals wait in its rows of the drift
+    records until each step replaces them, so no ``[n, m, d]`` noise array is
+    allocated.  A :class:`SimulationError` names the first failing step of the
+    first block that fails, in block order.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     n, m, d = n_paths, grid.m, model.dim
     states = np.empty((n, m + 1, d))
     drifts = np.empty((n, m, d))
-    noise = np.empty((n, m, d))
 
     diff = model.diffusion_factor
     if diff is None:
@@ -242,13 +294,11 @@ def simulate(model: SemimartingaleModel, grid: TimeGrid, n_paths: int,
               for k in range(max(threads, 1))]
     bounds = [(lo, hi) for lo, hi in bounds if hi > lo]
     if len(bounds) <= 1:
-        _fill_noise(model, seed, states, noise, 0, n)
-        _euler_chunk(model, grid, states, drifts, diffusions, noise, 0, n)
+        _simulate_range(model, grid, seed, states, drifts, diffusions, 0, n)
     else:
         with ThreadPoolExecutor(max_workers=len(bounds)) as ex:
-            list(ex.map(lambda b: _fill_noise(model, seed, states, noise, *b), bounds))
-            list(ex.map(lambda b: _euler_chunk(
-                model, grid, states, drifts, diffusions, noise, *b), bounds))
+            list(ex.map(lambda b: _simulate_range(
+                model, grid, seed, states, drifts, diffusions, *b), bounds))
 
     for arr in (states, drifts):
         _freeze(arr)
@@ -372,12 +422,19 @@ def load_ensemble(path) -> PathEnsemble:
         magic = fh.read(16)
         if magic != _MAGIC:
             raise ValueError("not an ensemble container (bad magic)")
-        m, n, d, seed, has_w = _HEADER.unpack(fh.read(_HEADER.size))
+        header = fh.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            raise ValueError(f"truncated ensemble container (header has "
+                             f"{len(header)} of {_HEADER.size} bytes)")
+        m, n, d, seed, has_w = _HEADER.unpack(header)
         m, n, d = int(m), int(n), int(d)
 
         def read(shape):
-            count = int(np.prod(shape))
-            buf = fh.read(count * 8)
+            want = int(np.prod(shape)) * 8
+            buf = fh.read(want)
+            if len(buf) != want:
+                raise ValueError(f"truncated ensemble container (array {shape} "
+                                 f"has {len(buf)} of {want} bytes)")
             return _freeze(np.frombuffer(buf, dtype="<f8").reshape(shape).copy())
 
         states = read((n, m + 1, d))

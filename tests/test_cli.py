@@ -236,6 +236,24 @@ seed = 12
     assert code == 0
 
 
+def test_non_finite_statistic_fails(tmp_path, monkeypatch):
+    # a NaN after a finite statistic must not be dropped by the maximum
+    import actionlab.cli as cli_mod
+    monkeypatch.setattr(cli_mod.bridge_mod, "navier_stokes_residual",
+                        lambda: (0.0, float("nan")))
+    body = """
+[scenario]
+kind = navier-stokes
+lagrangian = kinetic_taylor_green
+m = 50
+n_paths = 1000
+seed = 12
+"""
+    code, out = run(tmp_path, body)
+    assert code == 1
+    assert (out / "verdict.txt").read_text().split()[1] == "FAIL"
+
+
 def test_noether_scenarios(tmp_path):
     body = """
 [scenario]

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from actionlab import (RankDeficiencyError, SimulationError,
                        TimeGrid, adaptedness_probe, catalog,
                        estimate_characteristics, load_ensemble, save_ensemble,
                        simulate)
-from actionlab.paths import SemimartingaleModel, export_paths_csv
+from actionlab.paths import PATH_BLOCK, SemimartingaleModel, export_paths_csv
 from actionlab.catalog import make_state_features, make_test_feature_map, point_sampler
 
 
@@ -70,6 +71,50 @@ def test_path_extension_invariance(grid200):
     a = catalog.build_law("brownian", grid200, 100, seed=13)
     b = catalog.build_law("brownian", grid200, 300, seed=13)
     assert np.array_equal(a.states, b.states[:100])
+
+
+def _random_start(rng):
+    # consumes uniforms and normals before the increments
+    return np.array([rng.random() + rng.standard_normal()])
+
+
+@pytest.mark.parametrize("seed", [7, -5, 2**63 + 12345])
+def test_path_stream_pinned_to_philox_key(seed):
+    # path i draws from a fresh Philox keyed [seed mod 2**64, i], counter 0
+    g = TimeGrid(6)
+    n = PATH_BLOCK + 9
+    model = SemimartingaleModel(name="stream", dim=1, initial_sampler=_random_start,
+                                drift=lambda j, p: np.zeros((p.shape[0], 1)))
+    ens = simulate(model, g, n, seed=seed)
+    for i in (0, PATH_BLOCK, n - 1):
+        ref = Generator(Philox(key=(seed & 0xFFFFFFFFFFFFFFFF) | (i << 64)))
+        x0 = _random_start(ref)
+        steps = ref.standard_normal((g.m, 1)) * np.sqrt(g.dt)
+        assert ens.states[i, 0, 0] == x0[0]
+        assert ens.states[i, 1, 0] == x0[0] + steps[0, 0]
+        assert np.allclose(np.diff(ens.states[i, :, 0]), steps[:, 0],
+                           rtol=0, atol=1e-12)
+
+
+def test_negative_seed_has_its_own_stream():
+    g = TimeGrid(4)
+    a = catalog.build_law("brownian", g, 3, seed=0)
+    for seed in (-1, 2**64 - 1):
+        b = catalog.build_law("brownian", g, 3, seed=seed)
+        assert not np.array_equal(a.states, b.states)
+
+
+def test_block_boundaries_are_invisible():
+    # n spans two full blocks and a partial one; block edges must not show
+    g = TimeGrid(8)
+    n = 2 * PATH_BLOCK + 7
+    a = catalog.build_law("pinned_brownian", g, n, seed=21)
+    b = catalog.build_law("pinned_brownian", g, n, seed=21, threads=3)
+    assert np.array_equal(a.states, b.states)
+    assert np.array_equal(a.drifts, b.drifts)
+    head = catalog.build_law("pinned_brownian", g, PATH_BLOCK + 3, seed=21)
+    assert np.array_equal(head.states, a.states[:PATH_BLOCK + 3])
+    assert np.array_equal(head.drifts, a.drifts[:PATH_BLOCK + 3])
 
 
 def test_adaptedness_probe_on_registry_drifts(grid200):
@@ -195,6 +240,11 @@ def test_binary_container_roundtrip(tmp_path, grid200):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"not an ensemble....")
         load_ensemble(bad)
+    short = tmp_path / "short.bin"
+    for keep in (20, target.stat().st_size - 8):
+        short.write_bytes(target.read_bytes()[:keep])
+        with pytest.raises(ValueError, match="truncated ensemble container"):
+            load_ensemble(short)
 
 
 def test_export_paths_csv(tmp_path, bm_small):
