@@ -25,8 +25,8 @@ from .transform import SpaceTimeMap
 __all__ = [
     "LAWS", "LAGRANGIANS", "SHIFTS", "MAPS", "FAMILIES", "POTENTIALS",
     "get_law", "get_lagrangian", "get_shift", "get_map", "get_family",
-    "build_law", "make_state_features", "make_test_feature_map",
-    "point_sampler", "normal_sampler",
+    "build_law", "oscillator_spec", "make_state_features",
+    "make_test_feature_map", "point_sampler", "normal_sampler",
 ]
 
 
@@ -272,10 +272,9 @@ def _law_squared_increment_weighted(grid, n_paths, seed, threads=1, anchor=0.5):
     w = (x[:, -1] - x[:, ja]) ** 2 / (1.0 - anchor)
     w = w * (n_paths / w.sum())
     drifts = np.zeros_like(base.drifts)
-    times = grid.times[:-1]
-    mask = times >= anchor
-    drifts[:, mask, 0] = _squared_increment_drift(
-        x[:, :-1][:, mask], x[:, ja][:, None], times[None, mask])
+    # one column at a time keeps every temporary at [n] paths, not [n, m/2]
+    for j in np.flatnonzero(grid.times[:-1] >= anchor):
+        drifts[:, j, 0] = _squared_increment_drift(x[:, j], x[:, ja], grid.times[j])
     drifts.setflags(write=False)
     return replace(base, drifts=drifts, weights=w,
                    label="squared_increment_weighted")
@@ -301,38 +300,50 @@ def _law_sinkhorn_bridge(grid, n_paths, seed, threads=1, final="gaussian",
     return ens
 
 
-def _oscillator_spec(dim, curvature, potential, x0, y0):
+def oscillator_spec(variant: str, dim=1, curvature=1.0, potential="quadratic",
+                    x0=1.0, y0=0.0, **params) -> _bridge.FbsdeSpec:
+    """The forward-backward oscillator dX = sigma dB + Y dt, dY = dZ - grad V dt.
+
+    ``potential`` is 'quadratic' (grad V = curvature * x) or 'x1_squared'; X
+    starts at ``x0``.  The 'adapted' variant starts Y at ``y0`` and takes
+    ``sigma_scale`` (sigma = sigma_scale * I); the 'filtering' variant draws
+    Y_0 ~ N(``y0_mean``, ``y0_var``) independent of X and ignores ``y0``.  A
+    keyword the variant does not take raises ``TypeError``.
+    """
     if potential == "quadratic":
-        _, gfun, curv = POTENTIALS["quadratic"](dim, k=curvature)
+        _, gfun, curv = POTENTIALS["quadratic"](dim, k=float(curvature))
     elif potential == "x1_squared":
         _, gfun, curv = POTENTIALS["x1_squared"](dim)
     else:
         raise ValueError("oscillator potential must be 'quadratic' or 'x1_squared'")
     x0 = np.full(dim, x0, dtype=np.float64) if np.isscalar(x0) else np.asarray(x0, float)
-    y0 = np.full(dim, y0, dtype=np.float64) if np.isscalar(y0) else np.asarray(y0, float)
-    return gfun, curv, x0, y0
+    if variant == "adapted":
+        y0 = np.full(dim, y0, dtype=np.float64) if np.isscalar(y0) else np.asarray(y0, float)
+        spec = _bridge.FbsdeSpec(
+            dim=dim, grad_potential=gfun, y0_fn=lambda x_init: y0,
+            sigma=float(params.pop("sigma_scale", 1.0)) * np.eye(dim),
+            initial_sampler=point_sampler(x0))
+    elif variant == "filtering":
+        spec = _bridge.FbsdeSpec(
+            dim=dim, grad_potential=gfun,
+            y0_gaussian=(float(params.pop("y0_mean", 0.0)),
+                         float(params.pop("y0_var", 1.0))),
+            curvature=curv, initial_sampler=point_sampler(x0))
+    else:
+        raise ValueError("variant must be 'adapted' or 'filtering'")
+    if params:
+        raise TypeError(f"unknown {variant} oscillator parameters {sorted(params)}")
+    return spec
 
 
-def _law_oscillator_adapted(grid, n_paths, seed, threads=1, dim=1,
-                            curvature=1.0, potential="quadratic",
-                            x0=1.0, y0=0.0, sigma_scale=1.0):
-    gfun, _, x0v, y0v = _oscillator_spec(dim, curvature, potential, x0, y0)
-    spec = _bridge.FbsdeSpec(dim=dim, grad_potential=lambda t, x: gfun(t, x),
-                             y0_fn=lambda x_init: y0v,
-                             sigma=sigma_scale * np.eye(dim),
-                             initial_sampler=point_sampler(x0v))
-    return _bridge.fbsde_simulate(spec, grid, n_paths, seed,
-                                  variant="adapted").ensemble
+def _law_oscillator_adapted(grid, n_paths, seed, threads=1, **params):
+    return _bridge.fbsde_simulate(oscillator_spec("adapted", **params), grid,
+                                  n_paths, seed, variant="adapted").ensemble
 
 
-def _law_oscillator_filtering(grid, n_paths, seed, threads=1, curvature=1.0,
-                              x0=0.0, y0_mean=0.0, y0_var=1.0):
-    gfun, curv, x0v, _ = _oscillator_spec(1, curvature, "quadratic", x0, 0.0)
-    spec = _bridge.FbsdeSpec(dim=1, grad_potential=lambda t, x: gfun(t, x),
-                             y0_gaussian=(y0_mean, y0_var), curvature=curv,
-                             initial_sampler=point_sampler(x0v))
-    return _bridge.fbsde_simulate(spec, grid, n_paths, seed,
-                                  variant="filtering").ensemble
+def _law_oscillator_filtering(grid, n_paths, seed, threads=1, x0=0.0, **params):
+    return _bridge.fbsde_simulate(oscillator_spec("filtering", x0=x0, **params),
+                                  grid, n_paths, seed, variant="filtering").ensemble
 
 
 def _law_classical_oscillator(grid, n_paths, seed, threads=1):
@@ -415,6 +426,15 @@ def make_wave_shift(grid: TimeGrid, kind="sine", k=1, coord=0, dim=1, scale=1.0)
     return AdaptedShift(name=f"{kind}{k}[{coord}]", derivative=derivative)
 
 
+def _envelope(kind, x):
+    """Bounded state envelope of a random shift term: 1, tanh(x0) or sin(x0)."""
+    if kind == 0:
+        return np.ones(x.shape[0])
+    if kind == 1:
+        return np.tanh(x[:, 0])
+    return np.sin(x[:, 0])
+
+
 def make_random_shift(grid: TimeGrid, seed: int, dim=1):
     """Randomized adapted shift: trigonometric time profiles times bounded
     state envelopes, with coefficients drawn from the given seed."""
@@ -425,19 +445,12 @@ def make_random_shift(grid: TimeGrid, seed: int, dim=1):
     phases = rng.uniform(0, 2 * np.pi, size=n_terms)
     kinds = rng.integers(0, 3, size=n_terms)
 
-    def envelope(kind, x):
-        if kind == 0:
-            return np.ones(x.shape[0])
-        if kind == 1:
-            return np.tanh(x[:, 0])
-        return np.sin(x[:, 0])
-
     def derivative(j, states):
         t = j * grid.dt
         x = states[:, j]
         out = np.zeros((states.shape[0], dim))
         for a, f, ph, kind in zip(amps, freqs, phases, kinds):
-            out[:, 0] += a * np.cos(2 * np.pi * f * t + ph) * envelope(kind, x)
+            out[:, 0] += a * np.cos(2 * np.pi * f * t + ph) * _envelope(kind, x)
         return out
 
     return AdaptedShift(name=f"random[{seed}]", derivative=derivative)
@@ -462,13 +475,6 @@ def make_random_endpoint_zero_shift(grid: TimeGrid, seed: int, dim=1):
     kinds = rng.integers(0, 3, size=n_terms)
     use_sin = rng.integers(0, 2, size=n_terms)
 
-    def envelope(kind, frozen):
-        if kind == 0:
-            return np.ones(frozen.shape[0])
-        if kind == 1:
-            return np.tanh(frozen[:, 0])
-        return np.sin(frozen[:, 0])
-
     def derivative(j, states):
         out = np.zeros((states.shape[0], dim))
         for j0, f, a, kind, sin_flag in zip(starts, freqs, amps, kinds, use_sin):
@@ -477,7 +483,7 @@ def make_random_endpoint_zero_shift(grid: TimeGrid, seed: int, dim=1):
             span = m - j0
             phase = 2 * np.pi * f * (j - j0) / span
             wave = np.sin(phase) if sin_flag else np.cos(phase)
-            out[:, 0] += a * wave * envelope(kind, states[:, j0])
+            out[:, 0] += a * wave * _envelope(kind, states[:, j0])
         return out
 
     return AdaptedShift(name=f"random_ez[{seed}]", derivative=derivative)

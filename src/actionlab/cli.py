@@ -6,9 +6,9 @@ optional ``[law]``, ``[lagrangian]``, ``[shift]``, ``[map]``, ``[family]``,
 ``[bridge]``, ``[fbsde]`` sections hold parameters forwarded to the
 registries.  Every run writes ``report.csv`` (statistics), ``verdict.txt``
 (one line: kind, PASS or FAIL, max statistic) and optionally ``paths.csv``
-and figures; the exit status is 0 on PASS, 1 on FAIL and 2 on configuration
-errors.  Reruns with the same config and seed are byte-identical for any
-``--threads`` value.
+and figures; the exit status is 0 on PASS, 1 on FAIL, 2 on configuration
+errors and 3 on internal errors.  Reruns with the same config and seed are
+byte-identical for any ``--threads`` value.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import argparse
 import configparser
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -25,8 +26,9 @@ from . import catalog, diagnostics, reporting
 from .lagrangians import action, el_process
 from .paths import (TimeGrid, adaptedness_probe, export_paths_csv, simulate,
                     summarize_terminal)
-from .shifts import (EndpointError, GridCompatibilityError, delay_pn,
-                     endpoint_rn, h_norm_sq, materialize, stop_truncate)
+from .shifts import (EndpointError, GridCompatibilityError, MaterializedShift,
+                     delay_pn, endpoint_rn, h_norm_sq, materialize,
+                     stop_truncate)
 
 KINDS = ("simulate", "action", "el-certify", "variational", "noether",
          "bridge", "fbsde", "navier-stokes", "operators")
@@ -140,6 +142,12 @@ def _verdict(stats, threshold):
     return bool(np.isfinite(arr).all()) and max_stat <= threshold, max_stat
 
 
+def _z(value, expected, se, allowance=0.0):
+    """Gap between ``value`` and ``expected`` beyond ``allowance``, in units of
+    ``se``; a NaN value or standard error gives NaN, which fails the verdict."""
+    return max(abs(value - expected) - allowance, 0.0) / max(se, 1e-300)
+
+
 def _lagrangian(cfg, default="kinetic"):
     name = str(cfg["scenario"].get("lagrangian", default))
     return catalog.get_lagrangian(name, **cfg["lagrangian"])
@@ -161,9 +169,9 @@ def run_simulate(cfg, grid, n, seed, threads, threshold, probes):
         rows.append((f"terminal_mean[{k}]", float(mean[k]), float(se[k])))
         rows.append((f"terminal_var[{k}]", float(var_k), float(se2[k])))
         if "expected_mean" in s:
-            stats.append(abs(float(mean[k]) - float(s["expected_mean"])) / max(float(se[k]), 1e-300))
+            stats.append(_z(float(mean[k]), float(s["expected_mean"]), float(se[k])))
         if "expected_var" in s:
-            stats.append(abs(var_k - float(s["expected_var"])) / max(float(se2[k]), 1e-300))
+            stats.append(_z(var_k, float(s["expected_var"]), float(se2[k])))
     passed, max_stat = _verdict(stats, threshold)
     header = ["quantity", "value", "stderr"]
     return passed, max_stat, header, rows, ens, None
@@ -180,8 +188,7 @@ def run_action(cfg, grid, n, seed, threads, threshold, probes):
     max_stat = 0.0
     if "expected" in s:
         allowance = float(s.get("allowance", 0.0))
-        gap = max(0.0, abs(est.mean - float(s["expected"])) - allowance)
-        max_stat = gap / max(est.stderr, 1e-300)
+        max_stat = _z(est.mean, float(s["expected"]), est.stderr, allowance)
         rows.append(("expected", float(s["expected"]), allowance))
     passed, max_stat = _verdict([max_stat], threshold)
     return passed, max_stat, ["quantity", "value", "stderr"], rows, ens, None
@@ -211,12 +218,10 @@ def run_variational(cfg, grid, n, seed, threads, threshold, probes):
     res = diagnostics.variational_derivative(
         ens, lag, mat, eps_list=eps,
         allowance=float(s["allowance"]) if "allowance" in s else None)
-    stats = [max(0.0, abs(res.diff) - res.allowance) / max(res.diff_se, 1e-300)]
+    stats = [_z(res.diff, 0.0, res.diff_se, res.allowance)]
     if bool(s.get("expect_critical", False)):
-        stats.append(max(0.0, abs(res.formula) - res.allowance)
-                     / max(res.formula_se, 1e-300))
-        stats.append(max(0.0, abs(res.fd) - res.allowance)
-                     / max(res.fd_se, res.formula_se, 1e-300))
+        stats.append(_z(res.formula, 0.0, res.formula_se, res.allowance))
+        stats.append(_z(res.fd, 0.0, max(res.fd_se, res.formula_se), res.allowance))
     passed, max_stat = _verdict(stats, threshold)
     rows = [("fd", res.fd, res.fd_se), ("formula", res.formula, res.formula_se),
             ("difference", res.diff, res.diff_se),
@@ -276,8 +281,7 @@ def run_bridge(cfg, grid, n, seed, threads, threshold, probes):
             ("clamped_queries", holder.clamped, 0.0)]
     if "expected_action" in s:
         allowance = float(s.get("allowance", 2e-3))
-        gap = max(0.0, abs(est.mean - float(s["expected_action"])) - allowance)
-        stats.append(gap / max(est.stderr, 1e-300))
+        stats.append(_z(est.mean, float(s["expected_action"]), est.stderr, allowance))
         rows.append(("expected_action", float(s["expected_action"]), allowance))
     if "expected_entropy" in s:
         etol = float(s.get("entropy_tol", 2e-3))
@@ -289,27 +293,8 @@ def run_bridge(cfg, grid, n, seed, threads, threshold, probes):
 
 def run_fbsde(cfg, grid, n, seed, threads, threshold, probes):
     s = cfg["scenario"]
-    p = dict(cfg["fbsde"])
     variant = str(s.get("variant", "adapted"))
-    dim = int(p.pop("dim", 1))
-    curvature = float(p.pop("curvature", 1.0))
-    potential = str(p.pop("potential", "quadratic"))
-    x0 = p.pop("x0", 1.0)
-    gfun, curv, x0v, y0v = catalog._oscillator_spec(dim, curvature, potential,
-                                                    x0, p.pop("y0", 0.0))
-    if variant == "adapted":
-        spec = bridge_mod.FbsdeSpec(dim=dim, grad_potential=gfun,
-                                    y0_fn=lambda xi: y0v,
-                                    sigma=float(p.pop("sigma_scale", 1.0)) * np.eye(dim),
-                                    initial_sampler=catalog.point_sampler(x0v))
-    else:
-        spec = bridge_mod.FbsdeSpec(dim=1, grad_potential=gfun,
-                                    y0_gaussian=(float(p.pop("y0_mean", 0.0)),
-                                                 float(p.pop("y0_var", 1.0))),
-                                    curvature=curv,
-                                    initial_sampler=catalog.point_sampler(x0v))
-    if p:
-        raise ConfigError(f"unknown [fbsde] keys {sorted(p)}")
+    spec = catalog.oscillator_spec(variant, **cfg["fbsde"])
     result = bridge_mod.fbsde_simulate(spec, grid, n, seed, variant=variant)
     ens = result.ensemble
     lag = _lagrangian(cfg, default="kinetic_quadratic")
@@ -356,8 +341,7 @@ def run_navier_stokes(cfg, grid, n, seed, threads, threshold, probes):
 
 
 def _shift_diff(u, v):
-    from dataclasses import replace
-    return replace(u, hdot=u.hdot - v.hdot, h=u.h - v.h)
+    return MaterializedShift(u.hdot - v.hdot, u.ensemble, u.name)
 
 
 def run_operators(cfg, grid, n, seed, threads, threshold, probes):
@@ -486,6 +470,10 @@ def main(argv=None) -> int:
             bridge_mod.UnsupportedSpecError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

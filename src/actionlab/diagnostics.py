@@ -180,26 +180,20 @@ def averaged_el(ensemble: PathEnsemble, lagrangian: Lagrangian,
     idx = grid.probe_indices(probe_fractions, ensemble.t_max)
     n, _, d = ensemble.drifts.shape
 
-    def gv(j):
-        return np.asarray(lagrangian.grad_v(
-            j * grid.dt, ensemble.states[:, j], ensemble.drifts[:, j],
-            np.einsum("nik,njk->nij", ensemble.diffusions[:, j],
-                      ensemble.diffusions[:, j])), dtype=np.float64)
-
-    def gx(j):
-        return np.asarray(lagrangian.grad_x(
-            j * grid.dt, ensemble.states[:, j], ensemble.drifts[:, j],
-            np.einsum("nik,njk->nij", ensemble.diffusions[:, j],
-                      ensemble.diffusions[:, j])), dtype=np.float64)
+    def grad(fn, j):
+        return np.asarray(fn(j * grid.dt, ensemble.states[:, j],
+                             ensemble.drifts[:, j], ensemble.alpha(j)),
+                          dtype=np.float64)
 
     intervals, disc, ses = [], [], []
     for a in range(len(idx) - 1):
         ja, jb = idx[a], idx[a + 1]
         span = (jb - ja) * grid.dt
-        momentum_rate = (gv(jb) - gv(ja)) / span
+        momentum_rate = (grad(lagrangian.grad_v, jb)
+                         - grad(lagrangian.grad_v, ja)) / span
         avg = np.zeros((n, d))
         for j in range(ja, jb):
-            avg += gx(j) * grid.dt
+            avg += grad(lagrangian.grad_x, j) * grid.dt
         per_path = momentum_rate - avg / span
         mean, se = weighted_mean_stderr(per_path, ensemble.weights)
         # floor at rounding scale so exactly-cancelling laws read as zero
@@ -390,12 +384,13 @@ def noether_invariant(ensemble: PathEnsemble, lagrangian: Lagrangian,
     for j in range(m):
         t = j * dt
         x, v = ensemble.states[:, j], ensemble.drifts[:, j]
-        sig = ensemble.diffusions[:, j]
-        alpha = np.einsum("nik,njk->nij", sig, sig)
+        alpha = ensemble.alpha(j)
         p[:, j] = np.asarray(lagrangian.grad_v(t, x, v, alpha), dtype=np.float64)
         gu = np.broadcast_to(np.asarray(family.grad_generator(t, x),
                                         dtype=np.float64), (n, d, d))
-        kappa = np.einsum("nik,njk->nij", alpha, gu) + np.einsum("nik,nkj->nij", gu, alpha)
+        # alpha is symmetric, so alpha grad_u~^T is the transpose of grad_u~ alpha
+        g_alpha = np.einsum("nik,nkj->nij", gu, alpha)
+        kappa = g_alpha + np.swapaxes(g_alpha, 1, 2)
         ga = np.asarray(lagrangian.grad_a(t, x, v, alpha), dtype=np.float64)
         theta[:, j] = np.einsum("nij,nij->n", kappa, np.broadcast_to(ga, (n, d, d)))
 

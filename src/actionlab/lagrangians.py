@@ -49,11 +49,6 @@ class ActionEstimate:
             raise ValueError("stderr must be nonnegative")
 
 
-def _step_alpha(ensemble: PathEnsemble, j: int) -> np.ndarray:
-    s = ensemble.diffusions[:, j]
-    return np.einsum("nik,njk->nij", s, s)
-
-
 def path_actions(ensemble: PathEnsemble, lagrangian: Lagrangian,
                  t_max: float = 1.0) -> np.ndarray:
     """Per-path left-rectangle sums of L over steps with t_j < t_max, shape [n]."""
@@ -66,7 +61,7 @@ def path_actions(ensemble: PathEnsemble, lagrangian: Lagrangian,
         if t >= t_max:
             break
         val = lagrangian.value(t, ensemble.states[:, j], ensemble.drifts[:, j],
-                               _step_alpha(ensemble, j))
+                               ensemble.alpha(j))
         total += np.asarray(val, dtype=np.float64) * grid.dt
     return total
 
@@ -93,7 +88,7 @@ def el_process(ensemble: PathEnsemble, lagrangian: Lagrangian) -> np.ndarray:
     for j in range(m):
         t = j * grid.dt
         x, v = ensemble.states[:, j], ensemble.drifts[:, j]
-        a = _step_alpha(ensemble, j)
+        a = ensemble.alpha(j)
         out[:, j] = np.asarray(lagrangian.grad_v(t, x, v, a), dtype=np.float64) - cum
         cum = cum + np.asarray(lagrangian.grad_x(t, x, v, a), dtype=np.float64) * grid.dt
     return out

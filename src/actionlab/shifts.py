@@ -16,6 +16,7 @@ satisfy are asserted per path in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -68,13 +69,22 @@ class AdaptedShift:
 class MaterializedShift:
     """A shift evaluated along one ensemble.
 
-    hdot: [n, m, d]; h: [n, m+1, d] cumulative integral with h[:, 0] = 0.
+    hdot: [n, m, d]; h: [n, m+1, d] cumulative integral with h[:, 0] = 0,
+    built from hdot on first read and kept.
     """
 
     hdot: np.ndarray
-    h: np.ndarray
     ensemble: PathEnsemble
     name: str = ""
+
+    @cached_property
+    def h(self) -> np.ndarray:
+        n, m, d = self.hdot.shape
+        h = np.empty((n, m + 1, d))
+        h[:, 0] = 0.0
+        np.cumsum(self.hdot, axis=1, out=h[:, 1:])
+        h[:, 1:] *= self.ensemble.grid.dt
+        return h
 
     @property
     def n_paths(self) -> int:
@@ -91,15 +101,6 @@ class MaterializedShift:
         return bool(np.max(np.abs(self.terminal())) <= tol)
 
 
-def _with_h(hdot: np.ndarray, ensemble: PathEnsemble, name: str) -> MaterializedShift:
-    n, m, d = hdot.shape
-    h = np.empty((n, m + 1, d))
-    h[:, 0] = 0.0
-    np.cumsum(hdot, axis=1, out=h[:, 1:])
-    h[:, 1:] *= ensemble.grid.dt
-    return MaterializedShift(hdot=hdot, h=h, ensemble=ensemble, name=name)
-
-
 def materialize(shift: AdaptedShift, ensemble: PathEnsemble) -> MaterializedShift:
     """Evaluate a shift's derivative along every path prefix of the ensemble."""
     n, m, d = ensemble.n_paths, ensemble.grid.m, ensemble.dim
@@ -110,7 +111,7 @@ def materialize(shift: AdaptedShift, ensemble: PathEnsemble) -> MaterializedShif
         hdot[:, j] = np.broadcast_to(v, (n, d))
     if not np.isfinite(hdot).all():
         raise ValueError(f"shift '{shift.name}' produced non-finite derivative")
-    return _with_h(hdot, ensemble, shift.name)
+    return MaterializedShift(hdot, ensemble, shift.name)
 
 
 def _check_bound(u: MaterializedShift, v: MaterializedShift) -> None:
@@ -152,7 +153,7 @@ def delay_pn(u: MaterializedShift, n: int) -> MaterializedShift:
     for k in range(2, n):
         val = n * (u.h[:, (k - 1) * b] - u.h[:, (k - 2) * b])
         hdot[:, k * b : (k + 1) * b] = val[:, None, :]
-    return _with_h(hdot, u.ensemble, f"p{n}({u.name})")
+    return MaterializedShift(hdot, u.ensemble, f"p{n}({u.name})")
 
 
 def endpoint_qn(u: MaterializedShift, n: int) -> MaterializedShift:
@@ -160,14 +161,14 @@ def endpoint_qn(u: MaterializedShift, n: int) -> MaterializedShift:
     b = _block_size(u, n)
     hdot = np.zeros_like(u.hdot)
     hdot[:, (n - 1) * b :] = (n * u.h[:, (n - 2) * b])[:, None, :]
-    return _with_h(hdot, u.ensemble, f"q{n}({u.name})")
+    return MaterializedShift(hdot, u.ensemble, f"q{n}({u.name})")
 
 
 def endpoint_rn(u: MaterializedShift, n: int) -> MaterializedShift:
     """p_n - q_n; terminal value vanishes on every path (telescoping)."""
     p = delay_pn(u, n)
     q = endpoint_qn(u, n)
-    return _with_h(p.hdot - q.hdot, u.ensemble, f"r{n}({u.name})")
+    return MaterializedShift(p.hdot - q.hdot, u.ensemble, f"r{n}({u.name})")
 
 
 def stop_truncate(u: MaterializedShift, level: float,
@@ -198,7 +199,7 @@ def stop_truncate(u: MaterializedShift, level: float,
     recenter = np.where((jstar < m)[:, None], -u_tau / denom[:, None], 0.0)
     stopped = np.arange(m)[None, :] >= jstar[:, None]     # [n, m]
     hdot = np.where(stopped[:, :, None], recenter[:, None, :], u.hdot)
-    return _with_h(hdot, u.ensemble, f"k[{u.name}]")
+    return MaterializedShift(hdot, u.ensemble, f"k[{u.name}]")
 
 
 def stop_steps_for(u: MaterializedShift, level: float) -> np.ndarray:
@@ -275,8 +276,8 @@ def martingale_projection(u: MaterializedShift, feature_map=None,
     for j in range(m):
         phi_j, _ = feature_map(ens, j)
         mdot[:, j] = np.asarray(phi_j, dtype=np.float64) @ (bmats[j] @ coef)
-    mpart = _with_h(mdot, ens, f"proj_m({u.name})")
-    h0 = _with_h(u.hdot - mdot, ens, f"proj_h0({u.name})")
+    mpart = MaterializedShift(mdot, ens, f"proj_m({u.name})")
+    h0 = MaterializedShift(u.hdot - mdot, ens, f"proj_h0({u.name})")
     ortho, ortho_se = h_inner(mpart, h0)
     term = h0.terminal()
     endpoint, _ = weighted_mean_stderr(np.einsum("nd,nd->n", term, term), ens.weights)

@@ -80,9 +80,21 @@ def push_shift(ensemble: PathEnsemble, shift: MaterializedShift,
                    label=f"{ensemble.label}+{epsilon}*{shift.name}")
 
 
-def _jac(m: SpaceTimeMap, t, x, n, d):
-    j = np.asarray(m.jacobian(t, x), dtype=np.float64)
-    return np.broadcast_to(j, (n, d, d))
+def _ito(m: SpaceTimeMap, ensemble: PathEnsemble, j: int):
+    """Jacobian [n, d, d] of h at step j and the Ito drift of h(t, X):
+    dt_h + (v . grad) h + (1/2) alpha : hess h, shape [n, d]."""
+    n, d = ensemble.n_paths, ensemble.dim
+    t = j * ensemble.grid.dt
+    x = ensemble.states[:, j]
+    jac = np.broadcast_to(np.asarray(m.jacobian(t, x), dtype=np.float64), (n, d, d))
+    drift = np.einsum("nij,nj->ni", jac, ensemble.drifts[:, j])
+    if m.dt_fn is not None:
+        drift = drift + np.asarray(m.dt_fn(t, x), dtype=np.float64)
+    if m.hessian is not None:
+        hess = np.broadcast_to(np.asarray(m.hessian(t, x), dtype=np.float64),
+                               (n, d, d, d))
+        drift = drift + 0.5 * np.einsum("nij,nkij->nk", ensemble.alpha(j), hess)
+    return jac, drift
 
 
 def lift(ensemble: PathEnsemble, m: SpaceTimeMap) -> PathEnsemble:
@@ -96,21 +108,8 @@ def lift(ensemble: PathEnsemble, m: SpaceTimeMap) -> PathEnsemble:
         t = j * grid.dt
         states[:, j] = m.map_fn(t, ensemble.states[:, j])
     for j in range(steps):
-        t = j * grid.dt
-        x = ensemble.states[:, j]
-        v = ensemble.drifts[:, j]
-        sig = ensemble.diffusions[:, j]
-        alpha = np.einsum("nik,njk->nij", sig, sig)
-        jac = _jac(m, t, x, n, d)
-        new_v = np.einsum("nij,nj->ni", jac, v)
-        if m.dt_fn is not None:
-            new_v = new_v + np.asarray(m.dt_fn(t, x), dtype=np.float64)
-        if m.hessian is not None:
-            hess = np.asarray(m.hessian(t, x), dtype=np.float64)
-            hess = np.broadcast_to(hess, (n, d, d, d))
-            new_v = new_v + 0.5 * np.einsum("nij,nkij->nk", alpha, hess)
-        drifts[:, j] = new_v
-        diffusions[:, j] = np.einsum("nij,njk->nik", jac, sig)
+        jac, drifts[:, j] = _ito(m, ensemble, j)
+        diffusions[:, j] = np.einsum("nij,njk->nik", jac, ensemble.diffusions[:, j])
     if not (np.isfinite(states).all() and np.isfinite(drifts).all()):
         raise ValueError(f"map '{m.name}' produced non-finite values")
     for arr in (states, drifts, diffusions):
@@ -141,28 +140,15 @@ def harmonic_check(ensemble: PathEnsemble, field: SpaceTimeMap,
     from .diagnostics import martingale_test
 
     grid = ensemble.grid
-    n, steps, d = ensemble.drifts.shape
     worst = 0.0
     acc = 0.0
-    for j in range(steps):
-        t = j * grid.dt
-        if t >= ensemble.t_max:
+    for j in range(grid.m):
+        if j * grid.dt >= ensemble.t_max:
             break
-        x = ensemble.states[:, j]
-        v = ensemble.drifts[:, j]
-        sig = ensemble.diffusions[:, j]
-        alpha = np.einsum("nik,njk->nij", sig, sig)
-        jac = _jac(field, t, x, n, d)
-        res = np.einsum("nij,nj->ni", jac, v)
-        if field.dt_fn is not None:
-            res = res + np.asarray(field.dt_fn(t, x), dtype=np.float64)
-        if field.hessian is not None:
-            hess = np.broadcast_to(np.asarray(field.hessian(t, x), dtype=np.float64),
-                                   (n, d, d, d))
-            res = res + 0.5 * np.einsum("nij,nkij->nk", alpha, hess)
+        _, res = _ito(field, ensemble, j)
         worst = max(worst, float(np.max(np.abs(res))))
         acc += float(np.mean(np.abs(res)))
-    mean_abs = acc / max(1, min(steps, int(np.ceil(ensemble.t_max / grid.dt))))
+    mean_abs = acc / max(1, min(grid.m, int(np.ceil(ensemble.t_max / grid.dt))))
 
     idx = grid.probe_indices(probe_fractions, ensemble.t_max)
     composed = np.stack([np.asarray(field.map_fn(j * grid.dt, ensemble.states[:, j]))

@@ -58,7 +58,7 @@ def kin():
 
 def shift_diff(u, v):
     from dataclasses import replace
-    return replace(u, hdot=u.hdot - v.hdot, h=u.h - v.h)
+    return replace(u, hdot=u.hdot - v.hdot)
 
 
 def test_criterion_1_operator_suite():

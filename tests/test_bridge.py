@@ -163,6 +163,23 @@ def test_fbsde_spec_validation(grid200):
                        grid200, 2000, seed=1, variant="adapted")
 
 
+def test_oscillator_laws_match_oscillator_spec(grid200):
+    for law, variant, params in (
+            ("oscillator_adapted", "adapted", {}),
+            ("oscillator_nonradial", "adapted",
+             dict(dim=2, potential="x1_squared", x0=(1.0, 0.0))),
+            ("oscillator_filtering", "filtering", dict(x0=0.0))):
+        ens = catalog.build_law(law, grid200, 1000, seed=77)
+        ref = fbsde_simulate(catalog.oscillator_spec(variant, **params), grid200,
+                             1000, seed=77, variant=variant).ensemble
+        for name in ("states", "drifts", "diffusions"):
+            assert np.array_equal(getattr(ens, name), getattr(ref, name)), (law, name)
+    with pytest.raises(TypeError, match="y0_var"):
+        catalog.oscillator_spec("adapted", y0_var=2.0)
+    with pytest.raises(TypeError, match="sigma_scale"):
+        catalog.oscillator_spec("filtering", sigma_scale=2.0)
+
+
 def test_navier_stokes_oracles():
     residual, div = navier_stokes_residual(n_space=50, n_time=10)
     assert residual < 1e-10

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from actionlab.cli import ConfigError, load_config, main, run_scenario
@@ -221,6 +222,37 @@ seed = 11
                                                         "n_paths = 3000")
     cfg = load_config(write_config(tmp_path, "w.ini", wrong))
     assert run_scenario(cfg, tmp_path / "outw") == 1
+
+
+@pytest.mark.parametrize("extra", ["variant = adapted\n[fbsde]\ny0_var = 2.0",
+                                   "variant = filtering\n[fbsde]\nsigma_scale = 2.0",
+                                   "variant = filtering\n[fbsde]\npotential = x1_squared"])
+def test_fbsde_bad_section_is_config_error(tmp_path, extra):
+    body = "[scenario]\nkind = fbsde\nm = 20\nn_paths = 100\n" + extra + "\n"
+    code = main(["run", "--config", str(write_config(tmp_path, "c.ini", body)),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+
+
+def test_internal_error_exits_three(tmp_path, monkeypatch, capsys):
+    # a law whose drift turns NaN raises SimulationError: not a FAIL (1) and
+    # not a configuration error (2)
+    from actionlab import catalog
+    from actionlab.paths import SemimartingaleModel, simulate
+
+    def nan_law(grid, n_paths, seed, threads=1):
+        model = SemimartingaleModel(
+            name="nan_drift", dim=1,
+            initial_sampler=catalog.point_sampler(np.zeros(1)),
+            drift=lambda j, prefix: np.full((prefix.shape[0], 1), np.nan))
+        return simulate(model, grid, n_paths, seed, threads=threads)
+
+    monkeypatch.setitem(catalog.LAWS, "nan_drift", nan_law)
+    body = "[scenario]\nkind = simulate\nlaw = nan_drift\nm = 20\nn_paths = 100\n"
+    code = main(["run", "--config", str(write_config(tmp_path, "c.ini", body)),
+                 "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert "internal error" in capsys.readouterr().err
 
 
 def test_navier_stokes_scenario(tmp_path):

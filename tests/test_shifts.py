@@ -14,7 +14,7 @@ from conftest import deterministic_law
 
 def shift_diff(u, v):
     from dataclasses import replace
-    return replace(u, hdot=u.hdot - v.hdot, h=u.h - v.h)
+    return replace(u, hdot=u.hdot - v.hdot)
 
 
 def test_materialize_constant(grid200, bm_small):
@@ -36,6 +36,15 @@ def test_materialize_hand_cumsum():
     dt = 1.0 / 3
     expected = [0.0, 0.0, 0.3 * dt, (0.3 - 0.6) * dt]
     assert np.allclose(u.h[0, :, 0], expected, atol=1e-15)
+
+
+def test_h_built_once_and_only_when_read(grid192, bm192):
+    u = materialize(catalog.get_shift("state", grid192), bm192)
+    assert "h" not in vars(u)
+    assert u.h is u.h
+    p = delay_pn(u, 4)            # reads u.h, builds no h of its own
+    h_norm_sq(p)
+    assert "h" not in vars(p)
 
 
 def test_peeking_derivative_rejected(bm_small):
@@ -222,7 +231,7 @@ def test_stop_truncate_hand_built_path():
     h[:, 0] = 0
     np.cumsum(hdot, axis=1, out=h[:, 1:])
     h[:, 1:] *= g.dt
-    u = MaterializedShift(hdot=hdot, h=h, ensemble=ens)
+    u = MaterializedShift(hdot=hdot, ensemble=ens)
     # running norms: |pi_{t_j}u|_H^2 = j * (2^2) * dt; level 1.25 trips at j=2
     k = stop_truncate(u, np.sqrt(1.25))
     tau = 2 * g.dt
@@ -242,7 +251,7 @@ def test_operator_linearity(grid192, bm192):
     u = materialize(catalog.get_shift("state", grid192), bm192)
     v = materialize(catalog.get_shift("tanh_state", grid192), bm192)
     from dataclasses import replace
-    combo = replace(u, hdot=2.5 * u.hdot - 1.5 * v.hdot, h=2.5 * u.h - 1.5 * v.h)
+    combo = replace(u, hdot=2.5 * u.hdot - 1.5 * v.hdot)
     for op in (lambda w: delay_pn(w, 8), lambda w: endpoint_qn(w, 8),
                lambda w: endpoint_rn(w, 8)):
         lhs = op(combo).hdot
@@ -251,8 +260,7 @@ def test_operator_linearity(grid192, bm192):
     # truncation at a fixed stopping time is linear as well
     uez = endpoint_rn(u, 8)
     vez = endpoint_rn(v, 8)
-    combo_ez = replace(uez, hdot=2.5 * uez.hdot - 1.5 * vez.hdot,
-                       h=2.5 * uez.h - 1.5 * vez.h)
+    combo_ez = replace(uez, hdot=2.5 * uez.hdot - 1.5 * vez.hdot)
     stops = stop_steps_for(uez, float(np.median(np.sqrt(h_norm_sq(uez)))))
     lhs = stop_truncate(combo_ez, 1.0, stop_steps=stops).hdot
     rhs = (2.5 * stop_truncate(uez, 1.0, stop_steps=stops).hdot

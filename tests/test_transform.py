@@ -74,7 +74,7 @@ def test_lift_commutes_with_push_for_affine(bm_small):
     lifted = lift(bm_small, mp)
     u_on_lifted = materialize(catalog.get_shift("cosine", bm_small.grid), lifted)
     from dataclasses import replace
-    scaled = replace(u_on_lifted, hdot=a * u_on_lifted.hdot, h=a * u_on_lifted.h)
+    scaled = replace(u_on_lifted, hdot=a * u_on_lifted.hdot)
     right = push_shift(lifted, scaled, 0.3)
     assert np.allclose(left.states, right.states, atol=1e-12)
     assert np.allclose(left.drifts, right.drifts, atol=1e-12)
