@@ -224,9 +224,11 @@ seed = 11
     assert run_scenario(cfg, tmp_path / "outw") == 1
 
 
-@pytest.mark.parametrize("extra", ["variant = adapted\n[fbsde]\ny0_var = 2.0",
-                                   "variant = filtering\n[fbsde]\nsigma_scale = 2.0",
-                                   "variant = filtering\n[fbsde]\npotential = x1_squared"])
+@pytest.mark.parametrize("extra", [
+    "variant = adapted\n[fbsde]\ny0_var = 2.0",
+    "variant = filtering\n[fbsde]\nsigma_scale = 2.0",
+    "variant = filtering\n[fbsde]\npotential = x1_squared",
+], ids=["adapted_unknown_key", "filtering_unknown_key", "filtering_x1_squared"])
 def test_fbsde_bad_section_is_config_error(tmp_path, extra):
     body = "[scenario]\nkind = fbsde\nm = 20\nn_paths = 100\n" + extra + "\n"
     code = main(["run", "--config", str(write_config(tmp_path, "c.ini", body)),
