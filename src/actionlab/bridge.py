@@ -33,7 +33,6 @@ __all__ = [
     "reference_terminal",
     "sinkhorn_bridge",
     "bridge_to_model",
-    "export_drift_field_csv",
     "FbsdeSpec",
     "FbsdeResult",
     "fbsde_simulate",
@@ -268,16 +267,6 @@ def bridge_to_model(solution: BridgeSolution, name: str = "sinkhorn_bridge"):
     return model, holder
 
 
-def export_drift_field_csv(solution: BridgeSolution, path) -> None:
-    """CSV grid of the drift field: header of cell centers, one row per step."""
-    lines = ["t," + ",".join(repr(float(c)) for c in solution.problem.centers)]
-    for j in range(solution.grid.m):
-        vals = ",".join(repr(float(v)) for v in solution.drift_field[j])
-        lines.append(f"{repr(j * solution.grid.dt)},{vals}")
-    with open(path, "wb") as fh:
-        fh.write(("\n".join(lines) + "\n").encode())
-
-
 # -- coupled forward-backward simulation --------------------------------------
 
 @dataclass(frozen=True)
@@ -304,7 +293,6 @@ class FbsdeSpec:
 @dataclass(frozen=True)
 class FbsdeResult:
     ensemble: PathEnsemble
-    y: np.ndarray                 # [n, m, d] backward component along the paths
     posterior_var: Optional[np.ndarray] = None  # [m] filtering variance P_j
 
 
@@ -333,7 +321,8 @@ def fbsde_simulate(spec: FbsdeSpec, grid: TimeGrid, n_paths: int, seed: int,
     sigma = np.eye(d) if spec.sigma is None else np.asarray(spec.sigma, dtype=np.float64)
 
     states = np.empty((n, m + 1, d))
-    noise = np.empty((n, m, d))
+    # each path's normals wait in its drift rows until step j replaces them
+    drifts = np.empty((n, m, d))
     znoise = np.empty((n, m, d)) if spec.z_mode == "independent_brownian" else None
     y0 = np.empty((n, d))
     for i, g in path_streams(seed, 0, n):
@@ -346,12 +335,10 @@ def fbsde_simulate(spec: FbsdeSpec, grid: TimeGrid, n_paths: int, seed: int,
             y0[i] = mu + np.sqrt(var) * g.standard_normal(d)
         else:
             y0[i] = np.asarray(spec.y0_fn(states[i, 0]), dtype=np.float64)
-        g.standard_normal(out=noise[i])
+        g.standard_normal(out=drifts[i])
         if znoise is not None:
             g.standard_normal(out=znoise[i])
 
-    drifts = np.empty((n, m, d))
-    yrec = np.empty((n, m, d))
     y = y0.copy()
     post_var = None
     if variant == "filtering":
@@ -364,13 +351,13 @@ def fbsde_simulate(spec: FbsdeSpec, grid: TimeGrid, n_paths: int, seed: int,
 
     for j in range(m):
         t = j * dt
-        yrec[:, j] = y
+        db = drifts[:, j] * sqdt
         if variant == "adapted":
             drifts[:, j] = y
         else:
             post_var[j] = pvar
             drifts[:, j, 0] = mean
-        dx = y * dt + (noise[:, j] * sqdt) @ sigma.T
+        dx = y * dt + db @ sigma.T
         states[:, j + 1] = states[:, j] + dx
         if variant == "filtering":
             innov = dx[:, 0] - mean * dt
@@ -390,7 +377,7 @@ def fbsde_simulate(spec: FbsdeSpec, grid: TimeGrid, n_paths: int, seed: int,
     ens = PathEnsemble(grid=grid, states=states, drifts=drifts,
                        diffusions=diffusions, seed=seed,
                        label=label or f"fbsde_{variant}")
-    return FbsdeResult(ensemble=ens, y=yrec, posterior_var=post_var)
+    return FbsdeResult(ensemble=ens, posterior_var=post_var)
 
 
 # -- decaying vortex flow ------------------------------------------------------

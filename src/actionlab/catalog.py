@@ -25,8 +25,8 @@ from .transform import SpaceTimeMap
 __all__ = [
     "LAWS", "LAGRANGIANS", "SHIFTS", "MAPS", "FAMILIES", "POTENTIALS",
     "get_law", "get_lagrangian", "get_shift", "get_map", "get_family",
-    "build_law", "oscillator_spec", "make_state_features",
-    "make_test_feature_map", "point_sampler", "normal_sampler",
+    "build_law", "sinkhorn_bridge_law", "oscillator_spec",
+    "make_state_features", "make_test_feature_map", "point_sampler",
 ]
 
 
@@ -84,13 +84,6 @@ def point_sampler(x0):
 
     def sampler(rng: Generator) -> np.ndarray:
         return x0
-
-    return sampler
-
-
-def normal_sampler(mean, std, dim: int):
-    def sampler(rng: Generator) -> np.ndarray:
-        return mean + std * rng.standard_normal(dim)
 
     return sampler
 
@@ -280,10 +273,18 @@ def _law_squared_increment_weighted(grid, n_paths, seed, threads=1, anchor=0.5):
                    label="squared_increment_weighted")
 
 
-def _law_sinkhorn_bridge(grid, n_paths, seed, threads=1, final="gaussian",
-                         final_mean=0.0, final_var=2.0, initial_at=0.0,
-                         x_min=-6.0, x_max=6.0, n_cells=481, tol=1e-9,
-                         max_iter=10_000):
+def sinkhorn_bridge_law(grid, n_paths, seed, threads=1, final="gaussian",
+                        final_mean=0.0, final_var=2.0, initial_at=0.0,
+                        x_min=-6.0, x_max=6.0, n_cells=481, tol=1e-9,
+                        max_iter=10_000):
+    """Entropic bridge from a point mass at ``initial_at`` to a Gaussian
+    (``final = 'gaussian'``) or to the Brownian reference's terminal law
+    (``final = 'reference'``), fitted on the lattice and simulated.
+
+    Returns ``(ensemble, solution, holder)``: the paths, the fitted
+    :class:`~actionlab.bridge.BridgeSolution` and the drift holder whose
+    ``clamped`` counts drift queries outside the lattice.
+    """
     p0 = _bridge.delta_marginal(initial_at, x_min, x_max, n_cells)
     if final == "gaussian":
         p1 = _bridge.gaussian_marginal(final_mean, final_var, x_min, x_max, n_cells)
@@ -294,10 +295,10 @@ def _law_sinkhorn_bridge(grid, n_paths, seed, threads=1, final="gaussian",
         raise ValueError("final must be 'gaussian' or 'reference'")
     problem = _bridge.BridgeProblem(p0=p0, p1=p1, x_min=x_min, x_max=x_max)
     solution = _bridge.sinkhorn_bridge(problem, grid, tol=tol, max_iter=max_iter)
-    model, _holder = _bridge.bridge_to_model(solution)
+    model, holder = _bridge.bridge_to_model(solution)
     ens = simulate(model, grid, n_paths, seed, threads=threads,
                    label="sinkhorn_bridge")
-    return ens
+    return ens, solution, holder
 
 
 def oscillator_spec(variant: str, dim=1, curvature=1.0, potential="quadratic",
@@ -365,7 +366,8 @@ LAWS: Dict[str, Callable[..., PathEnsemble]] = {
     "pinned_brownian": _law_pinned_brownian,
     "squared_increment": _law_squared_increment,
     "squared_increment_weighted": _law_squared_increment_weighted,
-    "sinkhorn_bridge": _law_sinkhorn_bridge,
+    "sinkhorn_bridge": lambda grid, n, seed, threads=1, **kw: sinkhorn_bridge_law(
+        grid, n, seed, threads=threads, **kw)[0],
     "oscillator_adapted": _law_oscillator_adapted,
     "oscillator_nonradial": lambda grid, n, seed, threads=1, **kw: _law_oscillator_adapted(
         grid, n, seed, threads=threads, dim=2, potential="x1_squared",

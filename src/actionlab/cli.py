@@ -2,13 +2,15 @@
 
 A scenario is a line-oriented ``key = value`` file with square-bracket
 sections: ``[scenario]`` holds the experiment kind and scale, and the
-optional ``[law]``, ``[lagrangian]``, ``[shift]``, ``[map]``, ``[family]``,
+optional ``[law]``, ``[lagrangian]``, ``[shift]``, ``[family]``,
 ``[bridge]``, ``[fbsde]`` sections hold parameters forwarded to the
-registries.  Every run writes ``report.csv`` (statistics), ``verdict.txt``
-(one line: kind, PASS or FAIL, max statistic) and optionally ``paths.csv``
-and figures; the exit status is 0 on PASS, 1 on FAIL, 2 on configuration
-errors and 3 on internal errors.  Reruns with the same config and seed are
-byte-identical for any ``--threads`` value.
+registries.  Each kind accepts only the keys and sections its runner reads
+(``_ACCEPTS``); anything else is a configuration error.  Every run writes
+``report.csv`` (statistics), ``verdict.txt`` (one line: kind, PASS or FAIL,
+max statistic) and optionally ``paths.csv`` and figures; the exit status is
+0 on PASS, 1 on FAIL, 2 on configuration errors and 3 on internal errors.
+Reruns with the same config and seed are byte-identical for any
+``--threads`` value.
 """
 
 from __future__ import annotations
@@ -24,31 +26,33 @@ import numpy as np
 from . import bridge as bridge_mod
 from . import catalog, diagnostics, reporting
 from .lagrangians import action, el_process
-from .paths import (TimeGrid, adaptedness_probe, export_paths_csv, simulate,
+from .paths import (TimeGrid, adaptedness_probe, export_paths_csv,
                     summarize_terminal)
 from .shifts import (EndpointError, GridCompatibilityError, MaterializedShift,
                      delay_pn, endpoint_rn, h_norm_sq, materialize,
                      stop_truncate)
 
-KINDS = ("simulate", "action", "el-certify", "variational", "noether",
-         "bridge", "fbsde", "navier-stokes", "operators")
-
-_COMMON_KEYS = {"kind", "law", "lagrangian", "shift", "map", "family", "m",
-                "n_paths", "seed", "threshold", "t_max", "probes", "out",
-                "plot", "paths_csv", "threads"}
-_KIND_KEYS = {
-    "simulate": {"expected_mean", "expected_var"},
-    "action": {"expected", "allowance"},
-    "el-certify": set(),
-    "variational": {"endpointize", "expect_critical", "eps", "allowance"},
-    "noether": set(),
-    "bridge": {"expected_action", "expected_entropy", "entropy_tol",
-               "allowance", "tv_tol", "tv_bins"},
-    "fbsde": {"variant", "constancy_tol", "riccati_tol"},
-    "navier-stokes": {"residual_tol", "div_tol"},
-    "operators": {"shift_count", "peeking", "level"},
+_COMMON_KEYS = ("kind", "m", "n_paths", "seed", "threshold", "threads", "out",
+                "plot", "paths_csv")
+# kind -> (further [scenario] keys, parameter sections) that its runner reads
+_ACCEPTS = {
+    "simulate": (("law", "expected_mean", "expected_var"), ("law",)),
+    "action": (("law", "lagrangian", "t_max", "expected", "allowance"),
+               ("law", "lagrangian")),
+    "el-certify": (("law", "lagrangian", "t_max", "probes"), ("law", "lagrangian")),
+    "variational": (("law", "lagrangian", "shift", "endpointize", "expect_critical",
+                     "eps", "allowance"), ("law", "lagrangian", "shift")),
+    "noether": (("law", "lagrangian", "family", "t_max", "probes"),
+                ("law", "lagrangian", "family")),
+    "bridge": (("lagrangian", "expected_action", "expected_entropy", "entropy_tol",
+                "allowance", "tv_tol", "tv_bins"), ("lagrangian", "bridge")),
+    "fbsde": (("lagrangian", "variant", "constancy_tol", "riccati_tol", "probes"),
+              ("lagrangian", "fbsde")),
+    "navier-stokes": (("lagrangian", "residual_tol", "div_tol", "probes"),
+                      ("lagrangian",)),
+    "operators": (("law", "shift_count", "peeking", "level"), ("law",)),
 }
-_PARAM_SECTIONS = {"law", "lagrangian", "shift", "map", "family", "bridge", "fbsde"}
+KINDS = tuple(_ACCEPTS)
 
 
 class ConfigError(ValueError):
@@ -85,21 +89,22 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot read config file {path}")
     if "scenario" not in parser:
         raise ConfigError("config must contain a [scenario] section")
-    unknown_sections = set(parser.sections()) - ({"scenario"} | _PARAM_SECTIONS)
-    if unknown_sections:
-        raise ConfigError(f"unknown sections {sorted(unknown_sections)}; "
-                          f"valid: scenario, {', '.join(sorted(_PARAM_SECTIONS))}")
     scen = {k: _parse_value(v) for k, v in parser["scenario"].items()}
     kind = scen.get("kind")
     if kind not in KINDS:
         raise ConfigError(f"kind must be one of {', '.join(KINDS)}")
-    allowed = _COMMON_KEYS | _KIND_KEYS[kind]
-    bad = set(scen) - allowed
+    keys, sections = _ACCEPTS[kind]
+    allowed = sorted(_COMMON_KEYS + keys)
+    bad = set(scen) - set(allowed)
     if bad:
         raise ConfigError(f"unknown [scenario] keys {sorted(bad)} for kind "
-                          f"'{kind}'; valid keys: {', '.join(sorted(allowed))}")
+                          f"'{kind}'; valid keys: {', '.join(allowed)}")
+    bad = set(parser.sections()) - {"scenario", *sections}
+    if bad:
+        raise ConfigError(f"unknown sections {sorted(bad)} for kind '{kind}'; "
+                          f"valid sections: scenario, {', '.join(sections)}")
     cfg = {"scenario": scen}
-    for sec in _PARAM_SECTIONS:
+    for sec in sections:
         cfg[sec] = ({k: _parse_value(v) for k, v in parser[sec].items()}
                     if sec in parser else {})
     return cfg
@@ -243,28 +248,15 @@ def run_noether(cfg, grid, n, seed, threads, threshold, probes):
 
 def run_bridge(cfg, grid, n, seed, threads, threshold, probes):
     s = cfg["scenario"]
-    p = dict(cfg["bridge"])
-    x_min = float(p.pop("x_min", -6.0))
-    x_max = float(p.pop("x_max", 6.0))
-    n_cells = int(p.pop("n_cells", 481))
-    p0 = bridge_mod.delta_marginal(float(p.pop("initial_at", 0.0)), x_min, x_max, n_cells)
-    p1 = bridge_mod.gaussian_marginal(float(p.pop("final_mean", 0.0)),
-                                      float(p.pop("final_var", 2.0)),
-                                      x_min, x_max, n_cells)
-    problem = bridge_mod.BridgeProblem(p0=p0, p1=p1, x_min=x_min, x_max=x_max)
-    solution = bridge_mod.sinkhorn_bridge(problem, grid,
-                                          tol=float(p.pop("tol", 1e-9)),
-                                          max_iter=int(p.pop("max_iter", 10_000)))
-    if p:
-        raise ConfigError(f"unknown [bridge] keys {sorted(p)}")
-    model, holder = bridge_mod.bridge_to_model(solution)
-    ens = simulate(model, grid, n, seed, threads=threads, label="sinkhorn_bridge")
+    ens, solution, holder = catalog.sinkhorn_bridge_law(grid, n, seed, threads=threads,
+                                                        **cfg["bridge"])
     lag = _lagrangian(cfg)
     est = action(ens, lag, t_max=1.0)
 
     # terminal histogram against the target marginal on coarse bins
     tv_bins = int(s.get("tv_bins", 48))
-    edges = np.linspace(x_min, x_max, tv_bins + 1)
+    problem = solution.problem
+    edges = np.linspace(problem.x_min, problem.x_max, tv_bins + 1)
     hist, _ = np.histogram(ens.states[:, -1, 0], bins=edges)
     hist = hist / ens.n_paths
     centers = problem.centers

@@ -100,6 +100,18 @@ def default_test_functions(ensemble: PathEnsemble, j: int,
     return np.stack(feats, axis=1), names
 
 
+def _orthogonality(resid: np.ndarray, ensemble: PathEnsemble, j: int,
+                   test_functions: Optional[Callable]):
+    """z-scores of E[w resid phi] for each prefix feature phi at step j and
+    coordinate of ``resid`` [n, d], with their column names."""
+    feats, feat_names = (test_functions or default_test_functions)(ensemble, j)
+    n, d = resid.shape
+    prod = resid[:, None, :] * feats[:, :, None]              # [n, k, d]
+    mean, se = weighted_mean_stderr(prod.reshape(n, -1), ensemble.weights)
+    names = [f"{f}|x{c}" if d > 1 else f for f in feat_names for c in range(d)]
+    return zscores(mean, se), names
+
+
 def martingale_test(process: np.ndarray, ensemble: PathEnsemble,
                     probe_indices: Sequence[int],
                     test_functions: Optional[Callable] = None,
@@ -115,24 +127,17 @@ def martingale_test(process: np.ndarray, ensemble: PathEnsemble,
     proc = np.asarray(process, dtype=np.float64)
     if proc.ndim == 2:
         proc = proc[:, :, None]
-    n, p, dproc = proc.shape
+    p = proc.shape[1]
     if p != len(probe_indices):
         raise ValueError("process probe axis does not match probe_indices")
-    if test_functions is None:
-        test_functions = default_test_functions
     dt = ensemble.grid.dt
     pairs, stats, names = [], [], None
     for a in range(p - 1):
         ja, jb = probe_indices[a], probe_indices[a + 1]
-        feats, feat_names = test_functions(ensemble, ja)
-        inc = proc[:, a + 1] - proc[:, a]                     # [n, dproc]
-        prod = inc[:, None, :] * feats[:, :, None]            # [n, k, dproc]
-        mean, se = weighted_mean_stderr(prod.reshape(n, -1), ensemble.weights)
-        stats.append(zscores(mean, se))
+        z, names = _orthogonality(proc[:, a + 1] - proc[:, a], ensemble, ja,
+                                  test_functions)
+        stats.append(z)
         pairs.append((ja * dt, jb * dt))
-        if names is None:
-            names = [f"{f}|x{c}" if dproc > 1 else f
-                     for f in feat_names for c in range(dproc)]
     return MartingaleReport(probe_pairs=pairs, test_names=names or [],
                             statistics=np.array(stats), threshold=threshold)
 
@@ -308,8 +313,6 @@ def drift_representation_check(ensemble: PathEnsemble,
     grid = ensemble.grid
     n, m, d = ensemble.drifts.shape
     dt = grid.dt
-    if test_functions is None:
-        test_functions = default_test_functions
     idx = grid.probe_indices(probe_fractions, 1.0)
 
     grad_term = np.zeros((n, m + 1, d))
@@ -329,15 +332,10 @@ def drift_representation_check(ensemble: PathEnsemble,
         xi = (terminal - ensemble.states[:, j]) / (1.0 - t)
         if grad_potential is not None:
             xi = xi + grad_term[:, j] / (1.0 - t)
-        resid = xi - ensemble.drifts[:, j]
-        feats, feat_names = test_functions(ensemble, j)
-        prod = resid[:, None, :] * feats[:, :, None]
-        mean, se = weighted_mean_stderr(prod.reshape(n, -1), ensemble.weights)
-        stats.append(zscores(mean, se))
+        z, names = _orthogonality(xi - ensemble.drifts[:, j], ensemble, j,
+                                  test_functions)
+        stats.append(z)
         times.append(t)
-        if names is None:
-            names = [f"{f}|x{c}" if d > 1 else f
-                     for f in feat_names for c in range(d)]
     return DriftRepresentationReport(probe_times=times, feature_names=names or [],
                                      statistics=np.array(stats), threshold=threshold)
 

@@ -165,10 +165,13 @@ def endpoint_qn(u: MaterializedShift, n: int) -> MaterializedShift:
 
 
 def endpoint_rn(u: MaterializedShift, n: int) -> MaterializedShift:
-    """p_n - q_n; terminal value vanishes on every path (telescoping)."""
-    p = delay_pn(u, n)
-    q = endpoint_qn(u, n)
-    return MaterializedShift(p.hdot - q.hdot, u.ensemble, f"r{n}({u.name})")
+    """p_n - q_n; terminal value vanishes on every path (telescoping).
+
+    q_n is zero before the last block, so it is subtracted there only."""
+    b = _block_size(u, n)
+    hdot = delay_pn(u, n).hdot
+    hdot[:, (n - 1) * b :] -= (n * u.h[:, (n - 2) * b])[:, None, :]
+    return MaterializedShift(hdot, u.ensemble, f"r{n}({u.name})")
 
 
 def stop_truncate(u: MaterializedShift, level: float,

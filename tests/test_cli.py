@@ -74,6 +74,32 @@ def test_unknown_key_lists_valid(tmp_path):
     assert "valid keys" in str(err.value)
 
 
+@pytest.mark.parametrize("body", [
+    EL_POS.replace("seed = 5", "seed = 5\nmap = identity") + "[map]\ndim = 1\n",
+    EL_POS.replace("seed = 5", "seed = 5\nfamily = rotation"),
+    "[scenario]\nkind = navier-stokes\nm = 20\nn_paths = 1000\n[law]\ny = 1.0\n",
+    "[scenario]\nkind = simulate\nlaw = brownian\nm = 20\nn_paths = 1000\n"
+    "t_max = 0.5\n",
+    "[scenario]\nkind = action\nlaw = brownian\nm = 20\nn_paths = 1000\n"
+    "probes = 0.5\n",
+    "[scenario]\nkind = bridge\nlaw = brownian\nm = 20\nn_paths = 1000\n",
+], ids=["el_certify_map", "el_certify_family", "navier_stokes_law_section",
+        "simulate_t_max", "action_probes", "bridge_law"])
+def test_setting_the_kind_does_not_read_is_config_error(tmp_path, capsys, body):
+    code = main(["run", "--config", str(write_config(tmp_path, "c.ini", body)),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "valid" in capsys.readouterr().err
+
+
+def test_unknown_bridge_parameter_is_config_error(tmp_path):
+    body = ("[scenario]\nkind = bridge\nm = 20\nn_paths = 1000\n"
+            "[bridge]\nbogus = 1\n")
+    code = main(["run", "--config", str(write_config(tmp_path, "c.ini", body)),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+
+
 def test_unknown_law_parameter_is_config_error(tmp_path):
     body = EL_POS + "bogus_param = 3\n"   # lands in the [law] section
     code = main(["run", "--config", str(write_config(tmp_path, "c.ini", body)),

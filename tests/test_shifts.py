@@ -154,6 +154,13 @@ def test_endpoint_rn_terminal_zero(bm192, grid192):
             assert np.max(np.abs(r.terminal())) <= 1e-10
 
 
+def test_endpoint_rn_is_delay_minus_endpoint_bitwise(bm192, grid192):
+    u = materialize(catalog.get_shift("random", grid192, seed=3), bm192)
+    for n in (4, 8, 32):
+        assert np.array_equal(endpoint_rn(u, n).hdot,
+                              delay_pn(u, n).hdot - endpoint_qn(u, n).hdot)
+
+
 def test_endpoint_qn_w_norm_bound(bm192, grid192):
     # |q_n(u)|_W <= |u|_W pathwise
     for seed in range(4):
