@@ -10,8 +10,7 @@ bridges, coupled forward-backward systems, a decaying vortex flow).
 """
 
 from .paths import (TimeGrid, SemimartingaleModel, PathEnsemble, simulate,
-                    estimate_characteristics, adaptedness_probe,
-                    save_ensemble, load_ensemble, export_paths_csv,
+                    estimate_characteristics, adaptedness_probe, export_paths_csv,
                     SimulationError, RankDeficiencyError)
 from .shifts import (AdaptedShift, MaterializedShift, materialize, h_inner,
                      h_norm_sq, w_norm, delay_pn, endpoint_qn, endpoint_rn,

@@ -17,7 +17,6 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 from numpy.random import Generator
-from scipy.special import logsumexp, ndtr
 
 from .paths import PathEnsemble, SemimartingaleModel, TimeGrid, path_streams
 
@@ -96,6 +95,8 @@ def _normalized(p: np.ndarray) -> np.ndarray:
 def gaussian_marginal(mean: float, var: float, x_min: float = -6.0,
                       x_max: float = 6.0, n_cells: int = 481) -> np.ndarray:
     """Cell-integrated Gaussian masses, renormalized to total one."""
+    from scipy.special import ndtr  # imported here: most runs fit no bridge
+
     dx = (x_max - x_min) / n_cells
     edges = x_min + dx * np.arange(n_cells + 1)
     z = (edges - mean) / np.sqrt(var)
@@ -130,6 +131,8 @@ def _cell_kernel(centers: np.ndarray, dx: float, tau: float) -> np.ndarray:
     cells keep their tiny but strictly positive probabilities instead of
     rounding to 1 - 1 = 0.
     """
+    from scipy.special import ndtr
+
     s = np.sqrt(tau)
     gap = centers[None, :] - centers[:, None]
     lo = (gap - dx / 2) / s
@@ -168,6 +171,8 @@ def sinkhorn_bridge(problem: BridgeProblem, grid: TimeGrid, tol: float = 1e-9,
     the one-step kernel to all grid times; the drift field is the central
     difference of log h on the lattice.
     """
+    from scipy.special import logsumexp
+
     centers, dx = problem.centers, problem.dx
     k01 = _cell_kernel(centers, dx, 1.0)
     if k01.min() <= 0.0:

@@ -148,8 +148,7 @@ def el_certify(ensemble: PathEnsemble, lagrangian: Lagrangian,
                test_functions: Optional[Callable] = None) -> MartingaleReport:
     """Martingale test of the Euler-Lagrange process; the laboratory's verdict."""
     idx = ensemble.grid.probe_indices(probe_fractions, ensemble.t_max)
-    n_proc = el_process(ensemble, lagrangian)
-    return martingale_test(n_proc[:, idx], ensemble, idx,
+    return martingale_test(el_process(ensemble, lagrangian, idx), ensemble, idx,
                            test_functions=test_functions, threshold=threshold)
 
 
@@ -371,38 +370,37 @@ def noether_invariant(ensemble: PathEnsemble, lagrangian: Lagrangian,
     n, m, d = ensemble.drifts.shape
     dt = grid.dt
     idx = grid.probe_indices(probe_fractions, ensemble.t_max)
+    column = {j: a for a, j in enumerate(idx)}
 
-    # momentum and generator along the paths
-    p = np.empty((n, m, d))
-    theta = np.empty((n, m))
-    gen = np.empty((n, m + 1, d))
-    for j in range(m + 1):
-        gen[:, j] = np.asarray(family.generator(j * dt, ensemble.states[:, j]),
-                               dtype=np.float64)
-    for j in range(m):
+    # Running covariation and theta sums, one step at a time up to the last
+    # probe.  They start from -0.0, the exact additive identity, so they hold
+    # the bits a cumulative sum over the steps would.
+    cov = np.full(n, -0.0)
+    theta_sum = np.full(n, -0.0)
+    inv = np.empty((n, len(idx)))
+    gen_prev = p_prev = None
+    for j in range(max(idx, default=-1) + 1):
         t = j * dt
         x, v = ensemble.states[:, j], ensemble.drifts[:, j]
         alpha = ensemble.alpha(j)
-        p[:, j] = np.asarray(lagrangian.grad_v(t, x, v, alpha), dtype=np.float64)
+        # C order, as rows of a path array: einsum's summation order over d
+        # depends on the operands' memory layout
+        gen = np.ascontiguousarray(family.generator(t, x), dtype=np.float64)
+        p = np.ascontiguousarray(lagrangian.grad_v(t, x, v, alpha), dtype=np.float64)
+        if j > 0:
+            cov = cov + np.einsum("nd,nd->n", gen - gen_prev, p - p_prev)
+        if j in column:
+            inv[:, column[j]] = np.einsum("nd,nd->n", gen, p) - cov + theta_sum * dt
         gu = np.broadcast_to(np.asarray(family.grad_generator(t, x),
                                         dtype=np.float64), (n, d, d))
-        # alpha is symmetric, so alpha grad_u~^T is the transpose of grad_u~ alpha
-        g_alpha = np.einsum("nik,nkj->nij", gu, alpha)
-        kappa = g_alpha + np.swapaxes(g_alpha, 1, 2)
+        # one product when neither factor varies over the paths; alpha is
+        # symmetric, so alpha grad_u~^T is the transpose of grad_u~ alpha
+        rows = slice(0, 1) if gu.strides[0] == 0 and alpha.strides[0] == 0 else slice(None)
+        g_alpha = np.einsum("nik,nkj->nij", gu[rows], alpha[rows])
+        kappa = np.broadcast_to(g_alpha + np.swapaxes(g_alpha, 1, 2), (n, d, d))
         ga = np.asarray(lagrangian.grad_a(t, x, v, alpha), dtype=np.float64)
-        theta[:, j] = np.einsum("nij,nij->n", kappa, np.broadcast_to(ga, (n, d, d)))
-
-    # realized covariation sum_i [gen^i, p^i] and the theta integral
-    dgen = gen[:, 1:m] - gen[:, : m - 1]         # [n, m-1, d]
-    dp = p[:, 1:] - p[:, :-1]                    # [n, m-1, d]
-    cov_steps = np.einsum("nmd,nmd->nm", dgen, dp)
-    cov_cum = np.concatenate([np.zeros((n, 1)), np.cumsum(cov_steps, axis=1)], axis=1)
-    theta_cum = np.concatenate([np.zeros((n, 1)), np.cumsum(theta, axis=1) * dt], axis=1)
-
-    inv = np.empty((n, len(idx)))
-    for a, j in enumerate(idx):
-        inv[:, a] = (np.einsum("nd,nd->n", gen[:, j], p[:, j])
-                     - cov_cum[:, min(j, m - 1)] + theta_cum[:, j])
+        theta_sum = theta_sum + np.einsum("nij,nij->n", kappa, np.broadcast_to(ga, (n, d, d)))
+        gen_prev, p_prev = gen, p
     report = martingale_test(inv, ensemble, idx, test_functions=test_functions,
                              threshold=threshold)
     return inv, report

@@ -8,7 +8,7 @@ the matrix argument a.  All callables are vectorized: x, v carry shape
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -28,7 +28,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Lagrangian:
-    """L(t, x, v, a) with gradients; evaluators must be thread-safe."""
+    """L(t, x, v, a) with gradients; evaluators must be thread-safe.
+
+    ``a`` may be a read-only broadcast view (``PathEnsemble.alpha`` of a
+    constant diffusion); evaluators must not write into it.
+    """
 
     name: str
     value: Callable
@@ -75,22 +79,34 @@ def action(ensemble: PathEnsemble, lagrangian: Lagrangian,
                           m=ensemble.grid.m)
 
 
-def el_process(ensemble: PathEnsemble, lagrangian: Lagrangian) -> np.ndarray:
+def el_process(ensemble: PathEnsemble, lagrangian: Lagrangian,
+               steps: Optional[Sequence[int]] = None) -> np.ndarray:
     """Sampled process N_j = grad_v L(t_j) - sum_{k<j} grad_x L(t_k) dt, [n, m, d].
 
     A law satisfies the Euler-Lagrange condition exactly when this process is
-    a martingale; ``diagnostics.el_certify`` runs that test.
+    a martingale; ``diagnostics.el_certify`` runs that test.  With ``steps``
+    (distinct step indices in [0, m)) the result is [n, len(steps), d] and
+    equals ``el_process(ensemble, lagrangian)[:, steps]``: ``grad_v`` is
+    evaluated only at those steps and ``grad_x`` only before the last one.
     """
     grid = ensemble.grid
     n, m, d = ensemble.drifts.shape
-    out = np.empty((n, m, d))
+    steps = range(m) if steps is None else [int(j) for j in steps]
+    column = {j: c for c, j in enumerate(steps)}
+    if len(column) != len(steps) or not all(0 <= j < m for j in column):
+        raise ValueError("steps must be distinct step indices in [0, m)")
+    last = max(column, default=-1)
+    out = np.empty((n, len(steps), d))
     cum = np.zeros((n, d))
-    for j in range(m):
+    for j in range(last + 1):
         t = j * grid.dt
         x, v = ensemble.states[:, j], ensemble.drifts[:, j]
         a = ensemble.alpha(j)
-        out[:, j] = np.asarray(lagrangian.grad_v(t, x, v, a), dtype=np.float64) - cum
-        cum = cum + np.asarray(lagrangian.grad_x(t, x, v, a), dtype=np.float64) * grid.dt
+        if j in column:
+            out[:, column[j]] = (np.asarray(lagrangian.grad_v(t, x, v, a), dtype=np.float64)
+                                 - cum)
+        if j < last:
+            cum = cum + np.asarray(lagrangian.grad_x(t, x, v, a), dtype=np.float64) * grid.dt
     return out
 
 

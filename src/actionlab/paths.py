@@ -21,7 +21,6 @@ still cache-resident.
 from __future__ import annotations
 
 import io
-import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
@@ -41,8 +40,6 @@ __all__ = [
     "estimate_characteristics",
     "CharacteristicsEstimate",
     "adaptedness_probe",
-    "save_ensemble",
-    "load_ensemble",
     "export_paths_csv",
 ]
 
@@ -143,8 +140,16 @@ class PathEnsemble:
         return self.states.shape[2]
 
     def alpha(self, j: int) -> np.ndarray:
-        """sigma sigma^T at step j, shape [n, d, d]."""
+        """sigma sigma^T at step j, shape [n, d, d].
+
+        When the diffusion records are broadcast over the paths (stride 0 on
+        the path axis, as ``simulate`` gives for a ``None`` or constant
+        factor), the product is formed once and returned as a read-only
+        broadcast view; callers must not write into it.
+        """
         s = self.diffusions[:, j]
+        if s.strides[0] == 0:
+            return np.broadcast_to(np.einsum("nik,njk->nij", s[:1], s[:1]), s.shape)
         return np.einsum("nik,njk->nij", s, s)
 
     def validate(self, n_sample: int = 64) -> None:
@@ -397,52 +402,6 @@ def estimate_characteristics(ensemble: PathEnsemble, feature_map,
             alpha_coef=c_a.reshape(-1, d, d), alpha_se=se_a.reshape(-1, d, d),
             drift_residual_std=rs))
     return out
-
-
-# -- binary container ---------------------------------------------------------
-
-_MAGIC = b"ACTLAB-ENSEMBLE1"          # 16 bytes
-_HEADER = struct.Struct("<QQQqB7x")   # m, n_paths, dim, seed, has_weights, pad
-
-
-def save_ensemble(ensemble: PathEnsemble, path) -> None:
-    """Write the little-endian binary container (16-byte magic + header + arrays)."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(_HEADER.pack(ensemble.grid.m, ensemble.n_paths, ensemble.dim,
-                              ensemble.seed, 1 if ensemble.weights is not None else 0))
-        for arr in (ensemble.states, ensemble.drifts, ensemble.diffusions):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-        if ensemble.weights is not None:
-            fh.write(np.ascontiguousarray(ensemble.weights, dtype="<f8").tobytes())
-
-
-def load_ensemble(path) -> PathEnsemble:
-    with open(path, "rb") as fh:
-        magic = fh.read(16)
-        if magic != _MAGIC:
-            raise ValueError("not an ensemble container (bad magic)")
-        header = fh.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise ValueError(f"truncated ensemble container (header has "
-                             f"{len(header)} of {_HEADER.size} bytes)")
-        m, n, d, seed, has_w = _HEADER.unpack(header)
-        m, n, d = int(m), int(n), int(d)
-
-        def read(shape):
-            want = int(np.prod(shape)) * 8
-            buf = fh.read(want)
-            if len(buf) != want:
-                raise ValueError(f"truncated ensemble container (array {shape} "
-                                 f"has {len(buf)} of {want} bytes)")
-            return _freeze(np.frombuffer(buf, dtype="<f8").reshape(shape).copy())
-
-        states = read((n, m + 1, d))
-        drifts = read((n, m, d))
-        diffusions = read((n, m, d, d))
-        weights = read((n,)) if has_w else None
-    return PathEnsemble(grid=TimeGrid(m), states=states, drifts=drifts,
-                        diffusions=diffusions, seed=int(seed), weights=weights)
 
 
 def export_paths_csv(ensemble: PathEnsemble, path, max_paths: int = 20,

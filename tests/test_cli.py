@@ -390,3 +390,22 @@ def test_bundled_scenarios_parse():
         kinds.add(cfg["scenario"]["kind"])
     assert kinds == {"simulate", "action", "el-certify", "variational",
                      "noether", "bridge", "fbsde", "navier-stokes", "operators"}
+
+
+@pytest.mark.parametrize("name", ["noether_rotation_oscillator", "navier_stokes",
+                                  "el_certify_pinned"])
+def test_golden_reports_byte_identical(tmp_path, name):
+    # tests/data/golden holds each bundled scenario's output at n_paths = 2000;
+    # any change to a report's bytes is a behaviour change, not a speedup
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(here, "scenarios", f"{name}.ini")) as fh:
+        text = fh.read()
+    assert text.count("n_paths = 100000") == 1
+    cfg = write_config(tmp_path, f"{name}.ini",
+                       text.replace("n_paths = 100000", "n_paths = 2000"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    golden = os.path.join(here, "tests", "data", "golden", name)
+    for fname in ("report.csv", "verdict.txt"):
+        with open(os.path.join(golden, fname), "rb") as fh:
+            assert (out / fname).read_bytes() == fh.read(), fname

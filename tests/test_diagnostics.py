@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -5,7 +7,9 @@ from scipy import integrate
 from actionlab import (PowerError, catalog, averaged_el, drift_representation_check,
                        el_certify, martingale_test, materialize,
                        noether_invariant, variational_derivative)
-from actionlab.diagnostics import DEFAULT_PROBE_FRACTIONS
+from actionlab.diagnostics import DEFAULT_PROBE_FRACTIONS, NoetherFamily
+from actionlab.lagrangians import Lagrangian
+from actionlab.paths import SemimartingaleModel, simulate
 
 
 def _probe_idx(ens, fr=DEFAULT_PROBE_FRACTIONS):
@@ -204,3 +208,95 @@ def test_noether_alpha_dependent_theta_term(grid200):
     inv, rep = noether_invariant(osc, ta, catalog.get_family("rotation"))
     assert np.isfinite(rep.max_abs_statistic)
     assert inv.shape[1] == len(_probe_idx(osc))
+
+
+def _noether_full_arrays(ens, lag, family, idx):
+    """Reference assembly of the invariant from full [n, m, d] path arrays."""
+    n, m, d = ens.drifts.shape
+    dt = ens.grid.dt
+    p = np.empty((n, m, d))
+    theta = np.empty((n, m))
+    gen = np.empty((n, m + 1, d))
+    for j in range(m + 1):
+        gen[:, j] = np.asarray(family.generator(j * dt, ens.states[:, j]), dtype=np.float64)
+    for j in range(m):
+        t = j * dt
+        x, v = ens.states[:, j], ens.drifts[:, j]
+        s = ens.diffusions[:, j]
+        alpha = np.einsum("nik,njk->nij", s, s)
+        p[:, j] = np.asarray(lag.grad_v(t, x, v, alpha), dtype=np.float64)
+        gu = np.broadcast_to(np.asarray(family.grad_generator(t, x), dtype=np.float64),
+                             (n, d, d))
+        g_alpha = np.einsum("nik,nkj->nij", gu, alpha)
+        kappa = g_alpha + np.swapaxes(g_alpha, 1, 2)
+        ga = np.asarray(lag.grad_a(t, x, v, alpha), dtype=np.float64)
+        theta[:, j] = np.einsum("nij,nij->n", kappa, np.broadcast_to(ga, (n, d, d)))
+    dgen = gen[:, 1:m] - gen[:, : m - 1]
+    dp = p[:, 1:] - p[:, :-1]
+    cov_cum = np.concatenate(
+        [np.zeros((n, 1)), np.cumsum(np.einsum("nmd,nmd->nm", dgen, dp), axis=1)], axis=1)
+    theta_cum = np.concatenate([np.zeros((n, 1)), np.cumsum(theta, axis=1) * dt], axis=1)
+    inv = np.empty((n, len(idx)))
+    for a, j in enumerate(idx):
+        inv[:, a] = (np.einsum("nd,nd->n", gen[:, j], p[:, j])
+                     - cov_cum[:, min(j, m - 1)] + theta_cum[:, j])
+    return inv
+
+
+def _correlated_law(grid, dim):
+    """Law with a constant, non-isotropic diffusion: the rotation family then
+    has a non-zero kappa, so theta can enter the invariant."""
+    sig = np.tril(np.ones((dim, dim))) + np.diag(np.linspace(0.0, -0.8, dim))
+    model = SemimartingaleModel(name="corr", dim=dim,
+                                initial_sampler=catalog.point_sampler(np.eye(dim)[0]),
+                                drift=lambda j, p: -0.5 * p[:, j], diffusion_factor=sig)
+    return simulate(model, grid, 1000, seed=16)
+
+
+# v^T a v: grad_a = v v^T is not a multiple of the identity, so theta is
+# non-zero under rotations (kappa is traceless, and trace(a) |v|^2 sees only
+# its trace); grad_v comes back in Fortran order
+_VAV = Lagrangian(
+    name="vav", value=lambda t, x, v, a: np.einsum("ni,nij,nj->n", v, a, v),
+    grad_x=lambda t, x, v, a: np.zeros_like(x),
+    grad_v=lambda t, x, v, a: 2.0 * np.einsum("nij,nj->ni", a, v),
+    grad_a=lambda t, x, v, a: np.einsum("ni,nj->nij", v, v))
+
+
+def _rotation(dim):
+    if dim == 2:
+        return catalog.get_family("rotation")
+    gen = np.array([[0.0, -1.0, 0.5], [1.0, 0.0, -2.0], [-0.5, 2.0, 0.0]])
+    return NoetherFamily(name="rotation3", generator=lambda t, x: x @ gen.T,
+                         grad_generator=lambda t, x: gen)
+
+
+@pytest.mark.parametrize("law, dim", [("oscillator", 2), ("correlated", 2),
+                                      ("correlated", 3)])
+@pytest.mark.parametrize("lag_name", ["kinetic_quadratic", "trace_alpha_kinetic", "vav"])
+@pytest.mark.parametrize("family_name", ["rotation", "translation"])
+def test_noether_streaming_matches_full_array_assembly(grid200, law, dim, lag_name,
+                                                       family_name):
+    ens = (_correlated_law(grid200, dim) if law == "correlated" else
+           catalog.build_law("oscillator_adapted", grid200, 1000, seed=16, dim=2,
+                             x0=(1.0, 0.0)))
+    assert ens.diffusions.strides[0] == 0
+    contiguous = replace(ens, diffusions=np.array(ens.diffusions))
+    lag = _VAV if lag_name == "vav" else catalog.get_lagrangian(
+        lag_name, **({"dim": dim} if lag_name == "kinetic_quadratic" else {}))
+    family = (_rotation(dim) if family_name == "rotation" else
+              catalog.get_family("translation", dim=dim, coord=dim - 1))
+    for fractions in (DEFAULT_PROBE_FRACTIONS, (0.0, 0.5, 1.0)):
+        idx = _probe_idx(ens, fractions)
+        results = []
+        for e in (ens, contiguous):
+            oracle = _noether_full_arrays(e, lag, family, idx)
+            inv, rep = noether_invariant(e, lag, family, probe_fractions=fractions)
+            assert np.array_equal(inv, oracle)
+            assert np.array_equal(rep.statistics, martingale_test(oracle, e, idx).statistics)
+            results.append(inv)
+        if lag_name != "vav":
+            # vav's einsums over a, and the reference's theta sum, run in an
+            # order set by the memory layout of alpha, so for vav broadcast and
+            # contiguous records may differ in the last bits, as they always have
+            assert np.array_equal(*results)

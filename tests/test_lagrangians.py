@@ -121,3 +121,19 @@ def test_el_process_classical_oscillator_constant():
     assert np.max(np.abs(n - 1.0)) < 1e-6
     # and the trajectory tracks the classical solution sin(t)
     assert np.max(np.abs(ens.states[0, :, 0] - np.sin(g.times))) < 1e-2
+
+
+@pytest.mark.parametrize("law, law_kw, lag, lag_kw", [
+    ("pinned_brownian", {"y": 1.0}, "kinetic", {}),
+    ("oscillator_adapted", {"dim": 2, "x0": (1.0, 0.0)}, "kinetic_quadratic", {"dim": 2}),
+    ("taylor_green", {}, "kinetic_taylor_green", {}),
+])
+def test_el_process_at_steps_equals_full_columns(grid200, law, law_kw, lag, lag_kw):
+    ens = catalog.build_law(law, grid200, 300, seed=21, **law_kw)
+    lagrangian = catalog.get_lagrangian(lag, **lag_kw)
+    full = el_process(ens, lagrangian)
+    for steps in ([20, 50, 100, 150, 180], [0], [199, 3], []):
+        assert np.array_equal(el_process(ens, lagrangian, steps), full[:, steps])
+    for bad in ([5, 5], [-1], [200]):
+        with pytest.raises(ValueError, match="distinct step indices"):
+            el_process(ens, lagrangian, bad)

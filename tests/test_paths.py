@@ -4,8 +4,7 @@ from numpy.random import Generator, Philox
 
 from actionlab import (RankDeficiencyError, SimulationError,
                        TimeGrid, adaptedness_probe, catalog,
-                       estimate_characteristics, load_ensemble, save_ensemble,
-                       simulate)
+                       estimate_characteristics, simulate)
 from actionlab.paths import PATH_BLOCK, SemimartingaleModel, export_paths_csv
 from actionlab.catalog import make_state_features, make_test_feature_map, point_sampler
 
@@ -155,6 +154,14 @@ def test_alpha_psd_and_validate(grid200, bm_small):
     ens.validate()
     a = ens.alpha(0)
     assert np.min(np.linalg.eigvalsh(a)) >= -1e-10
+    # a constant factor is recorded broadcast over the paths, and alpha is then
+    # one [d, d] product broadcast read-only, with the per-path einsum's bits
+    assert ens.diffusions.strides[0] == 0
+    full = np.array(ens.diffusions)
+    for j in (0, 117, 199):
+        a = ens.alpha(j)
+        assert a.shape == (500, 2, 2) and a.strides[0] == 0 and not a.flags.writeable
+        assert np.array_equal(a, np.einsum("nik,njk->nij", full[:, j], full[:, j]))
 
 
 def test_weights_must_have_mean_one(grid200, bm_small):
@@ -224,27 +231,6 @@ def test_estimate_characteristics_rank_deficiency(bm_mid):
         ["1", "3"])
     with pytest.raises(RankDeficiencyError):
         estimate_characteristics(bm_mid, dup, [50])
-
-
-def test_binary_container_roundtrip(tmp_path, grid200):
-    ens = catalog.build_law("squared_increment_weighted", grid200, 1500, seed=17)
-    target = tmp_path / "ensemble.bin"
-    save_ensemble(ens, target)
-    back = load_ensemble(target)
-    assert back.grid.m == ens.grid.m and back.seed == ens.seed
-    assert np.array_equal(back.states, ens.states)
-    assert np.array_equal(back.drifts, ens.drifts)
-    assert np.array_equal(back.diffusions, np.asarray(ens.diffusions))
-    assert np.array_equal(back.weights, ens.weights)
-    with pytest.raises(ValueError, match="magic"):
-        bad = tmp_path / "bad.bin"
-        bad.write_bytes(b"not an ensemble....")
-        load_ensemble(bad)
-    short = tmp_path / "short.bin"
-    for keep in (20, target.stat().st_size - 8):
-        short.write_bytes(target.read_bytes()[:keep])
-        with pytest.raises(ValueError, match="truncated ensemble container"):
-            load_ensemble(short)
 
 
 def test_export_paths_csv(tmp_path, bm_small):
