@@ -237,18 +237,25 @@ def sinkhorn_bridge(problem: BridgeProblem, grid: TimeGrid, tol: float = 1e-9,
 
 
 class _FieldDrift:
-    """Bilinear lookup of a lattice drift field; clamps and counts excursions."""
+    """Linear lookup of a lattice drift field; clamps and counts excursions.
+
+    Pool workers query it at once and ``+=`` on a shared int can lose updates,
+    so each count goes to a list (``append`` is atomic under the GIL)."""
 
     def __init__(self, solution: BridgeSolution):
         self.centers = solution.problem.centers
         self.field = solution.drift_field
-        self.clamped = 0
+        self._clamps = []
+
+    @property
+    def clamped(self) -> int:
+        return sum(self._clamps)
 
     def __call__(self, j: int, prefix: np.ndarray) -> np.ndarray:
         x = prefix[:, j, 0]
         out_of_range = int((x < self.centers[0]).sum() + (x > self.centers[-1]).sum())
         if out_of_range:
-            self.clamped += out_of_range
+            self._clamps.append(out_of_range)
         return np.interp(x, self.centers, self.field[j])[:, None]
 
 

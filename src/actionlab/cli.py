@@ -11,6 +11,11 @@ max statistic) and optionally ``paths.csv`` and figures; the exit status is
 0 on PASS, 1 on FAIL, 2 on configuration errors and 3 on internal errors.
 Reruns with the same config and seed are byte-identical for any
 ``--threads`` value.
+
+Each runner in ``_RUNNERS`` returns ``(header, rows, stats, report, ensemble)``:
+the ``report.csv`` header and rows, the nonnegative statistics, and what to
+plot (or ``None``).  :func:`run_scenario` alone turns the statistics into the
+verdict: PASS when all are finite and none exceeds the threshold.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import configparser
 import os
 import sys
 import traceback
+from dataclasses import replace
 
 import numpy as np
 
@@ -28,9 +34,8 @@ from . import catalog, diagnostics, reporting
 from .lagrangians import action, el_process
 from .paths import (TimeGrid, adaptedness_probe, export_paths_csv,
                     summarize_terminal)
-from .shifts import (EndpointError, GridCompatibilityError, MaterializedShift,
-                     delay_pn, endpoint_rn, h_norm_sq, materialize,
-                     stop_truncate)
+from .shifts import (MaterializedShift, delay_pn, endpoint_rn, h_norm_sq,
+                     materialize, stop_truncate)
 
 _COMMON_KEYS = ("kind", "m", "n_paths", "seed", "threshold", "threads", "out",
                 "plot", "paths_csv")
@@ -66,14 +71,11 @@ def _parse_value(raw: str):
         return True
     if low in ("false", "no", "off"):
         return False
-    try:
-        return int(s)
-    except ValueError:
-        pass
-    try:
-        return float(s)
-    except ValueError:
-        pass
+    for number in (int, float):
+        try:
+            return number(s)
+        except ValueError:
+            pass
     if "," in s:
         try:
             return tuple(float(tok) for tok in s.split(","))
@@ -84,12 +86,15 @@ def _parse_value(raw: str):
 
 def load_config(path) -> dict:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
-    if "scenario" not in parser:
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"cannot read config file {path}")
+        raw = {sec: dict(parser[sec]) for sec in parser.sections()}
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config file {path}: {exc}") from exc
+    if "scenario" not in raw:
         raise ConfigError("config must contain a [scenario] section")
-    scen = {k: _parse_value(v) for k, v in parser["scenario"].items()}
+    scen = {k: _parse_value(v) for k, v in raw["scenario"].items()}
     kind = scen.get("kind")
     if kind not in KINDS:
         raise ConfigError(f"kind must be one of {', '.join(KINDS)}")
@@ -99,14 +104,13 @@ def load_config(path) -> dict:
     if bad:
         raise ConfigError(f"unknown [scenario] keys {sorted(bad)} for kind "
                           f"'{kind}'; valid keys: {', '.join(allowed)}")
-    bad = set(parser.sections()) - {"scenario", *sections}
+    bad = set(raw) - {"scenario", *sections}
     if bad:
         raise ConfigError(f"unknown sections {sorted(bad)} for kind '{kind}'; "
                           f"valid sections: scenario, {', '.join(sections)}")
     cfg = {"scenario": scen}
     for sec in sections:
-        cfg[sec] = ({k: _parse_value(v) for k, v in parser[sec].items()}
-                    if sec in parser else {})
+        cfg[sec] = {k: _parse_value(v) for k, v in raw.get(sec, {}).items()}
     return cfg
 
 
@@ -123,27 +127,23 @@ def _scale(cfg):
     return grid, n, seed, threads, threshold, probes
 
 
-def _law(cfg, grid, n, seed, threads):
-    from dataclasses import replace
-
+def _law(cfg, grid, n, seed, threads, default=None):
     s = cfg["scenario"]
-    if "law" not in s:
+    name = s.get("law", default)
+    if name is None:
         raise ConfigError("this scenario kind requires a 'law' key")
-    ens = catalog.build_law(str(s["law"]), grid, n, seed, threads=threads,
-                            **cfg["law"])
+    ens = catalog.build_law(str(name), grid, n, seed, threads=threads,
+                            **cfg.get("law", {}))
     if "t_max" in s:
         ens = replace(ens, t_max=float(s["t_max"]))
     return ens
 
 
 def _verdict(stats, threshold):
-    """PASS flag and largest statistic; any non-finite statistic is a FAIL.
-
-    ``np.max`` propagates NaN, where Python's ``max`` drops a NaN that
-    follows a finite value.
-    """
+    """PASS flag and largest statistic (0.0 for none); a non-finite one FAILs:
+    ``np.max`` propagates NaN, where Python's ``max`` drops a NaN after a number."""
     arr = np.asarray(stats, dtype=np.float64)
-    max_stat = float(np.max(arr))
+    max_stat = float(np.max(arr, initial=0.0))
     return bool(np.isfinite(arr).all()) and max_stat <= threshold, max_stat
 
 
@@ -158,9 +158,9 @@ def _lagrangian(cfg, default="kinetic"):
     return catalog.get_lagrangian(name, **cfg["lagrangian"])
 
 
-def _report_rows(report):
-    header = ["probe_s", "probe_t", "column", "z"]
-    return header, list(report.rows())
+def _martingale_result(report, ens):
+    return (["probe_s", "probe_t", "column", "z"], report.rows(),
+            [report.max_abs_statistic], report, ens)
 
 
 def run_simulate(cfg, grid, n, seed, threads, threshold, probes):
@@ -168,7 +168,7 @@ def run_simulate(cfg, grid, n, seed, threads, threshold, probes):
     ens.validate()
     (mean, se), (mean2, se2) = summarize_terminal(ens)
     s = cfg["scenario"]
-    rows, stats = [], [0.0]
+    rows, stats = [], []
     for k in range(ens.dim):
         var_k = mean2[k] - mean[k] ** 2
         rows.append((f"terminal_mean[{k}]", float(mean[k]), float(se[k])))
@@ -177,9 +177,7 @@ def run_simulate(cfg, grid, n, seed, threads, threshold, probes):
             stats.append(_z(float(mean[k]), float(s["expected_mean"]), float(se[k])))
         if "expected_var" in s:
             stats.append(_z(var_k, float(s["expected_var"]), float(se2[k])))
-    passed, max_stat = _verdict(stats, threshold)
-    header = ["quantity", "value", "stderr"]
-    return passed, max_stat, header, rows, ens, None
+    return ["quantity", "value", "stderr"], rows, stats, None, ens
 
 
 def run_action(cfg, grid, n, seed, threads, threshold, probes):
@@ -190,22 +188,19 @@ def run_action(cfg, grid, n, seed, threads, threshold, probes):
     s = cfg["scenario"]
     rows = [("action", est.mean, est.stderr), ("n_paths", est.n_paths, 0.0),
             ("m", est.m, 0.0)]
-    max_stat = 0.0
+    stats = []
     if "expected" in s:
         allowance = float(s.get("allowance", 0.0))
-        max_stat = _z(est.mean, float(s["expected"]), est.stderr, allowance)
+        stats.append(_z(est.mean, float(s["expected"]), est.stderr, allowance))
         rows.append(("expected", float(s["expected"]), allowance))
-    passed, max_stat = _verdict([max_stat], threshold)
-    return passed, max_stat, ["quantity", "value", "stderr"], rows, ens, None
+    return ["quantity", "value", "stderr"], rows, stats, None, ens
 
 
 def run_el_certify(cfg, grid, n, seed, threads, threshold, probes):
     ens = _law(cfg, grid, n, seed, threads)
-    lag = _lagrangian(cfg)
-    report = diagnostics.el_certify(ens, lag, probe_fractions=probes,
+    report = diagnostics.el_certify(ens, _lagrangian(cfg), probe_fractions=probes,
                                     threshold=threshold)
-    header, rows = _report_rows(report)
-    return report.verdict, report.max_abs_statistic, header, rows, ens, report
+    return _martingale_result(report, ens)
 
 
 def run_variational(cfg, grid, n, seed, threads, threshold, probes):
@@ -227,11 +222,10 @@ def run_variational(cfg, grid, n, seed, threads, threshold, probes):
     if bool(s.get("expect_critical", False)):
         stats.append(_z(res.formula, 0.0, res.formula_se, res.allowance))
         stats.append(_z(res.fd, 0.0, max(res.fd_se, res.formula_se), res.allowance))
-    passed, max_stat = _verdict(stats, threshold)
     rows = [("fd", res.fd, res.fd_se), ("formula", res.formula, res.formula_se),
             ("difference", res.diff, res.diff_se),
             ("allowance", res.allowance, 0.0), ("epsilon", res.epsilon, 0.0)]
-    return passed, max_stat, ["quantity", "value", "stderr"], rows, ens, None
+    return ["quantity", "value", "stderr"], rows, stats, None, ens
 
 
 def run_noether(cfg, grid, n, seed, threads, threshold, probes):
@@ -242,8 +236,7 @@ def run_noether(cfg, grid, n, seed, threads, threshold, probes):
     _, report = diagnostics.noether_invariant(ens, lag, family,
                                               probe_fractions=probes,
                                               threshold=threshold)
-    header, rows = _report_rows(report)
-    return report.verdict, report.max_abs_statistic, header, rows, ens, report
+    return _martingale_result(report, ens)
 
 
 def run_bridge(cfg, grid, n, seed, threads, threshold, probes):
@@ -279,8 +272,7 @@ def run_bridge(cfg, grid, n, seed, threads, threshold, probes):
         etol = float(s.get("entropy_tol", 2e-3))
         stats.append(threshold * abs(solution.entropy - float(s["expected_entropy"])) / etol)
         rows.append(("expected_entropy", float(s["expected_entropy"]), etol))
-    passed, max_stat = _verdict(stats, threshold)
-    return passed, max_stat, ["quantity", "value", "tolerance_or_stderr"], rows, ens, None
+    return ["quantity", "value", "tolerance_or_stderr"], rows, stats, None, ens
 
 
 def run_fbsde(cfg, grid, n, seed, threads, threshold, probes):
@@ -290,29 +282,24 @@ def run_fbsde(cfg, grid, n, seed, threads, threshold, probes):
     result = bridge_mod.fbsde_simulate(spec, grid, n, seed, variant=variant)
     ens = result.ensemble
     lag = _lagrangian(cfg, default="kinetic_quadratic")
-    rows, stats = [], [0.0]
     if variant == "adapted":
         tol = float(s.get("constancy_tol", 1e-3))
         nproc = el_process(ens, lag)
-        defect = float(np.max(np.abs(nproc - nproc[:, :1])))
-        rows.append(("el_constancy_defect", defect, tol))
-        stats.append(threshold * defect / tol)
+        name, gap = "el_constancy_defect", nproc - nproc[:, :1]
     else:
         tol = float(s.get("riccati_tol", 1e-8))
-        t = grid.times[:-1]
         v0 = float(spec.y0_gaussian[1])
-        oracle = v0 / (1.0 + v0 * t)
-        defect = float(np.max(np.abs(result.posterior_var - oracle)))
-        rows.append(("riccati_defect", defect, tol))
-        stats.append(threshold * defect / tol)
+        oracle = v0 / (1.0 + v0 * grid.times[:-1])
+        name, gap = "riccati_defect", result.posterior_var - oracle
+    defect = float(np.max(np.abs(gap)))
+    rows, stats = [(name, defect, tol)], [threshold * defect / tol]
     report = None
     if float(np.max(np.abs(ens.diffusions))) > 0 and n >= diagnostics.MIN_PATHS:
         report = diagnostics.el_certify(ens, lag, probe_fractions=probes,
                                         threshold=threshold)
         rows.append(("el_certify_max_stat", report.max_abs_statistic, threshold))
         stats.append(report.max_abs_statistic)
-    passed, max_stat = _verdict(stats, threshold)
-    return passed, max_stat, ["quantity", "value", "tolerance"], rows, ens, report
+    return ["quantity", "value", "tolerance"], rows, stats, report, ens
 
 
 def run_navier_stokes(cfg, grid, n, seed, threads, threshold, probes):
@@ -320,7 +307,7 @@ def run_navier_stokes(cfg, grid, n, seed, threads, threshold, probes):
     residual, div = bridge_mod.navier_stokes_residual()
     res_tol = float(s.get("residual_tol", 1e-10))
     div_tol = float(s.get("div_tol", 1e-12))
-    ens = catalog.build_law("taylor_green", grid, n, seed, threads=threads)
+    ens = _law(cfg, grid, n, seed, threads, default="taylor_green")
     lag = _lagrangian(cfg, default="kinetic_taylor_green")
     report = diagnostics.el_certify(ens, lag, probe_fractions=probes,
                                     threshold=threshold)
@@ -328,8 +315,7 @@ def run_navier_stokes(cfg, grid, n, seed, threads, threshold, probes):
              report.max_abs_statistic]
     rows = [("ns_residual", residual, res_tol), ("divergence", div, div_tol),
             ("el_certify_max_stat", report.max_abs_statistic, threshold)]
-    passed, max_stat = _verdict(stats, threshold)
-    return passed, max_stat, ["quantity", "value", "tolerance"], rows, ens, report
+    return ["quantity", "value", "tolerance"], rows, stats, report, ens
 
 
 def _shift_diff(u, v):
@@ -349,11 +335,10 @@ def run_operators(cfg, grid, n, seed, threads, threshold, probes):
     s = cfg["scenario"]
     if grid.m % 32 != 0:
         raise ConfigError("operators scenario needs m divisible by 32")
-    ens = _law(cfg, grid, n, seed, threads) if "law" in s else catalog.build_law(
-        "brownian", grid, n, seed, threads=threads)
+    ens = _law(cfg, grid, n, seed, threads, default="brownian")
     count = int(s.get("shift_count", 5))
     peeking = bool(s.get("peeking", False))
-    rows, stats = [], [0.0]
+    rows, stats = [], []
     for k in range(count):
         if peeking:
             def derivative(j, states):
@@ -386,21 +371,13 @@ def run_operators(cfg, grid, n, seed, threads, threshold, probes):
         level = float(s.get("level", float(np.median(np.sqrt(norm)))))
         excess = float(np.max(h_norm_sq(stop_truncate(u, level)) - norm))
         stats.append(0.0 if excess <= slack else float("inf"))
-    passed, max_stat = _verdict(stats, threshold)
-    return passed, max_stat, ["check", "value", "tolerance"], rows, ens, None
+    return ["check", "value", "tolerance"], rows, stats, None, ens
 
 
-_RUNNERS = {
-    "simulate": run_simulate,
-    "action": run_action,
-    "el-certify": run_el_certify,
-    "variational": run_variational,
-    "noether": run_noether,
-    "bridge": run_bridge,
-    "fbsde": run_fbsde,
-    "navier-stokes": run_navier_stokes,
-    "operators": run_operators,
-}
+_RUNNERS = {"simulate": run_simulate, "action": run_action,
+            "el-certify": run_el_certify, "variational": run_variational,
+            "noether": run_noether, "bridge": run_bridge, "fbsde": run_fbsde,
+            "navier-stokes": run_navier_stokes, "operators": run_operators}
 
 
 def run_scenario(cfg: dict, out_dir, threads=None, seed=None, plot=False) -> int:
@@ -412,8 +389,9 @@ def run_scenario(cfg: dict, out_dir, threads=None, seed=None, plot=False) -> int
     grid, n, seed_v, thr, threshold, probes = _scale(cfg)
     kind = s["kind"]
     os.makedirs(out_dir, exist_ok=True)
-    passed, max_stat, header, rows, ens, report = _RUNNERS[kind](
+    header, rows, stats, report, ens = _RUNNERS[kind](
         cfg, grid, n, seed_v, thr, threshold, probes)
+    passed, max_stat = _verdict(stats, threshold)
     reporting.write_csv(os.path.join(out_dir, "report.csv"), header, rows)
     line = reporting.write_verdict(os.path.join(out_dir, "verdict.txt"),
                                    kind, passed, max_stat)
@@ -456,10 +434,8 @@ def main(argv=None) -> int:
         out_dir = args.out or cfg["scenario"].get("out") or "run_output"
         return run_scenario(cfg, out_dir, threads=args.threads,
                             seed=args.seed, plot=args.plot)
-    except (ConfigError, KeyError, TypeError, GridCompatibilityError,
-            EndpointError, ValueError, bridge_mod.ConvergenceError,
-            bridge_mod.KernelUnderflowError,
-            bridge_mod.UnsupportedSpecError) as exc:
+    except (KeyError, TypeError, ValueError, bridge_mod.ConvergenceError,
+            bridge_mod.KernelUnderflowError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

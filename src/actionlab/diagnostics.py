@@ -62,8 +62,6 @@ class MartingaleReport:
 
     @property
     def max_abs_statistic(self) -> float:
-        if self.statistics.size == 0:
-            return 0.0
         return float(np.max(np.abs(self.statistics)))
 
     @property
@@ -124,6 +122,8 @@ def martingale_test(process: np.ndarray, ensemble: PathEnsemble,
     """
     if ensemble.n_paths < MIN_PATHS:
         raise PowerError(f"martingale test needs >= {MIN_PATHS} paths")
+    if len(probe_indices) < 2:   # no pair: an empty report, not a PASS
+        raise ValueError(f"need two distinct probe steps, got {len(probe_indices)}")
     proc = np.asarray(process, dtype=np.float64)
     if proc.ndim == 2:
         proc = proc[:, :, None]
@@ -171,7 +171,7 @@ class AveragedElTable:
 
     @property
     def max_abs_statistic(self) -> float:
-        return float(np.max(np.abs(self.statistics))) if self.discrepancy.size else 0.0
+        return float(np.max(np.abs(self.statistics)))
 
     def passed(self, threshold: float = DEFAULT_THRESHOLD) -> bool:
         return self.max_abs_statistic <= threshold
@@ -182,6 +182,8 @@ def averaged_el(ensemble: PathEnsemble, lagrangian: Lagrangian,
     """Check d/dt E[grad_v L] = E[grad_x L] on probe intervals."""
     grid = ensemble.grid
     idx = grid.probe_indices(probe_fractions, ensemble.t_max)
+    if len(idx) < 2:
+        raise ValueError(f"need two distinct probe steps, got {len(idx)}")
     n, _, d = ensemble.drifts.shape
 
     def grad(fn, j):

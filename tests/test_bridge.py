@@ -107,6 +107,20 @@ def test_bridge_simulation_terminal_fit_and_entropy_identity(grid200):
     assert el_certify(ens, catalog.get_lagrangian("kinetic")).verdict
 
 
+@pytest.mark.parametrize("threads", [1, 3])
+def test_clamped_counts_every_excursion(grid200, threads):
+    # a lattice far narrower than the paths' spread forces many clamps, which
+    # pool workers report at once; none may be lost
+    ens, sol, holder = catalog.sinkhorn_bridge_law(
+        grid200, 3000, seed=23, threads=threads, final_var=0.5,
+        x_min=-1.0, x_max=1.0, n_cells=41)
+    centers = sol.problem.centers
+    x = ens.states[:, :grid200.m, 0]
+    expected = int(((x < centers[0]) | (x > centers[-1])).sum())
+    assert expected > 1000
+    assert holder.clamped == expected
+
+
 def test_zero_drift_field_gives_brownian(grid200):
     problem = BridgeProblem(p0=delta_marginal(0.0), p1=gaussian_marginal(0.0, 2.0))
     sol = sinkhorn_bridge(problem, grid200)

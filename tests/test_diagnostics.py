@@ -23,6 +23,17 @@ def test_martingale_test_brownian_passes(bm_mid):
     assert rep.statistics.shape == (len(idx) - 1, 3)
 
 
+@pytest.mark.parametrize("fractions", [(0.5,), (0.9, 0.5)], ids=["one", "decreasing"])
+def test_fewer_than_two_probe_steps_raise(bm_mid, fractions):
+    # both give one probe step: no pair to test, which must not read as a PASS
+    idx = _probe_idx(bm_mid, fractions)
+    assert len(idx) == 1
+    with pytest.raises(ValueError, match="two distinct probe steps"):
+        martingale_test(bm_mid.states[:, idx, :], bm_mid, idx)
+    with pytest.raises(ValueError, match="two distinct probe steps"):
+        averaged_el(bm_mid, catalog.get_lagrangian("kinetic"), fractions)
+
+
 def test_martingale_test_squared_process_fails(bm_mid):
     # W^2 has deterministic increment mean (t - s): the constant feature
     # statistic grows like sqrt(n) and blows past any fixed threshold
