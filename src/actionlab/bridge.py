@@ -12,6 +12,7 @@ that propagated function.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -239,12 +240,16 @@ def sinkhorn_bridge(problem: BridgeProblem, grid: TimeGrid, tol: float = 1e-9,
 class _FieldDrift:
     """Linear lookup of a lattice drift field; clamps and counts excursions.
 
-    Pool workers query it at once and ``+=`` on a shared int can lose updates,
-    so each count goes to a list (``append`` is atomic under the GIL)."""
+    The lattice is uniform, so the cell is ``floor((x - c0) / dx)`` up to one
+    cell of rounding, and the value has ``np.interp``'s bits.  Pool workers
+    query it at once and ``+=`` on a shared int can lose updates, so each
+    count goes to a list (``append`` is atomic under the GIL)."""
 
     def __init__(self, solution: BridgeSolution):
         self.centers = solution.problem.centers
+        self.dx = solution.problem.dx
         self.field = solution.drift_field
+        self.slopes = np.diff(self.field, axis=1) / np.diff(self.centers)
         self._clamps = []
 
     @property
@@ -253,10 +258,17 @@ class _FieldDrift:
 
     def __call__(self, j: int, prefix: np.ndarray) -> np.ndarray:
         x = prefix[:, j, 0]
-        out_of_range = int((x < self.centers[0]).sum() + (x > self.centers[-1]).sum())
+        c, f = self.centers, self.field[j]
+        out_of_range = int((x < c[0]).sum() + (x > c[-1]).sum())
         if out_of_range:
             self._clamps.append(out_of_range)
-        return np.interp(x, self.centers, self.field[j])[:, None]
+        k = np.fmin(np.fmax(np.floor((x - c[0]) / self.dx), 0), len(c) - 2).astype(np.intp)
+        k -= (x < c[k]) & (k > 0)
+        k += (x >= c[k + 1]) & (k < len(c) - 2)
+        y = np.where(x == c[k], f[k], self.slopes[j][k] * (x - c[k]) + f[k])
+        y[x <= c[0]] = f[0]
+        y[x >= c[-1]] = f[-1]
+        return y[:, None]
 
 
 def bridge_to_model(solution: BridgeSolution, name: str = "sinkhorn_bridge"):
@@ -266,13 +278,13 @@ def bridge_to_model(solution: BridgeSolution, name: str = "sinkhorn_bridge"):
     ``(model, drift_holder)``; the holder exposes ``clamped``, the count of
     drift queries outside the lattice (clamped to the boundary cells).
     """
-    cdf = np.cumsum(solution.problem.p0)
-    centers = solution.problem.centers
+    cdf = np.cumsum(solution.problem.p0).tolist()
+    atoms = solution.problem.centers[:, None]   # shared, so read-only
+    atoms.setflags(write=False)
     holder = _FieldDrift(solution)
 
     def initial_sampler(rng: Generator) -> np.ndarray:
-        idx = int(np.searchsorted(cdf, rng.random(), side="right"))
-        return np.array([centers[min(idx, len(centers) - 1)]])
+        return atoms[min(bisect.bisect_right(cdf, rng.random()), len(atoms) - 1)]
 
     model = SemimartingaleModel(name=name, dim=1, initial_sampler=initial_sampler,
                                 drift=holder, diffusion_factor=None)
@@ -332,12 +344,13 @@ def fbsde_simulate(spec: FbsdeSpec, grid: TimeGrid, n_paths: int, seed: int,
     dt, sqdt = grid.dt, np.sqrt(grid.dt)
     sigma = np.eye(d) if spec.sigma is None else np.asarray(spec.sigma, dtype=np.float64)
 
-    states = np.empty((n, m + 1, d))
-    # each path's normals wait in its drift rows until step j replaces them
-    drifts = np.empty((n, m, d))
-    znoise = np.empty((n, m, d)) if spec.z_mode == "independent_brownian" else None
+    # time-major records; step j reads its normals before writing its drift
+    states = np.empty((m + 1, n, d)).transpose(1, 0, 2)
+    drifts = np.empty((m, n, d)).transpose(1, 0, 2)
+    znoise = (np.empty((m, n, d)).transpose(1, 0, 2)
+              if spec.z_mode == "independent_brownian" else None)
     y0 = np.empty((n, d))
-    for i, g in path_streams(seed, 0, n):
+    for i, g in path_streams(seed, 0, n, [drifts] + ([] if znoise is None else [znoise])):
         if spec.initial_sampler is not None:
             states[i, 0] = np.asarray(spec.initial_sampler(g), dtype=np.float64)
         else:
@@ -347,9 +360,6 @@ def fbsde_simulate(spec: FbsdeSpec, grid: TimeGrid, n_paths: int, seed: int,
             y0[i] = mu + np.sqrt(var) * g.standard_normal(d)
         else:
             y0[i] = np.asarray(spec.y0_fn(states[i, 0]), dtype=np.float64)
-        g.standard_normal(out=drifts[i])
-        if znoise is not None:
-            g.standard_normal(out=znoise[i])
 
     y = y0.copy()
     post_var = None
@@ -384,7 +394,7 @@ def fbsde_simulate(spec: FbsdeSpec, grid: TimeGrid, n_paths: int, seed: int,
             y = y + znoise[:, j] * sqdt
 
     diffusions = np.broadcast_to(sigma, (n, m, d, d))
-    for arr in (states, drifts):
+    for arr in (states.base, states, drifts.base, drifts):
         arr.setflags(write=False)
     ens = PathEnsemble(grid=grid, states=states, drifts=drifts,
                        diffusions=diffusions, seed=seed,

@@ -21,10 +21,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ._accum import weighted_mean_stderr, zscores
-from .lagrangians import Lagrangian, el_process, path_actions
+from .lagrangians import Lagrangian, el_process
 from .paths import PathEnsemble
 from .shifts import EndpointError, MaterializedShift
-from .transform import SpaceTimeMap, push_shift
+from .transform import SpaceTimeMap
 
 __all__ = [
     "MartingaleReport",
@@ -242,14 +242,20 @@ def variational_derivative(ensemble: PathEnsemble, lagrangian: Lagrangian,
                            allowance: Optional[float] = None) -> VariationalResult:
     """Derivative of the action along the pushforward curve, two ways.
 
-    The finite difference uses common random numbers (the same ensemble is
-    pushed at +-epsilon), differenced per path against the formula value
+    The finite difference uses common random numbers (the same paths are
+    shifted by +-epsilon), differenced per path against the formula value
     <xi, h>_H with xi the Euler-Lagrange process, so the comparison noise is
-    the noise of the difference.  ``allowance`` defaults to 2/m and absorbs
-    the left-rectangle discretization mismatch.
+    the noise of the difference.  One step loop sums ``L(t, x + e h, v + e
+    hdot, alpha) dt`` per signed epsilon ``e``: the bits of ``path_actions``
+    on ``push_shift(ensemble, shift, e)``, without the pushed ensembles.
+    ``allowance`` defaults to 2/m and absorbs the left-rectangle mismatch.
     """
     if not shift.is_endpoint_zero():
         raise EndpointError("variational_derivative requires an endpoint-zero shift")
+    if shift.ensemble is not ensemble:
+        raise ValueError("shift is not bound to this ensemble")
+    if not 0.0 < t_max <= 1.0:
+        raise ValueError("t_max must lie in (0, 1]")
     if allowance is None:
         allowance = 2.0 / ensemble.grid.m
     dt = ensemble.grid.dt
@@ -258,11 +264,17 @@ def variational_derivative(ensemble: PathEnsemble, lagrangian: Lagrangian,
     formula_pp = np.einsum("nmd,nmd->n", xi, shift.hdot) * dt
     del xi
 
-    fd_by_eps = {}
-    for eps in eps_list:
-        plus = path_actions(push_shift(ensemble, shift, +eps), lagrangian, t_max)
-        minus = path_actions(push_shift(ensemble, shift, -eps), lagrangian, t_max)
-        fd_by_eps[eps] = (plus - minus) / (2 * eps)
+    actions = {e: np.zeros(ensemble.n_paths) for eps in eps_list for e in (eps, -eps)}
+    for j in range(ensemble.grid.m):
+        t = j * dt
+        if t >= t_max:
+            break
+        x, v, a = ensemble.states[:, j], ensemble.drifts[:, j], ensemble.alpha(j)
+        h, hdot = shift.h[:, j], shift.hdot[:, j]
+        for e, total in actions.items():
+            val = lagrangian.value(t, x + e * h, v + e * hdot, a)
+            total += np.asarray(val, dtype=np.float64) * dt
+    fd_by_eps = {eps: (actions[eps] - actions[-eps]) / (2 * eps) for eps in eps_list}
     eps_sorted = sorted(fd_by_eps, reverse=True)
     if len(eps_sorted) == 1:
         eps_star = eps_sorted[0]

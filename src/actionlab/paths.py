@@ -13,9 +13,9 @@ Randomness is counter-based and splittable: path ``i`` of a simulation with
 seed ``s`` draws from Philox4x32-10 keyed by ``[s mod 2**64, i]`` from counter
 zero, so ensembles are bit-identical for any worker-thread count or chunking
 of the path axis.  :func:`simulate` runs each worker's path range in blocks of
-:data:`PATH_BLOCK` paths: it draws a block's normals into that block's rows of
-the drift records, then runs the block's Euler steps while those rows are
-still cache-resident.
+:data:`PATH_BLOCK` paths.  Records are stored time-major and indexed
+``[n, m, d]``, so per-step reads ``states[:, j]`` are contiguous; a hand-built
+path-major ensemble works the same, only more slowly.
 """
 
 from __future__ import annotations
@@ -76,7 +76,10 @@ class TimeGrid:
         return min(max(j, 0), self.m)
 
     def probe_indices(self, fractions: Sequence[float], t_max: float = 1.0):
-        """Distinct step indices at ``fractions * t_max`` (all < m)."""
+        """Distinct step indices (< m) at increasing ``fractions`` in [0, 1] of ``t_max``."""
+        fr = list(fractions)
+        if fr != sorted(set(fr)) or not all(0.0 <= f <= 1.0 for f in fr):
+            raise ValueError(f"probe fractions must be strictly increasing in [0, 1], got {fr}")
         idx = []
         for f in fractions:
             j = min(self.index_of(f * t_max), self.m - 1)
@@ -111,7 +114,8 @@ class SemimartingaleModel:
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """Sampled paths with their per-step characteristics records.
+    """Sampled paths with their per-step characteristics records, indexed
+    ``[n, m, d]`` in any memory layout (:func:`simulate` stores time-major).
 
     states:     [n, m+1, d] path values
     drifts:     [n, m, d]   drift evaluations used at each step
@@ -184,20 +188,22 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-# Paths per block of the simulation loop.  A block's rows of states and drifts
-# (the drifts holding its normals until each step consumes them) stay
-# cache-resident across the m Euler steps.
+# Paths per block of the simulation loop, and per staging buffer of the noise
+# draws.  The staging buffer is kept small because it adds to peak memory.
 PATH_BLOCK = 4096
+PATH_STAGE = 256
 
 
-def path_streams(seed: int, lo: int, hi: int):
-    """Yield ``(i, generator)`` for paths ``lo .. hi-1``.
+def path_streams(seed: int, lo: int, hi: int, records):
+    """Yield ``(i, generator)`` for paths ``lo .. hi-1``; then draw path
+    ``i``'s ``[m, d]`` normals for each ``[n, m, d]`` record, in order.
 
     Path ``i`` draws from Philox4x32-10 keyed by ``[seed mod 2**64, i]`` from
     counter zero.  One bit generator is re-keyed per path through its
     ``state`` setter, which skips the OS-entropy seeding that constructing a
     ``Philox`` per path would pay for.  The same generator object is yielded
-    each time; it is valid only until the next path.
+    each time; it is valid only until the next path.  The normals go through
+    a buffer of :data:`PATH_STAGE` paths, copied into the records when full.
     """
     bits = Philox(0)
     gen = Generator(bits)
@@ -209,18 +215,18 @@ def path_streams(seed: int, lo: int, hi: int):
     state = {"bit_generator": "Philox",
              "state": {"counter": zeros, "key": key},
              "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    _, m, d = records[0].shape
+    stage = np.empty((len(records), min(PATH_STAGE, hi - lo), m, d))
     for i in range(lo, hi):
         key[1] = i
         bits.state = state
         yield i, gen
-
-
-def _fill_noise(model, seed, states, drifts, lo, hi):
-    """Initial points into ``states[lo:hi, 0]`` and normals into ``drifts[lo:hi]``."""
-    d = states.shape[2]
-    for i, g in path_streams(seed, lo, hi):
-        states[i, 0] = np.asarray(model.initial_sampler(g), dtype=np.float64).reshape(d)
-        g.standard_normal(out=drifts[i])
+        k = (i - lo) % PATH_STAGE
+        for buf in stage:
+            gen.standard_normal(out=buf[k])
+        if k == PATH_STAGE - 1 or i == hi - 1:
+            for rec, buf in zip(records, stage):
+                rec[i - k:i + 1] = buf[:k + 1]
 
 
 def _euler_chunk(model, grid, states, drifts, diffusions, lo, hi):
@@ -260,10 +266,12 @@ def _euler_chunk(model, grid, states, drifts, diffusions, lo, hi):
 
 
 def _simulate_range(model, grid, seed, states, drifts, diffusions, lo, hi):
-    """Noise fill and Euler steps for paths ``lo .. hi-1``, block by block."""
+    """Initial points, normals and Euler steps of paths ``lo .. hi-1`` by block."""
+    d = states.shape[2]
     for b0 in range(lo, hi, PATH_BLOCK):
         b1 = min(b0 + PATH_BLOCK, hi)
-        _fill_noise(model, seed, states, drifts, b0, b1)
+        for i, g in path_streams(seed, b0, b1, [drifts]):
+            states[i, 0] = np.asarray(model.initial_sampler(g), dtype=np.float64).reshape(d)
         _euler_chunk(model, grid, states, drifts, diffusions, b0, b1)
 
 
@@ -276,16 +284,16 @@ def simulate(model: SemimartingaleModel, grid: TimeGrid, n_paths: int,
     ``(seed, i)``; the result is bit-identical for any ``threads``.  Each of
     the ``threads`` path ranges is walked in blocks of :data:`PATH_BLOCK`
     paths, so ``drift`` and a callable ``diffusion_factor`` see at most that
-    many paths per call.  A block's normals wait in its rows of the drift
-    records until each step replaces them, so no ``[n, m, d]`` noise array is
-    allocated.  A :class:`SimulationError` names the first failing step of the
-    first block that fails, in block order.
+    many paths per call.  States and drifts are stored time-major and returned
+    as ``[n, m, d]`` views; the drift records double as the noise buffer.  A
+    :class:`SimulationError` names the first failing step of the first block
+    that fails, in block order.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     n, m, d = n_paths, grid.m, model.dim
-    states = np.empty((n, m + 1, d))
-    drifts = np.empty((n, m, d))
+    states = np.empty((m + 1, n, d)).transpose(1, 0, 2)
+    drifts = np.empty((m, n, d)).transpose(1, 0, 2)
 
     diff = model.diffusion_factor
     if diff is None:
@@ -305,7 +313,7 @@ def simulate(model: SemimartingaleModel, grid: TimeGrid, n_paths: int,
             list(ex.map(lambda b: _simulate_range(
                 model, grid, seed, states, drifts, diffusions, *b), bounds))
 
-    for arr in (states, drifts):
+    for arr in (states.base, states, drifts.base, drifts):
         _freeze(arr)
     if isinstance(diffusions, np.ndarray) and diffusions.flags.writeable:
         _freeze(diffusions)

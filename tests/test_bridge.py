@@ -121,6 +121,30 @@ def test_clamped_counts_every_excursion(grid200, threads):
     assert holder.clamped == expected
 
 
+def test_field_drift_matches_interp(grid200):
+    # the direct cell index must give np.interp's bits: at the nodes, one ulp
+    # either side of them, outside the lattice and inside it
+    ens, sol, holder = catalog.sinkhorn_bridge_law(
+        grid200, 3000, seed=23, final_var=0.5, x_min=-1.0, x_max=1.0, n_cells=41)
+    c, field = sol.problem.centers, sol.drift_field
+    m = grid200.m
+    x = ens.states[:, :m, 0]
+    assert holder.clamped == int(((x < c[0]) | (x > c[-1])).sum())
+    for j in range(m):
+        assert np.array_equal(ens.drifts[:, j, 0], np.interp(x[:, j], c, field[j]))
+
+    rng = np.random.default_rng(5)
+    q = np.concatenate([c, np.nextafter(c, -np.inf), np.nextafter(c, np.inf),
+                        c[0] - rng.uniform(0, 3, 50), c[-1] + rng.uniform(0, 3, 50),
+                        rng.uniform(c[0], c[-1], 5000)])
+    _, fresh = bridge_to_model(sol)
+    for j in (0, 1, m // 2, m - 1):
+        prefix = np.broadcast_to(q[:, None, None], (q.size, j + 1, 1))
+        assert np.array_equal(fresh(j, prefix)[:, 0], np.interp(q, c, field[j]))
+    outside = int(((q < c[0]) | (q > c[-1])).sum())
+    assert outside == 2 + 100 and fresh.clamped == 4 * outside
+
+
 def test_zero_drift_field_gives_brownian(grid200):
     problem = BridgeProblem(p0=delta_marginal(0.0), p1=gaussian_marginal(0.0, 2.0))
     sol = sinkhorn_bridge(problem, grid200)

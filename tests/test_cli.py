@@ -109,7 +109,7 @@ dim = 2
 
 
 @pytest.mark.parametrize("body", [EL_NEG, NOETHER_NEG], ids=["el_certify", "noether"])
-@pytest.mark.parametrize("probes", ["0.5", "0.9, 0.5"], ids=["one", "decreasing"])
+@pytest.mark.parametrize("probes", ["0.5", "0.5, 0.502"], ids=["one", "colliding"])
 def test_fewer_than_two_probe_steps_is_config_error(tmp_path, capsys, body, probes):
     # no probe pair means no statistic; that must not read PASS max_stat=0.0
     body = body.replace("seed = 5", f"seed = 5\nprobes = {probes}")
@@ -117,6 +117,17 @@ def test_fewer_than_two_probe_steps_is_config_error(tmp_path, capsys, body, prob
                  "--out", str(tmp_path / "o")])
     assert code == 2
     assert "two distinct probe steps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("probes", ["0.1, 0.9, 0.5", "0.1, 0.5, 0.5", "0.5, 1.5"],
+                         ids=["decreasing", "repeated", "above_one"])
+def test_unordered_probe_fractions_are_config_error(tmp_path, capsys, probes):
+    # a fraction out of order or out of range is an error, not silently dropped
+    body = EL_NEG.replace("seed = 5", f"seed = 5\nprobes = {probes}")
+    code = main(["run", "--config", str(write_config(tmp_path, "c.ini", body)),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "strictly increasing in [0, 1]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("body", [

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -8,7 +8,9 @@ from actionlab import (PowerError, catalog, averaged_el, drift_representation_ch
                        el_certify, martingale_test, materialize,
                        noether_invariant, variational_derivative)
 from actionlab.diagnostics import DEFAULT_PROBE_FRACTIONS, NoetherFamily
-from actionlab.lagrangians import Lagrangian
+from actionlab._accum import weighted_mean_stderr
+from actionlab.lagrangians import Lagrangian, el_process, path_actions
+from actionlab.transform import push_shift
 from actionlab.paths import SemimartingaleModel, simulate
 
 
@@ -23,9 +25,10 @@ def test_martingale_test_brownian_passes(bm_mid):
     assert rep.statistics.shape == (len(idx) - 1, 3)
 
 
-@pytest.mark.parametrize("fractions", [(0.5,), (0.9, 0.5)], ids=["one", "decreasing"])
+@pytest.mark.parametrize("fractions", [(0.5,), (0.5, 0.502)], ids=["one", "colliding"])
 def test_fewer_than_two_probe_steps_raise(bm_mid, fractions):
-    # both give one probe step: no pair to test, which must not read as a PASS
+    # both give one probe step at m = 200: no pair to test, which must not
+    # read as a PASS
     idx = _probe_idx(bm_mid, fractions)
     assert len(idx) == 1
     with pytest.raises(ValueError, match="two distinct probe steps"):
@@ -124,6 +127,42 @@ def test_variational_requires_endpoint_zero(bm_mid):
     u = materialize(catalog.get_shift("constant", bm_mid.grid), bm_mid)
     with pytest.raises(EndpointError):
         variational_derivative(bm_mid, kin, u)
+
+
+def _reference_variational(ens, lag, u, eps_list, t_max):
+    """The finite difference through pushed ensembles and ``path_actions``,
+    which the step loop of ``variational_derivative`` must match bit for bit."""
+    formula_pp = np.einsum("nmd,nmd->n", el_process(ens, lag), u.hdot) * ens.grid.dt
+    fd_by_eps = {}
+    for eps in eps_list:
+        plus = path_actions(push_shift(ens, u, +eps), lag, t_max)
+        minus = path_actions(push_shift(ens, u, -eps), lag, t_max)
+        fd_by_eps[eps] = (plus - minus) / (2 * eps)
+    eps_sorted = sorted(fd_by_eps, reverse=True)
+    gaps = {b: abs(float(np.mean(fd_by_eps[a] - fd_by_eps[b])))
+            for a, b in zip(eps_sorted[:-1], eps_sorted[1:])}
+    eps_star = min(gaps, key=gaps.get) if gaps else eps_sorted[0]
+    fd_pp = fd_by_eps[eps_star]
+    w = ens.weights
+    return (*weighted_mean_stderr(fd_pp, w), *weighted_mean_stderr(formula_pp, w),
+            *weighted_mean_stderr(fd_pp - formula_pp, w), 2.0 / ens.grid.m, eps_star)
+
+
+@pytest.mark.parametrize("law,lag_name,shift,eps_list,t_max", [
+    ("pinned_brownian", "kinetic", {"name": "plus_minus"}, (1e-2, 1e-3), 0.85),
+    ("squared_increment_weighted", "kinetic_quadratic", {"name": "random_ez", "seed": 3},
+     (1e-2,), 1.0),
+    ("ornstein_uhlenbeck", "kinetic_x1sq", {"name": "random_ez", "seed": 4},
+     (3e-2, 1e-2, 1e-3), 1.0),
+], ids=["t_max", "weighted", "three_eps"])
+def test_streaming_fd_matches_pushed_ensembles(grid200, law, lag_name, shift, eps_list,
+                                               t_max):
+    ens = catalog.build_law(law, grid200, 1500, seed=41)
+    lag = catalog.get_lagrangian(lag_name)
+    u = materialize(catalog.get_shift(grid=grid200, **shift), ens)
+    res = variational_derivative(ens, lag, u, eps_list=eps_list, t_max=t_max)
+    assert np.array_equal(astuple(res),
+                          _reference_variational(ens, lag, u, eps_list, t_max))
 
 
 def test_averaged_el_certified_and_negative(pinned_mid, grid200):

@@ -5,7 +5,8 @@ from numpy.random import Generator, Philox
 from actionlab import (RankDeficiencyError, SimulationError,
                        TimeGrid, adaptedness_probe, catalog,
                        estimate_characteristics, simulate)
-from actionlab.paths import PATH_BLOCK, SemimartingaleModel, export_paths_csv
+from actionlab.bridge import FbsdeSpec, fbsde_simulate
+from actionlab.paths import PATH_BLOCK, PATH_STAGE, SemimartingaleModel, export_paths_csv
 from actionlab.catalog import make_state_features, make_test_feature_map, point_sampler
 
 
@@ -114,6 +115,130 @@ def test_block_boundaries_are_invisible():
     head = catalog.build_law("pinned_brownian", g, PATH_BLOCK + 3, seed=21)
     assert np.array_equal(head.states, a.states[:PATH_BLOCK + 3])
     assert np.array_equal(head.drifts, a.drifts[:PATH_BLOCK + 3])
+
+
+def _stream(seed, i):
+    return Generator(Philox(key=(seed & 0xFFFFFFFFFFFFFFFF) | (i << 64)))
+
+
+def _reference_simulate(model, grid, n, seed):
+    """Path-major reference: every path's stream drawn first, then the Euler loop."""
+    m, d, dt = grid.m, model.dim, grid.dt
+    states, drifts = np.empty((n, m + 1, d)), np.empty((n, m, d))
+    diffusions, noise = np.empty((n, m, d, d)), np.empty((n, m, d))
+    for i in range(n):
+        g = _stream(seed, i)
+        states[i, 0] = model.initial_sampler(g)
+        noise[i] = g.standard_normal((m, d))
+    sig = model.diffusion_factor
+    for j in range(m):
+        prefix = states[:, :j + 1]
+        v = np.broadcast_to(np.asarray(model.drift(j, prefix), dtype=np.float64), (n, d))
+        db = noise[:, j] * np.sqrt(dt)
+        if sig is None:
+            s, inc = np.eye(d), db
+        elif isinstance(sig, np.ndarray):
+            s, inc = sig, db @ sig.T
+        else:
+            s = np.broadcast_to(sig(j, prefix), (n, d, d))
+            inc = np.einsum("nij,nj->ni", s, db)
+        diffusions[:, j] = s
+        drifts[:, j] = v
+        states[:, j + 1] = states[:, j] + v * dt + inc
+    return states, drifts, diffusions
+
+
+def _reference_fbsde(spec, grid, n, seed, variant):
+    """Path-major reference of the coupled Euler scheme of ``fbsde_simulate``."""
+    m, d, dt = grid.m, spec.dim, grid.dt
+    sqdt = np.sqrt(dt)
+    sigma = np.eye(d) if spec.sigma is None else spec.sigma
+    states, drifts = np.empty((n, m + 1, d)), np.empty((n, m, d))
+    noise, znoise, y = np.empty((n, m, d)), np.zeros((n, m, d)), np.empty((n, d))
+    for i in range(n):
+        g = _stream(seed, i)
+        states[i, 0] = spec.initial_sampler(g)
+        if variant == "filtering":
+            mu, var = spec.y0_gaussian
+            y[i] = mu + np.sqrt(var) * g.standard_normal(d)
+        else:
+            y[i] = spec.y0_fn(states[i, 0])
+        noise[i] = g.standard_normal((m, d))
+        if spec.z_mode == "independent_brownian":
+            znoise[i] = g.standard_normal((m, d))
+    if variant == "filtering":
+        mean, pvar = np.full(n, mu), float(var)
+        s2 = float(sigma[0, 0] ** 2)
+        qvar = 1.0 if spec.z_mode == "independent_brownian" else 0.0
+    for j in range(m):
+        db = noise[:, j] * sqdt
+        drifts[:, j] = y if variant == "adapted" else mean[:, None]
+        dx = y * dt + db @ sigma.T
+        states[:, j + 1] = states[:, j] + dx
+        if variant == "filtering":
+            gain = pvar * dt / (pvar * dt * dt + s2 * dt)
+            mean = mean + gain * (dx[:, 0] - mean * dt)
+            pvar = pvar * s2 / (pvar * dt + s2)
+            mean = mean - spec.curvature * states[:, j, 0] * dt
+            pvar = pvar + qvar * dt
+        y = y - spec.grad_potential(j * dt, states[:, j]) * dt
+        if spec.z_mode == "independent_brownian":
+            y = y + znoise[:, j] * sqdt
+    return states, drifts, np.broadcast_to(sigma, (n, m, d, d))
+
+
+def _assert_time_major_equal(ens, ref):
+    # states and drifts are stored [m, n, d]: consecutive paths of one step
+    # sit next to each other
+    assert ens.states.strides[0] < ens.states.strides[1]
+    assert ens.drifts.strides[0] < ens.drifts.strides[1]
+    for got, want in zip((ens.states, ens.drifts, ens.diffusions), ref):
+        assert np.array_equal(got, want)
+
+
+def _normal_start(rng):
+    return rng.standard_normal(2)
+
+
+def _prefix_drift(j, prefix):
+    return -0.5 * prefix[:, j] + 0.25 * np.tanh(prefix[:, 0])
+
+
+def _state_diffusion(j, prefix):
+    scale = 1.0 + 0.1 * np.tanh(prefix[:, j, :1])
+    return np.array([[1.0, 0.3], [0.0, 0.8]]) * scale[..., None]
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("diffusion", [None, np.array([[1.0, 0.3], [0.0, 0.8]]),
+                                       _state_diffusion],
+                         ids=["identity", "constant", "callable"])
+def test_time_major_records_match_reference(threads, diffusion):
+    # spans a full path block, a full staging buffer and partial ones of both
+    g = TimeGrid(6)
+    n = PATH_BLOCK + PATH_STAGE + 5
+    model = SemimartingaleModel(name="tm", dim=2, initial_sampler=_normal_start,
+                                drift=_prefix_drift, diffusion_factor=diffusion)
+    ens = simulate(model, g, n, seed=31, threads=threads)
+    _assert_time_major_equal(ens, _reference_simulate(model, g, n, 31))
+
+
+@pytest.mark.parametrize("variant,z_mode", [("adapted", "constant"),
+                                            ("filtering", "constant"),
+                                            ("filtering", "independent_brownian")])
+def test_time_major_fbsde_records_match_reference(variant, z_mode):
+    g = TimeGrid(7)
+    n = 2 * PATH_STAGE + 3
+    if variant == "adapted":
+        spec = FbsdeSpec(dim=2, grad_potential=lambda t, x: 0.5 * x,
+                         y0_fn=lambda x0: -0.5 * x0, sigma=np.array([[1.0, 0.3], [0.0, 0.8]]),
+                         initial_sampler=_normal_start)
+    else:
+        spec = FbsdeSpec(dim=1, grad_potential=lambda t, x: x, y0_gaussian=(0.2, 1.5),
+                         curvature=1.0, z_mode=z_mode,
+                         initial_sampler=lambda rng: rng.standard_normal(1))
+    ens = fbsde_simulate(spec, g, n, seed=32, variant=variant).ensemble
+    _assert_time_major_equal(ens, _reference_fbsde(spec, g, n, 32, variant))
 
 
 def test_adaptedness_probe_on_registry_drifts(grid200):
