@@ -19,7 +19,8 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 from numpy.random import Generator
 
-from .paths import PathEnsemble, SemimartingaleModel, TimeGrid, path_streams
+from .paths import (PathEnsemble, SemimartingaleModel, TimeGrid, _freeze, _records,
+                    path_streams)
 
 __all__ = [
     "BridgeProblem",
@@ -271,7 +272,7 @@ class _FieldDrift:
         return y[:, None]
 
 
-def bridge_to_model(solution: BridgeSolution, name: str = "sinkhorn_bridge"):
+def bridge_to_model(solution: BridgeSolution):
     """Unit-diffusion model whose drift interpolates the fitted field.
 
     The initial sampler draws lattice atoms from p0.  Returns
@@ -286,7 +287,8 @@ def bridge_to_model(solution: BridgeSolution, name: str = "sinkhorn_bridge"):
     def initial_sampler(rng: Generator) -> np.ndarray:
         return atoms[min(bisect.bisect_right(cdf, rng.random()), len(atoms) - 1)]
 
-    model = SemimartingaleModel(name=name, dim=1, initial_sampler=initial_sampler,
+    model = SemimartingaleModel(name="sinkhorn_bridge", dim=1,
+                                initial_sampler=initial_sampler,
                                 drift=holder, diffusion_factor=None)
     return model, holder
 
@@ -320,20 +322,22 @@ class FbsdeResult:
     posterior_var: Optional[np.ndarray] = None  # [m] filtering variance P_j
 
 
-def fbsde_simulate(spec: FbsdeSpec, grid: TimeGrid, n_paths: int, seed: int,
-                   variant: str = "adapted", label: str = "") -> FbsdeResult:
-    """Coupled Euler scheme for the forward-backward system."""
-    if variant not in ("adapted", "filtering"):
-        raise ValueError("variant must be 'adapted' or 'filtering'")
+def fbsde_simulate(spec: FbsdeSpec, grid: TimeGrid, n_paths: int,
+                   seed: int) -> FbsdeResult:
+    """Coupled Euler scheme for the forward-backward system.
+
+    The spec sets the variant: ``y0_fn`` alone means adapted, ``y0_gaussian``
+    alone means filtering.  The ensemble is labelled ``fbsde_<variant>``.
+    """
+    if (spec.y0_fn is None) == (spec.y0_gaussian is None):
+        raise UnsupportedSpecError(
+            "spec needs exactly one of y0_fn (adapted) and y0_gaussian (filtering)")
+    variant = "adapted" if spec.y0_fn is not None else "filtering"
     if variant == "adapted":
-        if spec.y0_fn is None:
-            raise UnsupportedSpecError("adapted variant needs y0_fn = g(X_0)")
         if spec.z_mode != "constant":
             raise UnsupportedSpecError(
                 "adapted variant requires a constant martingale component")
     else:
-        if spec.y0_gaussian is None:
-            raise UnsupportedSpecError("filtering variant needs a Gaussian Y_0 spec")
         if spec.curvature is None:
             raise UnsupportedSpecError(
                 "filtering variant supports only linear grad V (quadratic potential)")
@@ -344,11 +348,9 @@ def fbsde_simulate(spec: FbsdeSpec, grid: TimeGrid, n_paths: int, seed: int,
     dt, sqdt = grid.dt, np.sqrt(grid.dt)
     sigma = np.eye(d) if spec.sigma is None else np.asarray(spec.sigma, dtype=np.float64)
 
-    # time-major records; step j reads its normals before writing its drift
-    states = np.empty((m + 1, n, d)).transpose(1, 0, 2)
-    drifts = np.empty((m, n, d)).transpose(1, 0, 2)
-    znoise = (np.empty((m, n, d)).transpose(1, 0, 2)
-              if spec.z_mode == "independent_brownian" else None)
+    # step j reads its normals before writing its drift
+    states, drifts = _records(n, m + 1, d), _records(n, m, d)
+    znoise = _records(n, m, d) if spec.z_mode == "independent_brownian" else None
     y0 = np.empty((n, d))
     for i, g in path_streams(seed, 0, n, [drifts] + ([] if znoise is None else [znoise])):
         if spec.initial_sampler is not None:
@@ -394,11 +396,9 @@ def fbsde_simulate(spec: FbsdeSpec, grid: TimeGrid, n_paths: int, seed: int,
             y = y + znoise[:, j] * sqdt
 
     diffusions = np.broadcast_to(sigma, (n, m, d, d))
-    for arr in (states.base, states, drifts.base, drifts):
-        arr.setflags(write=False)
+    _freeze(states, drifts)
     ens = PathEnsemble(grid=grid, states=states, drifts=drifts,
-                       diffusions=diffusions, seed=seed,
-                       label=label or f"fbsde_{variant}")
+                       diffusions=diffusions, seed=seed, label=f"fbsde_{variant}")
     return FbsdeResult(ensemble=ens, posterior_var=post_var)
 
 

@@ -296,8 +296,7 @@ def sinkhorn_bridge_law(grid, n_paths, seed, threads=1, final="gaussian",
     problem = _bridge.BridgeProblem(p0=p0, p1=p1, x_min=x_min, x_max=x_max)
     solution = _bridge.sinkhorn_bridge(problem, grid, tol=tol, max_iter=max_iter)
     model, holder = _bridge.bridge_to_model(solution)
-    ens = simulate(model, grid, n_paths, seed, threads=threads,
-                   label="sinkhorn_bridge")
+    ens = simulate(model, grid, n_paths, seed, threads=threads)
     return ens, solution, holder
 
 
@@ -339,12 +338,12 @@ def oscillator_spec(variant: str, dim=1, curvature=1.0, potential="quadratic",
 
 def _law_oscillator_adapted(grid, n_paths, seed, threads=1, **params):
     return _bridge.fbsde_simulate(oscillator_spec("adapted", **params), grid,
-                                  n_paths, seed, variant="adapted").ensemble
+                                  n_paths, seed).ensemble
 
 
 def _law_oscillator_filtering(grid, n_paths, seed, threads=1, x0=0.0, **params):
     return _bridge.fbsde_simulate(oscillator_spec("filtering", x0=x0, **params),
-                                  grid, n_paths, seed, variant="filtering").ensemble
+                                  grid, n_paths, seed).ensemble
 
 
 def _law_classical_oscillator(grid, n_paths, seed, threads=1):

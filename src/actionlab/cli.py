@@ -9,8 +9,7 @@ registries.  Each kind accepts only the keys and sections its runner reads
 ``report.csv`` (statistics), ``verdict.txt`` (one line: kind, PASS or FAIL,
 max statistic) and optionally ``paths.csv`` and figures; the exit status is
 0 on PASS, 1 on FAIL, 2 on configuration errors and 3 on internal errors.
-Reruns with the same config and seed are byte-identical for any
-``--threads`` value.
+Reruns with the same config and seed are byte-identical.
 
 Each runner in ``_RUNNERS`` returns ``(header, rows, stats, report, ensemble)``:
 the ``report.csv`` header and rows, the nonnegative statistics, and what to
@@ -37,7 +36,7 @@ from .paths import (TimeGrid, adaptedness_probe, export_paths_csv,
 from .shifts import (MaterializedShift, delay_pn, endpoint_rn, h_norm_sq,
                      materialize, stop_truncate)
 
-_COMMON_KEYS = ("kind", "m", "n_paths", "seed", "threshold", "threads", "out",
+_COMMON_KEYS = ("kind", "m", "n_paths", "seed", "threshold", "out",
                 "plot", "paths_csv")
 # kind -> (further [scenario] keys, parameter sections) that its runner reads
 _ACCEPTS = {
@@ -119,21 +118,19 @@ def _scale(cfg):
     grid = TimeGrid(int(s.get("m", 200)))
     n = int(s.get("n_paths", 100_000))
     seed = int(s.get("seed", 7))
-    threads = int(s.get("threads", 1))
     threshold = float(s.get("threshold", 4.0))
     probes = s.get("probes", diagnostics.DEFAULT_PROBE_FRACTIONS)
     if isinstance(probes, float):
         probes = (probes,)
-    return grid, n, seed, threads, threshold, probes
+    return grid, n, seed, threshold, probes
 
 
-def _law(cfg, grid, n, seed, threads, default=None):
+def _law(cfg, grid, n, seed, default=None):
     s = cfg["scenario"]
     name = s.get("law", default)
     if name is None:
         raise ConfigError("this scenario kind requires a 'law' key")
-    ens = catalog.build_law(str(name), grid, n, seed, threads=threads,
-                            **cfg.get("law", {}))
+    ens = catalog.build_law(str(name), grid, n, seed, **cfg.get("law", {}))
     if "t_max" in s:
         ens = replace(ens, t_max=float(s["t_max"]))
     return ens
@@ -163,8 +160,8 @@ def _martingale_result(report, ens):
             [report.max_abs_statistic], report, ens)
 
 
-def run_simulate(cfg, grid, n, seed, threads, threshold, probes):
-    ens = _law(cfg, grid, n, seed, threads)
+def run_simulate(cfg, grid, n, seed, threshold, probes):
+    ens = _law(cfg, grid, n, seed)
     ens.validate()
     (mean, se), (mean2, se2) = summarize_terminal(ens)
     s = cfg["scenario"]
@@ -180,8 +177,8 @@ def run_simulate(cfg, grid, n, seed, threads, threshold, probes):
     return ["quantity", "value", "stderr"], rows, stats, None, ens
 
 
-def run_action(cfg, grid, n, seed, threads, threshold, probes):
-    ens = _law(cfg, grid, n, seed, threads)
+def run_action(cfg, grid, n, seed, threshold, probes):
+    ens = _law(cfg, grid, n, seed)
     lag = _lagrangian(cfg)
     t_max = float(cfg["scenario"].get("t_max", 1.0))
     est = action(ens, lag, t_max=t_max)
@@ -196,16 +193,16 @@ def run_action(cfg, grid, n, seed, threads, threshold, probes):
     return ["quantity", "value", "stderr"], rows, stats, None, ens
 
 
-def run_el_certify(cfg, grid, n, seed, threads, threshold, probes):
-    ens = _law(cfg, grid, n, seed, threads)
+def run_el_certify(cfg, grid, n, seed, threshold, probes):
+    ens = _law(cfg, grid, n, seed)
     report = diagnostics.el_certify(ens, _lagrangian(cfg), probe_fractions=probes,
                                     threshold=threshold)
     return _martingale_result(report, ens)
 
 
-def run_variational(cfg, grid, n, seed, threads, threshold, probes):
+def run_variational(cfg, grid, n, seed, threshold, probes):
     s = cfg["scenario"]
-    ens = _law(cfg, grid, n, seed, threads)
+    ens = _law(cfg, grid, n, seed)
     lag = _lagrangian(cfg)
     shift_name = str(s.get("shift", "plus_minus"))
     base = catalog.get_shift(shift_name, grid, **cfg["shift"])
@@ -228,8 +225,8 @@ def run_variational(cfg, grid, n, seed, threads, threshold, probes):
     return ["quantity", "value", "stderr"], rows, stats, None, ens
 
 
-def run_noether(cfg, grid, n, seed, threads, threshold, probes):
-    ens = _law(cfg, grid, n, seed, threads)
+def run_noether(cfg, grid, n, seed, threshold, probes):
+    ens = _law(cfg, grid, n, seed)
     lag = _lagrangian(cfg)
     family = catalog.get_family(str(cfg["scenario"].get("family", "translation")),
                                 **cfg["family"])
@@ -239,10 +236,9 @@ def run_noether(cfg, grid, n, seed, threads, threshold, probes):
     return _martingale_result(report, ens)
 
 
-def run_bridge(cfg, grid, n, seed, threads, threshold, probes):
+def run_bridge(cfg, grid, n, seed, threshold, probes):
     s = cfg["scenario"]
-    ens, solution, holder = catalog.sinkhorn_bridge_law(grid, n, seed, threads=threads,
-                                                        **cfg["bridge"])
+    ens, solution, holder = catalog.sinkhorn_bridge_law(grid, n, seed, **cfg["bridge"])
     lag = _lagrangian(cfg)
     est = action(ens, lag, t_max=1.0)
 
@@ -275,11 +271,11 @@ def run_bridge(cfg, grid, n, seed, threads, threshold, probes):
     return ["quantity", "value", "tolerance_or_stderr"], rows, stats, None, ens
 
 
-def run_fbsde(cfg, grid, n, seed, threads, threshold, probes):
+def run_fbsde(cfg, grid, n, seed, threshold, probes):
     s = cfg["scenario"]
     variant = str(s.get("variant", "adapted"))
     spec = catalog.oscillator_spec(variant, **cfg["fbsde"])
-    result = bridge_mod.fbsde_simulate(spec, grid, n, seed, variant=variant)
+    result = bridge_mod.fbsde_simulate(spec, grid, n, seed)
     ens = result.ensemble
     lag = _lagrangian(cfg, default="kinetic_quadratic")
     if variant == "adapted":
@@ -302,12 +298,12 @@ def run_fbsde(cfg, grid, n, seed, threads, threshold, probes):
     return ["quantity", "value", "tolerance"], rows, stats, report, ens
 
 
-def run_navier_stokes(cfg, grid, n, seed, threads, threshold, probes):
+def run_navier_stokes(cfg, grid, n, seed, threshold, probes):
     s = cfg["scenario"]
     residual, div = bridge_mod.navier_stokes_residual()
     res_tol = float(s.get("residual_tol", 1e-10))
     div_tol = float(s.get("div_tol", 1e-12))
-    ens = _law(cfg, grid, n, seed, threads, default="taylor_green")
+    ens = _law(cfg, grid, n, seed, default="taylor_green")
     lag = _lagrangian(cfg, default="kinetic_taylor_green")
     report = diagnostics.el_certify(ens, lag, probe_fractions=probes,
                                     threshold=threshold)
@@ -322,7 +318,7 @@ def _shift_diff(u, v):
     return MaterializedShift(u.hdot - v.hdot, u.ensemble, u.name)
 
 
-def run_operators(cfg, grid, n, seed, threads, threshold, probes):
+def run_operators(cfg, grid, n, seed, threshold, probes):
     """Property suite for the shift operators on randomized adapted shifts.
 
     Each shift is checked for adaptedness, the pathwise contraction of the
@@ -335,7 +331,7 @@ def run_operators(cfg, grid, n, seed, threads, threshold, probes):
     s = cfg["scenario"]
     if grid.m % 32 != 0:
         raise ConfigError("operators scenario needs m divisible by 32")
-    ens = _law(cfg, grid, n, seed, threads, default="brownian")
+    ens = _law(cfg, grid, n, seed, default="brownian")
     count = int(s.get("shift_count", 5))
     peeking = bool(s.get("peeking", False))
     rows, stats = [], []
@@ -380,17 +376,15 @@ _RUNNERS = {"simulate": run_simulate, "action": run_action,
             "navier-stokes": run_navier_stokes, "operators": run_operators}
 
 
-def run_scenario(cfg: dict, out_dir, threads=None, seed=None, plot=False) -> int:
+def run_scenario(cfg: dict, out_dir, seed=None, plot=False) -> int:
     s = cfg["scenario"]
     if seed is not None:
         s["seed"] = int(seed)
-    if threads is not None:
-        s["threads"] = int(threads)
-    grid, n, seed_v, thr, threshold, probes = _scale(cfg)
+    grid, n, seed_v, threshold, probes = _scale(cfg)
     kind = s["kind"]
     os.makedirs(out_dir, exist_ok=True)
     header, rows, stats, report, ens = _RUNNERS[kind](
-        cfg, grid, n, seed_v, thr, threshold, probes)
+        cfg, grid, n, seed_v, threshold, probes)
     passed, max_stat = _verdict(stats, threshold)
     reporting.write_csv(os.path.join(out_dir, "report.csv"), header, rows)
     line = reporting.write_verdict(os.path.join(out_dir, "verdict.txt"),
@@ -412,7 +406,6 @@ def main(argv=None) -> int:
     runp = sub.add_parser("run", help="run a scenario config")
     runp.add_argument("--config", required=True, help="scenario config path")
     runp.add_argument("--seed", type=int, default=None, help="seed override")
-    runp.add_argument("--threads", type=int, default=None, help="worker threads")
     runp.add_argument("--out", default=None, help="output directory")
     runp.add_argument("--plot", action="store_true",
                       help="also render figures next to the CSV output")
@@ -432,8 +425,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         out_dir = args.out or cfg["scenario"].get("out") or "run_output"
-        return run_scenario(cfg, out_dir, threads=args.threads,
-                            seed=args.seed, plot=args.plot)
+        return run_scenario(cfg, out_dir, seed=args.seed, plot=args.plot)
     except (KeyError, TypeError, ValueError, bridge_mod.ConvergenceError,
             bridge_mod.KernelUnderflowError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -265,10 +265,8 @@ def variational_derivative(ensemble: PathEnsemble, lagrangian: Lagrangian,
     del xi
 
     actions = {e: np.zeros(ensemble.n_paths) for eps in eps_list for e in (eps, -eps)}
-    for j in range(ensemble.grid.m):
+    for j in range(ensemble.grid.steps_before(t_max)):
         t = j * dt
-        if t >= t_max:
-            break
         x, v, a = ensemble.states[:, j], ensemble.drifts[:, j], ensemble.alpha(j)
         h, hdot = shift.h[:, j], shift.hdot[:, j]
         for e, total in actions.items():
@@ -304,7 +302,7 @@ class DriftRepresentationReport:
 
     @property
     def max_abs_statistic(self) -> float:
-        return float(np.max(np.abs(self.statistics))) if self.statistics.size else 0.0
+        return float(np.max(np.abs(self.statistics)))
 
     @property
     def verdict(self) -> bool:
@@ -327,6 +325,8 @@ def drift_representation_check(ensemble: PathEnsemble,
     n, m, d = ensemble.drifts.shape
     dt = grid.dt
     idx = grid.probe_indices(probe_fractions, 1.0)
+    if not idx:   # no statistic: an empty report, not a PASS
+        raise ValueError("need at least one probe step, got 0")
 
     grad_term = np.zeros((n, m + 1, d))
     if grad_potential is not None:

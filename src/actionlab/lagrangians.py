@@ -60,10 +60,8 @@ def path_actions(ensemble: PathEnsemble, lagrangian: Lagrangian,
         raise ValueError("t_max must lie in (0, 1]")
     grid = ensemble.grid
     total = np.zeros(ensemble.n_paths)
-    for j in range(grid.m):
+    for j in range(grid.steps_before(t_max)):
         t = j * grid.dt
-        if t >= t_max:
-            break
         val = lagrangian.value(t, ensemble.states[:, j], ensemble.drifts[:, j],
                                ensemble.alpha(j))
         total += np.asarray(val, dtype=np.float64) * grid.dt

@@ -11,16 +11,17 @@ drift and diffusion coefficients of a :class:`SemimartingaleModel` are
 
 Randomness is counter-based and splittable: path ``i`` of a simulation with
 seed ``s`` draws from Philox4x32-10 keyed by ``[s mod 2**64, i]`` from counter
-zero, so ensembles are bit-identical for any worker-thread count or chunking
-of the path axis.  :func:`simulate` runs each worker's path range in blocks of
-:data:`PATH_BLOCK` paths.  Records are stored time-major and indexed
-``[n, m, d]``, so per-step reads ``states[:, j]`` are contiguous; a hand-built
-path-major ensemble works the same, only more slowly.
+zero, so ensembles are bit-identical for any worker-thread count or split
+of the path axis.  :func:`simulate` walks each worker's path range in one
+pass.  This module alone decides how records are stored: time-major and
+indexed ``[n, m, d]``, so per-step reads ``states[:, j]`` are contiguous; a
+hand-built path-major ensemble works the same, only more slowly.
 """
 
 from __future__ import annotations
 
 import io
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
@@ -74,6 +75,13 @@ class TimeGrid:
         """Nearest grid index for a time in [0, 1]."""
         j = int(round(t * self.m))
         return min(max(j, 0), self.m)
+
+    def steps_before(self, t: float) -> int:
+        """Number of steps ``j < m`` with ``t_j < t``; a ``t`` within rounding
+        of a grid time counts as that time, so ``1 - dt`` leaves out step m-1."""
+        x = t * self.m
+        k = round(x)
+        return min(max(k if abs(x - k) <= 1e-9 else math.ceil(x), 0), self.m)
 
     def probe_indices(self, fractions: Sequence[float], t_max: float = 1.0):
         """Distinct step indices (< m) at increasing ``fractions`` in [0, 1] of ``t_max``."""
@@ -183,15 +191,23 @@ class PathEnsemble:
                 raise ValueError(f"alpha not PSD at step {j}")
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
-
-
-# Paths per block of the simulation loop, and per staging buffer of the noise
-# draws.  The staging buffer is kept small because it adds to peak memory.
-PATH_BLOCK = 4096
+# Paths per staging buffer of the noise draws; kept small because it adds to
+# peak memory.
 PATH_STAGE = 256
+
+
+def _records(n: int, m: int, d: int) -> np.ndarray:
+    """An empty record of ``m`` steps of ``n`` paths, stored time-major
+    (``[m, n, d]``) and returned as an ``[n, m, d]`` view."""
+    return np.empty((m, n, d)).transpose(1, 0, 2)
+
+
+def _freeze(*records: np.ndarray) -> None:
+    """Make each record, and the array it views, read-only."""
+    for rec in records:
+        rec.setflags(write=False)
+        if rec.base is not None:
+            rec.base.setflags(write=False)
 
 
 def path_streams(seed: int, lo: int, hi: int, records):
@@ -229,71 +245,61 @@ def path_streams(seed: int, lo: int, hi: int, records):
                 rec[i - k:i + 1] = buf[:k + 1]
 
 
-def _euler_chunk(model, grid, states, drifts, diffusions, lo, hi):
-    """Euler steps of paths ``lo .. hi-1`` whose normals sit in ``drifts[lo:hi]``.
+def _simulate_range(model, grid, seed, states, drifts, diffusions, lo, hi):
+    """Initial points, normals and Euler steps of paths ``lo .. hi-1``.
 
     Step ``j`` reads its normals from ``drifts[:, j]`` before it writes the
     drift there, so the drift records double as the noise buffer.
     """
-    m, d = grid.m, states.shape[2]
-    dt = grid.dt
+    d = states.shape[2]
+    for i, g in path_streams(seed, lo, hi, [drifts]):
+        states[i, 0] = np.asarray(model.initial_sampler(g), dtype=np.float64).reshape(d)
+    states, drifts, diffusions = states[lo:hi], drifts[lo:hi], diffusions[lo:hi]
+    n, dt = hi - lo, grid.dt
     sqdt = np.sqrt(dt)
     diff = model.diffusion_factor
     const_diff = diff is None or isinstance(diff, np.ndarray)
-    for j in range(m):
-        prefix = states[lo:hi, : j + 1]
+    for j in range(grid.m):
+        prefix = states[:, : j + 1]
         v = np.asarray(model.drift(j, prefix), dtype=np.float64)
-        v = np.broadcast_to(v, (hi - lo, d))
+        v = np.broadcast_to(v, (n, d))
         if not np.isfinite(v).all():
             i = lo + int(np.argwhere(~np.isfinite(v).all(axis=1))[0, 0])
             raise SimulationError(
                 f"model '{model.name}': non-finite drift at step {j}, path {i}")
-        db = drifts[lo:hi, j] * sqdt
-        drifts[lo:hi, j] = v
+        db = drifts[:, j] * sqdt
+        drifts[:, j] = v
         if diff is None:
             inc = db
         elif const_diff:
             inc = db @ diff.T
         else:
             s = np.asarray(diff(j, prefix), dtype=np.float64)
-            s = np.broadcast_to(s, (hi - lo, d, d))
+            s = np.broadcast_to(s, (n, d, d))
             if not np.isfinite(s).all():
                 raise SimulationError(
                     f"model '{model.name}': non-finite diffusion at step {j}")
-            diffusions[lo:hi, j] = s
+            diffusions[:, j] = s
             inc = np.einsum("nij,nj->ni", s, db)
-        states[lo:hi, j + 1] = states[lo:hi, j] + v * dt + inc
-
-
-def _simulate_range(model, grid, seed, states, drifts, diffusions, lo, hi):
-    """Initial points, normals and Euler steps of paths ``lo .. hi-1`` by block."""
-    d = states.shape[2]
-    for b0 in range(lo, hi, PATH_BLOCK):
-        b1 = min(b0 + PATH_BLOCK, hi)
-        for i, g in path_streams(seed, b0, b1, [drifts]):
-            states[i, 0] = np.asarray(model.initial_sampler(g), dtype=np.float64).reshape(d)
-        _euler_chunk(model, grid, states, drifts, diffusions, b0, b1)
+        states[:, j + 1] = states[:, j] + v * dt + inc
 
 
 def simulate(model: SemimartingaleModel, grid: TimeGrid, n_paths: int,
-             seed: int, threads: int = 1, label: str = "",
-             t_max: float = 1.0) -> PathEnsemble:
+             seed: int, threads: int = 1, t_max: float = 1.0) -> PathEnsemble:
     """Euler-Maruyama simulation of ``n_paths`` paths of ``model``.
 
     Increments for path ``i`` come from the counter-based stream keyed by
     ``(seed, i)``; the result is bit-identical for any ``threads``.  Each of
-    the ``threads`` path ranges is walked in blocks of :data:`PATH_BLOCK`
-    paths, so ``drift`` and a callable ``diffusion_factor`` see at most that
-    many paths per call.  States and drifts are stored time-major and returned
-    as ``[n, m, d]`` views; the drift records double as the noise buffer.  A
-    :class:`SimulationError` names the first failing step of the first block
-    that fails, in block order.
+    the ``threads`` path ranges is walked in one pass: its streams are drawn,
+    then its Euler steps run, so ``drift`` and a callable ``diffusion_factor``
+    see the whole range per call.  States and drifts are stored time-major
+    and returned as ``[n, m, d]`` views; the drift records double as the
+    noise buffer.  The ensemble is labelled with the model's name.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     n, m, d = n_paths, grid.m, model.dim
-    states = np.empty((m + 1, n, d)).transpose(1, 0, 2)
-    drifts = np.empty((m, n, d)).transpose(1, 0, 2)
+    states, drifts = _records(n, m + 1, d), _records(n, m, d)
 
     diff = model.diffusion_factor
     if diff is None:
@@ -313,13 +319,12 @@ def simulate(model: SemimartingaleModel, grid: TimeGrid, n_paths: int,
             list(ex.map(lambda b: _simulate_range(
                 model, grid, seed, states, drifts, diffusions, *b), bounds))
 
-    for arr in (states.base, states, drifts.base, drifts):
-        _freeze(arr)
-    if isinstance(diffusions, np.ndarray) and diffusions.flags.writeable:
+    _freeze(states, drifts)
+    if diffusions.flags.writeable:
         _freeze(diffusions)
     return PathEnsemble(grid=grid, states=states, drifts=drifts,
-                        diffusions=diffusions, seed=seed,
-                        label=label or model.name, t_max=t_max)
+                        diffusions=diffusions, seed=seed, label=model.name,
+                        t_max=t_max)
 
 
 def adaptedness_probe(fn, ensemble: PathEnsemble, steps: Sequence[int],

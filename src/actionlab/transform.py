@@ -142,13 +142,12 @@ def harmonic_check(ensemble: PathEnsemble, field: SpaceTimeMap,
     grid = ensemble.grid
     worst = 0.0
     acc = 0.0
-    for j in range(grid.m):
-        if j * grid.dt >= ensemble.t_max:
-            break
+    steps = grid.steps_before(ensemble.t_max)
+    for j in range(steps):
         _, res = _ito(field, ensemble, j)
         worst = max(worst, float(np.max(np.abs(res))))
         acc += float(np.mean(np.abs(res)))
-    mean_abs = acc / max(1, min(grid.m, int(np.ceil(ensemble.t_max / grid.dt))))
+    mean_abs = acc / max(1, steps)
 
     idx = grid.probe_indices(probe_fractions, ensemble.t_max)
     composed = np.stack([np.asarray(field.map_fn(j * grid.dt, ensemble.states[:, j]))

@@ -168,7 +168,7 @@ def test_fbsde_filtering_riccati_and_certification(grid200):
     spec = FbsdeSpec(dim=1, grad_potential=lambda t, x: x,
                      y0_gaussian=(0.0, 1.0), curvature=1.0,
                      initial_sampler=catalog.point_sampler(np.zeros(1)))
-    res = fbsde_simulate(spec, grid200, 20000, seed=74, variant="filtering")
+    res = fbsde_simulate(spec, grid200, 20000, seed=74)
     t = grid200.times[:-1]
     assert np.max(np.abs(res.posterior_var - 1.0 / (1.0 + t))) < 1e-8
     assert el_certify(res.ensemble,
@@ -181,7 +181,7 @@ def test_fbsde_filtering_with_martingale_noise(grid200):
                      y0_gaussian=(0.0, 1.0), curvature=1.0,
                      z_mode="independent_brownian",
                      initial_sampler=catalog.point_sampler(np.zeros(1)))
-    res = fbsde_simulate(spec, grid200, 20000, seed=75, variant="filtering")
+    res = fbsde_simulate(spec, grid200, 20000, seed=75)
     assert el_certify(res.ensemble,
                       catalog.get_lagrangian("kinetic_quadratic")).verdict
 
@@ -190,15 +190,18 @@ def test_fbsde_spec_validation(grid200):
     with pytest.raises(UnsupportedSpecError, match="linear grad V"):
         fbsde_simulate(FbsdeSpec(dim=1, grad_potential=lambda t, x: x ** 3,
                                  y0_gaussian=(0.0, 1.0)),
-                       grid200, 2000, seed=1, variant="filtering")
+                       grid200, 2000, seed=1)
     with pytest.raises(UnsupportedSpecError, match="constant martingale"):
         fbsde_simulate(FbsdeSpec(dim=1, grad_potential=lambda t, x: x,
                                  y0_fn=lambda x0: np.zeros(1),
                                  z_mode="independent_brownian"),
-                       grid200, 2000, seed=1, variant="adapted")
-    with pytest.raises(UnsupportedSpecError, match="y0_fn"):
-        fbsde_simulate(FbsdeSpec(dim=1, grad_potential=lambda t, x: x),
-                       grid200, 2000, seed=1, variant="adapted")
+                       grid200, 2000, seed=1)
+    # the spec sets the variant, so it needs exactly one of y0_fn and y0_gaussian
+    for y0 in ({}, dict(y0_fn=lambda x0: np.zeros(1), y0_gaussian=(0.0, 1.0))):
+        with pytest.raises(UnsupportedSpecError, match="exactly one of y0_fn"):
+            fbsde_simulate(FbsdeSpec(dim=1, grad_potential=lambda t, x: x,
+                                     curvature=1.0, **y0),
+                           grid200, 2000, seed=1)
 
 
 def test_oscillator_laws_match_oscillator_spec(grid200):
@@ -209,7 +212,7 @@ def test_oscillator_laws_match_oscillator_spec(grid200):
             ("oscillator_filtering", "filtering", dict(x0=0.0))):
         ens = catalog.build_law(law, grid200, 1000, seed=77)
         ref = fbsde_simulate(catalog.oscillator_spec(variant, **params), grid200,
-                             1000, seed=77, variant=variant).ensemble
+                             1000, seed=77).ensemble
         for name in ("states", "drifts", "diffusions"):
             assert np.array_equal(getattr(ens, name), getattr(ref, name)), (law, name)
     with pytest.raises(TypeError, match="y0_var"):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from actionlab import (PowerError, catalog, averaged_el, drift_representation_check,
-                       el_certify, martingale_test, materialize,
-                       noether_invariant, variational_derivative)
+from actionlab import (PowerError, TimeGrid, catalog, averaged_el,
+                       drift_representation_check, el_certify, harmonic_check,
+                       martingale_test, materialize, noether_invariant,
+                       variational_derivative)
 from actionlab.diagnostics import DEFAULT_PROBE_FRACTIONS, NoetherFamily
 from actionlab._accum import weighted_mean_stderr
 from actionlab.lagrangians import Lagrangian, el_process, path_actions
@@ -25,16 +26,20 @@ def test_martingale_test_brownian_passes(bm_mid):
     assert rep.statistics.shape == (len(idx) - 1, 3)
 
 
-@pytest.mark.parametrize("fractions", [(0.5,), (0.5, 0.502)], ids=["one", "colliding"])
+@pytest.mark.parametrize("fractions", [(), (0.5,), (0.5, 0.502)],
+                         ids=["none", "one", "colliding"])
 def test_fewer_than_two_probe_steps_raise(bm_mid, fractions):
-    # both give one probe step at m = 200: no pair to test, which must not
-    # read as a PASS
+    # none gives no probe step, the others one at m = 200: no pair to test
+    # (and for none no statistic at all), which must not read as a PASS
     idx = _probe_idx(bm_mid, fractions)
-    assert len(idx) == 1
+    assert len(idx) == min(len(fractions), 1)
     with pytest.raises(ValueError, match="two distinct probe steps"):
         martingale_test(bm_mid.states[:, idx, :], bm_mid, idx)
     with pytest.raises(ValueError, match="two distinct probe steps"):
         averaged_el(bm_mid, catalog.get_lagrangian("kinetic"), fractions)
+    if not idx:
+        with pytest.raises(ValueError, match="at least one probe step"):
+            drift_representation_check(bm_mid, probe_fractions=fractions)
 
 
 def test_martingale_test_squared_process_fails(bm_mid):
@@ -163,6 +168,39 @@ def test_streaming_fd_matches_pushed_ensembles(grid200, law, lag_name, shift, ep
     res = variational_derivative(ens, lag, u, eps_list=eps_list, t_max=t_max)
     assert np.array_equal(astuple(res),
                           _reference_variational(ens, lag, u, eps_list, t_max))
+
+
+def _explicit_action(ens, lag, steps):
+    total = np.zeros(ens.n_paths)
+    for j in range(steps):
+        t = j * ens.grid.dt
+        total += lag.value(t, ens.states[:, j], ens.drifts[:, j], ens.alpha(j)) * ens.grid.dt
+    return total
+
+
+@pytest.mark.parametrize("m", [6, 29, 200])
+def test_pinned_horizon_stops_before_the_last_step(m):
+    # the pinned law's t_max = 1 - 1/m; at m = 6 and 29 the rounded j * dt of
+    # step m-1 falls below it, but the horizon must still hold steps j < m-1
+    g = TimeGrid(m)
+    ens = catalog.build_law("pinned_brownian", g, 1000, seed=61)
+    assert g.steps_before(ens.t_max) == m - 1
+    kin = catalog.get_lagrangian("kinetic")
+    assert np.array_equal(path_actions(ens, kin, ens.t_max),
+                          _explicit_action(ens, kin, m - 1))
+
+    u = materialize(catalog.get_shift("random_ez", g, seed=5), ens)
+    eps = 1e-2
+    fd_pp = (_explicit_action(push_shift(ens, u, eps), kin, m - 1)
+             - _explicit_action(push_shift(ens, u, -eps), kin, m - 1)) / (2 * eps)
+    res = variational_derivative(ens, kin, u, eps_list=(eps,), t_max=ens.t_max)
+    assert (res.fd, res.fd_se) == weighted_mean_stderr(fd_pp, ens.weights)
+
+    # x^2 has generator residual 2 x v + 1 under unit diffusion
+    res = np.abs(2.0 * ens.states[:, :m - 1, 0] * ens.drifts[:, :m - 1, 0] + 1.0)
+    rep = harmonic_check(ens, catalog.get_map("square"))
+    assert rep.residual_max == pytest.approx(float(res.max()), rel=1e-12)
+    assert rep.residual_mean == pytest.approx(float(res.mean(axis=0).mean()), rel=1e-12)
 
 
 def test_averaged_el_certified_and_negative(pinned_mid, grid200):

@@ -6,7 +6,7 @@ from actionlab import (RankDeficiencyError, SimulationError,
                        TimeGrid, adaptedness_probe, catalog,
                        estimate_characteristics, simulate)
 from actionlab.bridge import FbsdeSpec, fbsde_simulate
-from actionlab.paths import PATH_BLOCK, PATH_STAGE, SemimartingaleModel, export_paths_csv
+from actionlab.paths import PATH_STAGE, SemimartingaleModel, export_paths_csv
 from actionlab.catalog import make_state_features, make_test_feature_map, point_sampler
 
 
@@ -82,11 +82,11 @@ def _random_start(rng):
 def test_path_stream_pinned_to_philox_key(seed):
     # path i draws from a fresh Philox keyed [seed mod 2**64, i], counter 0
     g = TimeGrid(6)
-    n = PATH_BLOCK + 9
+    n = PATH_STAGE + 9
     model = SemimartingaleModel(name="stream", dim=1, initial_sampler=_random_start,
                                 drift=lambda j, p: np.zeros((p.shape[0], 1)))
     ens = simulate(model, g, n, seed=seed)
-    for i in (0, PATH_BLOCK, n - 1):
+    for i in (0, PATH_STAGE, n - 1):
         ref = Generator(Philox(key=(seed & 0xFFFFFFFFFFFFFFFF) | (i << 64)))
         x0 = _random_start(ref)
         steps = ref.standard_normal((g.m, 1)) * np.sqrt(g.dt)
@@ -104,17 +104,18 @@ def test_negative_seed_has_its_own_stream():
         assert not np.array_equal(a.states, b.states)
 
 
-def test_block_boundaries_are_invisible():
-    # n spans two full blocks and a partial one; block edges must not show
+def test_range_and_stage_edges_are_invisible():
+    # n spans three full staging buffers and a partial one, and the three
+    # thread ranges start inside buffers; neither kind of edge may show
     g = TimeGrid(8)
-    n = 2 * PATH_BLOCK + 7
+    n = 3 * PATH_STAGE + 7
     a = catalog.build_law("pinned_brownian", g, n, seed=21)
     b = catalog.build_law("pinned_brownian", g, n, seed=21, threads=3)
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.drifts, b.drifts)
-    head = catalog.build_law("pinned_brownian", g, PATH_BLOCK + 3, seed=21)
-    assert np.array_equal(head.states, a.states[:PATH_BLOCK + 3])
-    assert np.array_equal(head.drifts, a.drifts[:PATH_BLOCK + 3])
+    head = catalog.build_law("pinned_brownian", g, PATH_STAGE + 3, seed=21)
+    assert np.array_equal(head.states, a.states[:PATH_STAGE + 3])
+    assert np.array_equal(head.drifts, a.drifts[:PATH_STAGE + 3])
 
 
 def _stream(seed, i):
@@ -214,9 +215,10 @@ def _state_diffusion(j, prefix):
                                        _state_diffusion],
                          ids=["identity", "constant", "callable"])
 def test_time_major_records_match_reference(threads, diffusion):
-    # spans a full path block, a full staging buffer and partial ones of both
+    # spans full staging buffers and a partial one; at threads 3 the ranges
+    # start inside buffers
     g = TimeGrid(6)
-    n = PATH_BLOCK + PATH_STAGE + 5
+    n = 3 * PATH_STAGE + 7
     model = SemimartingaleModel(name="tm", dim=2, initial_sampler=_normal_start,
                                 drift=_prefix_drift, diffusion_factor=diffusion)
     ens = simulate(model, g, n, seed=31, threads=threads)
@@ -237,7 +239,8 @@ def test_time_major_fbsde_records_match_reference(variant, z_mode):
         spec = FbsdeSpec(dim=1, grad_potential=lambda t, x: x, y0_gaussian=(0.2, 1.5),
                          curvature=1.0, z_mode=z_mode,
                          initial_sampler=lambda rng: rng.standard_normal(1))
-    ens = fbsde_simulate(spec, g, n, seed=32, variant=variant).ensemble
+    ens = fbsde_simulate(spec, g, n, seed=32).ensemble
+    assert ens.label == f"fbsde_{variant}"
     _assert_time_major_equal(ens, _reference_fbsde(spec, g, n, 32, variant))
 
 
