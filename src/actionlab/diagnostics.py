@@ -249,9 +249,12 @@ def variational_derivative(ensemble: PathEnsemble, lagrangian: Lagrangian,
     hdot, alpha) dt`` per signed epsilon ``e``: the bits of ``path_actions``
     on ``push_shift(ensemble, shift, e)``, without the pushed ensembles.
     ``allowance`` defaults to 2/m and absorbs the left-rectangle mismatch.
+
+    The binding and ``t_max`` checks come first.  The endpoint-zero check
+    builds and keeps ``shift.h``, so it runs after xi is freed and raises
+    :class:`EndpointError` only after the formula pass: xi and h are never
+    held at once.
     """
-    if not shift.is_endpoint_zero():
-        raise EndpointError("variational_derivative requires an endpoint-zero shift")
     if shift.ensemble is not ensemble:
         raise ValueError("shift is not bound to this ensemble")
     if not 0.0 < t_max <= 1.0:
@@ -263,6 +266,8 @@ def variational_derivative(ensemble: PathEnsemble, lagrangian: Lagrangian,
     xi = el_process(ensemble, lagrangian)
     formula_pp = np.einsum("nmd,nmd->n", xi, shift.hdot) * dt
     del xi
+    if not shift.is_endpoint_zero():
+        raise EndpointError("variational_derivative requires an endpoint-zero shift")
 
     actions = {e: np.zeros(ensemble.n_paths) for eps in eps_list for e in (eps, -eps)}
     for j in range(ensemble.grid.steps_before(t_max)):

@@ -10,7 +10,7 @@ drift and diffusion coefficients of a :class:`SemimartingaleModel` are
 :func:`adaptedness_probe`.
 
 Randomness is counter-based and splittable: path ``i`` of a simulation with
-seed ``s`` draws from Philox4x32-10 keyed by ``[s mod 2**64, i]`` from counter
+seed ``s`` draws from Philox4x64-10 keyed by ``[s mod 2**64, i]`` from counter
 zero, so ensembles are bit-identical for any worker-thread count or split
 of the path axis.  :func:`simulate` walks each worker's path range in one
 pass.  This module alone decides how records are stored: time-major and
@@ -214,7 +214,7 @@ def path_streams(seed: int, lo: int, hi: int, records):
     """Yield ``(i, generator)`` for paths ``lo .. hi-1``; then draw path
     ``i``'s ``[m, d]`` normals for each ``[n, m, d]`` record, in order.
 
-    Path ``i`` draws from Philox4x32-10 keyed by ``[seed mod 2**64, i]`` from
+    Path ``i`` draws from Philox4x64-10 keyed by ``[seed mod 2**64, i]`` from
     counter zero.  One bit generator is re-keyed per path through its
     ``state`` setter, which skips the OS-entropy seeding that constructing a
     ``Philox`` per path would pay for.  The same generator object is yielded

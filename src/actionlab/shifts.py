@@ -149,7 +149,8 @@ def delay_pn(u: MaterializedShift, n: int) -> MaterializedShift:
     """Block-delay operator: on [k/n, (k+1)/n) for k = 2..n-1 the derivative
     is n * (u_{(k-1)/n} - u_{(k-2)/n}); zero on [0, 2/n)."""
     b = _block_size(u, n)
-    hdot = np.zeros_like(u.hdot)
+    hdot = np.empty_like(u.hdot)
+    hdot[:, : 2 * b] = 0.0
     for k in range(2, n):
         val = n * (u.h[:, (k - 1) * b] - u.h[:, (k - 2) * b])
         hdot[:, k * b : (k + 1) * b] = val[:, None, :]
@@ -159,7 +160,8 @@ def delay_pn(u: MaterializedShift, n: int) -> MaterializedShift:
 def endpoint_qn(u: MaterializedShift, n: int) -> MaterializedShift:
     """Endpoint carrier: derivative n * u_{1-2/n} on [1-1/n, 1], zero before."""
     b = _block_size(u, n)
-    hdot = np.zeros_like(u.hdot)
+    hdot = np.empty_like(u.hdot)
+    hdot[:, : (n - 1) * b] = 0.0
     hdot[:, (n - 1) * b :] = (n * u.h[:, (n - 2) * b])[:, None, :]
     return MaterializedShift(hdot, u.ensemble, f"q{n}({u.name})")
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -55,3 +57,20 @@ def deterministic_law(grid, n_paths=1500, drift_value=None):
         initial_sampler=catalog.point_sampler(np.zeros(1)),
         drift=drift, diffusion_factor=np.zeros((1, 1)))
     return simulate(model, grid, n_paths, seed=9)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """Call ``fn`` and return ``(result, peak)``: the peak bytes allocated
+    during the call above those held before it, as tracemalloc counts them
+    (numpy reports its array buffers to tracemalloc)."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from actionlab import (PowerError, TimeGrid, catalog, averaged_el,
+from actionlab import (EndpointError, PowerError, TimeGrid, catalog, averaged_el,
                        drift_representation_check, el_certify, harmonic_check,
                        martingale_test, materialize, noether_invariant,
                        variational_derivative)
@@ -13,6 +13,7 @@ from actionlab._accum import weighted_mean_stderr
 from actionlab.lagrangians import Lagrangian, el_process, path_actions
 from actionlab.transform import push_shift
 from actionlab.paths import SemimartingaleModel, simulate
+from conftest import traced_peak
 
 
 def _probe_idx(ens, fr=DEFAULT_PROBE_FRACTIONS):
@@ -126,12 +127,31 @@ def test_variational_noncritical_quadrature_oracle(grid200):
     assert not res.critical()
 
 
-def test_variational_requires_endpoint_zero(bm_mid):
-    from actionlab import EndpointError
+@pytest.mark.parametrize("bound,t_max,error,message", [
+    (False, 1.0, ValueError, "not bound to this ensemble"),
+    (True, 0.0, ValueError, r"t_max must lie in \(0, 1\]"),
+    (True, 1.5, ValueError, r"t_max must lie in \(0, 1\]"),
+    (True, 1.0, EndpointError, "requires an endpoint-zero shift"),
+], ids=["unbound", "t_max_zero", "t_max_above_one", "not_endpoint_zero"])
+def test_variational_argument_checks(bm_small, bm_mid, bound, t_max, error, message):
+    # the constant shift is not endpoint-zero, so the binding and t_max
+    # errors must be raised before the endpoint-zero check
     kin = catalog.get_lagrangian("kinetic")
-    u = materialize(catalog.get_shift("constant", bm_mid.grid), bm_mid)
-    with pytest.raises(EndpointError):
-        variational_derivative(bm_mid, kin, u)
+    u = materialize(catalog.get_shift("constant", bm_small.grid), bm_small)
+    ens = bm_small if bound else bm_mid
+    with pytest.raises(error, match=message):
+        variational_derivative(ens, kin, u, t_max=t_max)
+
+
+def test_variational_holds_one_working_record(bm_mid):
+    # xi is freed before the endpoint-zero check builds and keeps h, so the
+    # call never holds both: about one [n, m, d] record above the inputs
+    kin = catalog.get_lagrangian("kinetic")
+    u = materialize(catalog.get_shift("plus_minus", bm_mid.grid), bm_mid)
+    record = u.hdot.nbytes
+    res, peak = traced_peak(variational_derivative, bm_mid, kin, u)
+    assert res.critical()
+    assert peak < 1.2 * record, peak / record
 
 
 def _reference_variational(ens, lag, u, eps_list, t_max):

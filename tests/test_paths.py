@@ -8,6 +8,7 @@ from actionlab import (RankDeficiencyError, SimulationError,
 from actionlab.bridge import FbsdeSpec, fbsde_simulate
 from actionlab.paths import PATH_STAGE, SemimartingaleModel, export_paths_csv
 from actionlab.catalog import make_state_features, make_test_feature_map, point_sampler
+from conftest import traced_peak
 
 
 def test_timegrid_invariants():
@@ -367,6 +368,17 @@ def test_export_paths_csv(tmp_path, bm_small):
     lines = target.read_bytes().decode().strip().split("\n")
     assert lines[0] == "t,path0_x0,path1_x0,path2_x0"
     assert len(lines) == 1 + len(bm_small.grid.times[::10])
+
+
+def test_weighted_law_holds_two_records():
+    # the Brownian base's drift record is dropped before the weighted one is
+    # allocated: states and drifts only, as simulate itself holds
+    g, n = TimeGrid(500), 20000
+    ens, peak = traced_peak(catalog.build_law, "squared_increment_weighted", g, n, seed=7)
+    record = 8 * n * g.m
+    assert peak < 2.2 * record, peak / record
+    assert ens.drifts.strides == (8, 8 * n, 8)
+    assert not ens.drifts.flags.writeable and not ens.drifts.base.flags.writeable
 
 
 def test_ensembles_are_immutable(bm_small):
