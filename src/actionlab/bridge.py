@@ -12,15 +12,14 @@ that propagated function.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 from numpy.random import Generator
 
-from .paths import (PathEnsemble, SemimartingaleModel, TimeGrid, _freeze, _records,
-                    path_streams)
+from .paths import (NOISE_BLOCK, PathEnsemble, SemimartingaleModel, TimeGrid, _freeze,
+                    _records, path_streams)
 
 __all__ = [
     "BridgeProblem",
@@ -279,13 +278,13 @@ def bridge_to_model(solution: BridgeSolution):
     ``(model, drift_holder)``; the holder exposes ``clamped``, the count of
     drift queries outside the lattice (clamped to the boundary cells).
     """
-    cdf = np.cumsum(solution.problem.p0).tolist()
-    atoms = solution.problem.centers[:, None]   # shared, so read-only
-    atoms.setflags(write=False)
+    cdf = np.cumsum(solution.problem.p0)
+    atoms = solution.problem.centers[:, None]
     holder = _FieldDrift(solution)
 
-    def initial_sampler(rng: Generator) -> np.ndarray:
-        return atoms[min(bisect.bisect_right(cdf, rng.random()), len(atoms) - 1)]
+    def initial_sampler(rng: Generator, size: int) -> np.ndarray:
+        k = np.searchsorted(cdf, rng.random(size), side="right")
+        return atoms[np.minimum(k, len(atoms) - 1)]
 
     model = SemimartingaleModel(name="sinkhorn_bridge", dim=1,
                                 initial_sampler=initial_sampler,
@@ -313,7 +312,7 @@ class FbsdeSpec:
     z_mode: str = "constant"           # "constant" | "independent_brownian"
     sigma: Optional[np.ndarray] = None  # constant factor, None = identity
     curvature: Optional[float] = None  # grad V = curvature * x when linear
-    initial_sampler: Optional[Callable] = None  # per-path rng -> [d]
+    initial_sampler: Optional[Callable] = None  # (block gen, size) -> [size, d]
 
 
 @dataclass(frozen=True)
@@ -351,17 +350,19 @@ def fbsde_simulate(spec: FbsdeSpec, grid: TimeGrid, n_paths: int,
     # step j reads its normals before writing its drift
     states, drifts = _records(n, m + 1, d), _records(n, m, d)
     znoise = _records(n, m, d) if spec.z_mode == "independent_brownian" else None
+    noise = [drifts] if znoise is None else [drifts, znoise]
     y0 = np.empty((n, d))
-    for i, g in path_streams(seed, 0, n, [drifts] + ([] if znoise is None else [znoise])):
+    for g, paths, cols in path_streams(seed, 0, n, noise):
         if spec.initial_sampler is not None:
-            states[i, 0] = np.asarray(spec.initial_sampler(g), dtype=np.float64)
+            x0 = np.asarray(spec.initial_sampler(g, NOISE_BLOCK), dtype=np.float64)
+            states[paths, 0] = x0[cols]
         else:
-            states[i, 0] = 0.0
+            states[paths, 0] = 0.0
         if variant == "filtering":
             mu, var = spec.y0_gaussian
-            y0[i] = mu + np.sqrt(var) * g.standard_normal(d)
+            y0[paths] = (mu + np.sqrt(var) * g.standard_normal((NOISE_BLOCK, d)))[cols]
         else:
-            y0[i] = np.asarray(spec.y0_fn(states[i, 0]), dtype=np.float64)
+            y0[paths] = [spec.y0_fn(x) for x in states[paths, 0]]
 
     y = y0.copy()
     post_var = None
@@ -467,8 +468,8 @@ def taylor_green_model(grid: TimeGrid) -> SemimartingaleModel:
     def drift(j, prefix):
         return -taylor_green_velocity(1.0 - j * dt, prefix[:, j])
 
-    def initial_sampler(rng: Generator) -> np.ndarray:
-        return rng.random(2) * 2 * np.pi
+    def initial_sampler(rng: Generator, size: int) -> np.ndarray:
+        return rng.random((size, 2)) * 2 * np.pi
 
     return SemimartingaleModel(name="taylor_green", dim=2,
                                initial_sampler=initial_sampler, drift=drift,

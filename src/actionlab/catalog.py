@@ -82,8 +82,8 @@ def make_test_feature_map(fns, names):
 def point_sampler(x0):
     x0 = np.atleast_1d(np.asarray(x0, dtype=np.float64))
 
-    def sampler(rng: Generator) -> np.ndarray:
-        return x0
+    def sampler(rng: Generator, size: int) -> np.ndarray:
+        return np.broadcast_to(x0, (size, len(x0)))
 
     return sampler
 

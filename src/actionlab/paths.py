@@ -9,13 +9,15 @@ drift and diffusion coefficients of a :class:`SemimartingaleModel` are
 ``j``.  That contract is enforced empirically by the prefix probe in
 :func:`adaptedness_probe`.
 
-Randomness is counter-based and splittable: path ``i`` of a simulation with
-seed ``s`` draws from Philox4x64-10 keyed by ``[s mod 2**64, i]`` from counter
-zero, so ensembles are bit-identical for any worker-thread count or split
-of the path axis.  :func:`simulate` walks each worker's path range in one
-pass.  This module alone decides how records are stored: time-major and
-indexed ``[n, m, d]``, so per-step reads ``states[:, j]`` are contiguous; a
-hand-built path-major ensemble works the same, only more slowly.
+Randomness is counter-based and splittable: block ``b`` of
+:data:`NOISE_BLOCK` paths draws from Philox4x64-10 keyed by
+``[seed mod 2**64, b]`` from counter zero, first its initial points in one
+call, then its whole ``[m, NOISE_BLOCK, d]`` normals per record, also for
+paths past ``n``.  So path ``i``'s noise depends on neither ``n`` nor the
+split of the path axis among worker threads.  This module alone decides how
+records are stored: time-major and indexed ``[n, m, d]``, so per-step reads
+``states[:, j]`` are contiguous; a hand-built path-major ensemble works the
+same, only more slowly.
 """
 
 from __future__ import annotations
@@ -109,13 +111,14 @@ class SemimartingaleModel:
     reading only ``states[:, :j+1, :]``.  ``diffusion_factor`` is ``None``
     (identity), a constant [d, d] matrix, or a callable with the same
     signature returning [n, d, d] (or a broadcastable [d, d]).
-    ``initial_sampler(rng)`` draws one initial point per path from its
-    dedicated random stream.
+    ``initial_sampler(gen, size)`` returns the ``[size, d]`` initial points
+    of one block of paths, drawn from the block's generator ahead of its
+    normals.
     """
 
     name: str
     dim: int
-    initial_sampler: Callable[[Generator], np.ndarray]
+    initial_sampler: Callable[[Generator, int], np.ndarray]
     drift: DriftFn
     diffusion_factor: DiffusionSpec = None
 
@@ -191,9 +194,9 @@ class PathEnsemble:
                 raise ValueError(f"alpha not PSD at step {j}")
 
 
-# Paths per staging buffer of the noise draws; kept small because it adds to
-# peak memory.
-PATH_STAGE = 256
+# Paths per keyed noise block, a module constant because it sets every
+# stream; the block's staging buffer adds [m, NOISE_BLOCK, d] to peak memory.
+NOISE_BLOCK = 256
 
 
 def _records(n: int, m: int, d: int) -> np.ndarray:
@@ -211,38 +214,31 @@ def _freeze(*records: np.ndarray) -> None:
 
 
 def path_streams(seed: int, lo: int, hi: int, records):
-    """Yield ``(i, generator)`` for paths ``lo .. hi-1``; then draw path
-    ``i``'s ``[m, d]`` normals for each ``[n, m, d]`` record, in order.
+    """Yield ``(generator, paths, cols)`` once per block of :data:`NOISE_BLOCK`
+    paths that overlaps ``lo .. hi-1``: ``paths`` slices the block's paths in
+    that range and ``cols`` the same paths within the block.  Then draw the
+    block's ``[m, NOISE_BLOCK, d]`` normals for each ``[n, m, d]`` record, in
+    order, and copy the ``cols`` columns into the record's ``paths``.
 
-    Path ``i`` draws from Philox4x64-10 keyed by ``[seed mod 2**64, i]`` from
-    counter zero.  One bit generator is re-keyed per path through its
-    ``state`` setter, which skips the OS-entropy seeding that constructing a
-    ``Philox`` per path would pay for.  The same generator object is yielded
-    each time; it is valid only until the next path.  The normals go through
-    a buffer of :data:`PATH_STAGE` paths, copied into the records when full.
+    Block ``b`` draws from Philox4x64-10 keyed by ``[seed mod 2**64, b]`` from
+    counter zero.  A range that starts inside a block draws the whole block
+    again and keeps only its own paths.
     """
-    bits = Philox(0)
-    gen = Generator(bits)
     # An explicit uint64 key: numpy converts a list holding a word >= 2**63
     # through float64, which rounds it and collides distinct seeds.
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
-    zeros = np.zeros(4, dtype=np.uint64)
-    # buffer_pos 4 marks the four-word output buffer as empty.
-    state = {"bit_generator": "Philox",
-             "state": {"counter": zeros, "key": key},
-             "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     _, m, d = records[0].shape
-    stage = np.empty((len(records), min(PATH_STAGE, hi - lo), m, d))
-    for i in range(lo, hi):
-        key[1] = i
-        bits.state = state
-        yield i, gen
-        k = (i - lo) % PATH_STAGE
-        for buf in stage:
-            gen.standard_normal(out=buf[k])
-        if k == PATH_STAGE - 1 or i == hi - 1:
-            for rec, buf in zip(records, stage):
-                rec[i - k:i + 1] = buf[:k + 1]
+    stage = np.empty((m, NOISE_BLOCK, d))
+    for b in range(lo // NOISE_BLOCK, -(-hi // NOISE_BLOCK)):
+        key[1] = b
+        gen = Generator(Philox(key=key))
+        first = b * NOISE_BLOCK
+        paths = slice(max(lo, first), min(hi, first + NOISE_BLOCK))
+        cols = slice(paths.start - first, paths.stop - first)
+        yield gen, paths, cols
+        for rec in records:
+            gen.standard_normal(out=stage)
+            rec[paths] = stage[:, cols].transpose(1, 0, 2)
 
 
 def _simulate_range(model, grid, seed, states, drifts, diffusions, lo, hi):
@@ -252,8 +248,9 @@ def _simulate_range(model, grid, seed, states, drifts, diffusions, lo, hi):
     drift there, so the drift records double as the noise buffer.
     """
     d = states.shape[2]
-    for i, g in path_streams(seed, lo, hi, [drifts]):
-        states[i, 0] = np.asarray(model.initial_sampler(g), dtype=np.float64).reshape(d)
+    for g, paths, cols in path_streams(seed, lo, hi, [drifts]):
+        x0 = np.asarray(model.initial_sampler(g, NOISE_BLOCK), dtype=np.float64)
+        states[paths, 0] = x0.reshape(NOISE_BLOCK, d)[cols]
     states, drifts, diffusions = states[lo:hi], drifts[lo:hi], diffusions[lo:hi]
     n, dt = hi - lo, grid.dt
     sqdt = np.sqrt(dt)
@@ -289,12 +286,13 @@ def simulate(model: SemimartingaleModel, grid: TimeGrid, n_paths: int,
     """Euler-Maruyama simulation of ``n_paths`` paths of ``model``.
 
     Increments for path ``i`` come from the counter-based stream keyed by
-    ``(seed, i)``; the result is bit-identical for any ``threads``.  Each of
-    the ``threads`` path ranges is walked in one pass: its streams are drawn,
-    then its Euler steps run, so ``drift`` and a callable ``diffusion_factor``
-    see the whole range per call.  States and drifts are stored time-major
-    and returned as ``[n, m, d]`` views; the drift records double as the
-    noise buffer.  The ensemble is labelled with the model's name.
+    ``(seed, i // NOISE_BLOCK)``; the result is bit-identical for any
+    ``threads``.  Each of the ``threads`` path ranges is walked in one pass:
+    its streams are drawn, then its Euler steps run, so ``drift`` and a
+    callable ``diffusion_factor`` see the whole range per call.  States and
+    drifts are stored time-major and returned as ``[n, m, d]`` views; the
+    drift records double as the noise buffer.  The ensemble is labelled with
+    the model's name.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")

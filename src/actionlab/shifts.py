@@ -121,7 +121,7 @@ def _check_bound(u: MaterializedShift, v: MaterializedShift) -> None:
 
 def h_norm_sq(u: MaterializedShift) -> np.ndarray:
     """Pathwise squared Cameron-Martin norm: sum |hdot|^2 dt, shape [n]."""
-    return np.einsum("nmd->n", u.hdot ** 2) * u.ensemble.grid.dt
+    return np.einsum("nmd,nmd->n", u.hdot, u.hdot) * u.ensemble.grid.dt
 
 
 def w_norm(u: MaterializedShift) -> np.ndarray:

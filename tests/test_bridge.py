@@ -1,8 +1,10 @@
+import bisect
+
 import numpy as np
 import pytest
 from scipy import integrate
 
-from actionlab import (BridgeProblem, FbsdeSpec, action, bridge_to_model,
+from actionlab import (BridgeProblem, FbsdeSpec, TimeGrid, action, bridge_to_model,
                        catalog, delta_marginal, el_certify, el_process,
                        fbsde_simulate, gaussian_marginal,
                        navier_stokes_residual, simulate, sinkhorn_bridge)
@@ -143,6 +145,26 @@ def test_field_drift_matches_interp(grid200):
         assert np.array_equal(fresh(j, prefix)[:, 0], np.interp(q, c, field[j]))
     outside = int(((q < c[0]) | (q > c[-1])).sum())
     assert outside == 2 + 100 and fresh.clamped == 4 * outside
+
+
+def test_bridge_sampler_keeps_the_bisect_rule():
+    # the block sampler picks, for each uniform, the atom the per-path
+    # bisect_right rule picked, clamped to the last atom above cdf[-1]
+    problem = BridgeProblem(p0=gaussian_marginal(0.0, 1.0), p1=gaussian_marginal(0.0, 2.0))
+    model, _ = bridge_to_model(sinkhorn_bridge(problem, TimeGrid(16)))
+    cdf = np.cumsum(problem.p0)
+    atoms = problem.centers
+    u = np.concatenate([np.random.default_rng(5).random(2000), cdf[[0, 10, 200]],
+                        [0.0, np.nextafter(cdf[-1], 2.0)]])
+
+    class Uniforms:
+        def random(self, size):
+            assert size == len(u)
+            return u
+
+    want = [atoms[min(bisect.bisect_right(cdf.tolist(), x), len(atoms) - 1)] for x in u]
+    assert np.array_equal(model.initial_sampler(Uniforms(), len(u))[:, 0], want)
+    assert want[-1] == atoms[-1]
 
 
 def test_zero_drift_field_gives_brownian(grid200):

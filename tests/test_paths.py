@@ -6,7 +6,7 @@ from actionlab import (RankDeficiencyError, SimulationError,
                        TimeGrid, adaptedness_probe, catalog,
                        estimate_characteristics, simulate)
 from actionlab.bridge import FbsdeSpec, fbsde_simulate
-from actionlab.paths import PATH_STAGE, SemimartingaleModel, export_paths_csv
+from actionlab.paths import NOISE_BLOCK, SemimartingaleModel, export_paths_csv
 from actionlab.catalog import make_state_features, make_test_feature_map, point_sampler
 from conftest import traced_peak
 
@@ -74,23 +74,25 @@ def test_path_extension_invariance(grid200):
     assert np.array_equal(a.states, b.states[:100])
 
 
-def _random_start(rng):
+def _random_start(rng, size):
     # consumes uniforms and normals before the increments
-    return np.array([rng.random() + rng.standard_normal()])
+    return (rng.random(size) + rng.standard_normal(size))[:, None]
 
 
 @pytest.mark.parametrize("seed", [7, -5, 2**63 + 12345])
 def test_path_stream_pinned_to_philox_key(seed):
-    # path i draws from a fresh Philox keyed [seed mod 2**64, i], counter 0
+    # path i is column i % NOISE_BLOCK of the draws of a fresh Philox keyed
+    # [seed mod 2**64, i // NOISE_BLOCK], counter 0: the block's initial
+    # points, then its [m, NOISE_BLOCK, d] normals
     g = TimeGrid(6)
-    n = PATH_STAGE + 9
+    n = NOISE_BLOCK + 9
     model = SemimartingaleModel(name="stream", dim=1, initial_sampler=_random_start,
                                 drift=lambda j, p: np.zeros((p.shape[0], 1)))
     ens = simulate(model, g, n, seed=seed)
-    for i in (0, PATH_STAGE, n - 1):
-        ref = Generator(Philox(key=(seed & 0xFFFFFFFFFFFFFFFF) | (i << 64)))
-        x0 = _random_start(ref)
-        steps = ref.standard_normal((g.m, 1)) * np.sqrt(g.dt)
+    for i in (0, 5, NOISE_BLOCK, n - 1):
+        ref = _stream(seed, i // NOISE_BLOCK)
+        x0 = _random_start(ref, NOISE_BLOCK)[i % NOISE_BLOCK]
+        steps = ref.standard_normal((g.m, NOISE_BLOCK, 1))[:, i % NOISE_BLOCK] * np.sqrt(g.dt)
         assert ens.states[i, 0, 0] == x0[0]
         assert ens.states[i, 1, 0] == x0[0] + steps[0, 0]
         assert np.allclose(np.diff(ens.states[i, :, 0]), steps[:, 0],
@@ -106,21 +108,32 @@ def test_negative_seed_has_its_own_stream():
 
 
 def test_range_and_stage_edges_are_invisible():
-    # n spans three full staging buffers and a partial one, and the three
-    # thread ranges start inside buffers; neither kind of edge may show
+    # n spans three full noise blocks and a partial one, and the three
+    # thread ranges start inside blocks; neither kind of edge may show
     g = TimeGrid(8)
-    n = 3 * PATH_STAGE + 7
+    n = 3 * NOISE_BLOCK + 7
     a = catalog.build_law("pinned_brownian", g, n, seed=21)
     b = catalog.build_law("pinned_brownian", g, n, seed=21, threads=3)
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.drifts, b.drifts)
-    head = catalog.build_law("pinned_brownian", g, PATH_STAGE + 3, seed=21)
-    assert np.array_equal(head.states, a.states[:PATH_STAGE + 3])
-    assert np.array_equal(head.drifts, a.drifts[:PATH_STAGE + 3])
+    head = catalog.build_law("pinned_brownian", g, NOISE_BLOCK + 3, seed=21)
+    assert np.array_equal(head.states, a.states[:NOISE_BLOCK + 3])
+    assert np.array_equal(head.drifts, a.drifts[:NOISE_BLOCK + 3])
 
 
-def _stream(seed, i):
-    return Generator(Philox(key=(seed & 0xFFFFFFFFFFFFFFFF) | (i << 64)))
+def _stream(seed, b):
+    return Generator(Philox(key=(seed & 0xFFFFFFFFFFFFFFFF) | (b << 64)))
+
+
+def _blocks(n):
+    """``(b, rows)`` of each noise block: its index and its paths below n."""
+    for b in range(-(-n // NOISE_BLOCK)):
+        yield b, slice(b * NOISE_BLOCK, min(n, (b + 1) * NOISE_BLOCK))
+
+
+def _block_normals(g, m, d, rows):
+    """The block's next [m, NOISE_BLOCK, d] normals, path-major, kept to ``rows``."""
+    return g.standard_normal((m, NOISE_BLOCK, d))[:, :rows.stop - rows.start].transpose(1, 0, 2)
 
 
 def _reference_simulate(model, grid, n, seed):
@@ -128,10 +141,10 @@ def _reference_simulate(model, grid, n, seed):
     m, d, dt = grid.m, model.dim, grid.dt
     states, drifts = np.empty((n, m + 1, d)), np.empty((n, m, d))
     diffusions, noise = np.empty((n, m, d, d)), np.empty((n, m, d))
-    for i in range(n):
-        g = _stream(seed, i)
-        states[i, 0] = model.initial_sampler(g)
-        noise[i] = g.standard_normal((m, d))
+    for b, rows in _blocks(n):
+        g = _stream(seed, b)
+        states[rows, 0] = model.initial_sampler(g, NOISE_BLOCK)[:rows.stop - rows.start]
+        noise[rows] = _block_normals(g, m, d, rows)
     sig = model.diffusion_factor
     for j in range(m):
         prefix = states[:, :j + 1]
@@ -157,17 +170,19 @@ def _reference_fbsde(spec, grid, n, seed, variant):
     sigma = np.eye(d) if spec.sigma is None else spec.sigma
     states, drifts = np.empty((n, m + 1, d)), np.empty((n, m, d))
     noise, znoise, y = np.empty((n, m, d)), np.zeros((n, m, d)), np.empty((n, d))
-    for i in range(n):
-        g = _stream(seed, i)
-        states[i, 0] = spec.initial_sampler(g)
+    for b, rows in _blocks(n):
+        g = _stream(seed, b)
+        k = rows.stop - rows.start
+        states[rows, 0] = spec.initial_sampler(g, NOISE_BLOCK)[:k]
         if variant == "filtering":
             mu, var = spec.y0_gaussian
-            y[i] = mu + np.sqrt(var) * g.standard_normal(d)
-        else:
-            y[i] = spec.y0_fn(states[i, 0])
-        noise[i] = g.standard_normal((m, d))
+            y[rows] = mu + np.sqrt(var) * g.standard_normal((NOISE_BLOCK, d))[:k]
+        noise[rows] = _block_normals(g, m, d, rows)
         if spec.z_mode == "independent_brownian":
-            znoise[i] = g.standard_normal((m, d))
+            znoise[rows] = _block_normals(g, m, d, rows)
+    if variant == "adapted":
+        for i in range(n):
+            y[i] = spec.y0_fn(states[i, 0])
     if variant == "filtering":
         mean, pvar = np.full(n, mu), float(var)
         s2 = float(sigma[0, 0] ** 2)
@@ -198,8 +213,8 @@ def _assert_time_major_equal(ens, ref):
         assert np.array_equal(got, want)
 
 
-def _normal_start(rng):
-    return rng.standard_normal(2)
+def _normal_start(rng, size):
+    return rng.standard_normal((size, 2))
 
 
 def _prefix_drift(j, prefix):
@@ -216,10 +231,10 @@ def _state_diffusion(j, prefix):
                                        _state_diffusion],
                          ids=["identity", "constant", "callable"])
 def test_time_major_records_match_reference(threads, diffusion):
-    # spans full staging buffers and a partial one; at threads 3 the ranges
-    # start inside buffers
+    # spans full noise blocks and a partial one; at threads 3 the ranges
+    # start inside blocks
     g = TimeGrid(6)
-    n = 3 * PATH_STAGE + 7
+    n = 3 * NOISE_BLOCK + 7
     model = SemimartingaleModel(name="tm", dim=2, initial_sampler=_normal_start,
                                 drift=_prefix_drift, diffusion_factor=diffusion)
     ens = simulate(model, g, n, seed=31, threads=threads)
@@ -231,7 +246,7 @@ def test_time_major_records_match_reference(threads, diffusion):
                                             ("filtering", "independent_brownian")])
 def test_time_major_fbsde_records_match_reference(variant, z_mode):
     g = TimeGrid(7)
-    n = 2 * PATH_STAGE + 3
+    n = 2 * NOISE_BLOCK + 3
     if variant == "adapted":
         spec = FbsdeSpec(dim=2, grad_potential=lambda t, x: 0.5 * x,
                          y0_fn=lambda x0: -0.5 * x0, sigma=np.array([[1.0, 0.3], [0.0, 0.8]]),
@@ -239,7 +254,7 @@ def test_time_major_fbsde_records_match_reference(variant, z_mode):
     else:
         spec = FbsdeSpec(dim=1, grad_potential=lambda t, x: x, y0_gaussian=(0.2, 1.5),
                          curvature=1.0, z_mode=z_mode,
-                         initial_sampler=lambda rng: rng.standard_normal(1))
+                         initial_sampler=lambda rng, size: rng.standard_normal((size, 1)))
     ens = fbsde_simulate(spec, g, n, seed=32).ensemble
     assert ens.label == f"fbsde_{variant}"
     _assert_time_major_equal(ens, _reference_fbsde(spec, g, n, 32, variant))

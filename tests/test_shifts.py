@@ -216,7 +216,12 @@ def test_stop_truncate_contraction_and_equality(grid192, bm192):
     triggered = stops < grid192.m
     assert triggered.any() and (~triggered).any()
     assert np.allclose(out[~triggered], norms[~triggered], rtol=0, atol=1e-15)
-    assert np.all(out[triggered] < norms[triggered])
+    # a stop at step m-1 recentres the last derivative to -h_{m-1}/dt, which
+    # is the original one for an endpoint-zero shift: only earlier stops
+    # contract strictly
+    last = stops == grid192.m - 1
+    assert np.all(out[triggered & ~last] < norms[triggered & ~last])
+    assert np.all(out[last] == norms[last])
     # |k[u]|_W <= 2 |pi_tau u|_W
     stopped_sup = np.array([
         np.max(np.sqrt(np.sum(u.h[i, : stops[i] + 1] ** 2, axis=-1)))
@@ -246,6 +251,21 @@ def test_stop_truncate_hand_built_path():
     expected = np.array([2.0, 2.0, -u_tau / (1 - tau), -u_tau / (1 - tau)])
     assert np.allclose(k.hdot[0, :, 0], expected, atol=1e-14)
     assert abs(k.terminal()[0, 0]) < 1e-15
+
+
+def test_stop_truncate_at_last_step_keeps_the_shift():
+    # 4-step endpoint-zero shift with dyadic values; running norms 0, 1/16,
+    # 1/8, 3/16, 3/4, so level^2 = 0.15 trips at step m-1 = 3 and the
+    # recentring value -h_3/dt = -1.5 is the last derivative itself
+    g = TimeGrid(4)
+    from actionlab.paths import PathEnsemble
+    ens = PathEnsemble(grid=g, states=np.zeros((1, 5, 1)), drifts=np.zeros((1, 4, 1)),
+                       diffusions=np.broadcast_to(np.eye(1), (1, 4, 1, 1)), seed=0)
+    u = MaterializedShift(hdot=np.array([[[0.5], [0.5], [0.5], [-1.5]]]), ensemble=ens)
+    assert stop_steps_for(u, np.sqrt(0.15))[0] == g.m - 1
+    k = stop_truncate(u, np.sqrt(0.15))
+    assert np.array_equal(k.hdot, u.hdot)
+    assert h_norm_sq(k)[0] == h_norm_sq(u)[0] == 0.75
 
 
 def test_stop_truncate_rejects_non_endpoint_zero(grid192, bm192):
