@@ -19,7 +19,7 @@ import numpy as np
 from numpy.random import Generator
 
 from .paths import (NOISE_BLOCK, PathEnsemble, SemimartingaleModel, TimeGrid, _freeze,
-                    _records, path_streams)
+                    _records, path_streams, run_ranges)
 
 __all__ = [
     "BridgeProblem",
@@ -322,11 +322,17 @@ class FbsdeResult:
 
 
 def fbsde_simulate(spec: FbsdeSpec, grid: TimeGrid, n_paths: int,
-                   seed: int) -> FbsdeResult:
+                   seed: int, threads: Optional[int] = None) -> FbsdeResult:
     """Coupled Euler scheme for the forward-backward system.
 
     The spec sets the variant: ``y0_fn`` alone means adapted, ``y0_gaussian``
-    alone means filtering.  The ensemble is labelled ``fbsde_<variant>``.
+    alone means filtering.  Initial points, filtering ``Y_0`` draws and noise
+    records come from the streams of :func:`~actionlab.paths.simulate`, drawn
+    on the same block-aligned ranges (one per usable CPU unless ``threads``
+    says how many), so ``initial_sampler`` and ``y0_fn`` run concurrently on
+    disjoint ranges; the Euler steps then run in one pass over all paths.
+    The result is bit-identical for any split.  The ensemble is labelled
+    ``fbsde_<variant>``.
     """
     if (spec.y0_fn is None) == (spec.y0_gaussian is None):
         raise UnsupportedSpecError(
@@ -352,17 +358,21 @@ def fbsde_simulate(spec: FbsdeSpec, grid: TimeGrid, n_paths: int,
     znoise = _records(n, m, d) if spec.z_mode == "independent_brownian" else None
     noise = [drifts] if znoise is None else [drifts, znoise]
     y0 = np.empty((n, d))
-    for g, paths, cols in path_streams(seed, 0, n, noise):
-        if spec.initial_sampler is not None:
-            x0 = np.asarray(spec.initial_sampler(g, NOISE_BLOCK), dtype=np.float64)
-            states[paths, 0] = x0[cols]
-        else:
-            states[paths, 0] = 0.0
-        if variant == "filtering":
-            mu, var = spec.y0_gaussian
-            y0[paths] = (mu + np.sqrt(var) * g.standard_normal((NOISE_BLOCK, d)))[cols]
-        else:
-            y0[paths] = [spec.y0_fn(x) for x in states[paths, 0]]
+
+    def draw(lo, hi):
+        for g, paths, cols in path_streams(seed, lo, hi, noise):
+            if spec.initial_sampler is not None:
+                x0 = np.asarray(spec.initial_sampler(g, NOISE_BLOCK), dtype=np.float64)
+                states[paths, 0] = x0[cols]
+            else:
+                states[paths, 0] = 0.0
+            if variant == "filtering":
+                mu, var = spec.y0_gaussian
+                y0[paths] = (mu + np.sqrt(var) * g.standard_normal((NOISE_BLOCK, d)))[cols]
+            else:
+                y0[paths] = [spec.y0_fn(x) for x in states[paths, 0]]
+
+    run_ranges(draw, n, threads)
 
     y = y0.copy()
     post_var = None

@@ -1,8 +1,10 @@
 """Named registries of laws, Lagrangians, shifts, maps, potentials and
 symmetry families, shared by the CLI and the test suite.
 
-Law builders have signature ``build(grid, n_paths, seed, threads=1, **params)``
-and return a :class:`~actionlab.paths.PathEnsemble`.  Everything else is a
+Law builders have signature ``build(grid, n_paths, seed, threads=None, **params)``
+and return a :class:`~actionlab.paths.PathEnsemble`; ``threads`` sets how
+many path ranges are simulated at once (one per usable CPU when ``None``)
+and never changes a bit of the result.  Everything else is a
 factory taking keyword parameters.  Unknown names raise ``KeyError`` with the
 list of valid entries, so configuration mistakes surface immediately.
 """
@@ -10,7 +12,7 @@ list of valid entries, so configuration mistakes surface immediately.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional
 
 import numpy as np
 from numpy.random import Generator
@@ -178,7 +180,7 @@ LAGRANGIANS: Dict[str, Callable[..., Lagrangian]] = {
 
 # -- laws -----------------------------------------------------------------------
 
-def _law_brownian(grid, n_paths, seed, threads=1, dim=1, x0=0.0):
+def _law_brownian(grid, n_paths, seed, threads=None, dim=1, x0=0.0):
     model = SemimartingaleModel(
         name="brownian", dim=dim,
         initial_sampler=point_sampler(np.full(dim, x0)),
@@ -187,7 +189,7 @@ def _law_brownian(grid, n_paths, seed, threads=1, dim=1, x0=0.0):
     return simulate(model, grid, n_paths, seed, threads=threads)
 
 
-def _law_brownian_drift_t(grid, n_paths, seed, threads=1, dim=1):
+def _law_brownian_drift_t(grid, n_paths, seed, threads=None, dim=1):
     dt = grid.dt
 
     def drift(j, prefix):
@@ -201,7 +203,7 @@ def _law_brownian_drift_t(grid, n_paths, seed, threads=1, dim=1):
     return simulate(model, grid, n_paths, seed, threads=threads)
 
 
-def _law_ornstein_uhlenbeck(grid, n_paths, seed, threads=1, dim=1, rate=1.0, x0=0.0):
+def _law_ornstein_uhlenbeck(grid, n_paths, seed, threads=None, dim=1, rate=1.0, x0=0.0):
     def drift(j, prefix):
         return -rate * prefix[:, j]
 
@@ -211,7 +213,7 @@ def _law_ornstein_uhlenbeck(grid, n_paths, seed, threads=1, dim=1, rate=1.0, x0=
     return simulate(model, grid, n_paths, seed, threads=threads)
 
 
-def _law_pinned_brownian(grid, n_paths, seed, threads=1, dim=1, x0=0.0, y=1.0):
+def _law_pinned_brownian(grid, n_paths, seed, threads=None, dim=1, x0=0.0, y=1.0):
     dt = grid.dt
     target = np.full(dim, y, dtype=np.float64)
 
@@ -237,7 +239,7 @@ def _squared_increment_drift(x, x_anchor, t):
     return 2.0 * d / (1.0 - t + d * d)
 
 
-def _law_squared_increment(grid, n_paths, seed, threads=1, anchor=0.5):
+def _law_squared_increment(grid, n_paths, seed, threads=None, anchor=0.5):
     """Law absolutely continuous w.r.t. the Wiener measure with density
     proportional to the squared increment after the anchor time, realized as
     its non-Markovian SDE."""
@@ -256,7 +258,7 @@ def _law_squared_increment(grid, n_paths, seed, threads=1, anchor=0.5):
     return simulate(model, grid, n_paths, seed, threads=threads)
 
 
-def _law_squared_increment_weighted(grid, n_paths, seed, threads=1, anchor=0.5):
+def _law_squared_increment_weighted(grid, n_paths, seed, threads=None, anchor=0.5):
     """Same law represented by density weights on Wiener paths, with the drift
     records evaluated from the closed-form drift along those paths.  The
     base's all-zero drift record is dropped before this one is allocated, so
@@ -277,7 +279,7 @@ def _law_squared_increment_weighted(grid, n_paths, seed, threads=1, anchor=0.5):
                    label="squared_increment_weighted")
 
 
-def sinkhorn_bridge_law(grid, n_paths, seed, threads=1, final="gaussian",
+def sinkhorn_bridge_law(grid, n_paths, seed, threads=None, final="gaussian",
                         final_mean=0.0, final_var=2.0, initial_at=0.0,
                         x_min=-6.0, x_max=6.0, n_cells=481, tol=1e-9,
                         max_iter=10_000):
@@ -340,24 +342,24 @@ def oscillator_spec(variant: str, dim=1, curvature=1.0, potential="quadratic",
     return spec
 
 
-def _law_oscillator_adapted(grid, n_paths, seed, threads=1, **params):
+def _law_oscillator_adapted(grid, n_paths, seed, threads=None, **params):
     return _bridge.fbsde_simulate(oscillator_spec("adapted", **params), grid,
-                                  n_paths, seed).ensemble
+                                  n_paths, seed, threads=threads).ensemble
 
 
-def _law_oscillator_filtering(grid, n_paths, seed, threads=1, x0=0.0, **params):
+def _law_oscillator_filtering(grid, n_paths, seed, threads=None, x0=0.0, **params):
     return _bridge.fbsde_simulate(oscillator_spec("filtering", x0=x0, **params),
-                                  grid, n_paths, seed).ensemble
+                                  grid, n_paths, seed, threads=threads).ensemble
 
 
-def _law_classical_oscillator(grid, n_paths, seed, threads=1):
+def _law_classical_oscillator(grid, n_paths, seed, threads=None):
     """Deterministic harmonic oscillator (zero diffusion): the classical
     Euler-Lagrange solution embedded as a point law."""
     return _law_oscillator_adapted(grid, n_paths, seed, threads=threads, dim=1,
                                    x0=0.0, y0=1.0, sigma_scale=0.0)
 
 
-def _law_taylor_green(grid, n_paths, seed, threads=1):
+def _law_taylor_green(grid, n_paths, seed, threads=None):
     model = _bridge.taylor_green_model(grid)
     return simulate(model, grid, n_paths, seed, threads=threads)
 
@@ -369,12 +371,13 @@ LAWS: Dict[str, Callable[..., PathEnsemble]] = {
     "pinned_brownian": _law_pinned_brownian,
     "squared_increment": _law_squared_increment,
     "squared_increment_weighted": _law_squared_increment_weighted,
-    "sinkhorn_bridge": lambda grid, n, seed, threads=1, **kw: sinkhorn_bridge_law(
+    "sinkhorn_bridge": lambda grid, n, seed, threads=None, **kw: sinkhorn_bridge_law(
         grid, n, seed, threads=threads, **kw)[0],
     "oscillator_adapted": _law_oscillator_adapted,
-    "oscillator_nonradial": lambda grid, n, seed, threads=1, **kw: _law_oscillator_adapted(
-        grid, n, seed, threads=threads, dim=2, potential="x1_squared",
-        x0=kw.pop("x0", (1.0, 0.0)), y0=kw.pop("y0", 0.0), **kw),
+    "oscillator_nonradial": lambda grid, n, seed, threads=None, **kw: (
+        _law_oscillator_adapted(grid, n, seed, threads=threads, dim=2,
+                                potential="x1_squared", x0=kw.pop("x0", (1.0, 0.0)),
+                                y0=kw.pop("y0", 0.0), **kw)),
     "oscillator_filtering": _law_oscillator_filtering,
     "classical_oscillator": _law_classical_oscillator,
     "taylor_green": _law_taylor_green,
@@ -646,7 +649,7 @@ def get_law(name: str) -> Callable:
 
 
 def build_law(name: str, grid: TimeGrid, n_paths: int, seed: int,
-              threads: int = 1, **params) -> PathEnsemble:
+              threads: Optional[int] = None, **params) -> PathEnsemble:
     return get_law(name)(grid, n_paths, seed, threads=threads, **params)
 
 

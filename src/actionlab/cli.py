@@ -30,7 +30,7 @@ import numpy as np
 
 from . import bridge as bridge_mod
 from . import catalog, diagnostics, reporting
-from .lagrangians import action, el_process
+from .lagrangians import action, el_constancy_defect
 from .paths import (TimeGrid, adaptedness_probe, export_paths_csv,
                     summarize_terminal)
 from .shifts import (MaterializedShift, delay_pn, endpoint_rn, h_norm_sq,
@@ -280,14 +280,13 @@ def run_fbsde(cfg, grid, n, seed, threshold, probes):
     lag = _lagrangian(cfg, default="kinetic_quadratic")
     if variant == "adapted":
         tol = float(s.get("constancy_tol", 1e-3))
-        nproc = el_process(ens, lag)
-        name, gap = "el_constancy_defect", nproc - nproc[:, :1]
+        name, defect = "el_constancy_defect", el_constancy_defect(ens, lag)
     else:
         tol = float(s.get("riccati_tol", 1e-8))
         v0 = float(spec.y0_gaussian[1])
         oracle = v0 / (1.0 + v0 * grid.times[:-1])
-        name, gap = "riccati_defect", result.posterior_var - oracle
-    defect = float(np.max(np.abs(gap)))
+        name = "riccati_defect"
+        defect = float(np.max(np.abs(result.posterior_var - oracle)))
     rows, stats = [(name, defect, tol)], [threshold * defect / tol]
     report = None
     if float(np.max(np.abs(ens.diffusions))) > 0 and n >= diagnostics.MIN_PATHS:

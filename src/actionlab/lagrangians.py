@@ -21,6 +21,7 @@ __all__ = [
     "action",
     "path_actions",
     "el_process",
+    "el_constancy_defect",
     "grad_check",
     "GradCheckReport",
 ]
@@ -77,6 +78,30 @@ def action(ensemble: PathEnsemble, lagrangian: Lagrangian,
                           m=ensemble.grid.m)
 
 
+def _el_columns(ensemble: PathEnsemble, lagrangian: Lagrangian, steps):
+    """Validate ``steps`` and yield ``(column, N_j)`` for each of them in time
+    order, where ``column`` is the step's place in ``steps`` and
+    ``N_j = grad_v L(t_j) - sum_{k<j} grad_x L(t_k) dt`` is an [n, d] array.
+    ``grad_v`` is evaluated only at those steps and ``grad_x`` only before the
+    last one."""
+    grid = ensemble.grid
+    n, m, d = ensemble.drifts.shape
+    column = {j: c for c, j in enumerate(steps)}
+    if len(column) != len(steps) or not all(0 <= j < m for j in column):
+        raise ValueError("steps must be distinct step indices in [0, m)")
+    last = max(column, default=-1)
+    cum = np.zeros((n, d))
+    for j in range(last + 1):
+        t = j * grid.dt
+        x, v = ensemble.states[:, j], ensemble.drifts[:, j]
+        a = ensemble.alpha(j)
+        if j in column:
+            yield column[j], (np.asarray(lagrangian.grad_v(t, x, v, a), dtype=np.float64)
+                              - cum)
+        if j < last:
+            cum = cum + np.asarray(lagrangian.grad_x(t, x, v, a), dtype=np.float64) * grid.dt
+
+
 def el_process(ensemble: PathEnsemble, lagrangian: Lagrangian,
                steps: Optional[Sequence[int]] = None) -> np.ndarray:
     """Sampled process N_j = grad_v L(t_j) - sum_{k<j} grad_x L(t_k) dt, [n, m, d].
@@ -87,25 +112,23 @@ def el_process(ensemble: PathEnsemble, lagrangian: Lagrangian,
     equals ``el_process(ensemble, lagrangian)[:, steps]``: ``grad_v`` is
     evaluated only at those steps and ``grad_x`` only before the last one.
     """
-    grid = ensemble.grid
     n, m, d = ensemble.drifts.shape
     steps = range(m) if steps is None else [int(j) for j in steps]
-    column = {j: c for c, j in enumerate(steps)}
-    if len(column) != len(steps) or not all(0 <= j < m for j in column):
-        raise ValueError("steps must be distinct step indices in [0, m)")
-    last = max(column, default=-1)
     out = np.empty((n, len(steps), d))
-    cum = np.zeros((n, d))
-    for j in range(last + 1):
-        t = j * grid.dt
-        x, v = ensemble.states[:, j], ensemble.drifts[:, j]
-        a = ensemble.alpha(j)
-        if j in column:
-            out[:, column[j]] = (np.asarray(lagrangian.grad_v(t, x, v, a), dtype=np.float64)
-                                 - cum)
-        if j < last:
-            cum = cum + np.asarray(lagrangian.grad_x(t, x, v, a), dtype=np.float64) * grid.dt
+    for c, col in _el_columns(ensemble, lagrangian, steps):
+        out[:, c] = col
     return out
+
+
+def el_constancy_defect(ensemble: PathEnsemble, lagrangian: Lagrangian) -> float:
+    """``max |N_j - N_0|`` over paths, steps and coordinates of
+    :func:`el_process`, streamed one step at a time: it holds [n, d] arrays,
+    never an [n, m, d] record.  Zero for a law whose N is constant in time."""
+    n0, worst = None, []
+    for _, nj in _el_columns(ensemble, lagrangian, range(ensemble.drifts.shape[1])):
+        n0 = nj if n0 is None else n0
+        worst.append(np.max(np.abs(nj - n0)))
+    return float(np.max(worst))
 
 
 @dataclass(frozen=True)

@@ -14,19 +14,21 @@ Randomness is counter-based and splittable: block ``b`` of
 ``[seed mod 2**64, b]`` from counter zero, first its initial points in one
 call, then its whole ``[m, NOISE_BLOCK, d]`` normals per record, also for
 paths past ``n``.  So path ``i``'s noise depends on neither ``n`` nor the
-split of the path axis among worker threads.  This module alone decides how
-records are stored: time-major and indexed ``[n, m, d]``, so per-step reads
-``states[:, j]`` are contiguous; a hand-built path-major ensemble works the
-same, only more slowly.
+split of the path axis among worker threads, whose ranges start on block
+boundaries, one range per usable CPU by default.  This module alone decides
+how records are stored: time-major and indexed ``[n, m, d]``, so per-step
+reads ``states[:, j]`` are contiguous; a hand-built path-major ensemble works
+the same, only more slowly.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -213,16 +215,47 @@ def _freeze(*records: np.ndarray) -> None:
             rec.base.setflags(write=False)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def run_ranges(fn: Callable[[int, int], object], n: int,
+               threads: Optional[int] = None) -> List:
+    """Call ``fn(lo, hi)`` on consecutive ranges of the ``n`` paths and return
+    the results in path order.
+
+    Every range starts on a :data:`NOISE_BLOCK` boundary.  There are
+    ``threads`` ranges, one per usable CPU when it is ``None``, and never more
+    than there are blocks: no block is drawn in two ranges, and a one-block
+    run stays on the calling thread.  The first range always runs on the
+    calling thread and the others on a pool of one thread fewer than there
+    are ranges, which spares a thread and its allocator arena per call.
+    """
+    blocks = -(-n // NOISE_BLOCK)
+    k = max(1, min(_usable_cpus() if threads is None else threads, blocks))
+    if k == 1:
+        return [fn(0, n)]
+    edges = [min(i * blocks // k * NOISE_BLOCK, n) for i in range(k + 1)]
+    with ThreadPoolExecutor(max_workers=k - 1) as ex:
+        rest = [ex.submit(fn, lo, hi) for lo, hi in zip(edges[1:-1], edges[2:])]
+        first = fn(edges[0], edges[1])
+        return [first] + [f.result() for f in rest]
+
+
 def path_streams(seed: int, lo: int, hi: int, records):
     """Yield ``(generator, paths, cols)`` once per block of :data:`NOISE_BLOCK`
-    paths that overlaps ``lo .. hi-1``: ``paths`` slices the block's paths in
-    that range and ``cols`` the same paths within the block.  Then draw the
+    paths in ``lo .. hi-1``, where ``lo`` is a block boundary (as every range
+    of :func:`run_ranges` is): ``paths`` slices the block's paths below
+    ``hi`` and ``cols`` the same paths within the block.  Then draw the
     block's ``[m, NOISE_BLOCK, d]`` normals for each ``[n, m, d]`` record, in
     order, and copy the ``cols`` columns into the record's ``paths``.
 
     Block ``b`` draws from Philox4x64-10 keyed by ``[seed mod 2**64, b]`` from
-    counter zero.  A range that starts inside a block draws the whole block
-    again and keeps only its own paths.
+    counter zero.
     """
     # An explicit uint64 key: numpy converts a list holding a word >= 2**63
     # through float64, which rounds it and collides distinct seeds.
@@ -233,19 +266,31 @@ def path_streams(seed: int, lo: int, hi: int, records):
         key[1] = b
         gen = Generator(Philox(key=key))
         first = b * NOISE_BLOCK
-        paths = slice(max(lo, first), min(hi, first + NOISE_BLOCK))
-        cols = slice(paths.start - first, paths.stop - first)
+        paths = slice(first, min(hi, first + NOISE_BLOCK))
+        cols = slice(0, paths.stop - first)
         yield gen, paths, cols
         for rec in records:
             gen.standard_normal(out=stage)
             rec[paths] = stage[:, cols].transpose(1, 0, 2)
 
 
+# What a failing step evaluated; a drift failure ranks before a diffusion
+# failure at the same step, because one range checks the drift first.
+_FAILED = ("drift", "diffusion")
+
+
+def _first_bad_path(values: np.ndarray) -> int:
+    """Index of the first row of ``values`` with a non-finite entry."""
+    return int(np.argmin(np.isfinite(values).reshape(len(values), -1).all(axis=1)))
+
+
 def _simulate_range(model, grid, seed, states, drifts, diffusions, lo, hi):
     """Initial points, normals and Euler steps of paths ``lo .. hi-1``.
 
     Step ``j`` reads its normals from ``drifts[:, j]`` before it writes the
-    drift there, so the drift records double as the noise buffer.
+    drift there, so the drift records double as the noise buffer.  Returns
+    ``None``, or ``(step, kind, path)`` of the range's first non-finite
+    coefficient (``kind`` indexes :data:`_FAILED`), where the walk stops.
     """
     d = states.shape[2]
     for g, paths, cols in path_streams(seed, lo, hi, [drifts]):
@@ -261,9 +306,7 @@ def _simulate_range(model, grid, seed, states, drifts, diffusions, lo, hi):
         v = np.asarray(model.drift(j, prefix), dtype=np.float64)
         v = np.broadcast_to(v, (n, d))
         if not np.isfinite(v).all():
-            i = lo + int(np.argwhere(~np.isfinite(v).all(axis=1))[0, 0])
-            raise SimulationError(
-                f"model '{model.name}': non-finite drift at step {j}, path {i}")
+            return j, 0, lo + _first_bad_path(v)
         db = drifts[:, j] * sqdt
         drifts[:, j] = v
         if diff is None:
@@ -274,25 +317,30 @@ def _simulate_range(model, grid, seed, states, drifts, diffusions, lo, hi):
             s = np.asarray(diff(j, prefix), dtype=np.float64)
             s = np.broadcast_to(s, (n, d, d))
             if not np.isfinite(s).all():
-                raise SimulationError(
-                    f"model '{model.name}': non-finite diffusion at step {j}")
+                return j, 1, lo + _first_bad_path(s)
             diffusions[:, j] = s
             inc = np.einsum("nij,nj->ni", s, db)
         states[:, j + 1] = states[:, j] + v * dt + inc
+    return None
 
 
 def simulate(model: SemimartingaleModel, grid: TimeGrid, n_paths: int,
-             seed: int, threads: int = 1, t_max: float = 1.0) -> PathEnsemble:
+             seed: int, threads: Optional[int] = None,
+             t_max: float = 1.0) -> PathEnsemble:
     """Euler-Maruyama simulation of ``n_paths`` paths of ``model``.
 
     Increments for path ``i`` come from the counter-based stream keyed by
-    ``(seed, i // NOISE_BLOCK)``; the result is bit-identical for any
-    ``threads``.  Each of the ``threads`` path ranges is walked in one pass:
-    its streams are drawn, then its Euler steps run, so ``drift`` and a
-    callable ``diffusion_factor`` see the whole range per call.  States and
-    drifts are stored time-major and returned as ``[n, m, d]`` views; the
-    drift records double as the noise buffer.  The ensemble is labelled with
-    the model's name.
+    ``(seed, i // NOISE_BLOCK)``.  The path axis is split by
+    :func:`run_ranges` into block-aligned ranges, one per usable CPU unless
+    ``threads`` says how many, and the result is bit-identical for any split.
+    Each range is walked in one pass: its streams are drawn, then its Euler
+    steps run, so ``drift``, a callable ``diffusion_factor`` and
+    ``initial_sampler`` see the whole range per call and run concurrently on
+    disjoint ranges.  A non-finite coefficient raises
+    :class:`SimulationError` naming the first failing step, and within it the
+    first failing path, whatever the split.  States and drifts are stored
+    time-major and returned as ``[n, m, d]`` views; the drift records double
+    as the noise buffer.  The ensemble is labelled with the model's name.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -307,15 +355,14 @@ def simulate(model: SemimartingaleModel, grid: TimeGrid, n_paths: int,
     else:
         diffusions = np.empty((n, m, d, d))
 
-    bounds = [(k * n // max(threads, 1), (k + 1) * n // max(threads, 1))
-              for k in range(max(threads, 1))]
-    bounds = [(lo, hi) for lo, hi in bounds if hi > lo]
-    if len(bounds) <= 1:
-        _simulate_range(model, grid, seed, states, drifts, diffusions, 0, n)
-    else:
-        with ThreadPoolExecutor(max_workers=len(bounds)) as ex:
-            list(ex.map(lambda b: _simulate_range(
-                model, grid, seed, states, drifts, diffusions, *b), bounds))
+    def walk(lo, hi):
+        return _simulate_range(model, grid, seed, states, drifts, diffusions, lo, hi)
+
+    failed = [f for f in run_ranges(walk, n, threads) if f is not None]
+    if failed:
+        j, kind, i = min(failed)
+        raise SimulationError(
+            f"model '{model.name}': non-finite {_FAILED[kind]} at step {j}, path {i}")
 
     _freeze(states, drifts)
     if diffusions.flags.writeable:

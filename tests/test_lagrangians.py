@@ -3,7 +3,8 @@ import pytest
 from scipy import integrate, special
 
 from actionlab import TimeGrid, action, catalog, el_process, grad_check, path_actions
-from conftest import deterministic_law
+from actionlab.lagrangians import el_constancy_defect
+from conftest import deterministic_law, traced_peak
 
 
 def test_action_brownian_kinetic_exact_zero(bm_small):
@@ -137,3 +138,19 @@ def test_el_process_at_steps_equals_full_columns(grid200, law, law_kw, lag, lag_
     for bad in ([5, 5], [-1], [200]):
         with pytest.raises(ValueError, match="distinct step indices"):
             el_process(ens, lagrangian, bad)
+
+
+@pytest.mark.parametrize("lag, defect_is_zero", [("kinetic_quadratic", True),
+                                                 ("kinetic", False)])
+def test_el_constancy_defect_streams_el_process(lag, defect_is_zero):
+    # the fbsde runner's defect: max |N_j - N_0| with the bits of the full
+    # el_process difference, while holding well under one [n, m, d] record
+    g, n = TimeGrid(200), 4000
+    ens = catalog.build_law("oscillator_adapted", g, n, seed=23)
+    lagrangian = catalog.get_lagrangian(lag)
+    full = el_process(ens, lagrangian)
+    expected = float(np.max(np.abs(full - full[:, :1])))
+    defect, peak = traced_peak(el_constancy_defect, ens, lagrangian)
+    assert defect == expected
+    assert (defect < 1e-9) == defect_is_zero
+    assert peak < full.nbytes / 8, peak / full.nbytes

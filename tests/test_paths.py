@@ -6,6 +6,7 @@ from actionlab import (RankDeficiencyError, SimulationError,
                        TimeGrid, adaptedness_probe, catalog,
                        estimate_characteristics, simulate)
 from actionlab.bridge import FbsdeSpec, fbsde_simulate
+from actionlab import paths
 from actionlab.paths import NOISE_BLOCK, SemimartingaleModel, export_paths_csv
 from actionlab.catalog import make_state_features, make_test_feature_map, point_sampler
 from conftest import traced_peak
@@ -108,8 +109,8 @@ def test_negative_seed_has_its_own_stream():
 
 
 def test_range_and_stage_edges_are_invisible():
-    # n spans three full noise blocks and a partial one, and the three
-    # thread ranges start inside blocks; neither kind of edge may show
+    # n spans three full noise blocks and a partial one, split into three
+    # block-aligned thread ranges; neither kind of edge may show
     g = TimeGrid(8)
     n = 3 * NOISE_BLOCK + 7
     a = catalog.build_law("pinned_brownian", g, n, seed=21)
@@ -119,6 +120,108 @@ def test_range_and_stage_edges_are_invisible():
     head = catalog.build_law("pinned_brownian", g, NOISE_BLOCK + 3, seed=21)
     assert np.array_equal(head.states, a.states[:NOISE_BLOCK + 3])
     assert np.array_equal(head.drifts, a.drifts[:NOISE_BLOCK + 3])
+
+
+class _PoolSpy(paths.ThreadPoolExecutor):
+    """The pool ``run_ranges`` uses, recording each pool's worker count."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+        super().__init__(max_workers=max_workers)
+
+
+@pytest.fixture
+def three_cpus(monkeypatch):
+    # three usable CPUs on any host, and a record of the pools run_ranges opens
+    monkeypatch.setattr(paths, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(_PoolSpy, "sizes", [])
+    monkeypatch.setattr(paths, "ThreadPoolExecutor", _PoolSpy)
+    return _PoolSpy.sizes
+
+
+@pytest.mark.parametrize("law", sorted(catalog.LAWS))
+def test_every_law_is_bit_identical_across_splits(law, three_cpus):
+    # three full noise blocks and a partial one: the default split makes one
+    # range per usable CPU, three here, and no bit may move against one range
+    g, n = TimeGrid(8), 3 * NOISE_BLOCK + 7
+    one = catalog.build_law(law, g, n, seed=41, threads=1)
+    assert three_cpus == []
+    split = catalog.build_law(law, g, n, seed=41)
+    # the calling thread walks the first range, a pool of two the others
+    assert three_cpus and set(three_cpus) == {2}
+    for field in ("states", "drifts", "diffusions"):
+        assert np.array_equal(getattr(one, field), getattr(split, field)), field
+    assert (one.weights is None) == (split.weights is None)
+    if one.weights is not None:
+        assert np.array_equal(one.weights, split.weights)
+
+
+@pytest.mark.parametrize("n", [1, NOISE_BLOCK, 2 * NOISE_BLOCK + 1, 3 * NOISE_BLOCK + 7,
+                               9 * NOISE_BLOCK])
+def test_each_noise_block_is_drawn_once(n, three_cpus, monkeypatch):
+    keys = []
+
+    def philox(key):
+        keys.append(int(key[1]))
+        return Philox(key=key)
+
+    monkeypatch.setattr(paths, "Philox", philox)
+    catalog.build_law("ornstein_uhlenbeck", TimeGrid(4), n, seed=3)
+    blocks = -(-n // NOISE_BLOCK)
+    assert sorted(keys) == list(range(blocks))
+    # one range per CPU, capped at the block count; the calling thread walks
+    # the first, so one block needs no pool
+    assert three_cpus == ([] if blocks == 1 else [min(3, blocks) - 1])
+
+
+def _nan_model(drift_fails=(), diffusion_fails=()):
+    """A 1-d model whose drift, and whose diffusion factor, is NaN on path
+    ``i`` from step ``j`` on, for each ``(j, i)`` of the two lists; a path is
+    recognised by its initial point, drawn uniform.  n = 1000, m = 12."""
+    g, n = TimeGrid(12), 1000
+    sampler = lambda gen, size: gen.random((size, 1))
+    probe = SemimartingaleModel(name="probe", dim=1, initial_sampler=sampler,
+                                drift=lambda j, p: np.zeros((len(p), 1)))
+    x0 = simulate(probe, g, n, seed=5, threads=1).states[:, 0, 0]
+
+    def nan_where(fails, value):
+        marks = [(j, x0[i]) for j, i in fails]
+
+        def coefficient(j, prefix):
+            bad = np.zeros(len(prefix), dtype=bool)
+            for j_bad, x in marks:
+                bad |= (prefix[:, 0, 0] == x) & (j >= j_bad)
+            return np.where(bad, np.nan, value).reshape(len(prefix), *[1] * value.ndim)
+
+        return coefficient
+
+    model = SemimartingaleModel(
+        name="nan", dim=1, initial_sampler=sampler,
+        drift=nan_where(drift_fails, np.zeros(1)),
+        diffusion_factor=nan_where(diffusion_fails, np.ones((1, 1))))
+    return model, g, n
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("what", ["drift", "diffusion"])
+def test_simulation_error_names_first_failing_step(threads, what):
+    # the later path fails first in time; every split names the same
+    # (step, path), the one a single range meets first
+    model, g, n = _nan_model(**{f"{what}_fails": [(10, 100), (3, 900)]})
+    with pytest.raises(SimulationError) as err:
+        simulate(model, g, n, seed=5, threads=threads)
+    assert str(err.value) == f"model 'nan': non-finite {what} at step 3, path 900"
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_drift_failure_ranks_before_diffusion_at_one_step(threads):
+    # one range checks every drift of a step before any diffusion factor
+    model, g, n = _nan_model(drift_fails=[(3, 900)], diffusion_fails=[(3, 100)])
+    with pytest.raises(SimulationError) as err:
+        simulate(model, g, n, seed=5, threads=threads)
+    assert str(err.value) == "model 'nan': non-finite drift at step 3, path 900"
 
 
 def _stream(seed, b):
@@ -231,8 +334,8 @@ def _state_diffusion(j, prefix):
                                        _state_diffusion],
                          ids=["identity", "constant", "callable"])
 def test_time_major_records_match_reference(threads, diffusion):
-    # spans full noise blocks and a partial one; at threads 3 the ranges
-    # start inside blocks
+    # spans full noise blocks and a partial one; at threads 3 the three
+    # block-aligned ranges hold one, one and two blocks
     g = TimeGrid(6)
     n = 3 * NOISE_BLOCK + 7
     model = SemimartingaleModel(name="tm", dim=2, initial_sampler=_normal_start,
