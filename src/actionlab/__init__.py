@@ -17,9 +17,8 @@ from .shifts import (AdaptedShift, MaterializedShift, materialize, h_inner,
                      stop_truncate, martingale_projection,
                      GridCompatibilityError, EndpointError)
 from .lagrangians import Lagrangian, ActionEstimate, action, path_actions, \
-    el_process, grad_check
-from .transform import SpaceTimeMap, push_shift, lift, harmonic_check, \
-    homeomorphism_defect
+    el_process
+from .transform import SpaceTimeMap, push_shift, lift, harmonic_check
 from .diagnostics import (MartingaleReport, martingale_test, el_certify,
                           averaged_el, variational_derivative,
                           drift_representation_check, NoetherFamily,

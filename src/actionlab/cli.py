@@ -210,7 +210,7 @@ def run_variational(cfg, grid, n, seed, threshold, probes):
     if "endpointize" in s:
         mat = endpoint_rn(mat, int(s["endpointize"]))
     eps = s.get("eps", (1e-2, 1e-3))
-    if isinstance(eps, float):
+    if not isinstance(eps, tuple):
         eps = (eps,)
     res = diagnostics.variational_derivative(
         ens, lag, mat, eps_list=eps,
@@ -273,12 +273,11 @@ def run_bridge(cfg, grid, n, seed, threshold, probes):
 
 def run_fbsde(cfg, grid, n, seed, threshold, probes):
     s = cfg["scenario"]
-    variant = str(s.get("variant", "adapted"))
-    spec = catalog.oscillator_spec(variant, **cfg["fbsde"])
+    spec = catalog.oscillator_spec(str(s.get("variant", "adapted")), **cfg["fbsde"])
     result = bridge_mod.fbsde_simulate(spec, grid, n, seed)
     ens = result.ensemble
     lag = _lagrangian(cfg, default="kinetic_quadratic")
-    if variant == "adapted":
+    if spec.y0_fn is not None:   # the adapted variant, as fbsde_simulate reads it
         tol = float(s.get("constancy_tol", 1e-3))
         name, defect = "el_constancy_defect", el_constancy_defect(ens, lag)
     else:

@@ -15,15 +15,17 @@ under normality).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from ._accum import weighted_mean_stderr, zscores
-from .lagrangians import Lagrangian, el_process
-from .paths import PathEnsemble
-from .shifts import EndpointError, MaterializedShift
+from .lagrangians import Lagrangian, _el_columns, el_process
+from .paths import PathEnsemble, run_ranges
+from .shifts import ENDPOINT_TOL, EndpointError, MaterializedShift
 from .transform import SpaceTimeMap
 
 __all__ = [
@@ -250,33 +252,57 @@ def variational_derivative(ensemble: PathEnsemble, lagrangian: Lagrangian,
     on ``push_shift(ensemble, shift, e)``, without the pushed ensembles.
     ``allowance`` defaults to 2/m and absorbs the left-rectangle mismatch.
 
-    The binding and ``t_max`` checks come first.  The endpoint-zero check
-    builds and keeps ``shift.h``, so it runs after xi is freed and raises
-    :class:`EndpointError` only after the formula pass: xi and h are never
-    held at once.
+    The binding, ``t_max`` and epsilon checks come first.  The paths are then
+    walked in the block-aligned ranges of :func:`~actionlab.paths.run_ranges`,
+    one per usable CPU.  Each range builds its own xi, takes the formula
+    value, frees xi and runs the step loop, where h is streamed as the
+    running sum of hdot times dt (the bits of ``shift.h``, which is never
+    built).  The endpoint-zero check reads the streamed terminal value, so
+    :class:`EndpointError` is raised after that pass.  The epsilon choice and
+    the weighted means run on the per-path values of all ranges, so the
+    result is bit-identical for any split.
     """
     if shift.ensemble is not ensemble:
         raise ValueError("shift is not bound to this ensemble")
     if not 0.0 < t_max <= 1.0:
         raise ValueError("t_max must lie in (0, 1]")
+    if not eps_list or not all(isinstance(e, Real) and 0.0 < e < math.inf
+                               for e in eps_list):
+        raise ValueError(f"eps must be finite and positive, got {list(eps_list)}")
     if allowance is None:
         allowance = 2.0 / ensemble.grid.m
+    n, m, d = ensemble.drifts.shape
     dt = ensemble.grid.dt
+    steps = ensemble.grid.steps_before(t_max)
+    formula_pp, terminal = np.empty(n), np.empty((n, d))
+    actions = {e: np.zeros(n) for eps in eps_list for e in (eps, -eps)}
 
-    xi = el_process(ensemble, lagrangian)
-    formula_pp = np.einsum("nmd,nmd->n", xi, shift.hdot) * dt
-    del xi
-    if not shift.is_endpoint_zero():
+    def walk(lo, hi):
+        ens, hdot = ensemble.path_range(lo, hi), shift.hdot[lo:hi]
+        sums = {e: total[lo:hi] for e, total in actions.items()}
+        xi = np.empty((hi - lo, m, d))
+        for j, col in _el_columns(ens, lagrangian, range(m)):
+            xi[:, j] = col
+        formula_pp[lo:hi] = np.einsum("nmd,nmd->n", xi, hdot) * dt
+        del xi
+        # h_j = (hdot_0 + ... + hdot_{j-1}) dt, summed in np.cumsum's order
+        # from -0.0, the exact additive identity
+        h, cum = np.zeros((hi - lo, d)), np.full((hi - lo, d), -0.0)
+        for j in range(m):
+            hd = hdot[:, j]
+            if j < steps:
+                t = j * dt
+                x, v, a = ens.states[:, j], ens.drifts[:, j], ens.alpha(j)
+                for e, total in sums.items():
+                    val = lagrangian.value(t, x + e * h, v + e * hd, a)
+                    total += np.asarray(val, dtype=np.float64) * dt
+            cum = cum + hd
+            h = cum * dt
+        terminal[lo:hi] = h
+
+    run_ranges(walk, n)
+    if not np.max(np.abs(terminal)) <= ENDPOINT_TOL:
         raise EndpointError("variational_derivative requires an endpoint-zero shift")
-
-    actions = {e: np.zeros(ensemble.n_paths) for eps in eps_list for e in (eps, -eps)}
-    for j in range(ensemble.grid.steps_before(t_max)):
-        t = j * dt
-        x, v, a = ensemble.states[:, j], ensemble.drifts[:, j], ensemble.alpha(j)
-        h, hdot = shift.h[:, j], shift.hdot[:, j]
-        for e, total in actions.items():
-            val = lagrangian.value(t, x + e * h, v + e * hdot, a)
-            total += np.asarray(val, dtype=np.float64) * dt
     fd_by_eps = {eps: (actions[eps] - actions[-eps]) / (2 * eps) for eps in eps_list}
     eps_sorted = sorted(fd_by_eps, reverse=True)
     if len(eps_sorted) == 1:

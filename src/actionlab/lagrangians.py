@@ -1,4 +1,4 @@
-"""Pluggable Lagrangians, the Monte Carlo action, and gradient checks.
+"""Pluggable Lagrangians, the Monte Carlo action, and the Euler-Lagrange process.
 
 A Lagrangian evaluates L(t, x, v, a) together with its gradients in x, v and
 the matrix argument a.  All callables are vectorized: x, v carry shape
@@ -13,7 +13,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ._accum import weighted_mean_stderr
-from .paths import PathEnsemble
+from .paths import PathEnsemble, run_ranges
 
 __all__ = [
     "Lagrangian",
@@ -22,17 +22,19 @@ __all__ = [
     "path_actions",
     "el_process",
     "el_constancy_defect",
-    "grad_check",
-    "GradCheckReport",
 ]
 
 
 @dataclass(frozen=True)
 class Lagrangian:
-    """L(t, x, v, a) with gradients; evaluators must be thread-safe.
+    """L(t, x, v, a) with gradients.
 
-    ``a`` may be a read-only broadcast view (``PathEnsemble.alpha`` of a
-    constant diffusion); evaluators must not write into it.
+    Evaluators must be pathwise (row ``i`` of the output reads only row ``i``
+    of the inputs) and thread-safe: :func:`path_actions` and
+    ``diagnostics.variational_derivative`` call them on ranges of the paths
+    from pool threads.  ``a`` may be a read-only broadcast view
+    (``PathEnsemble.alpha`` of a constant diffusion); evaluators must not
+    write into it.
     """
 
     name: str
@@ -56,16 +58,25 @@ class ActionEstimate:
 
 def path_actions(ensemble: PathEnsemble, lagrangian: Lagrangian,
                  t_max: float = 1.0) -> np.ndarray:
-    """Per-path left-rectangle sums of L over steps with t_j < t_max, shape [n]."""
+    """Per-path left-rectangle sums of L over steps with t_j < t_max, shape [n].
+
+    The paths are walked in the block-aligned ranges of
+    :func:`~actionlab.paths.run_ranges`, one per usable CPU; the sums are
+    bit-identical for any split.
+    """
     if not 0.0 < t_max <= 1.0:
         raise ValueError("t_max must lie in (0, 1]")
     grid = ensemble.grid
     total = np.zeros(ensemble.n_paths)
-    for j in range(grid.steps_before(t_max)):
-        t = j * grid.dt
-        val = lagrangian.value(t, ensemble.states[:, j], ensemble.drifts[:, j],
-                               ensemble.alpha(j))
-        total += np.asarray(val, dtype=np.float64) * grid.dt
+
+    def walk(lo, hi):
+        ens, out = ensemble.path_range(lo, hi), total[lo:hi]
+        for j in range(grid.steps_before(t_max)):
+            t = j * grid.dt
+            val = lagrangian.value(t, ens.states[:, j], ens.drifts[:, j], ens.alpha(j))
+            out += np.asarray(val, dtype=np.float64) * grid.dt
+
+    run_ranges(walk, ensemble.n_paths)
     return total
 
 
@@ -129,60 +140,3 @@ def el_constancy_defect(ensemble: PathEnsemble, lagrangian: Lagrangian) -> float
         n0 = nj if n0 is None else n0
         worst.append(np.max(np.abs(nj - n0)))
     return float(np.max(worst))
-
-
-@dataclass(frozen=True)
-class GradCheckReport:
-    worst_x: float
-    worst_v: float
-    worst_a: float
-    epsilon: dict
-
-    @property
-    def worst(self) -> float:
-        return max(self.worst_x, self.worst_v, self.worst_a)
-
-
-def grad_check(lagrangian: Lagrangian, sample_points: Sequence,
-               eps_list: Sequence[float] = (1e-4, 1e-5, 1e-6)) -> GradCheckReport:
-    """Compare analytic gradients with central finite differences.
-
-    ``sample_points`` is an iterable of (t, x, v, a) tuples.  For every block
-    the report carries the worst relative error at the epsilon that minimizes
-    it (the smallest stable epsilon of the list).
-    """
-    errs = {"x": {}, "v": {}, "a": {}}
-    for eps in eps_list:
-        worst = {"x": 0.0, "v": 0.0, "a": 0.0}
-        for t, x, v, a in sample_points:
-            x = np.asarray(x, dtype=np.float64)
-            v = np.asarray(v, dtype=np.float64)
-            a = np.asarray(a, dtype=np.float64)
-            d = x.shape[0]
-            gx = np.asarray(lagrangian.grad_x(t, x, v, a), dtype=np.float64)
-            gv = np.asarray(lagrangian.grad_v(t, x, v, a), dtype=np.float64)
-            ga = np.asarray(lagrangian.grad_a(t, x, v, a), dtype=np.float64)
-            for k in range(d):
-                e = np.zeros(d)
-                e[k] = eps
-                fd = (lagrangian.value(t, x + e, v, a)
-                      - lagrangian.value(t, x - e, v, a)) / (2 * eps)
-                worst["x"] = max(worst["x"], abs(fd - gx[k]) / max(1.0, abs(gx[k])))
-                fd = (lagrangian.value(t, x, v + e, a)
-                      - lagrangian.value(t, x, v - e, a)) / (2 * eps)
-                worst["v"] = max(worst["v"], abs(fd - gv[k]) / max(1.0, abs(gv[k])))
-            for i in range(d):
-                for k in range(d):
-                    em = np.zeros((d, d))
-                    em[i, k] = eps
-                    fd = (lagrangian.value(t, x, v, a + em)
-                          - lagrangian.value(t, x, v, a - em)) / (2 * eps)
-                    worst["a"] = max(worst["a"],
-                                     abs(fd - ga[i, k]) / max(1.0, abs(ga[i, k])))
-        for key in errs:
-            errs[key][eps] = worst[key]
-    best = {key: min(errs[key], key=errs[key].get) for key in errs}
-    return GradCheckReport(worst_x=errs["x"][best["x"]],
-                           worst_v=errs["v"][best["v"]],
-                           worst_a=errs["a"][best["a"]],
-                           epsilon=best)

@@ -27,7 +27,7 @@ import io
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
@@ -168,6 +168,13 @@ class PathEnsemble:
         if s.strides[0] == 0:
             return np.broadcast_to(np.einsum("nik,njk->nij", s[:1], s[:1]), s.shape)
         return np.einsum("nik,njk->nij", s, s)
+
+    def path_range(self, lo: int, hi: int) -> "PathEnsemble":
+        """Paths ``lo .. hi-1`` as an ensemble of views into these records,
+        the unit :func:`run_ranges` hands each worker thread."""
+        return replace(self, states=self.states[lo:hi], drifts=self.drifts[lo:hi],
+                       diffusions=self.diffusions[lo:hi],
+                       weights=None if self.weights is None else self.weights[lo:hi])
 
     def validate(self, n_sample: int = 64) -> None:
         """Check structural invariants on a deterministic subsample."""

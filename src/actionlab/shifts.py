@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._accum import weighted_mean_stderr
-from .paths import PathEnsemble, RankDeficiencyError
+from .paths import PathEnsemble, RankDeficiencyError, run_ranges
 
 __all__ = [
     "AdaptedShift",
@@ -58,7 +58,10 @@ class AdaptedShift:
     """A derivative field hdot(j, states) -> [n, d].
 
     Same prefix contract as model coefficients: the callable receives the
-    full states array but must only read ``states[:, :j+1, :]``.
+    full states array but must only read ``states[:, :j+1, :]``.  Like model
+    drifts and Lagrangian evaluators, :func:`materialize` calls it on ranges
+    of the paths from pool threads, so it must be pathwise (row ``i`` of the
+    output reads only row ``i`` of ``states``) and thread-safe.
     """
 
     name: str
@@ -102,14 +105,23 @@ class MaterializedShift:
 
 
 def materialize(shift: AdaptedShift, ensemble: PathEnsemble) -> MaterializedShift:
-    """Evaluate a shift's derivative along every path prefix of the ensemble."""
+    """Evaluate a shift's derivative along every path prefix of the ensemble.
+
+    The paths are walked in the block-aligned ranges of
+    :func:`~actionlab.paths.run_ranges`, one per usable CPU; ``hdot`` is
+    stored path-major and is bit-identical for any split.
+    """
     n, m, d = ensemble.n_paths, ensemble.grid.m, ensemble.dim
     hdot = np.empty((n, m, d))
-    states = ensemble.states
-    for j in range(m):
-        v = np.asarray(shift.derivative(j, states), dtype=np.float64)
-        hdot[:, j] = np.broadcast_to(v, (n, d))
-    if not np.isfinite(hdot).all():
+
+    def walk(lo, hi):
+        states, out = ensemble.states[lo:hi], hdot[lo:hi]
+        for j in range(m):
+            v = np.asarray(shift.derivative(j, states), dtype=np.float64)
+            out[:, j] = np.broadcast_to(v, (hi - lo, d))
+        return np.isfinite(out).all()
+
+    if not all(run_ranges(walk, n)):
         raise ValueError(f"shift '{shift.name}' produced non-finite derivative")
     return MaterializedShift(hdot, ensemble, shift.name)
 

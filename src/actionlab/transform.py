@@ -26,7 +26,6 @@ __all__ = [
     "lift",
     "harmonic_check",
     "HarmonicReport",
-    "homeomorphism_defect",
 ]
 
 
@@ -47,20 +46,6 @@ class SpaceTimeMap:
     hessian: Optional[Callable] = None
     dt_fn: Optional[Callable] = None
     inverse: Optional[Callable] = None
-
-
-def homeomorphism_defect(m: SpaceTimeMap, times: Sequence[float],
-                         points: np.ndarray) -> float:
-    """Max |inverse(t, map(t, x)) - x| over the sampled (t, x)."""
-    if m.inverse is None:
-        raise ValueError(f"map '{m.name}' has no inverse")
-    worst = 0.0
-    pts = np.asarray(points, dtype=np.float64)
-    for t in times:
-        y = np.asarray(m.map_fn(t, pts))
-        back = np.asarray(m.inverse(t, y))
-        worst = max(worst, float(np.max(np.abs(back - pts))))
-    return worst
 
 
 def push_shift(ensemble: PathEnsemble, shift: MaterializedShift,

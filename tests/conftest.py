@@ -3,7 +3,26 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from actionlab import TimeGrid, catalog
+from actionlab import TimeGrid, catalog, paths
+
+
+class _PoolSpy(paths.ThreadPoolExecutor):
+    """The pool ``run_ranges`` uses, recording each pool's worker count."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+        super().__init__(max_workers=max_workers)
+
+
+@pytest.fixture
+def three_cpus(monkeypatch):
+    # three usable CPUs on any host, and a record of the pools run_ranges opens
+    monkeypatch.setattr(paths, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(_PoolSpy, "sizes", [])
+    monkeypatch.setattr(paths, "ThreadPoolExecutor", _PoolSpy)
+    return _PoolSpy.sizes
 
 
 @pytest.fixture(scope="session")

@@ -260,6 +260,30 @@ seed = 8
     assert run_scenario(cfg, tmp_path / "outn") == 1
 
 
+@pytest.mark.parametrize("eps", ["0.0", "nan"])
+def test_bad_eps_is_config_error(tmp_path, capsys, eps):
+    # a zero epsilon divides by zero and a NaN one is no dictionary key; both
+    # must stop before any work with a message that names eps
+    body = f"""
+[scenario]
+kind = variational
+law = brownian
+lagrangian = kinetic
+shift = plus_minus
+m = 20
+n_paths = 300
+seed = 8
+eps = {eps}
+"""
+    code = main(["run", "--config", str(write_config(tmp_path, "c.ini", body)),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "configuration error: eps must be finite and positive" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "o" / "report.csv").exists()
+
+
 def test_operators_scenarios(tmp_path):
     pos = """
 [scenario]
@@ -478,11 +502,12 @@ def test_bundled_scenarios_parse():
     ("bridge_gaussian", 2000, 1), ("fbsde_adapted", 2000, 0),
     ("operators_random", 2000, 0), ("el_certify_drifted", 2000, 1),
     ("el_certify_pinned", 9000, 0), ("navier_stokes", 9000, 0),
-    ("bridge_gaussian", 9000, 1)])
+    ("bridge_gaussian", 9000, 1), ("variational_brownian", 9000, 0)])
 def test_golden_reports_byte_identical(tmp_path, name, n_paths, code):
     # tests/data/golden/<name> holds each bundled scenario's output at
     # n_paths = 2000 and <name>_n9000 at 9000, where the paths no longer fit
-    # one staging buffer or one old 4096-path block; any change to a report's
+    # one staging buffer or one old 4096-path block and the last noise block
+    # (and path range) is a partial one; any change to a report's
     # bytes is a behaviour change, not a speedup.  bridge_gaussian needs more
     # paths to pass, so at these scales it is pinned as a FAIL like the
     # el_certify_drifted control.

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from actionlab import (EndpointError, PowerError, TimeGrid, catalog, averaged_el,
-                       drift_representation_check, el_certify, harmonic_check,
-                       martingale_test, materialize, noether_invariant,
-                       variational_derivative)
+from actionlab import (EndpointError, MaterializedShift, PowerError, TimeGrid, catalog,
+                       averaged_el, drift_representation_check, el_certify,
+                       harmonic_check, martingale_test, materialize, noether_invariant,
+                       paths, variational_derivative)
+from actionlab.catalog import make_random_endpoint_zero_shift
 from actionlab.diagnostics import DEFAULT_PROBE_FRACTIONS, NoetherFamily
 from actionlab._accum import weighted_mean_stderr
 from actionlab.lagrangians import Lagrangian, el_process, path_actions
 from actionlab.transform import push_shift
-from actionlab.paths import SemimartingaleModel, simulate
+from actionlab.paths import NOISE_BLOCK, SemimartingaleModel, simulate
 from conftest import traced_peak
 
 
@@ -127,25 +128,93 @@ def test_variational_noncritical_quadrature_oracle(grid200):
     assert not res.critical()
 
 
-@pytest.mark.parametrize("bound,t_max,error,message", [
-    (False, 1.0, ValueError, "not bound to this ensemble"),
-    (True, 0.0, ValueError, r"t_max must lie in \(0, 1\]"),
-    (True, 1.5, ValueError, r"t_max must lie in \(0, 1\]"),
-    (True, 1.0, EndpointError, "requires an endpoint-zero shift"),
-], ids=["unbound", "t_max_zero", "t_max_above_one", "not_endpoint_zero"])
-def test_variational_argument_checks(bm_small, bm_mid, bound, t_max, error, message):
-    # the constant shift is not endpoint-zero, so the binding and t_max
-    # errors must be raised before the endpoint-zero check
+_BAD_EPS = "eps must be finite and positive"
+
+
+@pytest.mark.parametrize("bound,t_max,eps_list,error,message", [
+    (False, 1.0, (1e-2, 1e-3), ValueError, "not bound to this ensemble"),
+    (True, 0.0, (1e-2, 1e-3), ValueError, r"t_max must lie in \(0, 1\]"),
+    (True, 1.5, (1e-2, 1e-3), ValueError, r"t_max must lie in \(0, 1\]"),
+    (True, 1.0, (1e-2, 1e-3), EndpointError, "requires an endpoint-zero shift"),
+    (True, 1.0, (0.0,), ValueError, _BAD_EPS),
+    (True, 1.0, (float("nan"),), ValueError, _BAD_EPS),
+    (True, 1.0, (float("inf"),), ValueError, _BAD_EPS),
+    (True, 1.0, (-1e-2,), ValueError, _BAD_EPS),
+    (True, 1.0, (1e-2, 0.0), ValueError, _BAD_EPS),
+    (True, 1.0, (), ValueError, _BAD_EPS),
+], ids=["unbound", "t_max_zero", "t_max_above_one", "not_endpoint_zero", "eps_zero",
+        "eps_nan", "eps_inf", "eps_negative", "eps_second_zero", "eps_empty"])
+def test_variational_argument_checks(bm_small, bm_mid, bound, t_max, eps_list, error,
+                                     message):
+    # the constant shift is not endpoint-zero, so the binding, t_max and
+    # epsilon errors must be raised before the endpoint-zero check
     kin = catalog.get_lagrangian("kinetic")
     u = materialize(catalog.get_shift("constant", bm_small.grid), bm_small)
     ens = bm_small if bound else bm_mid
     with pytest.raises(error, match=message):
-        variational_derivative(ens, kin, u, t_max=t_max)
+        variational_derivative(ens, kin, u, eps_list=eps_list, t_max=t_max)
+
+
+def _bits(values):
+    """Each float as hex, so that -0.0 and 0.0 differ."""
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("eps_list", [(1e-2,), (1e-2, 1e-3)], ids=["one_eps", "two_eps"])
+@pytest.mark.parametrize("shift", ["plus_minus", "random_ez"])
+@pytest.mark.parametrize("law,t_max", [("brownian", 1.0), ("brownian_drift_t", 1.0),
+                                       ("squared_increment_weighted", 0.8)],
+                         ids=["brownian", "drift_t", "weighted"])
+def test_variational_is_bit_identical_across_splits(law, t_max, shift, eps_list,
+                                                    three_cpus, monkeypatch):
+    # three full noise blocks and a partial one, walked in three path ranges
+    # and in one: materialize, path_actions and every field of the result
+    # must keep their bits; the potential makes x + e h enter the action
+    g, n = TimeGrid(16), 3 * NOISE_BLOCK + 7
+    ens = catalog.build_law(law, g, n, seed=43)
+    lag = catalog.get_lagrangian("kinetic_quadratic")
+    sh = (make_random_endpoint_zero_shift(g, seed=6) if shift == "random_ez"
+          else catalog.get_shift("plus_minus", g))
+
+    def run():
+        three_cpus.clear()
+        u = materialize(sh, ens)
+        res = variational_derivative(ens, lag, u, eps_list=eps_list, t_max=t_max)
+        assert "h" not in vars(u)     # streamed, never built
+        return u.hdot, path_actions(ens, lag, t_max), _bits(astuple(res)), list(three_cpus)
+
+    hdot3, act3, res3, pools = run()
+    # each of the three calls runs its first range on the calling thread
+    assert pools == [2, 2, 2]
+    monkeypatch.setattr(paths, "_usable_cpus", lambda: 1)
+    hdot1, act1, res1, pools = run()
+    assert pools == []
+    assert np.array_equal(hdot1, hdot3)
+    assert _bits(act1) == _bits(act3)
+    assert res1 == res3
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_variational_endpoint_error_after_the_pass(cpus, three_cpus, monkeypatch):
+    # only the last path misses the endpoint, so at three ranges only the
+    # last range sees it; the error still comes, after the pass
+    monkeypatch.setattr(paths, "_usable_cpus", lambda: cpus)
+    g = TimeGrid(16)
+    ens = catalog.build_law("brownian", g, 3 * NOISE_BLOCK + 7, seed=44)
+    hdot = np.array(materialize(catalog.get_shift("plus_minus", g), ens).hdot)
+    hdot[-1] = 1.0
+    u = MaterializedShift(hdot, ens)
+    three_cpus.clear()
+    with pytest.raises(EndpointError, match="requires an endpoint-zero shift"):
+        variational_derivative(ens, catalog.get_lagrangian("kinetic"), u)
+    assert three_cpus == ([2] if cpus == 3 else [])
+    assert "h" not in vars(u)
 
 
 def test_variational_holds_one_working_record(bm_mid):
-    # xi is freed before the endpoint-zero check builds and keeps h, so the
-    # call never holds both: about one [n, m, d] record above the inputs
+    # h is streamed one step at a time and each path range frees its xi
+    # before its step loop, so the ranges together hold at most one xi
+    # record: about one [n, m, d] record above the inputs
     kin = catalog.get_lagrangian("kinetic")
     u = materialize(catalog.get_shift("plus_minus", bm_mid.grid), bm_mid)
     record = u.hdot.nbytes

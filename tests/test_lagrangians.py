@@ -1,9 +1,12 @@
+from dataclasses import dataclass
+from typing import Sequence
+
 import numpy as np
 import pytest
 from scipy import integrate, special
 
-from actionlab import TimeGrid, action, catalog, el_process, grad_check, path_actions
-from actionlab.lagrangians import el_constancy_defect
+from actionlab import TimeGrid, action, catalog, el_process, path_actions
+from actionlab.lagrangians import Lagrangian, el_constancy_defect
 from conftest import deterministic_law, traced_peak
 
 
@@ -29,7 +32,6 @@ def test_action_linearity(pinned_mid):
     kin = catalog.get_lagrangian("kinetic")
     kq = catalog.get_lagrangian("kinetic_quadratic")
     lam = 0.7
-    from actionlab.lagrangians import Lagrangian
     combo = Lagrangian(
         name="combo",
         value=lambda t, x, v, a: kin.value(t, x, v, a) + lam * kq.value(t, x, v, a),
@@ -60,6 +62,63 @@ def test_squared_increment_action_oracle(grid200):
     # reweighting consistency between the two representations
     comb = np.hypot(est.stderr, estw.stderr)
     assert abs(est.mean - estw.mean) < 4 * comb + 1 / grid200.m
+
+
+@dataclass(frozen=True)
+class GradCheckReport:
+    worst_x: float
+    worst_v: float
+    worst_a: float
+    epsilon: dict
+
+    @property
+    def worst(self) -> float:
+        return max(self.worst_x, self.worst_v, self.worst_a)
+
+
+def grad_check(lagrangian: Lagrangian, sample_points: Sequence,
+               eps_list: Sequence[float] = (1e-4, 1e-5, 1e-6)) -> GradCheckReport:
+    """Compare analytic gradients with central finite differences.
+
+    ``sample_points`` is an iterable of (t, x, v, a) tuples.  For every block
+    the report carries the worst relative error at the epsilon that minimizes
+    it (the smallest stable epsilon of the list).
+    """
+    errs = {"x": {}, "v": {}, "a": {}}
+    for eps in eps_list:
+        worst = {"x": 0.0, "v": 0.0, "a": 0.0}
+        for t, x, v, a in sample_points:
+            x = np.asarray(x, dtype=np.float64)
+            v = np.asarray(v, dtype=np.float64)
+            a = np.asarray(a, dtype=np.float64)
+            d = x.shape[0]
+            gx = np.asarray(lagrangian.grad_x(t, x, v, a), dtype=np.float64)
+            gv = np.asarray(lagrangian.grad_v(t, x, v, a), dtype=np.float64)
+            ga = np.asarray(lagrangian.grad_a(t, x, v, a), dtype=np.float64)
+            for k in range(d):
+                e = np.zeros(d)
+                e[k] = eps
+                fd = (lagrangian.value(t, x + e, v, a)
+                      - lagrangian.value(t, x - e, v, a)) / (2 * eps)
+                worst["x"] = max(worst["x"], abs(fd - gx[k]) / max(1.0, abs(gx[k])))
+                fd = (lagrangian.value(t, x, v + e, a)
+                      - lagrangian.value(t, x, v - e, a)) / (2 * eps)
+                worst["v"] = max(worst["v"], abs(fd - gv[k]) / max(1.0, abs(gv[k])))
+            for i in range(d):
+                for k in range(d):
+                    em = np.zeros((d, d))
+                    em[i, k] = eps
+                    fd = (lagrangian.value(t, x, v, a + em)
+                          - lagrangian.value(t, x, v, a - em)) / (2 * eps)
+                    worst["a"] = max(worst["a"],
+                                     abs(fd - ga[i, k]) / max(1.0, abs(ga[i, k])))
+        for key in errs:
+            errs[key][eps] = worst[key]
+    best = {key: min(errs[key], key=errs[key].get) for key in errs}
+    return GradCheckReport(worst_x=errs["x"][best["x"]],
+                           worst_v=errs["v"][best["v"]],
+                           worst_a=errs["a"][best["a"]],
+                           epsilon=best)
 
 
 def test_grad_check_kinetic():

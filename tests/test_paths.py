@@ -122,25 +122,6 @@ def test_range_and_stage_edges_are_invisible():
     assert np.array_equal(head.drifts, a.drifts[:NOISE_BLOCK + 3])
 
 
-class _PoolSpy(paths.ThreadPoolExecutor):
-    """The pool ``run_ranges`` uses, recording each pool's worker count."""
-
-    sizes = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-        super().__init__(max_workers=max_workers)
-
-
-@pytest.fixture
-def three_cpus(monkeypatch):
-    # three usable CPUs on any host, and a record of the pools run_ranges opens
-    monkeypatch.setattr(paths, "_usable_cpus", lambda: 3)
-    monkeypatch.setattr(_PoolSpy, "sizes", [])
-    monkeypatch.setattr(paths, "ThreadPoolExecutor", _PoolSpy)
-    return _PoolSpy.sizes
-
-
 @pytest.mark.parametrize("law", sorted(catalog.LAWS))
 def test_every_law_is_bit_identical_across_splits(law, three_cpus):
     # three full noise blocks and a partial one: the default split makes one

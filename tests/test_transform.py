@@ -1,9 +1,22 @@
 import numpy as np
 import pytest
 
-from actionlab import (catalog, estimate_characteristics, harmonic_check,
-                       homeomorphism_defect, lift, materialize, push_shift)
+from actionlab import (catalog, estimate_characteristics, harmonic_check, lift,
+                       materialize, push_shift)
 from actionlab.catalog import make_state_features, make_test_feature_map
+
+
+def homeomorphism_defect(m, times, points) -> float:
+    """Max |inverse(t, map(t, x)) - x| over the sampled (t, x)."""
+    if m.inverse is None:
+        raise ValueError(f"map '{m.name}' has no inverse")
+    worst = 0.0
+    pts = np.asarray(points, dtype=np.float64)
+    for t in times:
+        y = np.asarray(m.map_fn(t, pts))
+        back = np.asarray(m.inverse(t, y))
+        worst = max(worst, float(np.max(np.abs(back - pts))))
+    return worst
 
 
 def test_push_shift_zero_epsilon_identity(bm_small):
