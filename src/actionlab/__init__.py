@@ -12,15 +12,14 @@ bridges, coupled forward-backward systems, a decaying vortex flow).
 from .paths import (TimeGrid, SemimartingaleModel, PathEnsemble, simulate,
                     estimate_characteristics, adaptedness_probe, export_paths_csv,
                     SimulationError, RankDeficiencyError)
-from .shifts import (AdaptedShift, MaterializedShift, materialize, h_inner,
-                     h_norm_sq, w_norm, delay_pn, endpoint_qn, endpoint_rn,
-                     stop_truncate, martingale_projection,
+from .shifts import (AdaptedShift, MaterializedShift, materialize, h_norm_sq,
+                     delay_pn, endpoint_qn, endpoint_rn, stop_truncate,
                      GridCompatibilityError, EndpointError)
 from .lagrangians import Lagrangian, ActionEstimate, action, path_actions, \
     el_process
-from .transform import SpaceTimeMap, push_shift, lift, harmonic_check
+from .transform import SpaceTimeMap, push_shift, lift
 from .diagnostics import (MartingaleReport, martingale_test, el_certify,
-                          averaged_el, variational_derivative,
+                          variational_derivative,
                           drift_representation_check, NoetherFamily,
                           noether_invariant, PowerError)
 from .bridge import (BridgeProblem, sinkhorn_bridge, bridge_to_model,

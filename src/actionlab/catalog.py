@@ -42,9 +42,9 @@ def _lookup(registry: Dict, kind: str, name: str):
 
 # -- feature maps --------------------------------------------------------------
 
-def make_state_features(degree: int = 2, include_initial: bool = False):
-    """Prefix features at step j: 1, state coords, optional initial coords,
-    and second-order state monomials when degree >= 2."""
+def make_state_features(degree: int = 2):
+    """Prefix features at step j: 1, state coords, and second-order state
+    monomials when degree >= 2."""
 
     def feature_map(ensemble: PathEnsemble, j: int):
         x = ensemble.states[:, j]
@@ -54,11 +54,6 @@ def make_state_features(degree: int = 2, include_initial: bool = False):
         for k in range(d):
             feats.append(x[:, k])
             names.append(f"x{k}")
-        if include_initial:
-            x0 = ensemble.states[:, 0]
-            for k in range(d):
-                feats.append(x0[:, k])
-                names.append(f"x0_{k}")
         if degree >= 2:
             for k in range(d):
                 for l in range(k, d):
@@ -566,44 +561,10 @@ def _map_sine_squash(amplitude=0.2, dim=1):
                         hessian=hessian, inverse=inverse)
 
 
-def _field_coordinate(dim=1):
-    eye = np.eye(dim)
-    return SpaceTimeMap(name="coordinate", map_fn=lambda t, x: x,
-                        jacobian=lambda t, x: eye)
-
-
-def _field_square(dim=1, subtract_t=False):
-    def map_fn(t, x):
-        out = x ** 2
-        return out - t if subtract_t else out
-
-    def jacobian(t, x):
-        n, d = x.shape
-        out = np.zeros((n, d, d))
-        for k in range(d):
-            out[:, k, k] = 2.0 * x[:, k]
-        return out
-
-    def hessian(t, x):
-        n, d = x.shape
-        out = np.zeros((n, d, d, d))
-        for k in range(d):
-            out[:, k, k, k] = 2.0
-        return out
-
-    dt_fn = (lambda t, x: -np.ones_like(x)) if subtract_t else None
-    return SpaceTimeMap(name="square_minus_t" if subtract_t else "square",
-                        map_fn=map_fn, jacobian=jacobian, hessian=hessian,
-                        dt_fn=dt_fn)
-
-
 MAPS: Dict[str, Callable[..., SpaceTimeMap]] = {
     "identity": _map_identity,
     "affine": _map_affine,
     "sine_squash": _map_sine_squash,
-    "coordinate": _field_coordinate,
-    "square": lambda **kw: _field_square(subtract_t=False, **kw),
-    "square_minus_t": lambda **kw: _field_square(subtract_t=True, **kw),
 }
 
 

@@ -1,6 +1,5 @@
 """Statistical certification: martingale tests, the variational derivative two
-ways, the averaged Euler-Lagrange check, the drift-representation check, and
-the symmetry invariant.
+ways, the drift-representation check, and the symmetry invariant.
 
 The workhorse is :func:`martingale_test`: for consecutive probe times s < t
 and bounded prefix functions phi, the normalized statistic
@@ -34,8 +33,6 @@ __all__ = [
     "martingale_test",
     "default_test_functions",
     "el_certify",
-    "averaged_el",
-    "AveragedElTable",
     "variational_derivative",
     "VariationalResult",
     "drift_representation_check",
@@ -152,67 +149,6 @@ def el_certify(ensemble: PathEnsemble, lagrangian: Lagrangian,
     idx = ensemble.grid.probe_indices(probe_fractions, ensemble.t_max)
     return martingale_test(el_process(ensemble, lagrangian, idx), ensemble, idx,
                            test_functions=test_functions, threshold=threshold)
-
-
-@dataclass(frozen=True)
-class AveragedElTable:
-    """Interval table for the averaged Euler-Lagrange identity.
-
-    Each row compares the finite difference in time of E[grad_v L] with the
-    interval average of E[grad_x L], using per-path differencing so the two
-    sides share the same noise.
-    """
-
-    intervals: list              # [(s, t), ...]
-    discrepancy: np.ndarray      # [rows, d]
-    stderr: np.ndarray           # [rows, d]
-
-    @property
-    def statistics(self) -> np.ndarray:
-        return zscores(self.discrepancy, self.stderr)
-
-    @property
-    def max_abs_statistic(self) -> float:
-        return float(np.max(np.abs(self.statistics)))
-
-    def passed(self, threshold: float = DEFAULT_THRESHOLD) -> bool:
-        return self.max_abs_statistic <= threshold
-
-
-def averaged_el(ensemble: PathEnsemble, lagrangian: Lagrangian,
-                probe_fractions: Sequence[float] = DEFAULT_PROBE_FRACTIONS) -> AveragedElTable:
-    """Check d/dt E[grad_v L] = E[grad_x L] on probe intervals."""
-    grid = ensemble.grid
-    idx = grid.probe_indices(probe_fractions, ensemble.t_max)
-    if len(idx) < 2:
-        raise ValueError(f"need two distinct probe steps, got {len(idx)}")
-    n, _, d = ensemble.drifts.shape
-
-    def grad(fn, j):
-        return np.asarray(fn(j * grid.dt, ensemble.states[:, j],
-                             ensemble.drifts[:, j], ensemble.alpha(j)),
-                          dtype=np.float64)
-
-    intervals, disc, ses = [], [], []
-    for a in range(len(idx) - 1):
-        ja, jb = idx[a], idx[a + 1]
-        span = (jb - ja) * grid.dt
-        momentum_rate = (grad(lagrangian.grad_v, jb)
-                         - grad(lagrangian.grad_v, ja)) / span
-        avg = np.zeros((n, d))
-        for j in range(ja, jb):
-            avg += grad(lagrangian.grad_x, j) * grid.dt
-        per_path = momentum_rate - avg / span
-        mean, se = weighted_mean_stderr(per_path, ensemble.weights)
-        # floor at rounding scale so exactly-cancelling laws read as zero
-        ref = float(np.mean(np.abs(momentum_rate)) + np.mean(np.abs(avg / span)))
-        se = np.maximum(se, 1e-12 * max(1.0, ref))
-        intervals.append((ja * grid.dt, jb * grid.dt))
-        disc.append(mean)
-        ses.append(se)
-    return AveragedElTable(intervals=intervals,
-                           discrepancy=np.array(disc).reshape(len(idx) - 1, d),
-                           stderr=np.array(ses).reshape(len(idx) - 1, d))
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,8 @@ A shift is an absolutely continuous perturbation h = int hdot dt of every
 path, with hdot adapted to the path filtration.  This module materializes
 shifts along an ensemble and implements the constructive operators on them:
 the block-delay operator ``delay_pn``, the endpoint operators ``endpoint_qn``
-/ ``endpoint_rn`` (whose output vanishes at t = 1 on every path), the
-stop-and-recenter truncation ``stop_truncate``, and the decomposition of a
-shift into a martingale-derivative part plus an endpoint-zero part
-(``martingale_projection``).
+/ ``endpoint_rn`` (whose output vanishes at t = 1 on every path) and the
+stop-and-recenter truncation ``stop_truncate``.
 
 All operators are linear and act pathwise; the contraction inequalities they
 satisfy are asserted per path in the tests.
@@ -21,8 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._accum import weighted_mean_stderr
-from .paths import PathEnsemble, RankDeficiencyError, run_ranges
+from .paths import PathEnsemble, run_ranges
 
 __all__ = [
     "AdaptedShift",
@@ -30,16 +27,12 @@ __all__ = [
     "GridCompatibilityError",
     "EndpointError",
     "materialize",
-    "h_inner",
     "h_norm_sq",
-    "w_norm",
     "delay_pn",
     "endpoint_qn",
     "endpoint_rn",
     "stop_truncate",
     "stop_steps_for",
-    "martingale_projection",
-    "ProjectionResult",
 ]
 
 ENDPOINT_TOL = 1e-10  # absolute endpoint-zero tolerance (cumulative-sum rounding)
@@ -126,26 +119,9 @@ def materialize(shift: AdaptedShift, ensemble: PathEnsemble) -> MaterializedShif
     return MaterializedShift(hdot, ensemble, shift.name)
 
 
-def _check_bound(u: MaterializedShift, v: MaterializedShift) -> None:
-    if u.ensemble is not v.ensemble:
-        raise ValueError("shifts are bound to different ensembles")
-
-
 def h_norm_sq(u: MaterializedShift) -> np.ndarray:
     """Pathwise squared Cameron-Martin norm: sum |hdot|^2 dt, shape [n]."""
     return np.einsum("nmd,nmd->n", u.hdot, u.hdot) * u.ensemble.grid.dt
-
-
-def w_norm(u: MaterializedShift) -> np.ndarray:
-    """Pathwise sup norm over time of |h| (Euclidean in space), shape [n]."""
-    return np.sqrt(np.einsum("nmd->nm", u.h ** 2)).max(axis=1)
-
-
-def h_inner(u: MaterializedShift, v: MaterializedShift):
-    """Monte Carlo estimate of E<u, v>_H, returned as (mean, stderr)."""
-    _check_bound(u, v)
-    per_path = np.einsum("nmd,nmd->n", u.hdot, v.hdot) * u.ensemble.grid.dt
-    return weighted_mean_stderr(per_path, u.ensemble.weights)
 
 
 def _block_size(u: MaterializedShift, n: int) -> int:
@@ -229,75 +205,3 @@ def stop_steps_for(u: MaterializedShift, level: float) -> np.ndarray:
     trig = running > level ** 2
     never = ~trig.any(axis=1)
     return np.where(never, m, np.argmax(trig, axis=1))
-
-
-# -- martingale / endpoint-zero decomposition ---------------------------------
-
-@dataclass(frozen=True)
-class ProjectionResult:
-    m: MaterializedShift
-    h0: MaterializedShift
-    orthogonality: float        # E<m, h0>_H estimate
-    orthogonality_se: float
-    endpoint_defect: float      # E |h0 terminal|^2
-    terminal_coef: np.ndarray   # coefficients of the terminal variable
-
-
-def martingale_projection(u: MaterializedShift, feature_map=None,
-                          min_paths: int = 1000, rcond: float = 1e-10) -> ProjectionResult:
-    """Split u = m + h0 with m a regression martingale and h0 near endpoint-zero.
-
-    The martingale part is parametrized by a terminal variable beta = phi_m^T c;
-    its derivative at step j is the least-squares conditional expectation of
-    beta given the prefix features at j, and c solves the quadratic problem
-    min_c E |u - m(c)|_H^2.  The first-order conditions make the in-sample
-    orthogonality E<m, h0>_H vanish up to solver precision; the endpoint
-    defect E|h0_1|^2 measures how well the feature span represents the
-    decomposition.  Conditional expectations use pseudo-inverses so that
-    degenerate ensembles (e.g. deterministic paths, where features collapse
-    to constants) reduce to the constant-derivative projection.
-    """
-    ens = u.ensemble
-    if ens.n_paths < min_paths:
-        raise ValueError(f"need at least {min_paths} paths for the projection")
-    if feature_map is None:
-        from .catalog import make_state_features
-        feature_map = make_state_features(degree=2, include_initial=True)
-    n, m, d = u.hdot.shape
-    dt = ens.grid.dt
-    w = ens.weights if ens.weights is not None else np.ones(n)
-
-    phi_term, _ = feature_map(ens, ens.grid.m)
-    phi_term = np.asarray(phi_term, dtype=np.float64)
-    p = phi_term.shape[1]
-
-    # b_j maps terminal coefficients to step-j regression coefficients; the
-    # normal equations for c accumulate over steps.
-    bmats = np.empty((m, p, p))
-    hmat = np.zeros((p, p))
-    gvec = np.zeros((p, d))
-    for j in range(m):
-        phi_j, _ = feature_map(ens, j)
-        phi_j = np.asarray(phi_j, dtype=np.float64)
-        g = (phi_j * w[:, None]).T @ phi_j / n
-        c = (phi_j * w[:, None]).T @ phi_term / n
-        if not np.isfinite(g).all():
-            raise RankDeficiencyError("non-finite feature Gram matrix")
-        b = np.linalg.pinv(g, rcond=rcond) @ c
-        bmats[j] = b
-        hmat += b.T @ g @ b * dt
-        gvec += b.T @ ((phi_j * w[:, None]).T @ u.hdot[:, j] / n) * dt
-    coef = np.linalg.pinv(hmat, rcond=rcond) @ gvec   # [p, d]
-
-    mdot = np.empty_like(u.hdot)
-    for j in range(m):
-        phi_j, _ = feature_map(ens, j)
-        mdot[:, j] = np.asarray(phi_j, dtype=np.float64) @ (bmats[j] @ coef)
-    mpart = MaterializedShift(mdot, ens, f"proj_m({u.name})")
-    h0 = MaterializedShift(u.hdot - mdot, ens, f"proj_h0({u.name})")
-    ortho, ortho_se = h_inner(mpart, h0)
-    term = h0.terminal()
-    endpoint, _ = weighted_mean_stderr(np.einsum("nd,nd->n", term, term), ens.weights)
-    return ProjectionResult(m=mpart, h0=h0, orthogonality=ortho,
-                            orthogonality_se=ortho_se,
-                            endpoint_defect=endpoint, terminal_coef=coef)

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import re
 import subprocess
@@ -6,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from actionlab import catalog
 from actionlab.cli import ConfigError, load_config, main, run_scenario
 
 SMALL = dict(m=200, n_paths=3000, seed=5)
@@ -502,7 +504,8 @@ def test_bundled_scenarios_parse():
     ("bridge_gaussian", 2000, 1), ("fbsde_adapted", 2000, 0),
     ("operators_random", 2000, 0), ("el_certify_drifted", 2000, 1),
     ("el_certify_pinned", 9000, 0), ("navier_stokes", 9000, 0),
-    ("bridge_gaussian", 9000, 1), ("variational_brownian", 9000, 0)])
+    ("bridge_gaussian", 9000, 1), ("variational_brownian", 9000, 0),
+    ("variational_drifted", 2000, 1), ("variational_drifted", 9000, 1)])
 def test_golden_reports_byte_identical(tmp_path, name, n_paths, code):
     # tests/data/golden/<name> holds each bundled scenario's output at
     # n_paths = 2000 and <name>_n9000 at 9000, where the paths no longer fit
@@ -510,7 +513,8 @@ def test_golden_reports_byte_identical(tmp_path, name, n_paths, code):
     # (and path range) is a partial one; any change to a report's
     # bytes is a behaviour change, not a speedup.  bridge_gaussian needs more
     # paths to pass, so at these scales it is pinned as a FAIL like the
-    # el_certify_drifted control.
+    # el_certify_drifted control.  variational_drifted is the one variational
+    # golden with non-zero values, so it pins the bits of the action loop.
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(here, "scenarios", f"{name}.ini")) as fh:
         text, swaps = re.subn(r"(?m)^n_paths = \d+$", f"n_paths = {n_paths}", fh.read())
@@ -523,3 +527,28 @@ def test_golden_reports_byte_identical(tmp_path, name, n_paths, code):
     for fname in sorted(os.listdir(golden)):
         with open(os.path.join(golden, fname), "rb") as fh:
             assert (out / fname).read_bytes() == fh.read(), fname
+
+
+def test_list_prints_each_registry_sorted(capsys):
+    assert main(["list"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    registries = [("laws", catalog.LAWS), ("lagrangians", catalog.LAGRANGIANS),
+                  ("shifts", catalog.SHIFTS), ("maps", catalog.MAPS),
+                  ("families", catalog.FAMILIES)]
+    assert lines == [f"{title}: {', '.join(sorted(reg))}"
+                     for title, reg in registries]
+    assert lines[3] == "maps: affine, identity, sine_squash"
+
+
+def test_layer_modules_export_only_defined_names():
+    # the traced benchmark pass wraps every name in each layer module's
+    # __all__, so a stale entry would make its install raise
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", os.path.join(here, "perfbench", "tracing.py"))
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for short in tracing.LAYER_MODULES:
+        mod = importlib.import_module(f"actionlab.{short}")
+        missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+        assert not missing, short

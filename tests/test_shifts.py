@@ -3,18 +3,22 @@ import pytest
 
 from actionlab import (EndpointError, GridCompatibilityError, MaterializedShift,
                        TimeGrid, catalog, delay_pn, endpoint_qn, endpoint_rn,
-                       h_inner, h_norm_sq, martingale_projection, materialize,
-                       stop_truncate, w_norm)
+                       h_norm_sq, materialize, stop_truncate)
+from actionlab._accum import weighted_mean_stderr
 from actionlab.shifts import stop_steps_for
 from actionlab.paths import adaptedness_probe
-from actionlab.catalog import (make_random_endpoint_zero_shift,
-                               make_state_features)
+from actionlab.catalog import make_random_endpoint_zero_shift
 from conftest import deterministic_law
 
 
 def shift_diff(u, v):
     from dataclasses import replace
     return replace(u, hdot=u.hdot - v.hdot)
+
+
+def w_norm(u):
+    """Pathwise sup over time of |h| (Euclidean in space), shape [n]."""
+    return np.sqrt(np.einsum("nmd->nm", u.h ** 2)).max(axis=1)
 
 
 def test_materialize_constant(grid200, bm_small):
@@ -57,34 +61,30 @@ def test_peeking_derivative_rejected(bm_small):
     assert adaptedness_probe(sh.derivative, bm_small, steps=[40, 120]) == 0.0
 
 
-def test_h_inner_deterministic_cases(grid200):
-    g2 = TimeGrid(200)
-    ens = deterministic_law(g2, n_paths=1200)
-    e1 = materialize(catalog.get_shift("constant", g2), ens)
-    mean, se = h_inner(e1, e1)
-    assert mean == pytest.approx(1.0, abs=1e-12)
-    assert se < 1e-12
-
-    ens2 = catalog.build_law("brownian", g2, 1200, seed=7, dim=2)
-    a = materialize(catalog.get_shift("constant", g2, coord=0, dim=2), ens2)
-    b = materialize(catalog.get_shift("constant", g2, coord=1, dim=2), ens2)
-    mean, _ = h_inner(a, b)
-    assert mean == 0.0
+def test_h_norm_sq_constant_shift(grid200):
+    ens = deterministic_law(grid200, n_paths=1200)
+    e1 = materialize(catalog.get_shift("constant", grid200), ens)
+    assert h_norm_sq(e1) == pytest.approx(np.ones(1200), abs=1e-12)
 
 
-def test_h_inner_brownian_energy(grid200):
+def test_h_norm_sq_sums_coordinates(grid200):
+    # unit constant shifts in the two coordinates are orthogonal: the squared
+    # norm of their sum is the sum of their squared norms, 1 + 1
+    from dataclasses import replace
+    ens = catalog.build_law("brownian", grid200, 1200, seed=7, dim=2)
+    a = materialize(catalog.get_shift("constant", grid200, coord=0, dim=2), ens)
+    b = materialize(catalog.get_shift("constant", grid200, coord=1, dim=2), ens)
+    both = replace(a, hdot=a.hdot + b.hdot)
+    assert np.array_equal(h_norm_sq(both), h_norm_sq(a) + h_norm_sq(b))
+    assert h_norm_sq(both) == pytest.approx(np.full(1200, 2.0), abs=1e-12)
+
+
+def test_state_shift_brownian_energy(grid200):
     # E int_0^1 W_t^2 dt = int_0^1 t dt = 1/2
     ens = catalog.build_law("brownian", grid200, 100_000, seed=8)
     u = materialize(catalog.get_shift("state", grid200), ens)
-    mean, se = h_inner(u, u)
+    mean, se = weighted_mean_stderr(h_norm_sq(u), ens.weights)
     assert abs(mean - 0.5) < 4 * se + 1 / (2 * grid200.m)
-
-
-def test_h_inner_requires_same_ensemble(bm_small, bm_mid):
-    u = materialize(catalog.get_shift("state", bm_small.grid), bm_small)
-    v = materialize(catalog.get_shift("state", bm_mid.grid), bm_mid)
-    with pytest.raises(ValueError, match="different ensembles"):
-        h_inner(u, v)
 
 
 def test_delay_pn_zero_before_two_blocks(bm192, grid192):
@@ -294,64 +294,3 @@ def test_operator_linearity(grid192, bm192):
            - 1.5 * stop_truncate(vez, 1.0, stop_steps=stops).hdot)
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
-
-def test_projection_deterministic_returns_mean_derivative(grid200):
-    # on a point law the projection collapses to the constant derivative u_1
-    ens = deterministic_law(grid200, n_paths=1500)
-    u = materialize(catalog.get_shift("state", grid200), ens)
-    res = martingale_projection(u)
-    u1 = u.terminal()[0, 0]
-    assert np.max(np.abs(res.m.hdot - u1)) < 1e-10
-    assert res.endpoint_defect < 1e-20
-
-
-def test_projection_deterministic_endpoint_zero_gives_zero(grid200):
-    ens = deterministic_law(grid200, n_paths=1500)
-    u = materialize(catalog.get_shift("sine", grid200), ens)
-    res = martingale_projection(u)
-    assert np.max(np.abs(res.m.hdot)) < 1e-10
-
-
-def test_projection_brownian_state_defects():
-    # u with derivative W is already a martingale shift: both defects are
-    # estimation noise only
-    g = TimeGrid(100)
-    ens = catalog.build_law("brownian", g, 200_000, seed=301)
-    u = materialize(catalog.get_shift("state", g), ens)
-    res = martingale_projection(
-        u, feature_map=make_state_features(degree=1, include_initial=True))
-    scale = float(np.mean(h_norm_sq(u)))
-    assert abs(res.orthogonality) <= 4 * res.orthogonality_se + 1e-12
-    assert res.endpoint_defect <= 1e-6 * scale
-
-
-def test_projection_matches_bruteforce_quadratic_solve(grid200):
-    # independent oracle: assemble the same least-squares problem as one
-    # stacked design matrix and solve it directly
-    g = TimeGrid(20)
-    ens = catalog.build_law("brownian", g, 3000, seed=302)
-    u = materialize(catalog.get_shift("state", g), ens)
-    fm = make_state_features(degree=1, include_initial=False)
-    res = martingale_projection(u, feature_map=fm)
-
-    n, m, _ = u.hdot.shape
-    phi_term, _ = fm(ens, g.m)
-    p = phi_term.shape[1]
-    blocks = []
-    targets = []
-    for j in range(m):
-        phi_j, _ = fm(ens, j)
-        b = np.linalg.pinv(phi_j.T @ phi_j / n, rcond=1e-10) @ (phi_j.T @ phi_term / n)
-        blocks.append(phi_j @ b * np.sqrt(g.dt))
-        targets.append(u.hdot[:, j, 0] * np.sqrt(g.dt))
-    design = np.concatenate(blocks, axis=0)
-    target = np.concatenate(targets)
-    coef, *_ = np.linalg.lstsq(design, target, rcond=None)
-    assert np.max(np.abs(res.terminal_coef[:, 0] - coef)) < 1e-8
-
-
-def test_projection_refuses_tiny_ensembles(grid200):
-    ens = catalog.build_law("brownian", grid200, 50, seed=303)
-    u = materialize(catalog.get_shift("state", grid200), ens)
-    with pytest.raises(ValueError, match="paths"):
-        martingale_projection(u)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from actionlab import (catalog, estimate_characteristics, harmonic_check, lift,
+from actionlab import (SpaceTimeMap, catalog, estimate_characteristics, lift,
                        materialize, push_shift)
 from actionlab.catalog import make_state_features, make_test_feature_map
 
@@ -93,6 +93,34 @@ def test_lift_commutes_with_push_for_affine(bm_small):
     assert np.allclose(left.drifts, right.drifts, atol=1e-12)
 
 
+def test_lift_square_field_ito_drift(pinned_mid):
+    # Ito's rule for h(x) = x^2 under unit diffusion: drift 2 x v + 1 and
+    # diffusion 2 x, with the second-order term read from the hessian
+    sq = SpaceTimeMap(name="square", map_fn=lambda t, x: x ** 2,
+                      jacobian=lambda t, x: 2.0 * x[:, :, None],
+                      hessian=lambda t, x: np.full((x.shape[0], 1, 1, 1), 2.0))
+    out = lift(pinned_mid, sq)
+    x = pinned_mid.states[:, :-1, 0]
+    assert np.array_equal(out.states, pinned_mid.states ** 2)
+    assert np.allclose(out.drifts[:, :, 0], 2.0 * x * pinned_mid.drifts[:, :, 0] + 1.0,
+                       rtol=1e-12, atol=1e-12)
+    assert np.allclose(out.diffusions[:, :, 0, 0], 2.0 * x, rtol=1e-12, atol=1e-12)
+
+
+def test_state_features_columns_by_degree(grid200):
+    # every degree has the constant and the coordinates; degree >= 2 adds
+    # the second-order monomials
+    ens = catalog.build_law("brownian", grid200, 1200, seed=7, dim=2)
+    x = ens.states[:, 50]
+    linear = (["1", "x0", "x1"], [np.ones(1200), x[:, 0], x[:, 1]])
+    quadratic = (linear[0] + ["x0*x0", "x0*x1", "x1*x1"],
+                 linear[1] + [x[:, 0] ** 2, x[:, 0] * x[:, 1], x[:, 1] ** 2])
+    for degree, (names, cols) in ((0, linear), (1, linear), (2, quadratic)):
+        phi, got = make_state_features(degree=degree)(ens, 50)
+        assert got == names
+        assert np.array_equal(phi, np.stack(cols, axis=1))
+
+
 def test_registered_maps_are_homeomorphisms():
     pts = np.linspace(-4, 4, 101)[:, None]
     for name, kwargs in (("identity", {}), ("affine", {"matrix": [[1.5]], "offset": [0.2]}),
@@ -135,16 +163,3 @@ def test_lift_transformed_alpha_matches_regression(bm_mid):
     assert abs(est.alpha_coef[0, 0, 0] - formula_alpha) \
         < 4 * est.alpha_se[0, 0, 0] + 0.01
 
-
-def test_harmonic_check_cases(bm_mid):
-    # coordinate and x^2 - t are space-time harmonic; x^2 has unit residual
-    rep = harmonic_check(bm_mid, catalog.get_map("coordinate"))
-    assert rep.residual_max == 0.0 and rep.martingale_report.verdict and rep.agree
-    rep = harmonic_check(bm_mid, catalog.get_map("square_minus_t"))
-    assert rep.residual_max < 1e-12 and rep.martingale_report.verdict and rep.agree
-    rep = harmonic_check(bm_mid, catalog.get_map("square"))
-    assert rep.residual_max == pytest.approx(1.0, abs=1e-12)
-    assert not rep.martingale_report.verdict
-    assert rep.agree
-    # the failure statistic grows like sqrt(n) * dt * probe spacing
-    assert rep.martingale_report.max_abs_statistic > 10
