@@ -13,7 +13,7 @@ from .paths import (TimeGrid, SemimartingaleModel, PathEnsemble, simulate,
                     estimate_characteristics, adaptedness_probe, export_paths_csv,
                     SimulationError, RankDeficiencyError)
 from .shifts import (AdaptedShift, MaterializedShift, materialize, h_norm_sq,
-                     delay_pn, endpoint_qn, endpoint_rn, stop_truncate,
+                     h_dist_sq, delay_pn, endpoint_qn, endpoint_rn, stop_truncate,
                      GridCompatibilityError, EndpointError)
 from .lagrangians import Lagrangian, ActionEstimate, action, path_actions, \
     el_process

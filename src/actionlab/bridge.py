@@ -29,7 +29,6 @@ __all__ = [
     "UnsupportedSpecError",
     "gaussian_marginal",
     "delta_marginal",
-    "marginal_from_csv",
     "reference_terminal",
     "sinkhorn_bridge",
     "bridge_to_model",
@@ -113,16 +112,6 @@ def delta_marginal(at: float = 0.0, x_min: float = -6.0, x_max: float = 6.0,
     p = np.zeros(n_cells)
     p[idx] = 1.0
     return p
-
-
-def marginal_from_csv(path) -> Tuple[np.ndarray, float, float]:
-    """Read a 2-column CSV (cell center, mass); returns (masses, x_min, x_max)."""
-    data = np.loadtxt(path, delimiter=",", ndmin=2)
-    centers, mass = data[:, 0], data[:, 1]
-    dx = centers[1] - centers[0]
-    if np.max(np.abs(np.diff(centers) - dx)) > 1e-9 * abs(dx):
-        raise ValueError("cell centers must be uniformly spaced")
-    return _normalized(mass), float(centers[0] - dx / 2), float(centers[-1] + dx / 2)
 
 
 def _cell_kernel(centers: np.ndarray, dx: float, tau: float) -> np.ndarray:

@@ -11,6 +11,7 @@ list of valid entries, so configuration mistakes surface immediately.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import replace
 from typing import Callable, Dict, Optional
 
@@ -26,7 +27,7 @@ from .transform import SpaceTimeMap
 
 __all__ = [
     "LAWS", "LAGRANGIANS", "SHIFTS", "MAPS", "FAMILIES", "POTENTIALS",
-    "get_law", "get_lagrangian", "get_shift", "get_map", "get_family",
+    "get_lagrangian", "get_shift", "get_map", "get_family",
     "build_law", "sinkhorn_bridge_law", "oscillator_spec",
     "make_state_features", "make_test_feature_map", "point_sampler",
 ]
@@ -466,27 +467,33 @@ def make_random_endpoint_zero_shift(grid: TimeGrid, seed: int, dim=1):
     full-period wave on [s, 1]; the wave sums to zero over its own sub-grid,
     so the terminal value cancels exactly on every path while the derivative
     before s is zero and after s depends only on the frozen prefix value.
+    Each thread keeps the frozen envelopes of the last ``states`` array it
+    was called with, so they are computed once per term and array.
     """
     rng = np.random.default_rng(seed)
     m = grid.m
     n_terms = 3
     starts = rng.integers(0, m // 2, size=n_terms)
-    # one cycle per window: keeps the derivative slow relative to the 2/n
-    # delay of the block operators, so reconstruction improves with n
-    freqs = np.ones(n_terms, dtype=int)
     amps = rng.uniform(0.3, 1.0, size=n_terms)
     kinds = rng.integers(0, 3, size=n_terms)
     use_sin = rng.integers(0, 2, size=n_terms)
 
+    frozen = threading.local()
+
     def derivative(j, states):
+        if getattr(frozen, "states", None) is not states:
+            frozen.states, frozen.envelopes = states, [None] * n_terms
         out = np.zeros((states.shape[0], dim))
-        for j0, f, a, kind, sin_flag in zip(starts, freqs, amps, kinds, use_sin):
+        for t, (j0, a, kind, sin_flag) in enumerate(zip(starts, amps, kinds, use_sin)):
             if j < j0:
                 continue
-            span = m - j0
-            phase = 2 * np.pi * f * (j - j0) / span
+            if frozen.envelopes[t] is None:
+                frozen.envelopes[t] = _envelope(kind, states[:, j0])
+            # one cycle per window: keeps the derivative slow relative to the
+            # 2/n delay of the block operators, so reconstruction improves with n
+            phase = 2 * np.pi * (j - j0) / (m - j0)
             wave = np.sin(phase) if sin_flag else np.cos(phase)
-            out[:, 0] += a * wave * _envelope(kind, states[:, j0])
+            out[:, 0] += a * wave * frozen.envelopes[t]
         return out
 
     return AdaptedShift(name=f"random_ez[{seed}]", derivative=derivative)
@@ -605,13 +612,9 @@ FAMILIES: Dict[str, Callable[..., NoetherFamily]] = {
 
 # -- lookups --------------------------------------------------------------------
 
-def get_law(name: str) -> Callable:
-    return _lookup(LAWS, "law", name)
-
-
 def build_law(name: str, grid: TimeGrid, n_paths: int, seed: int,
               threads: Optional[int] = None, **params) -> PathEnsemble:
-    return get_law(name)(grid, n_paths, seed, threads=threads, **params)
+    return _lookup(LAWS, "law", name)(grid, n_paths, seed, threads=threads, **params)
 
 
 def get_lagrangian(name: str, **params) -> Lagrangian:

@@ -7,6 +7,12 @@ the block-delay operator ``delay_pn``, the endpoint operators ``endpoint_qn``
 / ``endpoint_rn`` (whose output vanishes at t = 1 on every path) and the
 stop-and-recenter truncation ``stop_truncate``.
 
+A materialized shift keeps the values of hdot on k equal blocks of the grid:
+k = m for a general shift, k = n for the output of the block operators, which
+is constant on each of their n blocks.  The norm ``h_norm_sq``, the distance
+``h_dist_sq`` and ``terminal`` read the block values alone; the ``[n, m, d]``
+``hdot`` and the integral ``h`` are built only when a caller reads them.
+
 All operators are linear and act pathwise; the contraction inequalities they
 satisfy are asserted per path in the tests.
 """
@@ -19,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .paths import PathEnsemble, run_ranges
+from .paths import NOISE_BLOCK, PathEnsemble, _records, run_ranges
 
 __all__ = [
     "AdaptedShift",
@@ -28,6 +34,7 @@ __all__ = [
     "EndpointError",
     "materialize",
     "h_norm_sq",
+    "h_dist_sq",
     "delay_pn",
     "endpoint_qn",
     "endpoint_rn",
@@ -36,6 +43,9 @@ __all__ = [
 ]
 
 ENDPOINT_TOL = 1e-10  # absolute endpoint-zero tolerance (cumulative-sum rounding)
+_STAGE_STEPS = 16    # grid steps materialize writes into a path-major record at once
+_WALK_PATHS = 1024   # paths per working array of stop_steps_for: each numpy call
+                     # runs long enough without the GIL for the ranges to overlap
 
 
 class GridCompatibilityError(ValueError):
@@ -65,36 +75,55 @@ class AdaptedShift:
 class MaterializedShift:
     """A shift evaluated along one ensemble.
 
-    hdot: [n, m, d]; h: [n, m+1, d] cumulative integral with h[:, 0] = 0,
-    built from hdot on first read and kept.
+    values: [n, k, d], the derivative on each of k equal blocks of the m grid
+    steps (k = m for a general shift).  hdot: [n, m, d] (``values`` itself
+    when k = m) and h: [n, m+1, d], the cumulative integral with h[:, 0] = 0,
+    are built on first read and kept; h is stored time-major, as the path
+    records are, so the block operators read its block edges as rows.
     """
 
-    hdot: np.ndarray
+    values: np.ndarray
     ensemble: PathEnsemble
     name: str = ""
+
+    def __post_init__(self):
+        if self.ensemble.grid.m % self.values.shape[1]:
+            raise GridCompatibilityError(f"{self.values.shape[1]} blocks do not divide "
+                                         f"the grid's m={self.ensemble.grid.m}")
+
+    @property
+    def block(self) -> int:
+        """Grid steps per block."""
+        return self.ensemble.grid.m // self.values.shape[1]
+
+    @cached_property
+    def hdot(self) -> np.ndarray:
+        return np.repeat(self.values, self.block, axis=1) if self.block > 1 else self.values
 
     @cached_property
     def h(self) -> np.ndarray:
         n, m, d = self.hdot.shape
-        h = np.empty((n, m + 1, d))
-        h[:, 0] = 0.0
-        np.cumsum(self.hdot, axis=1, out=h[:, 1:])
-        h[:, 1:] *= self.ensemble.grid.dt
+        h = _records(n, m + 1, d)
+
+        def walk(lo, hi):
+            h[lo:hi, 0] = 0.0
+            np.cumsum(self.hdot[lo:hi], axis=1, out=h[lo:hi, 1:])
+            h[lo:hi, 1:] *= self.ensemble.grid.dt
+
+        run_ranges(walk, n)
         return h
 
     @property
     def n_paths(self) -> int:
-        return self.hdot.shape[0]
+        return self.values.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.hdot.shape[2]
+        return self.values.shape[2]
 
     def terminal(self) -> np.ndarray:
-        return self.h[:, -1]
-
-    def is_endpoint_zero(self, tol: float = ENDPOINT_TOL) -> bool:
-        return bool(np.max(np.abs(self.terminal())) <= tol)
+        """h at t = 1, summed from the block values: no h is built."""
+        return self.values.sum(axis=1) * (self.block * self.ensemble.grid.dt)
 
 
 def materialize(shift: AdaptedShift, ensemble: PathEnsemble) -> MaterializedShift:
@@ -102,16 +131,22 @@ def materialize(shift: AdaptedShift, ensemble: PathEnsemble) -> MaterializedShif
 
     The paths are walked in the block-aligned ranges of
     :func:`~actionlab.paths.run_ranges`, one per usable CPU; ``hdot`` is
-    stored path-major and is bit-identical for any split.
+    stored path-major and is bit-identical for any split.  Each range stages
+    ``_STAGE_STEPS`` steps time-major and copies them into ``hdot`` at once,
+    which writes whole cache lines of each path instead of one value.
     """
     n, m, d = ensemble.n_paths, ensemble.grid.m, ensemble.dim
     hdot = np.empty((n, m, d))
 
     def walk(lo, hi):
         states, out = ensemble.states[lo:hi], hdot[lo:hi]
+        stage = np.empty((_STAGE_STEPS, hi - lo, d))
         for j in range(m):
+            s = j % _STAGE_STEPS
             v = np.asarray(shift.derivative(j, states), dtype=np.float64)
-            out[:, j] = np.broadcast_to(v, (hi - lo, d))
+            stage[s] = np.broadcast_to(v, (hi - lo, d))
+            if s == _STAGE_STEPS - 1 or j == m - 1:
+                out[:, j - s:j + 1] = stage[:s + 1].transpose(1, 0, 2)
         return np.isfinite(out).all()
 
     if not all(run_ranges(walk, n)):
@@ -120,48 +155,64 @@ def materialize(shift: AdaptedShift, ensemble: PathEnsemble) -> MaterializedShif
 
 
 def h_norm_sq(u: MaterializedShift) -> np.ndarray:
-    """Pathwise squared Cameron-Martin norm: sum |hdot|^2 dt, shape [n]."""
-    return np.einsum("nmd,nmd->n", u.hdot, u.hdot) * u.ensemble.grid.dt
+    """Pathwise squared Cameron-Martin norm: sum |hdot|^2 dt, shape [n],
+    summed over the block values (the factor is exactly dt when k = m)."""
+    return np.einsum("nkd,nkd->n", u.values, u.values) * (u.block * u.ensemble.grid.dt)
 
 
-def _block_size(u: MaterializedShift, n: int) -> int:
+def h_dist_sq(u: MaterializedShift, v: MaterializedShift) -> np.ndarray:
+    """Pathwise squared Cameron-Martin distance |u - v|_H^2, shape [n].
+
+    The paths are walked :data:`~actionlab.paths.NOISE_BLOCK` at a time
+    against the coarser shift's block values, so no ``[n, m, d]`` difference
+    is built (only the finer shift's ``hdot``, which is its ``values`` when
+    it is a general shift).  Each path sums in the order of an einsum over
+    its expanded difference.
+    """
+    coarse, fine = sorted((u, v), key=lambda w: w.values.shape[1])
+    n, m, d = fine.hdot.shape
+    k = coarse.values.shape[1]
+    out = np.empty(n)
+    for lo in range(0, n, NOISE_BLOCK):
+        rows = slice(lo, lo + NOISE_BLOCK)
+        diff = fine.hdot[rows].reshape(-1, k, m // k, d) - coarse.values[rows, :, None]
+        out[rows] = np.einsum("nkrd,nkrd->n", diff, diff)
+    return out * u.ensemble.grid.dt
+
+
+def _edges(u: MaterializedShift, n: int) -> np.ndarray:
+    """h at the n + 1 edges of n equal blocks, [paths, n+1, d]."""
     m = u.ensemble.grid.m
     if n < 3:
         raise GridCompatibilityError("block count n must be >= 3")
     if m % n != 0:
         raise GridCompatibilityError(f"grid m={m} not divisible by n={n}")
-    return m // n
+    return u.h[:, :: m // n]
 
 
 def delay_pn(u: MaterializedShift, n: int) -> MaterializedShift:
     """Block-delay operator: on [k/n, (k+1)/n) for k = 2..n-1 the derivative
     is n * (u_{(k-1)/n} - u_{(k-2)/n}); zero on [0, 2/n)."""
-    b = _block_size(u, n)
-    hdot = np.empty_like(u.hdot)
-    hdot[:, : 2 * b] = 0.0
-    for k in range(2, n):
-        val = n * (u.h[:, (k - 1) * b] - u.h[:, (k - 2) * b])
-        hdot[:, k * b : (k + 1) * b] = val[:, None, :]
-    return MaterializedShift(hdot, u.ensemble, f"p{n}({u.name})")
+    h = _edges(u, n)
+    values = np.zeros((u.n_paths, n, u.dim))
+    values[:, 2:] = n * (h[:, 1:-2] - h[:, :-3])
+    return MaterializedShift(values, u.ensemble, f"p{n}({u.name})")
 
 
 def endpoint_qn(u: MaterializedShift, n: int) -> MaterializedShift:
     """Endpoint carrier: derivative n * u_{1-2/n} on [1-1/n, 1], zero before."""
-    b = _block_size(u, n)
-    hdot = np.empty_like(u.hdot)
-    hdot[:, : (n - 1) * b] = 0.0
-    hdot[:, (n - 1) * b :] = (n * u.h[:, (n - 2) * b])[:, None, :]
-    return MaterializedShift(hdot, u.ensemble, f"q{n}({u.name})")
+    values = np.zeros((u.n_paths, n, u.dim))
+    values[:, -1] = n * _edges(u, n)[:, -3]
+    return MaterializedShift(values, u.ensemble, f"q{n}({u.name})")
 
 
 def endpoint_rn(u: MaterializedShift, n: int) -> MaterializedShift:
     """p_n - q_n; terminal value vanishes on every path (telescoping).
 
     q_n is zero before the last block, so it is subtracted there only."""
-    b = _block_size(u, n)
-    hdot = delay_pn(u, n).hdot
-    hdot[:, (n - 1) * b :] -= (n * u.h[:, (n - 2) * b])[:, None, :]
-    return MaterializedShift(hdot, u.ensemble, f"r{n}({u.name})")
+    values = delay_pn(u, n).values
+    values[:, -1] -= n * _edges(u, n)[:, -3]
+    return MaterializedShift(values, u.ensemble, f"r{n}({u.name})")
 
 
 def stop_truncate(u: MaterializedShift, level: float,
@@ -177,7 +228,7 @@ def stop_truncate(u: MaterializedShift, level: float,
     """
     if level <= 0:
         raise ValueError("level must be positive")
-    if not u.is_endpoint_zero():
+    if not np.max(np.abs(u.terminal())) <= ENDPOINT_TOL:
         raise EndpointError("stop_truncate requires an endpoint-zero shift")
     n, m, d = u.hdot.shape
     dt = u.ensemble.grid.dt
@@ -196,12 +247,24 @@ def stop_truncate(u: MaterializedShift, level: float,
 
 
 def stop_steps_for(u: MaterializedShift, level: float) -> np.ndarray:
-    """First grid index where the running H-norm exceeds ``level`` (m if never)."""
-    n, m, _ = u.hdot.shape
-    dt = u.ensemble.grid.dt
-    running = np.concatenate(
-        [np.zeros((n, 1)),
-         np.cumsum(np.einsum("nmd->nm", u.hdot ** 2) * dt, axis=1)], axis=1)
-    trig = running > level ** 2
-    never = ~trig.any(axis=1)
-    return np.where(never, m, np.argmax(trig, axis=1))
+    """First grid index where the running H-norm exceeds ``level`` (m if never).
+
+    Each range of :func:`~actionlab.paths.run_ranges` is walked
+    ``_WALK_PATHS`` paths at a time.  The running norm at index 0 is zero and
+    never exceeds a positive level, so index j + 1 is read from the
+    cumulative sum up to step j; the sum never decreases, so a path triggers
+    if and only if its last entry does."""
+    dt, m = u.ensemble.grid.dt, u.ensemble.grid.m
+    steps = np.empty(u.n_paths, dtype=np.intp)
+
+    def walk(lo, hi):
+        for b in range(lo, hi, _WALK_PATHS):
+            hdot = u.hdot[b:min(b + _WALK_PATHS, hi)]
+            running = np.einsum("nmd,nmd->nm", hdot, hdot)
+            running *= dt
+            np.cumsum(running, axis=1, out=running)
+            trig = running > level ** 2
+            steps[b:b + len(hdot)] = np.where(trig[:, -1], np.argmax(trig, axis=1) + 1, m)
+
+    run_ranges(walk, u.n_paths)
+    return steps

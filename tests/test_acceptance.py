@@ -56,11 +56,6 @@ def kin():
     return catalog.get_lagrangian("kinetic")
 
 
-def shift_diff(u, v):
-    from dataclasses import replace
-    return replace(u, hdot=u.hdot - v.hdot)
-
-
 def test_criterion_1_operator_suite():
     grid = al.TimeGrid(192)   # divisible by 4, 8, 16, 32
     ens = catalog.build_law("brownian", grid, N_FULL, seed=SEED + 4)
@@ -75,8 +70,8 @@ def test_criterion_1_operator_suite():
         term = float(np.max(np.abs(al.endpoint_rn(u, 8).terminal())))
         if term > 1e-10:
             failures.append((k, f"r_n terminal {term:.2e}"))
-        err4 = float(np.mean(al.h_norm_sq(shift_diff(al.endpoint_rn(u, 4), u))))
-        err32 = float(np.mean(al.h_norm_sq(shift_diff(al.endpoint_rn(u, 32), u))))
+        err4 = float(np.mean(al.h_dist_sq(al.endpoint_rn(u, 4), u)))
+        err32 = float(np.mean(al.h_dist_sq(al.endpoint_rn(u, 32), u)))
         if not err32 < err4:
             failures.append((k, f"convergence {err4:.3f} -> {err32:.3f}"))
         level = float(np.median(np.sqrt(norm)))

@@ -9,7 +9,7 @@ from actionlab import (BridgeProblem, FbsdeSpec, TimeGrid, action, bridge_to_mod
                        fbsde_simulate, gaussian_marginal,
                        navier_stokes_residual, simulate, sinkhorn_bridge)
 from actionlab.bridge import (ConvergenceError, UnsupportedSpecError,
-                              _cell_kernel, marginal_from_csv, reference_terminal)
+                              _cell_kernel, reference_terminal)
 
 
 def kl_oracle():
@@ -28,16 +28,6 @@ def test_marginal_helpers():
     assert d.sum() == 1.0 and d[240] == 1.0
     with pytest.raises(ValueError, match="mass"):
         BridgeProblem(p0=d, p1=p * 0.5)
-
-
-def test_marginal_from_csv(tmp_path):
-    path = tmp_path / "marg.csv"
-    centers = np.linspace(-1, 1, 21)
-    mass = np.exp(-centers ** 2)
-    np.savetxt(path, np.stack([centers, mass], axis=1), delimiter=",")
-    p, x_min, x_max = marginal_from_csv(path)
-    assert abs(p.sum() - 1.0) < 1e-12
-    assert x_min == pytest.approx(-1.05) and x_max == pytest.approx(1.05)
 
 
 def test_kernel_rows_stochastic():

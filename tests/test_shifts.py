@@ -3,17 +3,13 @@ import pytest
 
 from actionlab import (EndpointError, GridCompatibilityError, MaterializedShift,
                        TimeGrid, catalog, delay_pn, endpoint_qn, endpoint_rn,
-                       h_norm_sq, materialize, stop_truncate)
+                       h_dist_sq, h_norm_sq, materialize, stop_truncate)
+from actionlab import paths
 from actionlab._accum import weighted_mean_stderr
 from actionlab.shifts import stop_steps_for
 from actionlab.paths import adaptedness_probe
 from actionlab.catalog import make_random_endpoint_zero_shift
-from conftest import deterministic_law
-
-
-def shift_diff(u, v):
-    from dataclasses import replace
-    return replace(u, hdot=u.hdot - v.hdot)
+from conftest import deterministic_law, traced_peak
 
 
 def w_norm(u):
@@ -48,7 +44,8 @@ def test_h_built_once_and_only_when_read(grid192, bm192):
     assert u.h is u.h
     p = delay_pn(u, 4)            # reads u.h, builds no h of its own
     h_norm_sq(p)
-    assert "h" not in vars(p)
+    p.terminal()
+    assert "h" not in vars(p) and "hdot" not in vars(p)
 
 
 def test_peeking_derivative_rejected(bm_small):
@@ -70,11 +67,10 @@ def test_h_norm_sq_constant_shift(grid200):
 def test_h_norm_sq_sums_coordinates(grid200):
     # unit constant shifts in the two coordinates are orthogonal: the squared
     # norm of their sum is the sum of their squared norms, 1 + 1
-    from dataclasses import replace
     ens = catalog.build_law("brownian", grid200, 1200, seed=7, dim=2)
     a = materialize(catalog.get_shift("constant", grid200, coord=0, dim=2), ens)
     b = materialize(catalog.get_shift("constant", grid200, coord=1, dim=2), ens)
-    both = replace(a, hdot=a.hdot + b.hdot)
+    both = MaterializedShift(a.hdot + b.hdot, ens)
     assert np.array_equal(h_norm_sq(both), h_norm_sq(a) + h_norm_sq(b))
     assert h_norm_sq(both) == pytest.approx(np.full(1200, 2.0), abs=1e-12)
 
@@ -111,7 +107,7 @@ def test_delay_pn_constant_closed_form(grid192, bm192):
     prev = np.inf
     for n in (4, 8, 16, 32):
         p = delay_pn(u, n)
-        err = h_norm_sq(shift_diff(p, u))
+        err = h_dist_sq(p, u)
         expected = 2.0 / n * c ** 2
         assert np.max(np.abs(err - expected)) < 1e-12
         assert expected < prev
@@ -193,7 +189,7 @@ def test_endpoint_rn_convergence_monotone(grid192, bm192):
     for seed in range(6):
         sh = make_random_endpoint_zero_shift(grid192, seed=500 + seed)
         u = materialize(sh, bm192)
-        errs = {n: float(np.mean(h_norm_sq(shift_diff(endpoint_rn(u, n), u))))
+        errs = {n: float(np.mean(h_dist_sq(endpoint_rn(u, n), u)))
                 for n in (4, 32)}
         assert errs[32] < errs[4]
 
@@ -243,7 +239,7 @@ def test_stop_truncate_hand_built_path():
     h[:, 0] = 0
     np.cumsum(hdot, axis=1, out=h[:, 1:])
     h[:, 1:] *= g.dt
-    u = MaterializedShift(hdot=hdot, ensemble=ens)
+    u = MaterializedShift(hdot, ens)
     # running norms: |pi_{t_j}u|_H^2 = j * (2^2) * dt; level 1.25 trips at j=2
     k = stop_truncate(u, np.sqrt(1.25))
     tau = 2 * g.dt
@@ -261,7 +257,7 @@ def test_stop_truncate_at_last_step_keeps_the_shift():
     from actionlab.paths import PathEnsemble
     ens = PathEnsemble(grid=g, states=np.zeros((1, 5, 1)), drifts=np.zeros((1, 4, 1)),
                        diffusions=np.broadcast_to(np.eye(1), (1, 4, 1, 1)), seed=0)
-    u = MaterializedShift(hdot=np.array([[[0.5], [0.5], [0.5], [-1.5]]]), ensemble=ens)
+    u = MaterializedShift(np.array([[[0.5], [0.5], [0.5], [-1.5]]]), ens)
     assert stop_steps_for(u, np.sqrt(0.15))[0] == g.m - 1
     k = stop_truncate(u, np.sqrt(0.15))
     assert np.array_equal(k.hdot, u.hdot)
@@ -277,8 +273,7 @@ def test_stop_truncate_rejects_non_endpoint_zero(grid192, bm192):
 def test_operator_linearity(grid192, bm192):
     u = materialize(catalog.get_shift("state", grid192), bm192)
     v = materialize(catalog.get_shift("tanh_state", grid192), bm192)
-    from dataclasses import replace
-    combo = replace(u, hdot=2.5 * u.hdot - 1.5 * v.hdot)
+    combo = MaterializedShift(2.5 * u.hdot - 1.5 * v.hdot, bm192)
     for op in (lambda w: delay_pn(w, 8), lambda w: endpoint_qn(w, 8),
                lambda w: endpoint_rn(w, 8)):
         lhs = op(combo).hdot
@@ -287,10 +282,220 @@ def test_operator_linearity(grid192, bm192):
     # truncation at a fixed stopping time is linear as well
     uez = endpoint_rn(u, 8)
     vez = endpoint_rn(v, 8)
-    combo_ez = replace(uez, hdot=2.5 * uez.hdot - 1.5 * vez.hdot)
+    combo_ez = MaterializedShift(2.5 * uez.hdot - 1.5 * vez.hdot, bm192)
     stops = stop_steps_for(uez, float(np.median(np.sqrt(h_norm_sq(uez)))))
     lhs = stop_truncate(combo_ez, 1.0, stop_steps=stops).hdot
     rhs = (2.5 * stop_truncate(uez, 1.0, stop_steps=stops).hdot
            - 1.5 * stop_truncate(vez, 1.0, stop_steps=stops).hdot)
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
+
+def _running_norm_stops(u, level):
+    # reference: the running squared norm as a full [paths, m+1] record with
+    # a leading zero column, and the first index above level^2 (m if none)
+    n, m, _ = u.hdot.shape
+    running = np.concatenate(
+        [np.zeros((n, 1)),
+         np.cumsum(np.einsum("nmd->nm", u.hdot ** 2) * u.ensemble.grid.dt, axis=1)],
+        axis=1)
+    trig = running > level ** 2
+    return np.where(~trig.any(axis=1), m, np.argmax(trig, axis=1))
+
+
+def test_stop_steps_for_matches_the_running_norm_formula(grid192, bm192):
+    for seed in range(20):
+        u = materialize(make_random_endpoint_zero_shift(grid192, seed=700 + seed), bm192)
+        for q in (0.1, 0.5, 0.9, 1.0):
+            level = float(np.quantile(np.sqrt(h_norm_sq(u)), q))
+            assert np.array_equal(stop_steps_for(u, level), _running_norm_stops(u, level))
+    # the dyadic hand case of test_stop_truncate_at_last_step_keeps_the_shift,
+    # at levels that trip at each step and at none
+    g = TimeGrid(4)
+    from actionlab.paths import PathEnsemble
+    ens = PathEnsemble(grid=g, states=np.zeros((1, 5, 1)), drifts=np.zeros((1, 4, 1)),
+                       diffusions=np.broadcast_to(np.eye(1), (1, 4, 1, 1)), seed=0)
+    u = MaterializedShift(np.array([[[0.5], [0.5], [0.5], [-1.5]]]), ens)
+    for level_sq in (0.01, 0.0625, 0.1, 0.15, 0.5, 0.75, 1.0):
+        level = np.sqrt(level_sq)
+        assert np.array_equal(stop_steps_for(u, level), _running_norm_stops(u, level))
+
+
+def test_random_endpoint_zero_shift_follows_the_states_array(grid192, bm192):
+    # seed 1 has tanh and sin envelopes: the frozen values depend on the
+    # states, and a call on another array must not reuse the last one's
+    j = grid192.m - 1
+    a = np.array(bm192.states[:64])
+    b = a + 1.0
+    sh = make_random_endpoint_zero_shift(grid192, seed=1)
+    ra, rb, ra2 = sh.derivative(j, a), sh.derivative(j, b), sh.derivative(j, a)
+    assert not np.array_equal(ra, rb)
+    assert np.array_equal(ra, ra2)
+    assert np.array_equal(ra, make_random_endpoint_zero_shift(grid192, seed=1).derivative(j, a))
+    assert np.array_equal(rb, make_random_endpoint_zero_shift(grid192, seed=1).derivative(j, b))
+
+
+def test_random_endpoint_zero_shift_keeps_one_array_per_thread(grid192, bm192):
+    # more threads than cores walk their own arrays in lockstep through one
+    # shift, switching often; each gets what a fresh shift gives on its
+    # array alone
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+    from threading import Barrier
+    arrays = [np.array(bm192.states[i * 32:(i + 1) * 32]) for i in range(4)]
+    sh = make_random_endpoint_zero_shift(grid192, seed=1)
+    barrier = Barrier(len(arrays), timeout=30)
+
+    def walk(states):
+        out = []
+        for j in range(grid192.m):
+            barrier.wait()
+            out.append(sh.derivative(j, states))
+        return np.stack(out, axis=1)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(arrays)) as ex:
+            got = [f.result(timeout=60) for f in [ex.submit(walk, a) for a in arrays]]
+    finally:
+        sys.setswitchinterval(interval)
+    for states, out in zip(arrays, got):
+        fresh = make_random_endpoint_zero_shift(grid192, seed=1)
+        ref = np.stack([fresh.derivative(j, states) for j in range(grid192.m)], axis=1)
+        assert np.array_equal(out, ref)
+
+
+def test_materialized_shift_blocks_divide_the_grid(grid192, bm192):
+    with pytest.raises(GridCompatibilityError):
+        MaterializedShift(np.zeros((4, 5, 1)), bm192)
+    u = MaterializedShift(np.zeros((4, 8, 1)), bm192)
+    assert u.block == 24 and u.hdot.shape == (4, 192, 1)
+
+
+PROPERTY_BLOCKS = (3, 4, 6, 8, 12, 16, 24, 32, 48)
+
+
+@pytest.fixture(scope="module")
+def few192(grid192):
+    return catalog.build_law("brownian", grid192, 48, seed=5)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_operator_properties_on_random_shifts(seed, grid192, few192):
+    # linearity of p_n, q_n, r_n and of k at a fixed stop, the pathwise
+    # contraction |p_n u|_H <= |u|_H and the zero terminal of r_n, on random
+    # derivative records of random size and dimension
+    rng = np.random.default_rng(seed)
+    m, n_paths, dim = grid192.m, few192.n_paths, int(rng.integers(1, 3))
+
+    def random_shift():
+        scale = 10.0 ** rng.uniform(-2, 1)
+        return MaterializedShift(scale * rng.standard_normal((n_paths, m, dim)), few192)
+
+    u, v = random_shift(), random_shift()
+    a, b = rng.uniform(-3, 3, size=2)
+    combo = MaterializedShift(a * u.values + b * v.values, few192)
+    norm = h_norm_sq(u)
+    for n in PROPERTY_BLOCKS:
+        for op in (delay_pn, endpoint_qn, endpoint_rn):
+            lhs = op(combo, n).values
+            rhs = a * op(u, n).values + b * op(v, n).values
+            assert np.max(np.abs(lhs - rhs)) <= 1e-11 * (1 + np.max(np.abs(rhs)))
+        assert np.all(h_norm_sq(delay_pn(u, n)) <= norm * (1 + 1e-12) + 1e-15)
+        uez, vez = endpoint_rn(u, n), endpoint_rn(v, n)
+        assert np.max(np.abs(uez.terminal())) <= 1e-10
+        stops = rng.integers(1, m + 1, size=n_paths)
+        combo_ez = MaterializedShift(a * uez.values + b * vez.values, few192)
+        lhs = stop_truncate(combo_ez, 1.0, stop_steps=stops).hdot
+        rhs = (a * stop_truncate(uez, 1.0, stop_steps=stops).hdot
+               + b * stop_truncate(vez, 1.0, stop_steps=stops).hdot)
+        assert np.max(np.abs(lhs - rhs)) <= 1e-11 * (1 + np.max(np.abs(rhs)))
+
+
+def _per_block_records(u, n):
+    # reference: p_n, q_n and r_n assigned block by block into [paths, m, d]
+    # records, straight from their definitions on u.h
+    b = u.ensemble.grid.m // n
+    p = np.empty_like(u.hdot)
+    p[:, : 2 * b] = 0.0
+    for k in range(2, n):
+        p[:, k * b: (k + 1) * b] = (n * (u.h[:, (k - 1) * b] - u.h[:, (k - 2) * b]))[:, None, :]
+    q = np.empty_like(u.hdot)
+    q[:, : (n - 1) * b] = 0.0
+    q[:, (n - 1) * b:] = (n * u.h[:, (n - 2) * b])[:, None, :]
+    r = p.copy()
+    r[:, (n - 1) * b:] -= (n * u.h[:, (n - 2) * b])[:, None, :]
+    return p, q, r
+
+
+def test_block_operators_expand_to_the_per_block_records(grid192, bm192):
+    dt = grid192.dt
+    for seed in range(3):
+        u = materialize(make_random_endpoint_zero_shift(grid192, seed=800 + seed), bm192)
+        for n in PROPERTY_BLOCKS:
+            shifts = (delay_pn(u, n), endpoint_qn(u, n), endpoint_rn(u, n))
+            for w, record in zip(shifts, _per_block_records(u, n)):
+                assert w.values.shape == (bm192.n_paths, n, 1)
+                assert np.array_equal(w.hdot, record)
+                expanded = np.einsum("nmd,nmd->n", record, record) * dt
+                assert np.all(np.abs(h_norm_sq(w) - expanded) <= 1e-13 * expanded)
+                diff = record - u.hdot
+                expanded = np.einsum("nmd,nmd->n", diff, diff) * dt
+                assert np.all(np.abs(h_dist_sq(w, u) - expanded) <= 1e-13 * expanded)
+                assert np.array_equal(h_dist_sq(w, u), h_dist_sq(u, w))
+                cumsum = np.cumsum(record, axis=1)[:, -1] * dt
+                assert np.all(np.abs(w.terminal() - cumsum)
+                              <= 1e-13 * np.maximum(1.0, np.abs(cumsum)))
+
+
+def test_h_dist_sq_between_block_shifts(grid192, bm192):
+    # nested (8 in 32) and not nested (8 and 12) block counts
+    u = materialize(make_random_endpoint_zero_shift(grid192, seed=5), bm192)
+    r8 = endpoint_rn(u, 8)
+    for other in (endpoint_rn(u, 32), endpoint_rn(u, 12)):
+        diff = other.hdot - r8.hdot
+        expanded = np.einsum("nmd,nmd->n", diff, diff) * grid192.dt
+        assert np.all(np.abs(h_dist_sq(r8, other) - expanded) <= 1e-13 * expanded)
+    assert np.array_equal(h_dist_sq(u, u), np.zeros(bm192.n_paths))
+
+
+def test_operator_checks_build_no_record(grid192, bm192):
+    # once u's integral is built, the runner's checks allocate far less than
+    # one [paths, m, d] record: block values and per-block differences only
+    u = materialize(make_random_endpoint_zero_shift(grid192, seed=6), bm192)
+    u.h
+    record = u.values.nbytes
+    checks = (lambda: h_norm_sq(delay_pn(u, 4)),
+              lambda: endpoint_rn(u, 8).terminal(),
+              lambda: h_dist_sq(endpoint_rn(u, 4), u),
+              lambda: h_dist_sq(endpoint_rn(u, 32), u))
+    for check in checks:
+        assert traced_peak(check)[1] < record / 2
+
+
+def test_shift_walks_are_bit_identical_across_splits(three_cpus, monkeypatch):
+    # five full noise blocks and a partial one, walked in three path ranges
+    # and in one: materialize, the integral h and the stop steps keep their
+    # bits, and h keeps those of one cumulative sum over the whole record
+    g, n = TimeGrid(32), 5 * paths.NOISE_BLOCK + 7
+    ens = catalog.build_law("brownian", g, n, seed=45)
+    sh = make_random_endpoint_zero_shift(g, seed=7)
+
+    def run():
+        three_cpus.clear()
+        u = materialize(sh, ens)
+        level = float(np.median(np.sqrt(h_norm_sq(u))))
+        return u.hdot, u.h, stop_steps_for(u, level), list(three_cpus)
+
+    hdot3, h3, stops3, pools = run()
+    assert pools == [2, 2, 2]
+    monkeypatch.setattr(paths, "_usable_cpus", lambda: 1)
+    hdot1, h1, stops1, pools = run()
+    assert pools == []
+    assert np.array_equal(hdot1, hdot3)
+    assert np.array_equal(h1, h3)
+    assert np.array_equal(stops1, stops3)
+    h = np.zeros((n, g.m + 1, 1))
+    np.cumsum(hdot1, axis=1, out=h[:, 1:])
+    h[:, 1:] *= g.dt
+    assert np.array_equal(h1, h)

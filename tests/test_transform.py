@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from actionlab import (SpaceTimeMap, catalog, estimate_characteristics, lift,
-                       materialize, push_shift)
+from actionlab import (MaterializedShift, SpaceTimeMap, catalog,
+                       estimate_characteristics, lift, materialize, push_shift)
 from actionlab.catalog import make_state_features, make_test_feature_map
 
 
@@ -86,8 +86,7 @@ def test_lift_commutes_with_push_for_affine(bm_small):
     left = lift(push_shift(bm_small, u, 0.3), mp)
     lifted = lift(bm_small, mp)
     u_on_lifted = materialize(catalog.get_shift("cosine", bm_small.grid), lifted)
-    from dataclasses import replace
-    scaled = replace(u_on_lifted, hdot=a * u_on_lifted.hdot)
+    scaled = MaterializedShift(a * u_on_lifted.hdot, lifted, u_on_lifted.name)
     right = push_shift(lifted, scaled, 0.3)
     assert np.allclose(left.states, right.states, atol=1e-12)
     assert np.allclose(left.drifts, right.drifts, atol=1e-12)
