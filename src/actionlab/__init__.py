@@ -2,7 +2,7 @@
 continuous semi-martingales.
 
 The package simulates candidate laws, evaluates Lagrangian actions, applies
-adapted path-space perturbations and space-time transformations with their
+adapted path-space perturbations and space maps with their
 exact characteristic formulas, and statistically certifies or refutes the
 martingale condition behind the least action principle, together with its
 symmetry invariants, on concrete constructions (pinned diffusions, entropic

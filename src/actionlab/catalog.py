@@ -88,11 +88,6 @@ def point_sampler(x0):
 
 # -- potentials -----------------------------------------------------------------
 
-def _pot_zero(dim):
-    return (lambda t, x: np.zeros(x.shape[:-1]),
-            lambda t, x: np.zeros_like(x), 0.0)
-
-
 def _pot_quadratic(dim, k=1.0):
     return (lambda t, x: 0.5 * k * np.einsum("...d,...d->...", x, x),
             lambda t, x: k * x, float(k))
@@ -119,7 +114,6 @@ def _pot_taylor_green(dim):
 
 
 POTENTIALS: Dict[str, Callable] = {
-    "zero": _pot_zero,
     "quadratic": _pot_quadratic,
     "x1_squared": _pot_x1_squared,
     "taylor_green_pressure": _pot_taylor_green,
@@ -511,14 +505,14 @@ SHIFTS: Dict[str, Callable] = {
 }
 
 
-# -- space-time maps ------------------------------------------------------------
+# -- space maps -----------------------------------------------------------------
 
 def _map_identity(dim=1):
     eye = np.eye(dim)
     return SpaceTimeMap(name="identity",
-                        map_fn=lambda t, x: x,
-                        jacobian=lambda t, x: eye,
-                        inverse=lambda t, y: y)
+                        map_fn=lambda x: x,
+                        jacobian=lambda x: eye,
+                        inverse=lambda y: y)
 
 
 def _map_affine(matrix=None, offset=None, dim=1):
@@ -526,9 +520,9 @@ def _map_affine(matrix=None, offset=None, dim=1):
     b = np.asarray(offset, dtype=np.float64) if offset is not None else np.zeros(a.shape[0])
     ainv = np.linalg.inv(a)
     return SpaceTimeMap(name="affine",
-                        map_fn=lambda t, x: x @ a.T + b,
-                        jacobian=lambda t, x: a,
-                        inverse=lambda t, y: (y - b) @ ainv.T)
+                        map_fn=lambda x: x @ a.T + b,
+                        jacobian=lambda x: a,
+                        inverse=lambda y: (y - b) @ ainv.T)
 
 
 def _map_sine_squash(amplitude=0.2, dim=1):
@@ -536,10 +530,10 @@ def _map_sine_squash(amplitude=0.2, dim=1):
     if not abs(amp) < 1.0:
         raise ValueError("amplitude must lie in (-1, 1) for invertibility")
 
-    def map_fn(t, x):
+    def map_fn(x):
         return x + amp * np.sin(x)
 
-    def jacobian(t, x):
+    def jacobian(x):
         n, d = x.shape
         out = np.zeros((n, d, d))
         diag = 1.0 + amp * np.cos(x)
@@ -547,7 +541,7 @@ def _map_sine_squash(amplitude=0.2, dim=1):
             out[:, k, k] = diag[:, k]
         return out
 
-    def hessian(t, x):
+    def hessian(x):
         n, d = x.shape
         out = np.zeros((n, d, d, d))
         second = -amp * np.sin(x)
@@ -555,7 +549,7 @@ def _map_sine_squash(amplitude=0.2, dim=1):
             out[:, k, k, k] = second[:, k]
         return out
 
-    def inverse(t, y):
+    def inverse(y):
         x = y.copy()
         for _ in range(40):
             f = x + amp * np.sin(x) - y
@@ -582,26 +576,17 @@ def _family_translation(coord=0, dim=1):
     vec[coord] = 1.0
     zero = np.zeros((dim, dim))
 
-    def maps(eps):
-        return _map_affine(matrix=np.eye(dim), offset=eps * vec, dim=dim)
-
     return NoetherFamily(name=f"translation[{coord}]",
-                         generator=lambda t, x: np.broadcast_to(vec, x.shape),
-                         grad_generator=lambda t, x: zero,
-                         maps=maps)
+                         generator=lambda x: np.broadcast_to(vec, x.shape),
+                         grad_generator=lambda x: zero)
 
 
 def _family_rotation(**_):
     jmat = np.array([[0.0, -1.0], [1.0, 0.0]])
 
-    def maps(eps):
-        c, s = np.cos(eps), np.sin(eps)
-        return _map_affine(matrix=np.array([[c, -s], [s, c]]), dim=2)
-
     return NoetherFamily(name="rotation",
-                         generator=lambda t, x: x @ jmat.T,
-                         grad_generator=lambda t, x: jmat,
-                         maps=maps)
+                         generator=lambda x: x @ jmat.T,
+                         grad_generator=lambda x: jmat)
 
 
 FAMILIES: Dict[str, Callable[..., NoetherFamily]] = {

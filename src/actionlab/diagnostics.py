@@ -22,10 +22,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ._accum import weighted_mean_stderr, zscores
-from .lagrangians import Lagrangian, _el_columns, el_process
+from .lagrangians import Lagrangian, el_process
 from .paths import PathEnsemble, run_ranges
 from .shifts import ENDPOINT_TOL, EndpointError, MaterializedShift
-from .transform import SpaceTimeMap
 
 __all__ = [
     "MartingaleReport",
@@ -190,10 +189,10 @@ def variational_derivative(ensemble: PathEnsemble, lagrangian: Lagrangian,
 
     The binding, ``t_max`` and epsilon checks come first.  The paths are then
     walked in the block-aligned ranges of :func:`~actionlab.paths.run_ranges`,
-    one per usable CPU.  Each range builds its own xi, takes the formula
-    value, frees xi and runs the step loop, where h is streamed as the
-    running sum of hdot times dt (the bits of ``shift.h``, which is never
-    built).  The endpoint-zero check reads the streamed terminal value, so
+    one per usable CPU.  Each range builds its own xi (``el_process`` of the
+    range), takes the formula value, frees xi and runs the step loop, where
+    h is streamed as the running sum of hdot times dt (the bits of
+    ``shift.h``, which is never built).  The endpoint-zero check reads the streamed terminal value, so
     :class:`EndpointError` is raised after that pass.  The epsilon choice and
     the weighted means run on the per-path values of all ranges, so the
     result is bit-identical for any split.
@@ -216,9 +215,7 @@ def variational_derivative(ensemble: PathEnsemble, lagrangian: Lagrangian,
     def walk(lo, hi):
         ens, hdot = ensemble.path_range(lo, hi), shift.hdot[lo:hi]
         sums = {e: total[lo:hi] for e, total in actions.items()}
-        xi = np.empty((hi - lo, m, d))
-        for j, col in _el_columns(ens, lagrangian, range(m)):
-            xi[:, j] = col
+        xi = el_process(ens, lagrangian)
         formula_pp[lo:hi] = np.einsum("nmd,nmd->n", xi, hdot) * dt
         del xi
         # h_j = (hdot_0 + ... + hdot_{j-1}) dt, summed in np.cumsum's order
@@ -324,15 +321,14 @@ def drift_representation_check(ensemble: PathEnsemble,
 class NoetherFamily:
     """A one-parameter family of space maps with identity at parameter zero.
 
-    ``generator(t, x)`` is the parameter-derivative of the family at zero and
-    ``grad_generator(t, x)`` its spatial Jacobian [.., d, d]; ``maps`` builds
-    the finite-parameter map for spot checks of the family itself.
+    ``generator(x[n, d])`` is the parameter-derivative of the family at zero,
+    an [n, d] field u~(x), and ``grad_generator(x)`` its spatial Jacobian
+    [.., d, d]; neither takes a time argument.
     """
 
     name: str
     generator: Callable
     grad_generator: Callable
-    maps: Optional[Callable[[float], SpaceTimeMap]] = None
 
 
 def noether_invariant(ensemble: PathEnsemble, lagrangian: Lagrangian,
@@ -342,7 +338,7 @@ def noether_invariant(ensemble: PathEnsemble, lagrangian: Lagrangian,
                       test_functions: Optional[Callable] = None):
     """Assemble the symmetry invariant and run the martingale test on it.
 
-    I_t = <u~(t, W_t), p_t> - sum_i [u~^i, p^i]_t + int_0^t theta_s ds, with
+    I_t = <u~(W_t), p_t> - sum_i [u~^i, p^i]_t + int_0^t theta_s ds, with
     p the momentum grad_v L, the bracket the realized covariation on the
     simulation grid, theta = sum_ij kappa_ij dL/da_ij and
     kappa = alpha grad_u~^T + grad_u~ alpha.  Returns (I at probes, report).
@@ -366,13 +362,13 @@ def noether_invariant(ensemble: PathEnsemble, lagrangian: Lagrangian,
         alpha = ensemble.alpha(j)
         # C order, as rows of a path array: einsum's summation order over d
         # depends on the operands' memory layout
-        gen = np.ascontiguousarray(family.generator(t, x), dtype=np.float64)
+        gen = np.ascontiguousarray(family.generator(x), dtype=np.float64)
         p = np.ascontiguousarray(lagrangian.grad_v(t, x, v, alpha), dtype=np.float64)
         if j > 0:
             cov = cov + np.einsum("nd,nd->n", gen - gen_prev, p - p_prev)
         if j in column:
             inv[:, column[j]] = np.einsum("nd,nd->n", gen, p) - cov + theta_sum * dt
-        gu = np.broadcast_to(np.asarray(family.grad_generator(t, x),
+        gu = np.broadcast_to(np.asarray(family.grad_generator(x),
                                         dtype=np.float64), (n, d, d))
         # one product when neither factor varies over the paths; alpha is
         # symmetric, so alpha grad_u~^T is the transpose of grad_u~ alpha

@@ -455,10 +455,9 @@ def estimate_characteristics(ensemble: PathEnsemble, feature_map,
     for j in probe_steps:
         phi, names = feature_map(ensemble, j)
         phi = np.asarray(phi, dtype=np.float64)
-        dw = (ensemble.states[:, j + 1] - ensemble.states[:, j]) / dt
-        c_v, se_v, rs = _wls(phi, dw, ensemble.weights)
-        outer = np.einsum("ni,nj->nij", ensemble.states[:, j + 1] - ensemble.states[:, j],
-                          ensemble.states[:, j + 1] - ensemble.states[:, j]) / dt
+        inc = ensemble.states[:, j + 1] - ensemble.states[:, j]
+        c_v, se_v, rs = _wls(phi, inc / dt, ensemble.weights)
+        outer = np.einsum("ni,nj->nij", inc, inc) / dt
         c_a, se_a, _ = _wls(phi, outer.reshape(ensemble.n_paths, d * d),
                             ensemble.weights)
         out.append(CharacteristicsEstimate(

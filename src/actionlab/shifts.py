@@ -161,7 +161,8 @@ def h_norm_sq(u: MaterializedShift) -> np.ndarray:
 
 
 def h_dist_sq(u: MaterializedShift, v: MaterializedShift) -> np.ndarray:
-    """Pathwise squared Cameron-Martin distance |u - v|_H^2, shape [n].
+    """Pathwise squared Cameron-Martin distance |u - v|_H^2, shape [n], of
+    two shifts bound to the same ensemble (``ValueError`` otherwise).
 
     The paths are walked :data:`~actionlab.paths.NOISE_BLOCK` at a time
     against the coarser shift's block values, so no ``[n, m, d]`` difference
@@ -169,6 +170,8 @@ def h_dist_sq(u: MaterializedShift, v: MaterializedShift) -> np.ndarray:
     it is a general shift).  Each path sums in the order of an einsum over
     its expanded difference.
     """
+    if u.ensemble is not v.ensemble:
+        raise ValueError("shifts are bound to different ensembles")
     coarse, fine = sorted((u, v), key=lambda w: w.values.shape[1])
     n, m, d = fine.hdot.shape
     k = coarse.values.shape[1]

@@ -1,11 +1,11 @@
-"""Pushforward of ensembles by adapted shifts and by space-time maps.
+"""Pushforward of ensembles by adapted shifts and by space maps.
 
 ``push_shift`` translates every path by epsilon times a materialized shift;
 the drift records gain epsilon * hdot and the diffusion records are carried
-unchanged.  ``lift`` applies a pointwise map y = h(x) to the paths and
-transforms the recorded characteristics by the Ito rule: the new drift is
-(v . grad) h + (1/2) sum alpha_ij d2_ij h and the new diffusion factor is
-(grad h) sigma.
+unchanged.  ``lift`` applies a pointwise space map y = h(x) to the paths and
+transforms the recorded characteristics by the time-free Ito rule: the new
+drift is (v . grad) h + (1/2) sum alpha_ij d2_ij h and the new diffusion
+factor is (grad h) sigma.
 """
 
 from __future__ import annotations
@@ -27,12 +27,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpaceTimeMap:
-    """A time-independent map h(x) with spatial derivatives and an inverse.
+    """A space map h(x) with its spatial derivatives and an inverse.
 
-    map_fn(t, x[n,d]) -> [n,d]; jacobian -> [n,d,d] (or constant [d,d]);
-    hessian -> [n,d,d,d] with axes (path, output, i, j), or None for affine
-    maps; inverse(t, y[n,d]) -> [n,d] undoes map_fn, and every registered
-    map supplies one.
+    map_fn(x[n,d]) -> [n,d]; jacobian(x) -> [n,d,d] (or constant [d,d]);
+    hessian(x) -> [n,d,d,d] with axes (path, output, i, j), or None for
+    affine maps; inverse(y[n,d]) -> [n,d] undoes map_fn, and every registered
+    map supplies one.  None of them takes a time argument.
     """
 
     name: str
@@ -59,33 +59,22 @@ def push_shift(ensemble: PathEnsemble, shift: MaterializedShift,
                    label=f"{ensemble.label}+{epsilon}*{shift.name}")
 
 
-def _ito(m: SpaceTimeMap, ensemble: PathEnsemble, j: int):
-    """Jacobian [n, d, d] of h at step j and the Ito drift of h(X):
-    (v . grad) h + (1/2) alpha : hess h, shape [n, d]."""
-    n, d = ensemble.n_paths, ensemble.dim
-    t = j * ensemble.grid.dt
-    x = ensemble.states[:, j]
-    jac = np.broadcast_to(np.asarray(m.jacobian(t, x), dtype=np.float64), (n, d, d))
-    drift = np.einsum("nij,nj->ni", jac, ensemble.drifts[:, j])
-    if m.hessian is not None:
-        hess = np.broadcast_to(np.asarray(m.hessian(t, x), dtype=np.float64),
-                               (n, d, d, d))
-        drift = drift + 0.5 * np.einsum("nij,nkij->nk", ensemble.alpha(j), hess)
-    return jac, drift
-
-
 def lift(ensemble: PathEnsemble, m: SpaceTimeMap) -> PathEnsemble:
-    """Image law under the pathwise application of the space-time map."""
-    grid = ensemble.grid
+    """Image law under the pathwise application of the space map."""
     n, steps, d = ensemble.drifts.shape
     states = np.empty_like(ensemble.states)
     drifts = np.empty_like(ensemble.drifts)
     diffusions = np.empty((n, steps, d, d))
     for j in range(steps + 1):
-        t = j * grid.dt
-        states[:, j] = m.map_fn(t, ensemble.states[:, j])
+        states[:, j] = m.map_fn(ensemble.states[:, j])
     for j in range(steps):
-        jac, drifts[:, j] = _ito(m, ensemble, j)
+        x = ensemble.states[:, j]
+        jac = np.broadcast_to(np.asarray(m.jacobian(x), dtype=np.float64), (n, d, d))
+        drifts[:, j] = np.einsum("nij,nj->ni", jac, ensemble.drifts[:, j])
+        if m.hessian is not None:
+            hess = np.broadcast_to(np.asarray(m.hessian(x), dtype=np.float64),
+                                   (n, d, d, d))
+            drifts[:, j] += 0.5 * np.einsum("nij,nkij->nk", ensemble.alpha(j), hess)
         diffusions[:, j] = np.einsum("nij,njk->nik", jac, ensemble.diffusions[:, j])
     if not (np.isfinite(states).all() and np.isfinite(drifts).all()):
         raise ValueError(f"map '{m.name}' produced non-finite values")

@@ -182,7 +182,7 @@ def test_criterion_5_transformation_formulas(grid, bm):
         lifted = al.lift(bm, mp)
         inv = mp.inverse
         fm = make_test_feature_map(
-            [lambda y: np.ones(y.shape[0]), lambda y: np.sin(inv(0.0, y))[:, 0]],
+            [lambda y: np.ones(y.shape[0]), lambda y: np.sin(inv(y))[:, 0]],
             ["1", "sin(preimage)"])
         for j in probes:
             x = bm.states[:, j]

@@ -355,13 +355,11 @@ def test_noether_rotation_nonradial_fails(grid200):
     assert not rep.verdict
 
 
-def test_noether_family_identity_at_zero():
-    for name in ("translation", "rotation"):
-        fam = catalog.get_family(name)
-        mp = fam.maps(0.0)
-        pts = np.linspace(-2, 2, 9)
-        x = np.stack([pts, pts[::-1]], axis=1) if name == "rotation" else pts[:, None]
-        assert np.max(np.abs(mp.map_fn(0.0, x) - x)) < 1e-14
+def test_noether_rejects_a_time_dependent_generator(pinned_mid):
+    family = NoetherFamily(name="timed", generator=lambda t, x: np.ones_like(x) * t,
+                           grad_generator=lambda t, x: np.zeros((1, 1)))
+    with pytest.raises(TypeError, match="positional argument"):
+        noether_invariant(pinned_mid, catalog.get_lagrangian("kinetic"), family)
 
 
 def test_noether_alpha_dependent_theta_term(grid200):
@@ -383,14 +381,14 @@ def _noether_full_arrays(ens, lag, family, idx):
     theta = np.empty((n, m))
     gen = np.empty((n, m + 1, d))
     for j in range(m + 1):
-        gen[:, j] = np.asarray(family.generator(j * dt, ens.states[:, j]), dtype=np.float64)
+        gen[:, j] = np.asarray(family.generator(ens.states[:, j]), dtype=np.float64)
     for j in range(m):
         t = j * dt
         x, v = ens.states[:, j], ens.drifts[:, j]
         s = ens.diffusions[:, j]
         alpha = np.einsum("nik,njk->nij", s, s)
         p[:, j] = np.asarray(lag.grad_v(t, x, v, alpha), dtype=np.float64)
-        gu = np.broadcast_to(np.asarray(family.grad_generator(t, x), dtype=np.float64),
+        gu = np.broadcast_to(np.asarray(family.grad_generator(x), dtype=np.float64),
                              (n, d, d))
         g_alpha = np.einsum("nik,nkj->nij", gu, alpha)
         kappa = g_alpha + np.swapaxes(g_alpha, 1, 2)
@@ -432,8 +430,8 @@ def _rotation(dim):
     if dim == 2:
         return catalog.get_family("rotation")
     gen = np.array([[0.0, -1.0, 0.5], [1.0, 0.0, -2.0], [-0.5, 2.0, 0.0]])
-    return NoetherFamily(name="rotation3", generator=lambda t, x: x @ gen.T,
-                         grad_generator=lambda t, x: gen)
+    return NoetherFamily(name="rotation3", generator=lambda x: x @ gen.T,
+                         grad_generator=lambda x: gen)
 
 
 @pytest.mark.parametrize("law, dim", [("oscillator", 2), ("correlated", 2),

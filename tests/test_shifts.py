@@ -459,6 +459,18 @@ def test_h_dist_sq_between_block_shifts(grid192, bm192):
     assert np.array_equal(h_dist_sq(u, u), np.zeros(bm192.n_paths))
 
 
+def test_h_dist_sq_rejects_shifts_on_different_ensembles(grid192):
+    # the same shift materialized on two laws of equal shape: the paths
+    # differ, so a per-path distance between them means nothing
+    shift = catalog.get_shift("tanh_state", grid192)
+    u, v = (materialize(shift, catalog.build_law("brownian", grid192, 500, seed=s))
+            for s in (1, 2))
+    with pytest.raises(ValueError, match="bound"):
+        h_dist_sq(u, v)
+    with pytest.raises(ValueError, match="bound"):
+        h_dist_sq(endpoint_rn(u, 8), v)
+
+
 def test_operator_checks_build_no_record(grid192, bm192):
     # once u's integral is built, the runner's checks allocate far less than
     # one [paths, m, d] record: block values and per-block differences only
