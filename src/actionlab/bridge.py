@@ -41,6 +41,8 @@ __all__ = [
     "navier_stokes_residual",
 ]
 
+NS_SPACE, NS_TIME = 50, 10   # the navier_stokes_residual grid: points per axis, times
+
 
 class ConvergenceError(RuntimeError):
     """Iterative proportional fitting did not reach tolerance."""
@@ -425,15 +427,16 @@ def taylor_green_pressure_gradient(t, x: np.ndarray) -> np.ndarray:
     return np.stack([g1, g2], axis=-1)
 
 
-def navier_stokes_residual(n_space: int = 50, n_time: int = 10):
+def navier_stokes_residual():
     """Pointwise momentum residual and divergence of the vortex pair.
 
-    Evaluates d_t u + (u . grad)u + grad p - (1/2) lap u on a space-time grid
+    Evaluates d_t u + (u . grad)u + grad p - (1/2) lap u on a
+    :data:`NS_SPACE` x :data:`NS_SPACE` x :data:`NS_TIME` space-time grid
     with every derivative written out explicitly; both returns should sit at
     rounding level for the implemented field.
     """
-    xs = np.linspace(0.0, 2 * np.pi, n_space)
-    ts = np.linspace(0.0, 1.0, n_time)
+    xs = np.linspace(0.0, 2 * np.pi, NS_SPACE)
+    ts = np.linspace(0.0, 1.0, NS_TIME)
     xg, yg = np.meshgrid(xs, xs, indexing="ij")
     worst_mom = 0.0
     worst_div = 0.0

@@ -118,7 +118,7 @@ def _scale(cfg):
     grid = TimeGrid(int(s.get("m", 200)))
     n = int(s.get("n_paths", 100_000))
     seed = int(s.get("seed", 7))
-    threshold = float(s.get("threshold", 4.0))
+    threshold = float(s.get("threshold", diagnostics.DEFAULT_THRESHOLD))
     probes = s.get("probes", diagnostics.DEFAULT_PROBE_FRACTIONS)
     if isinstance(probes, float):
         probes = (probes,)
@@ -179,9 +179,7 @@ def run_simulate(cfg, grid, n, seed, threshold, probes):
 
 def run_action(cfg, grid, n, seed, threshold, probes):
     ens = _law(cfg, grid, n, seed)
-    lag = _lagrangian(cfg)
-    t_max = float(cfg["scenario"].get("t_max", 1.0))
-    est = action(ens, lag, t_max=t_max)
+    est = action(ens, _lagrangian(cfg))
     s = cfg["scenario"]
     rows = [("action", est.mean, est.stderr), ("n_paths", est.n_paths, 0.0),
             ("m", est.m, 0.0)]
@@ -240,7 +238,7 @@ def run_bridge(cfg, grid, n, seed, threshold, probes):
     s = cfg["scenario"]
     ens, solution, holder = catalog.sinkhorn_bridge_law(grid, n, seed, **cfg["bridge"])
     lag = _lagrangian(cfg)
-    est = action(ens, lag, t_max=1.0)
+    est = action(ens, lag)
 
     # terminal histogram against the target marginal on coarse bins
     tv_bins = int(s.get("tv_bins", 48))

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._accum import weighted_mean_stderr, zscores
 from .lagrangians import Lagrangian, el_process
-from .paths import PathEnsemble, run_ranges
+from .paths import MIN_PATHS, PathEnsemble, run_ranges
 from .shifts import ENDPOINT_TOL, EndpointError, MaterializedShift
 
 __all__ = [
@@ -42,7 +42,7 @@ __all__ = [
 
 DEFAULT_PROBE_FRACTIONS = (0.1, 0.25, 0.5, 0.75, 0.9)
 DEFAULT_THRESHOLD = 4.0
-MIN_PATHS = 1000
+CLIP_QUANTILE = 0.995   # of |W| and W^2, where the prefix features are clipped
 
 
 class PowerError(ValueError):
@@ -73,34 +73,33 @@ class MartingaleReport:
                 yield s, t, name, float(z)
 
 
-def default_test_functions(ensemble: PathEnsemble, j: int,
-                           clip_quantile: float = 0.995):
+def default_test_functions(ensemble: PathEnsemble, j: int):
     """Bounded prefix features at probe step j: 1, W, clip(W^2).
 
-    The state features are clipped at a high quantile of their absolute value
-    so the statistics stay well behaved for heavy-tailed laws.
+    The state features are clipped at the :data:`CLIP_QUANTILE` quantile of
+    their absolute value so the statistics stay well behaved for heavy-tailed
+    laws.
     """
     x = ensemble.states[:, j]
     d = x.shape[1]
     feats = [np.ones(x.shape[0])]
     names = ["1"]
     for k in range(d):
-        c = np.quantile(np.abs(x[:, k]), clip_quantile)
+        c = np.quantile(np.abs(x[:, k]), CLIP_QUANTILE)
         feats.append(np.clip(x[:, k], -c, c) if c > 0 else x[:, k])
         names.append(f"W[{k}]")
     for k in range(d):
         sq = x[:, k] ** 2
-        c = np.quantile(sq, clip_quantile)
+        c = np.quantile(sq, CLIP_QUANTILE)
         feats.append(np.clip(sq, 0.0, c) if c > 0 else sq)
         names.append(f"W[{k}]^2")
     return np.stack(feats, axis=1), names
 
 
-def _orthogonality(resid: np.ndarray, ensemble: PathEnsemble, j: int,
-                   test_functions: Optional[Callable]):
+def _orthogonality(resid: np.ndarray, ensemble: PathEnsemble, j: int):
     """z-scores of E[w resid phi] for each prefix feature phi at step j and
     coordinate of ``resid`` [n, d], with their column names."""
-    feats, feat_names = (test_functions or default_test_functions)(ensemble, j)
+    feats, feat_names = default_test_functions(ensemble, j)
     n, d = resid.shape
     prod = resid[:, None, :] * feats[:, :, None]              # [n, k, d]
     mean, se = weighted_mean_stderr(prod.reshape(n, -1), ensemble.weights)
@@ -110,7 +109,6 @@ def _orthogonality(resid: np.ndarray, ensemble: PathEnsemble, j: int,
 
 def martingale_test(process: np.ndarray, ensemble: PathEnsemble,
                     probe_indices: Sequence[int],
-                    test_functions: Optional[Callable] = None,
                     threshold: float = DEFAULT_THRESHOLD) -> MartingaleReport:
     """Test that a process sampled at the probe steps is a martingale.
 
@@ -132,8 +130,7 @@ def martingale_test(process: np.ndarray, ensemble: PathEnsemble,
     pairs, stats, names = [], [], None
     for a in range(p - 1):
         ja, jb = probe_indices[a], probe_indices[a + 1]
-        z, names = _orthogonality(proc[:, a + 1] - proc[:, a], ensemble, ja,
-                                  test_functions)
+        z, names = _orthogonality(proc[:, a + 1] - proc[:, a], ensemble, ja)
         stats.append(z)
         pairs.append((ja * dt, jb * dt))
     return MartingaleReport(probe_pairs=pairs, test_names=names or [],
@@ -142,12 +139,12 @@ def martingale_test(process: np.ndarray, ensemble: PathEnsemble,
 
 def el_certify(ensemble: PathEnsemble, lagrangian: Lagrangian,
                probe_fractions: Sequence[float] = DEFAULT_PROBE_FRACTIONS,
-               threshold: float = DEFAULT_THRESHOLD,
-               test_functions: Optional[Callable] = None) -> MartingaleReport:
-    """Martingale test of the Euler-Lagrange process; the laboratory's verdict."""
+               threshold: float = DEFAULT_THRESHOLD) -> MartingaleReport:
+    """Martingale test of the Euler-Lagrange process at ``probe_fractions``
+    of the ensemble's ``t_max``; the laboratory's verdict."""
     idx = ensemble.grid.probe_indices(probe_fractions, ensemble.t_max)
     return martingale_test(el_process(ensemble, lagrangian, idx), ensemble, idx,
-                           test_functions=test_functions, threshold=threshold)
+                           threshold=threshold)
 
 
 @dataclass(frozen=True)
@@ -165,9 +162,10 @@ class VariationalResult:
 
     @property
     def agree(self) -> bool:
-        return abs(self.diff) <= 4.0 * self.diff_se + self.allowance
+        return abs(self.diff) <= DEFAULT_THRESHOLD * self.diff_se + self.allowance
 
-    def critical(self, k: float = 4.0) -> bool:
+    def critical(self) -> bool:
+        k = DEFAULT_THRESHOLD
         return (abs(self.formula) <= k * self.formula_se + self.allowance
                 and abs(self.fd) <= k * max(self.fd_se, self.formula_se) + self.allowance)
 
@@ -175,7 +173,6 @@ class VariationalResult:
 def variational_derivative(ensemble: PathEnsemble, lagrangian: Lagrangian,
                            shift: MaterializedShift,
                            eps_list: Sequence[float] = (1e-2, 1e-3),
-                           t_max: float = 1.0,
                            allowance: Optional[float] = None) -> VariationalResult:
     """Derivative of the action along the pushforward curve, two ways.
 
@@ -183,11 +180,12 @@ def variational_derivative(ensemble: PathEnsemble, lagrangian: Lagrangian,
     shifted by +-epsilon), differenced per path against the formula value
     <xi, h>_H with xi the Euler-Lagrange process, so the comparison noise is
     the noise of the difference.  One step loop sums ``L(t, x + e h, v + e
-    hdot, alpha) dt`` per signed epsilon ``e``: the bits of ``path_actions``
-    on ``push_shift(ensemble, shift, e)``, without the pushed ensembles.
-    ``allowance`` defaults to 2/m and absorbs the left-rectangle mismatch.
+    hdot, alpha) dt`` over the steps before ``ensemble.t_max`` per signed
+    epsilon ``e``: the bits of ``path_actions`` on ``push_shift(ensemble,
+    shift, e)``, without the pushed ensembles.  ``allowance`` defaults to 2/m
+    and absorbs the left-rectangle mismatch.
 
-    The binding, ``t_max`` and epsilon checks come first.  The paths are then
+    The binding and epsilon checks come first.  The paths are then
     walked in the block-aligned ranges of :func:`~actionlab.paths.run_ranges`,
     one per usable CPU.  Each range builds its own xi (``el_process`` of the
     range), takes the formula value, frees xi and runs the step loop, where
@@ -199,8 +197,6 @@ def variational_derivative(ensemble: PathEnsemble, lagrangian: Lagrangian,
     """
     if shift.ensemble is not ensemble:
         raise ValueError("shift is not bound to this ensemble")
-    if not 0.0 < t_max <= 1.0:
-        raise ValueError("t_max must lie in (0, 1]")
     if not eps_list or not all(isinstance(e, Real) and 0.0 < e < math.inf
                                for e in eps_list):
         raise ValueError(f"eps must be finite and positive, got {list(eps_list)}")
@@ -208,7 +204,7 @@ def variational_derivative(ensemble: PathEnsemble, lagrangian: Lagrangian,
         allowance = 2.0 / ensemble.grid.m
     n, m, d = ensemble.drifts.shape
     dt = ensemble.grid.dt
-    steps = ensemble.grid.steps_before(t_max)
+    steps = ensemble.grid.steps_before(ensemble.t_max)
     formula_pp, terminal = np.empty(n), np.empty((n, d))
     actions = {e: np.zeros(n) for eps in eps_list for e in (eps, -eps)}
 
@@ -276,7 +272,6 @@ class DriftRepresentationReport:
 def drift_representation_check(ensemble: PathEnsemble,
                                grad_potential: Optional[Callable] = None,
                                probe_fractions: Sequence[float] = (0.6, 0.75, 0.9),
-                               test_functions: Optional[Callable] = None,
                                threshold: float = DEFAULT_THRESHOLD) -> DriftRepresentationReport:
     """Check that the recorded drift is the conditional mean of the pull-to-
     endpoint variable xi^V_t = (W_1 - W_t)/(1-t) + int_t^1 ((1-s)/(1-t)) grad V ds.
@@ -292,15 +287,16 @@ def drift_representation_check(ensemble: PathEnsemble,
     if not idx:   # no statistic: an empty report, not a PASS
         raise ValueError("need at least one probe step, got 0")
 
-    grad_term = np.zeros((n, m + 1, d))
+    grad_term = {}
     if grad_potential is not None:
-        # backward left-rectangle sums of (1-s) grad V(W_s)
+        # backward left-rectangle sums of (1-s) grad V(W_s), kept at the probes
         acc = np.zeros((n, d))
-        for j in range(m - 1, -1, -1):
+        for j in range(m - 1, idx[0] - 1, -1):
             t = j * dt
             acc = acc + (1.0 - t) * np.asarray(
                 grad_potential(t, ensemble.states[:, j]), dtype=np.float64) * dt
-            grad_term[:, j] = acc
+            if j in idx:
+                grad_term[j] = acc
 
     stats, names, times = [], None, []
     terminal = ensemble.states[:, m]
@@ -308,9 +304,8 @@ def drift_representation_check(ensemble: PathEnsemble,
         t = j * dt
         xi = (terminal - ensemble.states[:, j]) / (1.0 - t)
         if grad_potential is not None:
-            xi = xi + grad_term[:, j] / (1.0 - t)
-        z, names = _orthogonality(xi - ensemble.drifts[:, j], ensemble, j,
-                                  test_functions)
+            xi = xi + grad_term[j] / (1.0 - t)
+        z, names = _orthogonality(xi - ensemble.drifts[:, j], ensemble, j)
         stats.append(z)
         times.append(t)
     return DriftRepresentationReport(probe_times=times, feature_names=names or [],
@@ -334,8 +329,7 @@ class NoetherFamily:
 def noether_invariant(ensemble: PathEnsemble, lagrangian: Lagrangian,
                       family: NoetherFamily,
                       probe_fractions: Sequence[float] = DEFAULT_PROBE_FRACTIONS,
-                      threshold: float = DEFAULT_THRESHOLD,
-                      test_functions: Optional[Callable] = None):
+                      threshold: float = DEFAULT_THRESHOLD):
     """Assemble the symmetry invariant and run the martingale test on it.
 
     I_t = <u~(W_t), p_t> - sum_i [u~^i, p^i]_t + int_0^t theta_s ds, with
@@ -378,6 +372,5 @@ def noether_invariant(ensemble: PathEnsemble, lagrangian: Lagrangian,
         ga = np.asarray(lagrangian.grad_a(t, x, v, alpha), dtype=np.float64)
         theta_sum = theta_sum + np.einsum("nij,nij->n", kappa, np.broadcast_to(ga, (n, d, d)))
         gen_prev, p_prev = gen, p
-    report = martingale_test(inv, ensemble, idx, test_functions=test_functions,
-                             threshold=threshold)
+    report = martingale_test(inv, ensemble, idx, threshold=threshold)
     return inv, report

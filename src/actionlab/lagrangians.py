@@ -56,22 +56,20 @@ class ActionEstimate:
             raise ValueError("stderr must be nonnegative")
 
 
-def path_actions(ensemble: PathEnsemble, lagrangian: Lagrangian,
-                 t_max: float = 1.0) -> np.ndarray:
-    """Per-path left-rectangle sums of L over steps with t_j < t_max, shape [n].
+def path_actions(ensemble: PathEnsemble, lagrangian: Lagrangian) -> np.ndarray:
+    """Per-path left-rectangle sums of L over steps with t_j < ``ensemble.t_max``,
+    shape [n].
 
     The paths are walked in the block-aligned ranges of
     :func:`~actionlab.paths.run_ranges`, one per usable CPU; the sums are
     bit-identical for any split.
     """
-    if not 0.0 < t_max <= 1.0:
-        raise ValueError("t_max must lie in (0, 1]")
     grid = ensemble.grid
     total = np.zeros(ensemble.n_paths)
 
     def walk(lo, hi):
         ens, out = ensemble.path_range(lo, hi), total[lo:hi]
-        for j in range(grid.steps_before(t_max)):
+        for j in range(grid.steps_before(ensemble.t_max)):
             t = j * grid.dt
             val = lagrangian.value(t, ens.states[:, j], ens.drifts[:, j], ens.alpha(j))
             out += np.asarray(val, dtype=np.float64) * grid.dt
@@ -80,10 +78,10 @@ def path_actions(ensemble: PathEnsemble, lagrangian: Lagrangian,
     return total
 
 
-def action(ensemble: PathEnsemble, lagrangian: Lagrangian,
-           t_max: float = 1.0) -> ActionEstimate:
-    """Monte Carlo estimate of the expected pathwise action."""
-    per_path = path_actions(ensemble, lagrangian, t_max)
+def action(ensemble: PathEnsemble, lagrangian: Lagrangian) -> ActionEstimate:
+    """Monte Carlo estimate of the expected pathwise action up to
+    ``ensemble.t_max``."""
+    per_path = path_actions(ensemble, lagrangian)
     mean, se = weighted_mean_stderr(per_path, ensemble.weights)
     return ActionEstimate(mean=mean, stderr=se, n_paths=ensemble.n_paths,
                           m=ensemble.grid.m)

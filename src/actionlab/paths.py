@@ -135,8 +135,9 @@ class PathEnsemble:
     diffusions: [n, m, d, d] diffusion-factor evaluations (alpha = sigma sigma^T)
     weights:    optional [n], nonnegative, mean one; present for laws defined
                 by a density against the simulated reference
-    t_max:      recommended diagnostics horizon (< 1 for laws whose drift is
-                singular at t = 1)
+    t_max:      diagnostics horizon in (0, 1], read by every diagnostic
+                (< 1 for laws whose drift is singular at t = 1); another
+                horizon is ``dataclasses.replace(ensemble, t_max=...)``
     """
 
     grid: TimeGrid
@@ -147,6 +148,10 @@ class PathEnsemble:
     weights: Optional[np.ndarray] = None
     label: str = ""
     t_max: float = 1.0
+
+    def __post_init__(self):
+        if not 0.0 < self.t_max <= 1.0:
+            raise ValueError("t_max must lie in (0, 1]")
 
     @property
     def n_paths(self) -> int:
@@ -176,8 +181,9 @@ class PathEnsemble:
                        diffusions=self.diffusions[lo:hi],
                        weights=None if self.weights is None else self.weights[lo:hi])
 
-    def validate(self, n_sample: int = 64) -> None:
-        """Check structural invariants on a deterministic subsample."""
+    def validate(self) -> None:
+        """Check structural invariants on a deterministic subsample of
+        :data:`VALIDATE_SAMPLE` paths and steps."""
         n, m = self.n_paths, self.grid.m
         if self.states.shape != (n, m + 1, self.dim):
             raise ValueError("states shape mismatch")
@@ -193,8 +199,8 @@ class PathEnsemble:
                 raise ValueError("weights must be finite and nonnegative")
             if abs(w.mean() - 1.0) > 1e-12:
                 raise ValueError("weights must have mean one within 1e-12")
-        take_p = np.linspace(0, n - 1, min(n, n_sample)).astype(int)
-        take_j = np.linspace(0, m - 1, min(m, n_sample)).astype(int)
+        take_p = np.linspace(0, n - 1, min(n, VALIDATE_SAMPLE)).astype(int)
+        take_j = np.linspace(0, m - 1, min(m, VALIDATE_SAMPLE)).astype(int)
         for j in take_j:
             a = self.alpha(int(j))[take_p]
             if np.max(np.abs(a - np.swapaxes(a, 1, 2))) > 1e-12:
@@ -206,6 +212,10 @@ class PathEnsemble:
 # Paths per keyed noise block, a module constant because it sets every
 # stream; the block's staging buffer adds [m, NOISE_BLOCK, d] to peak memory.
 NOISE_BLOCK = 256
+MIN_PATHS = 1000         # fewer give a regression or martingale test no power
+VALIDATE_SAMPLE = 64     # paths and steps PathEnsemble.validate checks alpha on
+PROBE_PATHS, PROBE_SEED = 256, 0   # paths adaptedness_probe perturbs; its seed
+CSV_PATHS = 20           # paths export_paths_csv writes
 
 
 def _records(n: int, m: int, d: int) -> np.ndarray:
@@ -379,27 +389,21 @@ def simulate(model: SemimartingaleModel, grid: TimeGrid, n_paths: int,
                         t_max=t_max)
 
 
-def adaptedness_probe(fn, ensemble: PathEnsemble, steps: Sequence[int],
-                      rng_seed: int = 0, max_paths: int = 256,
-                      lag_steps: int = 0) -> float:
-    """Max change of ``fn(j, states)`` when data after step ``j - lag_steps``
-    is perturbed.
+def adaptedness_probe(fn, ensemble: PathEnsemble, steps: Sequence[int]) -> float:
+    """Max change of ``fn(j, states)`` over the first :data:`PROBE_PATHS`
+    paths when the data after step ``j`` is perturbed.
 
-    Adapted coefficients return 0.0 (with ``lag_steps=0``); a peeking
-    coefficient returns a positive defect.  ``lag_steps > 0`` probes delayed
-    operators which must ignore a trailing window of the prefix as well.
+    Adapted coefficients return 0.0; a peeking coefficient returns a positive
+    defect.
     """
-    rng = np.random.default_rng(rng_seed)
-    n = min(ensemble.n_paths, max_paths)
+    rng = np.random.default_rng(PROBE_SEED)
+    n = min(ensemble.n_paths, PROBE_PATHS)
     base = np.array(ensemble.states[:n], dtype=np.float64)
     worst = 0.0
     for j in steps:
-        cut = j + 1 - lag_steps
-        if cut < 0:
-            continue
         ref = np.asarray(fn(j, base))
         tampered = base.copy()
-        tampered[:, cut:] += 1.0 + rng.standard_normal(tampered[:, cut:].shape)
+        tampered[:, j + 1:] += 1.0 + rng.standard_normal(tampered[:, j + 1:].shape)
         out = np.asarray(fn(j, tampered))
         worst = max(worst, float(np.max(np.abs(out - ref))) if out.size else 0.0)
     return worst
@@ -416,7 +420,6 @@ class CharacteristicsEstimate:
     drift_se: np.ndarray        # [p, d]
     alpha_coef: np.ndarray      # [p, d, d]
     alpha_se: np.ndarray        # [p, d, d]
-    drift_residual_std: np.ndarray  # [d]
 
 
 def _wls(phi, y, w):
@@ -436,19 +439,19 @@ def _wls(phi, y, w):
     dof = max(n - p, 1)
     sigma2 = np.sum(resid ** 2, axis=0) / dof
     se = np.sqrt(np.outer(np.diag(ginv), sigma2))
-    return coef, se, np.sqrt(sigma2)
+    return coef, se
 
 
 def estimate_characteristics(ensemble: PathEnsemble, feature_map,
-                             probe_steps: Sequence[int], min_paths: int = 1000):
+                             probe_steps: Sequence[int]):
     """Regress increments on prefix features at each probe step.
 
     ``feature_map(ensemble, j)`` returns ``(features [n, p], names)``.  The
     drift regression targets ``dW/dt`` and the covariance regression targets
     ``dW dW^T / dt``; both return coefficients with standard errors.
     """
-    if ensemble.n_paths < min_paths:
-        raise ValueError(f"need at least {min_paths} paths for regression")
+    if ensemble.n_paths < MIN_PATHS:
+        raise ValueError(f"need at least {MIN_PATHS} paths for regression")
     dt = ensemble.grid.dt
     d = ensemble.dim
     out = []
@@ -456,31 +459,27 @@ def estimate_characteristics(ensemble: PathEnsemble, feature_map,
         phi, names = feature_map(ensemble, j)
         phi = np.asarray(phi, dtype=np.float64)
         inc = ensemble.states[:, j + 1] - ensemble.states[:, j]
-        c_v, se_v, rs = _wls(phi, inc / dt, ensemble.weights)
+        c_v, se_v = _wls(phi, inc / dt, ensemble.weights)
         outer = np.einsum("ni,nj->nij", inc, inc) / dt
-        c_a, se_a, _ = _wls(phi, outer.reshape(ensemble.n_paths, d * d),
-                            ensemble.weights)
+        c_a, se_a = _wls(phi, outer.reshape(ensemble.n_paths, d * d), ensemble.weights)
         out.append(CharacteristicsEstimate(
             step=j, t=j * dt, feature_names=list(names),
             drift_coef=c_v, drift_se=se_v,
-            alpha_coef=c_a.reshape(-1, d, d), alpha_se=se_a.reshape(-1, d, d),
-            drift_residual_std=rs))
+            alpha_coef=c_a.reshape(-1, d, d), alpha_se=se_a.reshape(-1, d, d)))
     return out
 
 
-def export_paths_csv(ensemble: PathEnsemble, path, max_paths: int = 20,
-                     stride: int = 1) -> None:
-    """Plot-ready CSV of a thinned path sample: t, then one column per path/coord."""
-    n = min(ensemble.n_paths, max_paths)
+def export_paths_csv(ensemble: PathEnsemble, path) -> None:
+    """Plot-ready CSV of the first :data:`CSV_PATHS` paths: t, then one column
+    per path/coord."""
+    n = min(ensemble.n_paths, CSV_PATHS)
     d = ensemble.dim
-    times = ensemble.grid.times[::stride]
     cols = ["t"] + [f"path{i}_x{k}" for i in range(n) for k in range(d)]
     buf = io.StringIO()
     buf.write(",".join(cols) + "\n")
-    sel = ensemble.states[:n, ::stride]
-    for row_j, t in enumerate(times):
+    for j, t in enumerate(ensemble.grid.times):
         vals = [repr(float(t))]
-        vals += [repr(float(sel[i, row_j, k])) for i in range(n) for k in range(d)]
+        vals += [repr(float(ensemble.states[i, j, k])) for i in range(n) for k in range(d)]
         buf.write(",".join(vals) + "\n")
     with open(path, "wb") as fh:
         fh.write(buf.getvalue().encode())

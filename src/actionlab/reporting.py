@@ -13,6 +13,8 @@ from typing import Iterable, Sequence
 
 __all__ = ["fmt", "write_csv", "write_verdict", "render_figures"]
 
+PLOT_PATHS = 12   # paths drawn in paths.png
+
 
 def fmt(value) -> str:
     if isinstance(value, float):
@@ -38,7 +40,7 @@ def write_verdict(path, scenario: str, passed: bool, max_stat: float) -> str:
     return line
 
 
-def render_figures(out_dir, ensemble=None, report=None, max_paths: int = 12) -> list:
+def render_figures(out_dir, ensemble=None, report=None) -> list:
     """Render matplotlib figures next to the delimited output (opt-in).
 
     Returns the list of files written; silently renders nothing when
@@ -55,7 +57,7 @@ def render_figures(out_dir, ensemble=None, report=None, max_paths: int = 12) -> 
     if ensemble is not None:
         fig, ax = plt.subplots(figsize=(7, 4))
         times = ensemble.grid.times
-        for i in range(min(ensemble.n_paths, max_paths)):
+        for i in range(min(ensemble.n_paths, PLOT_PATHS)):
             ax.plot(times, ensemble.states[i, :, 0], lw=0.8)
         ax.set_xlabel("t")
         ax.set_ylabel("first coordinate")
@@ -64,19 +66,16 @@ def render_figures(out_dir, ensemble=None, report=None, max_paths: int = 12) -> 
         fig.savefig(target, dpi=150)
         plt.close(fig)
         written.append(target)
-    if report is not None and getattr(report, "statistics", None) is not None:
-        stats = report.statistics
-        if stats.size:
-            fig, ax = plt.subplots(figsize=(7, 4))
-            flat = abs(stats).ravel()
-            ax.bar(range(len(flat)), flat, color="#1f77b4")
-            ax.axhline(getattr(report, "threshold", 4.0), color="#d62728",
-                       ls="--", label="threshold")
-            ax.set_xlabel("statistic index")
-            ax.set_ylabel("|z|")
-            ax.legend()
-            target = os.path.join(out_dir, "statistics.png")
-            fig.savefig(target, dpi=150)
-            plt.close(fig)
-            written.append(target)
+    if report is not None and report.statistics.size:
+        fig, ax = plt.subplots(figsize=(7, 4))
+        flat = abs(report.statistics).ravel()
+        ax.bar(range(len(flat)), flat, color="#1f77b4")
+        ax.axhline(report.threshold, color="#d62728", ls="--", label="threshold")
+        ax.set_xlabel("statistic index")
+        ax.set_ylabel("|z|")
+        ax.legend()
+        target = os.path.join(out_dir, "statistics.png")
+        fig.savefig(target, dpi=150)
+        plt.close(fig)
+        written.append(target)
     return written

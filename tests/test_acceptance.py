@@ -144,7 +144,7 @@ def test_criterion_4_entropy_action_identities(kin):
     g500 = al.TimeGrid(500)
     weighted = catalog.build_law("squared_increment_weighted", g500, N_FULL,
                                  seed=SEED + 10)
-    est = al.action(weighted, kin, t_max=1.0)
+    est = al.action(weighted, kin)
     gap1 = abs(est.mean - oracle_density)
     ok1 = gap1 < 4 * est.stderr
 
@@ -379,6 +379,7 @@ def test_criterion_9_determinism(tmp_path):
 
 
 def test_criterion_10_navier_stokes_oracle():
-    residual, div = al.navier_stokes_residual(n_space=50, n_time=10)
+    assert (al.bridge.NS_SPACE, al.bridge.NS_TIME) == (50, 10)
+    residual, div = al.navier_stokes_residual()
     report(10, residual < 1e-10 and div < 1e-12,
            f"momentum residual {residual:.2e}, divergence {div:.2e}")

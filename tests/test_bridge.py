@@ -8,8 +8,8 @@ from actionlab import (BridgeProblem, FbsdeSpec, TimeGrid, action, bridge_to_mod
                        catalog, delta_marginal, el_certify, el_process,
                        fbsde_simulate, gaussian_marginal,
                        navier_stokes_residual, simulate, sinkhorn_bridge)
-from actionlab.bridge import (ConvergenceError, UnsupportedSpecError,
-                              _cell_kernel, reference_terminal)
+from actionlab.bridge import (NS_SPACE, NS_TIME, ConvergenceError,
+                              UnsupportedSpecError, _cell_kernel, reference_terminal)
 
 
 def kl_oracle():
@@ -234,7 +234,8 @@ def test_oscillator_laws_match_oscillator_spec(grid200):
 
 
 def test_navier_stokes_oracles():
-    residual, div = navier_stokes_residual(n_space=50, n_time=10)
+    assert (NS_SPACE, NS_TIME) == (50, 10)
+    residual, div = navier_stokes_residual()
     assert residual < 1e-10
     assert div < 1e-12
 

@@ -3,11 +3,12 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from actionlab import catalog
+from actionlab import TimeGrid, action, catalog
 from actionlab.cli import ConfigError, load_config, main, run_scenario
 
 SMALL = dict(m=200, n_paths=3000, seed=5)
@@ -141,6 +142,39 @@ def test_unordered_probe_fractions_are_config_error(tmp_path, capsys, probes):
                  "--out", str(tmp_path / "o")])
     assert code == 2
     assert "strictly increasing in [0, 1]" in capsys.readouterr().err
+
+
+HORIZON = {kind: f"[scenario]\nkind = {kind}\nlaw = brownian\nm = 20\nn_paths = 1000\n"
+           for kind in ("el-certify", "noether", "action")}
+
+
+@pytest.mark.parametrize("kind", sorted(HORIZON))
+@pytest.mark.parametrize("t_max", ["0", "1.5", "0.5"])
+def test_horizon_outside_zero_one_is_config_error(tmp_path, capsys, kind, t_max):
+    # a horizon past the grid must not be clamped into a PASS
+    body = HORIZON[kind] + f"t_max = {t_max}\n"
+    code = main(["run", "--config", str(write_config(tmp_path, "c.ini", body)),
+                 "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    if t_max == "0.5":
+        assert code in (0, 1) and err == ""
+    else:
+        assert code == 2
+        assert "t_max must lie in (0, 1]" in err
+
+
+def test_action_kind_stops_at_the_law_horizon(tmp_path):
+    # the pinned law's t_max = 1 - 1/m leaves out the singular last step
+    body = ("[scenario]\nkind = action\nlaw = pinned_brownian\nm = 200\n"
+            "n_paths = 3000\nseed = 5\n")
+    code, out = run(tmp_path, body)
+    assert code == 0
+    ens = catalog.build_law("pinned_brownian", TimeGrid(200), 3000, seed=5)
+    est = action(ens, catalog.get_lagrangian("kinetic"))
+    row = (out / "report.csv").read_text().splitlines()[1]
+    assert row == f"action,{est.mean!r},{est.stderr!r}"
+    assert est.mean < action(replace(ens, t_max=1.0),
+                             catalog.get_lagrangian("kinetic")).mean
 
 
 @pytest.mark.parametrize("body", [

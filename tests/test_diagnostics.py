@@ -10,9 +10,9 @@ from actionlab import (EndpointError, MaterializedShift, PowerError, TimeGrid, c
 from actionlab.catalog import make_random_endpoint_zero_shift
 from actionlab.diagnostics import DEFAULT_PROBE_FRACTIONS, NoetherFamily
 from actionlab._accum import weighted_mean_stderr
-from actionlab.lagrangians import Lagrangian, el_process, path_actions
+from actionlab.lagrangians import Lagrangian, action, el_process, path_actions
 from actionlab.transform import push_shift
-from actionlab.paths import NOISE_BLOCK, SemimartingaleModel, simulate
+from actionlab.paths import NOISE_BLOCK, PathEnsemble, SemimartingaleModel, simulate
 from conftest import traced_peak
 
 
@@ -155,12 +155,15 @@ _BAD_EPS = "eps must be finite and positive"
 def test_variational_argument_checks(bm_small, bm_mid, bound, t_max, eps_list, error,
                                      message):
     # the constant shift is not endpoint-zero, so the binding, t_max and
-    # epsilon errors must be raised before the endpoint-zero check
+    # epsilon errors must be raised before the endpoint-zero check; the
+    # horizon is checked when the ensemble with it is made
     kin = catalog.get_lagrangian("kinetic")
     u = materialize(catalog.get_shift("constant", bm_small.grid), bm_small)
     ens = bm_small if bound else bm_mid
     with pytest.raises(error, match=message):
-        variational_derivative(ens, kin, u, eps_list=eps_list, t_max=t_max)
+        if t_max != ens.t_max:
+            ens = replace(ens, t_max=t_max)
+        variational_derivative(ens, kin, u, eps_list=eps_list)
 
 
 def _bits(values):
@@ -179,7 +182,7 @@ def test_variational_is_bit_identical_across_splits(law, t_max, shift, eps_list,
     # and in one: materialize, path_actions and every field of the result
     # must keep their bits; the potential makes x + e h enter the action
     g, n = TimeGrid(16), 3 * NOISE_BLOCK + 7
-    ens = catalog.build_law(law, g, n, seed=43)
+    ens = replace(catalog.build_law(law, g, n, seed=43), t_max=t_max)
     lag = catalog.get_lagrangian("kinetic_quadratic")
     sh = (make_random_endpoint_zero_shift(g, seed=6) if shift == "random_ez"
           else catalog.get_shift("plus_minus", g))
@@ -187,9 +190,9 @@ def test_variational_is_bit_identical_across_splits(law, t_max, shift, eps_list,
     def run():
         three_cpus.clear()
         u = materialize(sh, ens)
-        res = variational_derivative(ens, lag, u, eps_list=eps_list, t_max=t_max)
+        res = variational_derivative(ens, lag, u, eps_list=eps_list)
         assert "h" not in vars(u)     # streamed, never built
-        return u.hdot, path_actions(ens, lag, t_max), _bits(astuple(res)), list(three_cpus)
+        return u.hdot, path_actions(ens, lag), _bits(astuple(res)), list(three_cpus)
 
     hdot3, act3, res3, pools = run()
     # each of the three calls runs its first range on the calling thread
@@ -231,14 +234,15 @@ def test_variational_holds_one_working_record(bm_mid):
     assert peak < 1.2 * record, peak / record
 
 
-def _reference_variational(ens, lag, u, eps_list, t_max):
-    """The finite difference through pushed ensembles and ``path_actions``,
-    which the step loop of ``variational_derivative`` must match bit for bit."""
+def _reference_variational(ens, lag, u, eps_list):
+    """The finite difference through pushed ensembles (which keep the
+    ensemble's ``t_max``) and ``path_actions``, which the step loop of
+    ``variational_derivative`` must match bit for bit."""
     formula_pp = np.einsum("nmd,nmd->n", el_process(ens, lag), u.hdot) * ens.grid.dt
     fd_by_eps = {}
     for eps in eps_list:
-        plus = path_actions(push_shift(ens, u, +eps), lag, t_max)
-        minus = path_actions(push_shift(ens, u, -eps), lag, t_max)
+        plus = path_actions(push_shift(ens, u, +eps), lag)
+        minus = path_actions(push_shift(ens, u, -eps), lag)
         fd_by_eps[eps] = (plus - minus) / (2 * eps)
     eps_sorted = sorted(fd_by_eps, reverse=True)
     gaps = {b: abs(float(np.mean(fd_by_eps[a] - fd_by_eps[b])))
@@ -259,12 +263,11 @@ def _reference_variational(ens, lag, u, eps_list, t_max):
 ], ids=["t_max", "weighted", "three_eps"])
 def test_streaming_fd_matches_pushed_ensembles(grid200, law, lag_name, shift, eps_list,
                                                t_max):
-    ens = catalog.build_law(law, grid200, 1500, seed=41)
+    ens = replace(catalog.build_law(law, grid200, 1500, seed=41), t_max=t_max)
     lag = catalog.get_lagrangian(lag_name)
     u = materialize(catalog.get_shift(grid=grid200, **shift), ens)
-    res = variational_derivative(ens, lag, u, eps_list=eps_list, t_max=t_max)
-    assert np.array_equal(astuple(res),
-                          _reference_variational(ens, lag, u, eps_list, t_max))
+    res = variational_derivative(ens, lag, u, eps_list=eps_list)
+    assert np.array_equal(astuple(res), _reference_variational(ens, lag, u, eps_list))
 
 
 def _explicit_action(ens, lag, steps):
@@ -283,15 +286,57 @@ def test_pinned_horizon_stops_before_the_last_step(m):
     ens = catalog.build_law("pinned_brownian", g, 1000, seed=61)
     assert g.steps_before(ens.t_max) == m - 1
     kin = catalog.get_lagrangian("kinetic")
-    assert np.array_equal(path_actions(ens, kin, ens.t_max),
-                          _explicit_action(ens, kin, m - 1))
+    assert np.array_equal(path_actions(ens, kin), _explicit_action(ens, kin, m - 1))
 
     u = materialize(catalog.get_shift("random_ez", g, seed=5), ens)
     eps = 1e-2
     fd_pp = (_explicit_action(push_shift(ens, u, eps), kin, m - 1)
              - _explicit_action(push_shift(ens, u, -eps), kin, m - 1)) / (2 * eps)
-    res = variational_derivative(ens, kin, u, eps_list=(eps,), t_max=ens.t_max)
+    res = variational_derivative(ens, kin, u, eps_list=(eps,))
     assert (res.fd, res.fd_se) == weighted_mean_stderr(fd_pp, ens.weights)
+
+
+# The bits of action(ens, kin, t_max=ens.t_max) (mean, stderr) and of every
+# field of variational_derivative(ens, kin, u, t_max=ens.t_max) from the
+# release where both took the horizon as an argument, on the pinned law of
+# 1000 paths, seed 61, and the random_ez shift of seed 5.
+_PINNED_AT_HORIZON = {
+    29: (["0x1.b318b88450faep+0", "0x1.80261cd045b16p-5"],
+         ["-0x1.a8f0a6f5ea1d8p-6", "0x1.5cae895405145p-8", "-0x1.32b12f129e493p-7",
+          "0x1.941d519d30204p-8", "-0x1.0f980f6c9af8fp-6", "0x1.9dd60dd9e9144p-9",
+          "0x1.1a7b9611a7b96p-4", "0x1.0624dd2f1a9fcp-10"]),
+    200: (["0x1.4dce74cf002a1p+1", "0x1.d60af045dc7ddp-5"],
+          ["-0x1.7f8bb8ed3a7bfp-9", "0x1.729534094474fp-8", "-0x1.246dadabff47fp-9",
+           "0x1.9588f728447dbp-8", "-0x1.6c782d04eccfdp-11", "0x1.6fd3504c197b8p-10",
+           "0x1.47ae147ae147bp-7", "0x1.0624dd2f1a9fcp-10"]),
+}
+
+
+@pytest.mark.parametrize("m", sorted(_PINNED_AT_HORIZON))
+def test_action_and_variational_stop_at_the_law_horizon(m):
+    # the pinned law carries t_max = 1 - 1/m, and both read it: the
+    # singular last step is left out without a horizon argument
+    g = TimeGrid(m)
+    ens = catalog.build_law("pinned_brownian", g, 1000, seed=61)
+    assert ens.t_max == 1.0 - g.dt
+    kin = catalog.get_lagrangian("kinetic")
+    est = action(ens, kin)
+    u = materialize(catalog.get_shift("random_ez", g, seed=5), ens)
+    res = variational_derivative(ens, kin, u)
+    assert (_bits((est.mean, est.stderr)), _bits(astuple(res))) == _PINNED_AT_HORIZON[m]
+    # the whole horizon integrates the singular last step: another value
+    whole = replace(ens, t_max=1.0)
+    assert action(whole, kin).mean != est.mean
+
+
+@pytest.mark.parametrize("t_max", [0.0, -0.5, 1.5, float("nan")])
+def test_ensemble_rejects_a_horizon_outside_zero_one(bm_small, t_max):
+    # one check, made by the ensemble itself and so by replace as well
+    with pytest.raises(ValueError, match=r"t_max must lie in \(0, 1\]"):
+        replace(bm_small, t_max=t_max)
+    with pytest.raises(ValueError, match=r"t_max must lie in \(0, 1\]"):
+        PathEnsemble(grid=bm_small.grid, states=bm_small.states, drifts=bm_small.drifts,
+                     diffusions=bm_small.diffusions, seed=0, t_max=t_max)
 
 
 def test_oscillator_mean_follows_classical_ode(grid200):

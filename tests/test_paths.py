@@ -7,7 +7,8 @@ from actionlab import (RankDeficiencyError, SimulationError,
                        estimate_characteristics, simulate)
 from actionlab.bridge import FbsdeSpec, fbsde_simulate
 from actionlab import paths
-from actionlab.paths import NOISE_BLOCK, SemimartingaleModel, export_paths_csv
+from actionlab.paths import (CSV_PATHS, NOISE_BLOCK, SemimartingaleModel,
+                             export_paths_csv)
 from actionlab.catalog import make_state_features, make_test_feature_map, point_sampler
 from conftest import traced_peak
 
@@ -463,10 +464,13 @@ def test_estimate_characteristics_rank_deficiency(bm_mid):
 
 def test_export_paths_csv(tmp_path, bm_small):
     target = tmp_path / "paths.csv"
-    export_paths_csv(bm_small, target, max_paths=3, stride=10)
+    export_paths_csv(bm_small.path_range(0, 3), target)
     lines = target.read_bytes().decode().strip().split("\n")
     assert lines[0] == "t,path0_x0,path1_x0,path2_x0"
-    assert len(lines) == 1 + len(bm_small.grid.times[::10])
+    assert len(lines) == 1 + len(bm_small.grid.times)
+    export_paths_csv(bm_small, target)      # the first CSV_PATHS paths only
+    header = target.read_bytes().decode().split("\n")[0]
+    assert header.split(",")[1:] == [f"path{i}_x0" for i in range(CSV_PATHS)]
 
 
 def test_weighted_law_holds_two_records():
