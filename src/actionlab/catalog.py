@@ -21,7 +21,7 @@ from numpy.random import Generator
 from . import bridge as _bridge
 from .diagnostics import NoetherFamily
 from .lagrangians import Lagrangian
-from .paths import PathEnsemble, SemimartingaleModel, TimeGrid, _freeze, simulate
+from .paths import PathEnsemble, SemimartingaleModel, TimeGrid, _freeze, run_ranges, simulate
 from .shifts import AdaptedShift
 from .transform import SpaceTimeMap
 
@@ -250,9 +250,10 @@ def _law_squared_increment(grid, n_paths, seed, threads=None, anchor=0.5):
 
 def _law_squared_increment_weighted(grid, n_paths, seed, threads=None, anchor=0.5):
     """Same law represented by density weights on Wiener paths, with the drift
-    records evaluated from the closed-form drift along those paths.  The
-    base's all-zero drift record is dropped before this one is allocated, so
-    at most two records, states and drifts, are held at once."""
+    records evaluated from the closed-form drift along those paths, on the
+    path ranges of :func:`~actionlab.paths.run_ranges`.  The base's all-zero
+    drift record is dropped before this one is allocated, so at most two
+    records, states and drifts, are held at once."""
     base = _law_brownian(grid, n_paths, seed, threads=threads, dim=1)
     ja = _anchor_index(grid, anchor)
     x = base.states[:, :, 0]
@@ -261,9 +262,14 @@ def _law_squared_increment_weighted(grid, n_paths, seed, threads=None, anchor=0.
     base = replace(base, drifts=None)
     # time-major like the simulated record; the drift vanishes before the anchor
     drifts = np.zeros((grid.m, n_paths, 1)).transpose(1, 0, 2)
-    # one column at a time keeps every temporary at [n] paths, not [n, m/2]
-    for j in np.flatnonzero(grid.times[:-1] >= anchor):
-        drifts[:, j, 0] = _squared_increment_drift(x[:, j], x[:, ja], grid.times[j])
+
+    def walk(lo, hi):
+        # one column at a time keeps every temporary at one range's paths
+        for j in np.flatnonzero(grid.times[:-1] >= anchor):
+            drifts[lo:hi, j, 0] = _squared_increment_drift(x[lo:hi, j], x[lo:hi, ja],
+                                                           grid.times[j])
+
+    run_ranges(walk, n_paths, threads)
     _freeze(drifts)
     return replace(base, drifts=drifts, weights=w,
                    label="squared_increment_weighted")

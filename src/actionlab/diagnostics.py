@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ._accum import weighted_mean_stderr, zscores
-from .lagrangians import Lagrangian, el_process
+from .lagrangians import Lagrangian, _el_columns, el_process
 from .paths import MIN_PATHS, PathEnsemble, run_ranges
 from .shifts import ENDPOINT_TOL, EndpointError, MaterializedShift
 
@@ -187,13 +187,14 @@ def variational_derivative(ensemble: PathEnsemble, lagrangian: Lagrangian,
 
     The binding and epsilon checks come first.  The paths are then
     walked in the block-aligned ranges of :func:`~actionlab.paths.run_ranges`,
-    one per usable CPU.  Each range builds its own xi (``el_process`` of the
-    range), takes the formula value, frees xi and runs the step loop, where
-    h is streamed as the running sum of hdot times dt (the bits of
-    ``shift.h``, which is never built).  The endpoint-zero check reads the streamed terminal value, so
-    :class:`EndpointError` is raised after that pass.  The epsilon choice and
-    the weighted means run on the per-path values of all ranges, so the
-    result is bit-identical for any split.
+    one per usable CPU.  Each range runs one step loop: it adds step j's
+    ``<xi_j, hdot_j>`` to the formula value, with xi_j streamed from the
+    Euler-Lagrange columns, and streams h as the running sum of hdot times
+    dt (the bits of ``shift.h``, which is never built), so no ``[n, m, d]``
+    record is held.  The endpoint-zero check reads the streamed terminal
+    value, so :class:`EndpointError` is raised after that pass.  The epsilon
+    choice and the weighted means run on the per-path values of all ranges,
+    so the result is bit-identical for any split.
     """
     if shift.ensemble is not ensemble:
         raise ValueError("shift is not bound to this ensemble")
@@ -205,20 +206,19 @@ def variational_derivative(ensemble: PathEnsemble, lagrangian: Lagrangian,
     n, m, d = ensemble.drifts.shape
     dt = ensemble.grid.dt
     steps = ensemble.grid.steps_before(ensemble.t_max)
-    formula_pp, terminal = np.empty(n), np.empty((n, d))
+    formula_pp, terminal = np.zeros(n), np.empty((n, d))
     actions = {e: np.zeros(n) for eps in eps_list for e in (eps, -eps)}
 
     def walk(lo, hi):
         ens, hdot = ensemble.path_range(lo, hi), shift.hdot[lo:hi]
         sums = {e: total[lo:hi] for e, total in actions.items()}
-        xi = el_process(ens, lagrangian)
-        formula_pp[lo:hi] = np.einsum("nmd,nmd->n", xi, hdot) * dt
-        del xi
+        formula = formula_pp[lo:hi]
         # h_j = (hdot_0 + ... + hdot_{j-1}) dt, summed in np.cumsum's order
         # from -0.0, the exact additive identity
         h, cum = np.zeros((hi - lo, d)), np.full((hi - lo, d), -0.0)
-        for j in range(m):
+        for j, xi in _el_columns(ens, lagrangian, range(m)):
             hd = hdot[:, j]
+            formula += np.einsum("nd,nd->n", xi, hd)
             if j < steps:
                 t = j * dt
                 x, v, a = ens.states[:, j], ens.drifts[:, j], ens.alpha(j)
@@ -230,6 +230,7 @@ def variational_derivative(ensemble: PathEnsemble, lagrangian: Lagrangian,
         terminal[lo:hi] = h
 
     run_ranges(walk, n)
+    formula_pp *= dt
     if not np.max(np.abs(terminal)) <= ENDPOINT_TOL:
         raise EndpointError("variational_derivative requires an endpoint-zero shift")
     fd_by_eps = {eps: (actions[eps] - actions[-eps]) / (2 * eps) for eps in eps_list}

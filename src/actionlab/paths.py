@@ -9,16 +9,17 @@ drift and diffusion coefficients of a :class:`SemimartingaleModel` are
 ``j``.  That contract is enforced empirically by the prefix probe in
 :func:`adaptedness_probe`.
 
-Randomness is counter-based and splittable: block ``b`` of
-:data:`NOISE_BLOCK` paths draws from Philox4x64-10 keyed by
-``[seed mod 2**64, b]`` from counter zero, first its initial points in one
-call, then its whole ``[m, NOISE_BLOCK, d]`` normals per record, also for
-paths past ``n``.  So path ``i``'s noise depends on neither ``n`` nor the
-split of the path axis among worker threads, whose ranges start on block
-boundaries, one range per usable CPU by default.  This module alone decides
-how records are stored: time-major and indexed ``[n, m, d]``, so per-step
-reads ``states[:, j]`` are contiguous; a hand-built path-major ensemble works
-the same, only more slowly.
+Randomness is keyed per block and splittable: block ``b`` of
+:data:`NOISE_BLOCK` paths draws from an SFC64 generator seeded by
+``SeedSequence(seed mod 2**64, spawn_key=(b,))``, the ``b``-th child of the
+seed's sequence, first its initial points in one call, then its whole
+``[m, NOISE_BLOCK, d]`` normals per record, also for paths past ``n``.  So
+path ``i``'s noise depends on neither ``n`` nor the split of the path axis
+among worker threads, whose ranges start on block boundaries, one range per
+usable CPU by default.  This module alone decides how records are stored:
+time-major and indexed ``[n, m, d]``, so per-step reads ``states[:, j]`` are
+contiguous; a hand-built path-major ensemble works the same, only more
+slowly.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import SFC64, Generator, SeedSequence
 
 from ._accum import weighted_mean_stderr
 
@@ -271,17 +272,16 @@ def path_streams(seed: int, lo: int, hi: int, records):
     block's ``[m, NOISE_BLOCK, d]`` normals for each ``[n, m, d]`` record, in
     order, and copy the ``cols`` columns into the record's ``paths``.
 
-    Block ``b`` draws from Philox4x64-10 keyed by ``[seed mod 2**64, b]`` from
-    counter zero.
+    Block ``b`` draws from ``SFC64(SeedSequence(seed mod 2**64,
+    spawn_key=(b,)))``.  The block index is a spawn key, not a second entropy
+    word: ``SeedSequence([s, b])`` pads its words with zeros, so seed
+    ``2**32 + 5``'s block 0 would repeat seed 5's block 1.
     """
-    # An explicit uint64 key: numpy converts a list holding a word >= 2**63
-    # through float64, which rounds it and collides distinct seeds.
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
+    entropy = seed & 0xFFFFFFFFFFFFFFFF
     _, m, d = records[0].shape
     stage = np.empty((m, NOISE_BLOCK, d))
     for b in range(lo // NOISE_BLOCK, -(-hi // NOISE_BLOCK)):
-        key[1] = b
-        gen = Generator(Philox(key=key))
+        gen = Generator(SFC64(SeedSequence(entropy, spawn_key=(b,))))
         first = b * NOISE_BLOCK
         paths = slice(first, min(hi, first + NOISE_BLOCK))
         cols = slice(0, paths.stop - first)
@@ -346,8 +346,8 @@ def simulate(model: SemimartingaleModel, grid: TimeGrid, n_paths: int,
              t_max: float = 1.0) -> PathEnsemble:
     """Euler-Maruyama simulation of ``n_paths`` paths of ``model``.
 
-    Increments for path ``i`` come from the counter-based stream keyed by
-    ``(seed, i // NOISE_BLOCK)``.  The path axis is split by
+    Increments for path ``i`` come from the stream of block
+    ``i // NOISE_BLOCK`` (:func:`path_streams`).  The path axis is split by
     :func:`run_ranges` into block-aligned ranges, one per usable CPU unless
     ``threads`` says how many, and the result is bit-identical for any split.
     Each range is walked in one pass: its streams are drawn, then its Euler

@@ -12,6 +12,8 @@ k = m for a general shift, k = n for the output of the block operators, which
 is constant on each of their n blocks.  The norm ``h_norm_sq``, the distance
 ``h_dist_sq`` and ``terminal`` read the block values alone; the ``[n, m, d]``
 ``hdot`` and the integral ``h`` are built only when a caller reads them.
+Every ``[n, m, d]`` record here is stored time-major, as the path records
+are, so the per-step walks read contiguous rows.
 
 All operators are linear and act pathwise; the contraction inequalities they
 satisfy are asserted per path in the tests.
@@ -25,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .paths import NOISE_BLOCK, PathEnsemble, _records, run_ranges
+from .paths import PathEnsemble, _records, run_ranges
 
 __all__ = [
     "AdaptedShift",
@@ -43,9 +45,6 @@ __all__ = [
 ]
 
 ENDPOINT_TOL = 1e-10  # absolute endpoint-zero tolerance (cumulative-sum rounding)
-_STAGE_STEPS = 16    # grid steps materialize writes into a path-major record at once
-_WALK_PATHS = 1024   # paths per working array of stop_steps_for: each numpy call
-                     # runs long enough without the GIL for the ranges to overlap
 
 
 class GridCompatibilityError(ValueError):
@@ -71,6 +70,11 @@ class AdaptedShift:
     derivative: Callable[[int, np.ndarray], np.ndarray]
 
 
+def _rows(record: np.ndarray) -> np.ndarray:
+    """The ``[m, n, d]`` step rows of an ``[n, m, d]`` record."""
+    return record.transpose(1, 0, 2)
+
+
 @dataclass(frozen=True)
 class MaterializedShift:
     """A shift evaluated along one ensemble.
@@ -78,8 +82,8 @@ class MaterializedShift:
     values: [n, k, d], the derivative on each of k equal blocks of the m grid
     steps (k = m for a general shift).  hdot: [n, m, d] (``values`` itself
     when k = m) and h: [n, m+1, d], the cumulative integral with h[:, 0] = 0,
-    are built on first read and kept; h is stored time-major, as the path
-    records are, so the block operators read its block edges as rows.
+    are built on first read and kept, both time-major, so the block
+    operators read the edges of h as rows.
     """
 
     values: np.ndarray
@@ -98,17 +102,23 @@ class MaterializedShift:
 
     @cached_property
     def hdot(self) -> np.ndarray:
-        return np.repeat(self.values, self.block, axis=1) if self.block > 1 else self.values
+        if self.block == 1:
+            return self.values
+        return _rows(np.repeat(_rows(self.values), self.block, axis=0))
 
     @cached_property
     def h(self) -> np.ndarray:
         n, m, d = self.hdot.shape
         h = _records(n, m + 1, d)
+        rows, hdot = _rows(h), _rows(self.hdot)
 
         def walk(lo, hi):
-            h[lo:hi, 0] = 0.0
-            np.cumsum(self.hdot[lo:hi], axis=1, out=h[lo:hi, 1:])
-            h[lo:hi, 1:] *= self.ensemble.grid.dt
+            # np.cumsum's order, one contiguous row at a time
+            rows[0, lo:hi] = 0.0
+            rows[1, lo:hi] = hdot[0, lo:hi]
+            for j in range(1, m):
+                np.add(rows[j, lo:hi], hdot[j, lo:hi], out=rows[j + 1, lo:hi])
+            rows[1:, lo:hi] *= self.ensemble.grid.dt
 
         run_ranges(walk, n)
         return h
@@ -131,22 +141,16 @@ def materialize(shift: AdaptedShift, ensemble: PathEnsemble) -> MaterializedShif
 
     The paths are walked in the block-aligned ranges of
     :func:`~actionlab.paths.run_ranges`, one per usable CPU; ``hdot`` is
-    stored path-major and is bit-identical for any split.  Each range stages
-    ``_STAGE_STEPS`` steps time-major and copies them into ``hdot`` at once,
-    which writes whole cache lines of each path instead of one value.
+    stored time-major, so each step's values are one contiguous row, and is
+    bit-identical for any split.
     """
     n, m, d = ensemble.n_paths, ensemble.grid.m, ensemble.dim
-    hdot = np.empty((n, m, d))
+    hdot = _records(n, m, d)
 
     def walk(lo, hi):
         states, out = ensemble.states[lo:hi], hdot[lo:hi]
-        stage = np.empty((_STAGE_STEPS, hi - lo, d))
         for j in range(m):
-            s = j % _STAGE_STEPS
-            v = np.asarray(shift.derivative(j, states), dtype=np.float64)
-            stage[s] = np.broadcast_to(v, (hi - lo, d))
-            if s == _STAGE_STEPS - 1 or j == m - 1:
-                out[:, j - s:j + 1] = stage[:s + 1].transpose(1, 0, 2)
+            out[:, j] = np.asarray(shift.derivative(j, states), dtype=np.float64)
         return np.isfinite(out).all()
 
     if not all(run_ranges(walk, n)):
@@ -164,23 +168,20 @@ def h_dist_sq(u: MaterializedShift, v: MaterializedShift) -> np.ndarray:
     """Pathwise squared Cameron-Martin distance |u - v|_H^2, shape [n], of
     two shifts bound to the same ensemble (``ValueError`` otherwise).
 
-    The paths are walked :data:`~actionlab.paths.NOISE_BLOCK` at a time
-    against the coarser shift's block values, so no ``[n, m, d]`` difference
-    is built (only the finer shift's ``hdot``, which is its ``values`` when
-    it is a general shift).  Each path sums in the order of an einsum over
-    its expanded difference.
+    The grid steps are walked in time order over contiguous step rows of
+    both shifts' block values, so neither ``hdot`` nor any ``[n, m, d]``
+    difference is built; each coordinate of each path sums its steps in
+    time order, then the coordinates are summed.
     """
     if u.ensemble is not v.ensemble:
         raise ValueError("shifts are bound to different ensembles")
-    coarse, fine = sorted((u, v), key=lambda w: w.values.shape[1])
-    n, m, d = fine.hdot.shape
-    k = coarse.values.shape[1]
-    out = np.empty(n)
-    for lo in range(0, n, NOISE_BLOCK):
-        rows = slice(lo, lo + NOISE_BLOCK)
-        diff = fine.hdot[rows].reshape(-1, k, m // k, d) - coarse.values[rows, :, None]
-        out[rows] = np.einsum("nkrd,nkrd->n", diff, diff)
-    return out * u.ensemble.grid.dt
+    a, b = (np.ascontiguousarray(_rows(w.values)) for w in (u, v))
+    total, diff = np.zeros(a.shape[1:]), np.empty(a.shape[1:])
+    for j in range(u.ensemble.grid.m):
+        np.subtract(a[j // u.block], b[j // v.block], out=diff)
+        diff *= diff
+        total += diff
+    return total.sum(axis=1) * u.ensemble.grid.dt
 
 
 def _edges(u: MaterializedShift, n: int) -> np.ndarray:
@@ -244,30 +245,27 @@ def stop_truncate(u: MaterializedShift, level: float,
     u_tau = u.h[np.arange(n), jstar]                      # value at the stop time
     denom = np.where(jstar < m, 1.0 - jstar * dt, 1.0)
     recenter = np.where((jstar < m)[:, None], -u_tau / denom[:, None], 0.0)
-    stopped = np.arange(m)[None, :] >= jstar[:, None]     # [n, m]
-    hdot = np.where(stopped[:, :, None], recenter[:, None, :], u.hdot)
-    return MaterializedShift(hdot, u.ensemble, f"k[{u.name}]")
+    stopped = np.arange(m)[:, None] >= jstar[None, :]     # [m, n]
+    rows = np.where(stopped[:, :, None], recenter[None], _rows(u.hdot))
+    return MaterializedShift(_rows(rows), u.ensemble, f"k[{u.name}]")
 
 
 def stop_steps_for(u: MaterializedShift, level: float) -> np.ndarray:
     """First grid index where the running H-norm exceeds ``level`` (m if never).
 
-    Each range of :func:`~actionlab.paths.run_ranges` is walked
-    ``_WALK_PATHS`` paths at a time.  The running norm at index 0 is zero and
-    never exceeds a positive level, so index j + 1 is read from the
-    cumulative sum up to step j; the sum never decreases, so a path triggers
-    if and only if its last entry does."""
+    Each range of :func:`~actionlab.paths.run_ranges` walks the step rows in
+    time order and carries the running sum of |hdot_j|^2 dt.  The running
+    norm at index 0 is zero and never exceeds a positive level, so index
+    j + 1 is the first whose sum, up to step j, exceeds ``level ** 2``."""
     dt, m = u.ensemble.grid.dt, u.ensemble.grid.m
-    steps = np.empty(u.n_paths, dtype=np.intp)
+    steps = np.full(u.n_paths, m, dtype=np.intp)
+    rows = _rows(u.hdot)
 
     def walk(lo, hi):
-        for b in range(lo, hi, _WALK_PATHS):
-            hdot = u.hdot[b:min(b + _WALK_PATHS, hi)]
-            running = np.einsum("nmd,nmd->nm", hdot, hdot)
-            running *= dt
-            np.cumsum(running, axis=1, out=running)
-            trig = running > level ** 2
-            steps[b:b + len(hdot)] = np.where(trig[:, -1], np.argmax(trig, axis=1) + 1, m)
+        running, out = np.zeros(hi - lo), steps[lo:hi]
+        for j, row in enumerate(rows[:, lo:hi]):
+            running += np.einsum("nd,nd->n", row, row) * dt
+            out[(out == m) & (running > level ** 2)] = j + 1
 
     run_ranges(walk, u.n_paths)
     return steps

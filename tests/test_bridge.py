@@ -2,14 +2,15 @@ import bisect
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from actionlab import (BridgeProblem, FbsdeSpec, TimeGrid, action, bridge_to_model,
                        catalog, delta_marginal, el_certify, el_process,
                        fbsde_simulate, gaussian_marginal,
                        navier_stokes_residual, simulate, sinkhorn_bridge)
-from actionlab.bridge import (NS_SPACE, NS_TIME, ConvergenceError,
-                              UnsupportedSpecError, _cell_kernel, reference_terminal)
+from actionlab.bridge import (NS_SPACE, NS_TIME, ConvergenceError, KernelUnderflowError,
+                              UnsupportedSpecError, _cell_kernel, _logsumexp, _ndtr,
+                              reference_terminal)
 
 
 def kl_oracle():
@@ -35,6 +36,59 @@ def test_kernel_rows_stochastic():
     k = _cell_kernel(np.linspace(-5.9875, 5.9875, 481), 0.025, 0.005)
     assert np.allclose(k.sum(axis=1), 1.0, atol=1e-12)
     assert k.min() >= 0.0
+
+
+def test_ndtr_matches_scipy():
+    # down to 1e-300 the two CDFs differ by at most 3.3e-13 relative (the
+    # erfc of the deep tail) and 2.3e-16 absolute
+    z = np.linspace(-37.0, 37.0, 20001)
+    ours, ref = _ndtr(z), special.ndtr(z)
+    assert np.allclose(ours, ref, rtol=1e-12, atol=3e-16)
+    assert _ndtr(z.reshape(-1, 1)).shape == (20001, 1)
+    assert _ndtr(np.array([-np.inf, np.inf])).tolist() == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_logsumexp_matches_scipy(axis):
+    # including a row and a column that are all -inf, as the Sinkhorn
+    # potentials are off the marginals' support
+    a = np.random.default_rng(8).normal(size=(40, 481)) * 30.0
+    a[3] = -np.inf
+    a[:, 5] = -np.inf
+    ours, ref = _logsumexp(a, axis=axis), special.logsumexp(a, axis=axis)
+    finite = np.isfinite(ref)
+    assert np.array_equal(np.isfinite(ours), finite)
+    assert np.all(ours[~finite] == -np.inf)
+    assert np.allclose(ours[finite], ref[finite], rtol=1e-15, atol=0)
+
+
+def _scipy_cell_kernel(centers, dx, tau):
+    """The kernel as it was computed with scipy's ndtr, cell pair by cell pair."""
+    s = np.sqrt(tau)
+    gap = centers[None, :] - centers[:, None]
+    lo, hi = (gap - dx / 2) / s, (gap + dx / 2) / s
+    k = np.where(gap > 0, special.ndtr(-lo) - special.ndtr(-hi),
+                 special.ndtr(hi) - special.ndtr(lo))
+    return k / k.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("tau", [1.0, 1 / 200, 1 / 500])
+def test_cell_kernel_matches_the_scipy_formula(tau):
+    # measured: at most 1.9e-13 (tau 1), 8.9e-13 (1/200) and 1.4e-12 (1/500)
+    # relative on every entry above 1e-300; below the smallest normal float
+    # the two round differently, so they agree there to that float
+    problem = BridgeProblem(p0=delta_marginal(0.0), p1=delta_marginal(0.0))
+    ours = _cell_kernel(problem.centers, problem.dx, tau)
+    ref = _scipy_cell_kernel(problem.centers, problem.dx, tau)
+    assert np.allclose(ours, ref, rtol=2e-12, atol=np.finfo(float).tiny)
+
+
+def test_kernel_underflow_on_a_wide_lattice(grid200):
+    # 80 units wide: the lower tail of the farthest cells rounds to zero
+    p0 = delta_marginal(0.0, -40.0, 40.0)
+    p1 = gaussian_marginal(0.0, 2.0, -40.0, 40.0)
+    with pytest.raises(KernelUnderflowError, match="lattice too wide"):
+        sinkhorn_bridge(BridgeProblem(p0=p0, p1=p1, x_min=-40.0, x_max=40.0), grid200)
 
 
 def test_trivial_bridge_reference_marginal(grid200):

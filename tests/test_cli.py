@@ -518,6 +518,27 @@ def test_console_entry_point(tmp_path):
     assert "el-certify FAIL" in proc.stdout
 
 
+def test_bridge_run_needs_no_scipy(tmp_path):
+    # scipy is a test dependency only: a run of the bundled bridge scenario,
+    # the one kind that integrates Gaussian cells and fits potentials in the
+    # log domain, imports no scipy module
+    import actionlab
+
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(actionlab.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = ("import sys\n"
+              "from actionlab.cli import main\n"
+              "code = main(['run', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+              "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, os.path.join(here, "scenarios", "bridge_gaussian.ini"),
+         str(tmp_path / "o")], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
 def test_bundled_scenarios_parse():
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     scen_dir = os.path.join(here, "scenarios")

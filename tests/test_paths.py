@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.random import Generator, Philox
+from numpy.random import SFC64, Generator, SeedSequence
 
 from actionlab import (RankDeficiencyError, SimulationError,
                        TimeGrid, adaptedness_probe, catalog,
@@ -82,10 +82,10 @@ def _random_start(rng, size):
 
 
 @pytest.mark.parametrize("seed", [7, -5, 2**63 + 12345])
-def test_path_stream_pinned_to_philox_key(seed):
-    # path i is column i % NOISE_BLOCK of the draws of a fresh Philox keyed
-    # [seed mod 2**64, i // NOISE_BLOCK], counter 0: the block's initial
-    # points, then its [m, NOISE_BLOCK, d] normals
+def test_path_stream_pinned_to_sfc64_key(seed):
+    # path i is column i % NOISE_BLOCK of the draws of a fresh SFC64 seeded
+    # by SeedSequence(seed mod 2**64, spawn_key=(i // NOISE_BLOCK,)): the
+    # block's initial points, then its [m, NOISE_BLOCK, d] normals
     g = TimeGrid(6)
     n = NOISE_BLOCK + 9
     model = SemimartingaleModel(name="stream", dim=1, initial_sampler=_random_start,
@@ -107,6 +107,16 @@ def test_negative_seed_has_its_own_stream():
     for seed in (-1, 2**64 - 1):
         b = catalog.build_law("brownian", g, 3, seed=seed)
         assert not np.array_equal(a.states, b.states)
+
+
+def test_block_index_is_not_an_entropy_word():
+    # SeedSequence([s, b]) pads its words with zeros, so seed 2**32 + 5's
+    # block 0 (words 5, 1, 0) would repeat seed 5's block 1 (words 5, 1);
+    # the block index is a spawn key, kept apart from the seed's words
+    g, n = TimeGrid(4), 2 * NOISE_BLOCK
+    low = catalog.build_law("brownian", g, n, seed=5)
+    high = catalog.build_law("brownian", g, n, seed=2**32 + 5)
+    assert not np.array_equal(high.states[:NOISE_BLOCK], low.states[NOISE_BLOCK:])
 
 
 def test_range_and_stage_edges_are_invisible():
@@ -145,14 +155,14 @@ def test_every_law_is_bit_identical_across_splits(law, three_cpus):
 def test_each_noise_block_is_drawn_once(n, three_cpus, monkeypatch):
     keys = []
 
-    def philox(key):
-        keys.append(int(key[1]))
-        return Philox(key=key)
+    def seed_sequence(entropy, spawn_key):
+        keys.append(spawn_key)
+        return SeedSequence(entropy, spawn_key=spawn_key)
 
-    monkeypatch.setattr(paths, "Philox", philox)
+    monkeypatch.setattr(paths, "SeedSequence", seed_sequence)
     catalog.build_law("ornstein_uhlenbeck", TimeGrid(4), n, seed=3)
     blocks = -(-n // NOISE_BLOCK)
-    assert sorted(keys) == list(range(blocks))
+    assert sorted(keys) == [(b,) for b in range(blocks)]
     # one range per CPU, capped at the block count; the calling thread walks
     # the first, so one block needs no pool
     assert three_cpus == ([] if blocks == 1 else [min(3, blocks) - 1])
@@ -207,7 +217,7 @@ def test_drift_failure_ranks_before_diffusion_at_one_step(threads):
 
 
 def _stream(seed, b):
-    return Generator(Philox(key=(seed & 0xFFFFFFFFFFFFFFFF) | (b << 64)))
+    return Generator(SFC64(SeedSequence(seed % 2**64).spawn(b + 1)[b]))
 
 
 def _blocks(n):

@@ -212,12 +212,20 @@ def test_stop_truncate_contraction_and_equality(grid192, bm192):
     triggered = stops < grid192.m
     assert triggered.any() and (~triggered).any()
     assert np.allclose(out[~triggered], norms[~triggered], rtol=0, atol=1e-15)
+    # each triggered path keeps its derivative before the stop, bit for bit,
+    # and reads the recentring value -h_tau / (1 - tau) from the stop on
+    dt = grid192.dt
+    for i in np.flatnonzero(triggered):
+        j = stops[i]
+        assert np.array_equal(k.hdot[i, :j], u.hdot[i, :j])
+        assert np.all(k.hdot[i, j:] == -u.h[i, j] / (1.0 - j * dt))
     # a stop at step m-1 recentres the last derivative to -h_{m-1}/dt, which
-    # is the original one for an endpoint-zero shift: only earlier stops
-    # contract strictly
+    # is the original one for an endpoint-zero shift up to the rounding of
+    # its terminal value: only earlier stops contract strictly
     last = stops == grid192.m - 1
+    assert last.any()
     assert np.all(out[triggered & ~last] < norms[triggered & ~last])
-    assert np.all(out[last] == norms[last])
+    assert np.allclose(out[last], norms[last], rtol=0, atol=1e-15)
     # |k[u]|_W <= 2 |pi_tau u|_W
     stopped_sup = np.array([
         np.max(np.sqrt(np.sum(u.h[i, : stops[i] + 1] ** 2, axis=-1)))
@@ -497,17 +505,32 @@ def test_shift_walks_are_bit_identical_across_splits(three_cpus, monkeypatch):
         three_cpus.clear()
         u = materialize(sh, ens)
         level = float(np.median(np.sqrt(h_norm_sq(u))))
-        return u.hdot, u.h, stop_steps_for(u, level), list(three_cpus)
+        walked = u.hdot, u.h, stop_steps_for(u, level), list(three_cpus)
+        k = stop_truncate(u, level)
+        return walked + (k.hdot, h_dist_sq(endpoint_rn(u, 4), u), h_dist_sq(k, u))
 
-    hdot3, h3, stops3, pools = run()
+    hdot3, h3, stops3, pools, k3, dist3, kdist3 = run()
     assert pools == [2, 2, 2]
     monkeypatch.setattr(paths, "_usable_cpus", lambda: 1)
-    hdot1, h1, stops1, pools = run()
+    hdot1, h1, stops1, pools, k1, dist1, kdist1 = run()
     assert pools == []
     assert np.array_equal(hdot1, hdot3)
     assert np.array_equal(h1, h3)
     assert np.array_equal(stops1, stops3)
+    assert np.array_equal(k1, k3)
+    assert np.array_equal(dist1, dist3)
+    assert np.array_equal(kdist1, kdist3)
     h = np.zeros((n, g.m + 1, 1))
     np.cumsum(hdot1, axis=1, out=h[:, 1:])
     h[:, 1:] *= g.dt
     assert np.array_equal(h1, h)
+
+
+def test_shift_records_are_time_major(grid192, bm192):
+    # materialize and stop_truncate store their [n, m, d] records time-major,
+    # as the path records are, so each step's values are one contiguous row
+    u = materialize(make_random_endpoint_zero_shift(grid192, seed=2), bm192)
+    k = stop_truncate(u, float(np.median(np.sqrt(h_norm_sq(u)))))
+    for record in (u.hdot, u.h, k.hdot, endpoint_rn(u, 8).hdot):
+        assert record.strides[0] < record.strides[1]
+        assert record.transpose(1, 0, 2).flags.c_contiguous
