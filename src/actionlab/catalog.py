@@ -174,8 +174,7 @@ def _law_brownian(grid, n_paths, seed, threads=None, dim=1, x0=0.0):
     model = SemimartingaleModel(
         name="brownian", dim=dim,
         initial_sampler=point_sampler(np.full(dim, x0)),
-        drift=lambda j, prefix: np.zeros((prefix.shape[0], dim)),
-        diffusion_factor=None)
+        drift=None, diffusion_factor=None)
     return simulate(model, grid, n_paths, seed, threads=threads)
 
 
@@ -251,15 +250,15 @@ def _law_squared_increment(grid, n_paths, seed, threads=None, anchor=0.5):
 def _law_squared_increment_weighted(grid, n_paths, seed, threads=None, anchor=0.5):
     """Same law represented by density weights on Wiener paths, with the drift
     records evaluated from the closed-form drift along those paths, on the
-    path ranges of :func:`~actionlab.paths.run_ranges`.  The base's all-zero
-    drift record is dropped before this one is allocated, so at most two
-    records, states and drifts, are held at once."""
+    path ranges of :func:`~actionlab.paths.run_ranges`.  The Brownian base
+    stores no drift record, so at most two records, states and drifts, are
+    held at once, and the drift rows before the anchor, zero-initialised and
+    never written, are pages that are never touched."""
     base = _law_brownian(grid, n_paths, seed, threads=threads, dim=1)
     ja = _anchor_index(grid, anchor)
     x = base.states[:, :, 0]
     w = (x[:, -1] - x[:, ja]) ** 2 / (1.0 - anchor)
     w = w * (n_paths / w.sum())
-    base = replace(base, drifts=None)
     # time-major like the simulated record; the drift vanishes before the anchor
     drifts = np.zeros((grid.m, n_paths, 1)).transpose(1, 0, 2)
 

@@ -32,9 +32,9 @@ class Lagrangian:
     Evaluators must be pathwise (row ``i`` of the output reads only row ``i``
     of the inputs) and thread-safe: :func:`path_actions` and
     ``diagnostics.variational_derivative`` call them on ranges of the paths
-    from pool threads.  ``a`` may be a read-only broadcast view
-    (``PathEnsemble.alpha`` of a constant diffusion); evaluators must not
-    write into it.
+    from pool threads.  ``v`` and ``a`` may be read-only broadcast views
+    (the drift record of a zero-drift law, ``PathEnsemble.alpha`` of a
+    constant diffusion); evaluators must not write into them.
     """
 
     name: str

@@ -111,7 +111,9 @@ class SemimartingaleModel:
 
     ``drift(j, states)`` receives the states array with at least ``j+1``
     filled entries along axis 1 and must return the per-path drift [n, d]
-    reading only ``states[:, :j+1, :]``.  ``diffusion_factor`` is ``None``
+    reading only ``states[:, :j+1, :]`` (:func:`simulate` keeps the normals
+    in the later rows); ``drift = None`` is the zero drift, for which
+    :func:`simulate` stores no drift record.  ``diffusion_factor`` is ``None``
     (identity), a constant [d, d] matrix, or a callable with the same
     signature returning [n, d, d] (or a broadcastable [d, d]).
     ``initial_sampler(gen, size)`` returns the ``[size, d]`` initial points
@@ -122,7 +124,7 @@ class SemimartingaleModel:
     name: str
     dim: int
     initial_sampler: Callable[[Generator, int], np.ndarray]
-    drift: DriftFn
+    drift: Optional[DriftFn]
     diffusion_factor: DiffusionSpec = None
 
 
@@ -134,6 +136,9 @@ class PathEnsemble:
     states:     [n, m+1, d] path values
     drifts:     [n, m, d]   drift evaluations used at each step
     diffusions: [n, m, d, d] diffusion-factor evaluations (alpha = sigma sigma^T)
+                drifts and diffusions may be read-only broadcast views, stride
+                0 on the path axis, as ``simulate`` gives for a ``None`` drift
+                and a ``None`` or constant diffusion factor
     weights:    optional [n], nonnegative, mean one; present for laws defined
                 by a density against the simulated reference
     t_max:      diagnostics horizon in (0, 1], read by every diagnostic
@@ -304,28 +309,33 @@ def _first_bad_path(values: np.ndarray) -> int:
 def _simulate_range(model, grid, seed, states, drifts, diffusions, lo, hi):
     """Initial points, normals and Euler steps of paths ``lo .. hi-1``.
 
-    Step ``j`` reads its normals from ``drifts[:, j]`` before it writes the
-    drift there, so the drift records double as the noise buffer.  Returns
-    ``None``, or ``(step, kind, path)`` of the range's first non-finite
-    coefficient (``kind`` indexes :data:`_FAILED`), where the walk stops.
+    The normals are drawn into the state rows ``1 .. m``: step ``j`` reads
+    them from ``states[:, j+1]`` after the coefficient calls, which see only
+    ``states[:, :j+1]``, and before it writes the state there.  ``drifts``
+    is ``None`` for a zero drift.  Returns ``None``, or ``(step, kind,
+    path)`` of the range's first non-finite coefficient (``kind`` indexes
+    :data:`_FAILED`), where the walk stops.
     """
     d = states.shape[2]
-    for g, paths, cols in path_streams(seed, lo, hi, [drifts]):
+    for g, paths, cols in path_streams(seed, lo, hi, [states[:, 1:]]):
         x0 = np.asarray(model.initial_sampler(g, NOISE_BLOCK), dtype=np.float64)
         states[paths, 0] = x0.reshape(NOISE_BLOCK, d)[cols]
-    states, drifts, diffusions = states[lo:hi], drifts[lo:hi], diffusions[lo:hi]
+    states, diffusions = states[lo:hi], diffusions[lo:hi]
     n, dt = hi - lo, grid.dt
     sqdt = np.sqrt(dt)
     diff = model.diffusion_factor
     const_diff = diff is None or isinstance(diff, np.ndarray)
     for j in range(grid.m):
         prefix = states[:, : j + 1]
-        v = np.asarray(model.drift(j, prefix), dtype=np.float64)
-        v = np.broadcast_to(v, (n, d))
-        if not np.isfinite(v).all():
-            return j, 0, lo + _first_bad_path(v)
-        db = drifts[:, j] * sqdt
-        drifts[:, j] = v
+        # a zero drift adds v * dt = +0.0, as a zero drift record's row does
+        v = 0.0
+        if drifts is not None:
+            v = np.asarray(model.drift(j, prefix), dtype=np.float64)
+            v = np.broadcast_to(v, (n, d))
+            if not np.isfinite(v).all():
+                return j, 0, lo + _first_bad_path(v)
+            drifts[lo:hi, j] = v
+        db = states[:, j + 1] * sqdt
         if diff is None:
             inc = db
         elif const_diff:
@@ -356,13 +366,16 @@ def simulate(model: SemimartingaleModel, grid: TimeGrid, n_paths: int,
     disjoint ranges.  A non-finite coefficient raises
     :class:`SimulationError` naming the first failing step, and within it the
     first failing path, whatever the split.  States and drifts are stored
-    time-major and returned as ``[n, m, d]`` views; the drift records double
-    as the noise buffer.  The ensemble is labelled with the model's name.
+    time-major and returned as ``[n, m, d]`` views; the state rows double
+    as the noise buffer.  A ``None`` drift stores no drift record: ``drifts``
+    is a read-only broadcast of zeros.  The ensemble is labelled with the
+    model's name.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     n, m, d = n_paths, grid.m, model.dim
-    states, drifts = _records(n, m + 1, d), _records(n, m, d)
+    states = _records(n, m + 1, d)
+    drifts = None if model.drift is None else _records(n, m, d)
 
     diff = model.diffusion_factor
     if diff is None:
@@ -381,9 +394,11 @@ def simulate(model: SemimartingaleModel, grid: TimeGrid, n_paths: int,
         raise SimulationError(
             f"model '{model.name}': non-finite {_FAILED[kind]} at step {j}, path {i}")
 
-    _freeze(states, drifts)
-    if diffusions.flags.writeable:
-        _freeze(diffusions)
+    if drifts is None:
+        drifts = np.broadcast_to(np.zeros(d), (n, m, d))
+    for rec in (states, drifts, diffusions):
+        if rec.flags.writeable:
+            _freeze(rec)
     return PathEnsemble(grid=grid, states=states, drifts=drifts,
                         diffusions=diffusions, seed=seed, label=model.name,
                         t_max=t_max)

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .paths import PathEnsemble
+from .paths import PathEnsemble, _records
 from .shifts import MaterializedShift
 
 __all__ = [
@@ -62,8 +62,7 @@ def push_shift(ensemble: PathEnsemble, shift: MaterializedShift,
 def lift(ensemble: PathEnsemble, m: SpaceTimeMap) -> PathEnsemble:
     """Image law under the pathwise application of the space map."""
     n, steps, d = ensemble.drifts.shape
-    states = np.empty_like(ensemble.states)
-    drifts = np.empty_like(ensemble.drifts)
+    states, drifts = _records(n, steps + 1, d), _records(n, steps, d)
     diffusions = np.empty((n, steps, d, d))
     for j in range(steps + 1):
         states[:, j] = m.map_fn(ensemble.states[:, j])

@@ -1,10 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.random import SFC64, Generator, SeedSequence
 
 from actionlab import (RankDeficiencyError, SimulationError,
                        TimeGrid, adaptedness_probe, catalog,
-                       estimate_characteristics, simulate)
+                       estimate_characteristics, lift, materialize, push_shift,
+                       simulate)
 from actionlab.bridge import FbsdeSpec, fbsde_simulate
 from actionlab import paths
 from actionlab.paths import (CSV_PATHS, NOISE_BLOCK, SemimartingaleModel,
@@ -243,7 +246,8 @@ def _reference_simulate(model, grid, n, seed):
     sig = model.diffusion_factor
     for j in range(m):
         prefix = states[:, :j + 1]
-        v = np.broadcast_to(np.asarray(model.drift(j, prefix), dtype=np.float64), (n, d))
+        v = np.zeros(d) if model.drift is None else model.drift(j, prefix)
+        v = np.broadcast_to(np.asarray(v, dtype=np.float64), (n, d))
         db = noise[:, j] * np.sqrt(dt)
         if sig is None:
             s, inc = np.eye(d), db
@@ -256,6 +260,96 @@ def _reference_simulate(model, grid, n, seed):
         drifts[:, j] = v
         states[:, j + 1] = states[:, j] + v * dt + inc
     return states, drifts, diffusions
+
+
+_SIGMA = np.array([[1.0, 0.3], [0.0, 0.8]])
+
+
+def _zero_drift_models(d, diffusion, start=None):
+    """The zero drift stated as ``drift=None`` and as an all-zeros callable,
+    with the identity, a constant or a state-dependent diffusion factor."""
+    sig = _SIGMA[:d, :d]
+    factor = {"identity": None, "constant": sig,
+              "callable": lambda j, p: sig * (1.0 + 0.1 * np.tanh(p[:, j, :1]))[..., None]
+              }[diffusion]
+    sampler = (lambda g, size: g.standard_normal((size, d))) if start is None \
+        else point_sampler(np.full(d, start))
+    kw = dict(name="zero", dim=d, initial_sampler=sampler, diffusion_factor=factor)
+    return (SemimartingaleModel(drift=None, **kw),
+            SemimartingaleModel(drift=lambda j, p: np.zeros((len(p), d)), **kw))
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("diffusion", ["identity", "constant", "callable"])
+def test_zero_drift_matches_explicit_zeros(threads, d, diffusion):
+    # drift=None stores no drift record; every state bit equals the
+    # all-zeros callable's and the reference
+    g, n = TimeGrid(6), 3 * NOISE_BLOCK + 7
+    none, zeros = _zero_drift_models(d, diffusion)
+    a = simulate(none, g, n, seed=33, threads=threads)
+    b = simulate(zeros, g, n, seed=33, threads=threads)
+    ref_states, _, ref_diffusions = _reference_simulate(none, g, n, 33)
+    assert _same_bits(a.states, b.states) and _same_bits(a.states, ref_states)
+    assert np.array_equal(a.diffusions, ref_diffusions)
+    assert np.array_equal(a.drifts, b.drifts)
+    assert a.drifts.strides[0] == 0 and not a.drifts.flags.writeable
+    assert not a.states.flags.writeable and not a.states.base.flags.writeable
+
+
+class _NegativeZeroNormals:
+    """A block generator whose every normal is -0.0."""
+
+    def __init__(self, bit_generator):
+        pass
+
+    def standard_normal(self, out):
+        out[...] = -0.0
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_zero_drift_keeps_the_sign_of_zero(threads, monkeypatch):
+    # a -0.0 start and -0.0 increments: the explicit drift adds v * dt = +0.0
+    # before the increment, so every later state is +0.0, and drift=None
+    # must give the same bits
+    monkeypatch.setattr(paths, "Generator", _NegativeZeroNormals)
+    g, n = TimeGrid(4), 2 * NOISE_BLOCK + 1
+    none, zeros = _zero_drift_models(1, "identity", start=-0.0)
+    a = simulate(none, g, n, seed=34, threads=threads)
+    b = simulate(zeros, g, n, seed=34, threads=threads)
+    assert _same_bits(a.states, b.states)
+    assert not np.signbit(a.states[:, 1:]).any()
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_zero_drift_names_first_failing_diffusion(threads):
+    model, g, n = _nan_model(diffusion_fails=[(10, 100), (3, 900)])
+    with pytest.raises(SimulationError) as err:
+        simulate(replace(model, drift=None), g, n, seed=5, threads=threads)
+    assert str(err.value) == "model 'nan': non-finite diffusion at step 3, path 900"
+
+
+def test_zero_drift_push_and_lift_match_explicit_zeros():
+    # the catalog's Brownian law against the same law with a drift record
+    g, n = TimeGrid(8), NOISE_BLOCK + 5
+    a = catalog.build_law("brownian", g, n, seed=35)
+    b = simulate(_zero_drift_models(1, "identity", start=0.0)[1], g, n, seed=35)
+    assert _same_bits(a.states, b.states)
+    for shift in ("sine", "state"):
+        ua = materialize(catalog.get_shift(shift, g), a)
+        ub = materialize(catalog.get_shift(shift, g), b)
+        pa, pb = push_shift(a, ua, 0.3), push_shift(b, ub, 0.3)
+        assert _same_bits(pa.states, pb.states) and _same_bits(pa.drifts, pb.drifts)
+    for name in ("identity", "sine_squash"):
+        la, lb = lift(a, catalog.get_map(name)), lift(b, catalog.get_map(name))
+        for field in ("states", "drifts", "diffusions"):
+            assert _same_bits(getattr(la, field), getattr(lb, field)), (name, field)
+        # time-major, though the zero drift's record is a stride-0 broadcast
+        assert la.drifts.strides[0] < la.drifts.strides[1]
 
 
 def _reference_fbsde(spec, grid, n, seed, variant):
@@ -484,11 +578,17 @@ def test_export_paths_csv(tmp_path, bm_small):
 
 
 def test_weighted_law_holds_two_records():
-    # the Brownian base's drift record is dropped before the weighted one is
-    # allocated: states and drifts only, as simulate itself holds
+    # the Brownian base stores its states alone, its noise drawn into the
+    # state rows; the weighted law adds its own drift record, which
+    # tracemalloc counts whole though the rows before the anchor stay
+    # untouched zero pages
     g, n = TimeGrid(500), 20000
-    ens, peak = traced_peak(catalog.build_law, "squared_increment_weighted", g, n, seed=7)
     record = 8 * n * g.m
+    base, peak = traced_peak(catalog.build_law, "brownian", g, n, seed=7)
+    assert peak < 1.1 * record, peak / record
+    assert base.drifts.strides[0] == 0 and not base.drifts.flags.writeable
+    del base
+    ens, peak = traced_peak(catalog.build_law, "squared_increment_weighted", g, n, seed=7)
     assert peak < 2.2 * record, peak / record
     assert ens.drifts.strides == (8, 8 * n, 8)
     assert not ens.drifts.flags.writeable and not ens.drifts.base.flags.writeable
