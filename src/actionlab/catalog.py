@@ -21,7 +21,7 @@ from numpy.random import Generator
 from . import bridge as _bridge
 from .diagnostics import NoetherFamily
 from .lagrangians import Lagrangian
-from .paths import PathEnsemble, SemimartingaleModel, TimeGrid, _freeze, run_ranges, simulate
+from .paths import PathEnsemble, SemimartingaleModel, TimeGrid, simulate
 from .shifts import AdaptedShift
 from .transform import SpaceTimeMap
 
@@ -248,29 +248,24 @@ def _law_squared_increment(grid, n_paths, seed, threads=None, anchor=0.5):
 
 
 def _law_squared_increment_weighted(grid, n_paths, seed, threads=None, anchor=0.5):
-    """Same law represented by density weights on Wiener paths, with the drift
-    records evaluated from the closed-form drift along those paths, on the
-    path ranges of :func:`~actionlab.paths.run_ranges`.  The Brownian base
-    stores no drift record, so at most two records, states and drifts, are
-    held at once, and the drift rows before the anchor, zero-initialised and
-    never written, are pages that are never touched."""
+    """Same law represented by density weights on Wiener paths.  Its drift is
+    the closed-form drift along those paths, a row function of the states
+    that ``PathEnsemble.drift`` evaluates where a row is read, so the law
+    holds one record, the Brownian base's states."""
     base = _law_brownian(grid, n_paths, seed, threads=threads, dim=1)
     ja = _anchor_index(grid, anchor)
     x = base.states[:, :, 0]
     w = (x[:, -1] - x[:, ja]) ** 2 / (1.0 - anchor)
     w = w * (n_paths / w.sum())
-    # time-major like the simulated record; the drift vanishes before the anchor
-    drifts = np.zeros((grid.m, n_paths, 1)).transpose(1, 0, 2)
+    times, zero = grid.times, np.zeros(1)
 
-    def walk(lo, hi):
-        # one column at a time keeps every temporary at one range's paths
-        for j in np.flatnonzero(grid.times[:-1] >= anchor):
-            drifts[lo:hi, j, 0] = _squared_increment_drift(x[lo:hi, j], x[lo:hi, ja],
-                                                           grid.times[j])
+    def drift(j, states):
+        if times[j] < anchor:
+            return np.broadcast_to(zero, (states.shape[0], 1))
+        return _squared_increment_drift(states[:, j, 0], states[:, ja, 0],
+                                        times[j])[:, None]
 
-    run_ranges(walk, n_paths, threads)
-    _freeze(drifts)
-    return replace(base, drifts=drifts, weights=w,
+    return replace(base, drifts=drift, weights=w,
                    label="squared_increment_weighted")
 
 

@@ -203,7 +203,7 @@ def variational_derivative(ensemble: PathEnsemble, lagrangian: Lagrangian,
         raise ValueError(f"eps must be finite and positive, got {list(eps_list)}")
     if allowance is None:
         allowance = 2.0 / ensemble.grid.m
-    n, m, d = ensemble.drifts.shape
+    n, m, d = ensemble.n_paths, ensemble.grid.m, ensemble.dim
     dt = ensemble.grid.dt
     steps = ensemble.grid.steps_before(ensemble.t_max)
     formula_pp, terminal = np.zeros(n), np.empty((n, d))
@@ -221,7 +221,7 @@ def variational_derivative(ensemble: PathEnsemble, lagrangian: Lagrangian,
             formula += np.einsum("nd,nd->n", xi, hd)
             if j < steps:
                 t = j * dt
-                x, v, a = ens.states[:, j], ens.drifts[:, j], ens.alpha(j)
+                x, v, a = ens.states[:, j], ens.drift(j), ens.alpha(j)
                 for e, total in sums.items():
                     val = lagrangian.value(t, x + e * h, v + e * hd, a)
                     total += np.asarray(val, dtype=np.float64) * dt
@@ -282,7 +282,7 @@ def drift_representation_check(ensemble: PathEnsemble,
     report normalizes those inner products by their standard errors.
     """
     grid = ensemble.grid
-    n, m, d = ensemble.drifts.shape
+    n, m, d = ensemble.n_paths, grid.m, ensemble.dim
     dt = grid.dt
     idx = grid.probe_indices(probe_fractions, 1.0)
     if not idx:   # no statistic: an empty report, not a PASS
@@ -306,7 +306,7 @@ def drift_representation_check(ensemble: PathEnsemble,
         xi = (terminal - ensemble.states[:, j]) / (1.0 - t)
         if grad_potential is not None:
             xi = xi + grad_term[j] / (1.0 - t)
-        z, names = _orthogonality(xi - ensemble.drifts[:, j], ensemble, j)
+        z, names = _orthogonality(xi - ensemble.drift(j), ensemble, j)
         stats.append(z)
         times.append(t)
     return DriftRepresentationReport(probe_times=times, feature_names=names or [],
@@ -339,7 +339,7 @@ def noether_invariant(ensemble: PathEnsemble, lagrangian: Lagrangian,
     kappa = alpha grad_u~^T + grad_u~ alpha.  Returns (I at probes, report).
     """
     grid = ensemble.grid
-    n, m, d = ensemble.drifts.shape
+    n, d = ensemble.n_paths, ensemble.dim
     dt = grid.dt
     idx = grid.probe_indices(probe_fractions, ensemble.t_max)
     column = {j: a for a, j in enumerate(idx)}
@@ -353,7 +353,7 @@ def noether_invariant(ensemble: PathEnsemble, lagrangian: Lagrangian,
     gen_prev = p_prev = None
     for j in range(max(idx, default=-1) + 1):
         t = j * dt
-        x, v = ensemble.states[:, j], ensemble.drifts[:, j]
+        x, v = ensemble.states[:, j], ensemble.drift(j)
         alpha = ensemble.alpha(j)
         # C order, as rows of a path array: einsum's summation order over d
         # depends on the operands' memory layout

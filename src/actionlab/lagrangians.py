@@ -33,8 +33,9 @@ class Lagrangian:
     of the inputs) and thread-safe: :func:`path_actions` and
     ``diagnostics.variational_derivative`` call them on ranges of the paths
     from pool threads.  ``v`` and ``a`` may be read-only broadcast views
-    (the drift record of a zero-drift law, ``PathEnsemble.alpha`` of a
-    constant diffusion); evaluators must not write into them.
+    (``PathEnsemble.drift`` of a zero-drift law or before the weighted law's
+    anchor, ``PathEnsemble.alpha`` of a constant diffusion); evaluators must
+    not write into them.
     """
 
     name: str
@@ -71,7 +72,7 @@ def path_actions(ensemble: PathEnsemble, lagrangian: Lagrangian) -> np.ndarray:
         ens, out = ensemble.path_range(lo, hi), total[lo:hi]
         for j in range(grid.steps_before(ensemble.t_max)):
             t = j * grid.dt
-            val = lagrangian.value(t, ens.states[:, j], ens.drifts[:, j], ens.alpha(j))
+            val = lagrangian.value(t, ens.states[:, j], ens.drift(j), ens.alpha(j))
             out += np.asarray(val, dtype=np.float64) * grid.dt
 
     run_ranges(walk, ensemble.n_paths)
@@ -94,7 +95,7 @@ def _el_columns(ensemble: PathEnsemble, lagrangian: Lagrangian, steps):
     ``grad_v`` is evaluated only at those steps and ``grad_x`` only before the
     last one."""
     grid = ensemble.grid
-    n, m, d = ensemble.drifts.shape
+    n, m, d = ensemble.n_paths, grid.m, ensemble.dim
     column = {j: c for c, j in enumerate(steps)}
     if len(column) != len(steps) or not all(0 <= j < m for j in column):
         raise ValueError("steps must be distinct step indices in [0, m)")
@@ -102,7 +103,7 @@ def _el_columns(ensemble: PathEnsemble, lagrangian: Lagrangian, steps):
     cum = np.zeros((n, d))
     for j in range(last + 1):
         t = j * grid.dt
-        x, v = ensemble.states[:, j], ensemble.drifts[:, j]
+        x, v = ensemble.states[:, j], ensemble.drift(j)
         a = ensemble.alpha(j)
         if j in column:
             yield column[j], (np.asarray(lagrangian.grad_v(t, x, v, a), dtype=np.float64)
@@ -121,7 +122,7 @@ def el_process(ensemble: PathEnsemble, lagrangian: Lagrangian,
     equals ``el_process(ensemble, lagrangian)[:, steps]``: ``grad_v`` is
     evaluated only at those steps and ``grad_x`` only before the last one.
     """
-    n, m, d = ensemble.drifts.shape
+    n, m, d = ensemble.n_paths, ensemble.grid.m, ensemble.dim
     steps = range(m) if steps is None else [int(j) for j in steps]
     out = np.empty((n, len(steps), d))
     for c, col in _el_columns(ensemble, lagrangian, steps):
@@ -134,7 +135,7 @@ def el_constancy_defect(ensemble: PathEnsemble, lagrangian: Lagrangian) -> float
     :func:`el_process`, streamed one step at a time: it holds [n, d] arrays,
     never an [n, m, d] record.  Zero for a law whose N is constant in time."""
     n0, worst = None, []
-    for _, nj in _el_columns(ensemble, lagrangian, range(ensemble.drifts.shape[1])):
+    for _, nj in _el_columns(ensemble, lagrangian, range(ensemble.grid.m)):
         n0 = nj if n0 is None else n0
         worst.append(np.max(np.abs(nj - n0)))
     return float(np.max(worst))

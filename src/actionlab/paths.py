@@ -134,7 +134,11 @@ class PathEnsemble:
     ``[n, m, d]`` in any memory layout (:func:`simulate` stores time-major).
 
     states:     [n, m+1, d] path values
-    drifts:     [n, m, d]   drift evaluations used at each step
+    drifts:     [n, m, d]   drift evaluations used at each step, or a row
+                function ``fn(j, states) -> [n, d]`` for a drift the states
+                determine, read through :meth:`drift`; it must be pathwise,
+                keep no state and read only ``states[:, :j+1]``, since
+                :meth:`path_range` carries it to ranges on pool threads
     diffusions: [n, m, d, d] diffusion-factor evaluations (alpha = sigma sigma^T)
                 drifts and diffusions may be read-only broadcast views, stride
                 0 on the path axis, as ``simulate`` gives for a ``None`` drift
@@ -148,7 +152,7 @@ class PathEnsemble:
 
     grid: TimeGrid
     states: np.ndarray
-    drifts: np.ndarray
+    drifts: Union[np.ndarray, DriftFn]
     diffusions: np.ndarray
     seed: int
     weights: Optional[np.ndarray] = None
@@ -167,6 +171,13 @@ class PathEnsemble:
     def dim(self) -> int:
         return self.states.shape[2]
 
+    def drift(self, j: int) -> np.ndarray:
+        """Drift at step j, shape [n, d]: a row of the record, or the row
+        function's value, which may be a read-only broadcast view."""
+        if callable(self.drifts):
+            return self.drifts(j, self.states)
+        return self.drifts[:, j]
+
     def alpha(self, j: int) -> np.ndarray:
         """sigma sigma^T at step j, shape [n, d, d].
 
@@ -182,18 +193,26 @@ class PathEnsemble:
 
     def path_range(self, lo: int, hi: int) -> "PathEnsemble":
         """Paths ``lo .. hi-1`` as an ensemble of views into these records,
-        the unit :func:`run_ranges` hands each worker thread."""
-        return replace(self, states=self.states[lo:hi], drifts=self.drifts[lo:hi],
+        the unit :func:`run_ranges` hands each worker thread; a row-function
+        drift is carried unchanged."""
+        drifts = self.drifts if callable(self.drifts) else self.drifts[lo:hi]
+        return replace(self, states=self.states[lo:hi], drifts=drifts,
                        diffusions=self.diffusions[lo:hi],
                        weights=None if self.weights is None else self.weights[lo:hi])
 
     def validate(self) -> None:
         """Check structural invariants on a deterministic subsample of
-        :data:`VALIDATE_SAMPLE` paths and steps."""
+        :data:`VALIDATE_SAMPLE` paths and steps; a row-function drift is
+        called at the first and the last step."""
         n, m = self.n_paths, self.grid.m
         if self.states.shape != (n, m + 1, self.dim):
             raise ValueError("states shape mismatch")
-        if self.drifts.shape != (n, m, self.dim):
+        if callable(self.drifts):
+            for j in (0, m - 1):
+                v = np.asarray(self.drift(j))
+                if v.shape != (n, self.dim) or not np.isfinite(v).all():
+                    raise ValueError(f"drifts shape mismatch or non-finite at step {j}")
+        elif self.drifts.shape != (n, m, self.dim):
             raise ValueError("drifts shape mismatch")
         if self.diffusions.shape != (n, m, self.dim, self.dim):
             raise ValueError("diffusions shape mismatch")

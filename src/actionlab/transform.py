@@ -1,11 +1,12 @@
 """Pushforward of ensembles by adapted shifts and by space maps.
 
 ``push_shift`` translates every path by epsilon times a materialized shift;
-the drift records gain epsilon * hdot and the diffusion records are carried
+the drift rows gain epsilon * hdot and the diffusion records are carried
 unchanged.  ``lift`` applies a pointwise space map y = h(x) to the paths and
 transforms the recorded characteristics by the time-free Ito rule: the new
 drift is (v . grad) h + (1/2) sum alpha_ij d2_ij h and the new diffusion
-factor is (grad h) sigma.
+factor is (grad h) sigma.  Both read the drift one row at a time through
+``PathEnsemble.drift`` and return frozen, time-major drift records.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .paths import PathEnsemble, _records
+from .paths import PathEnsemble, _freeze, _records
 from .shifts import MaterializedShift
 
 __all__ = [
@@ -52,16 +53,17 @@ def push_shift(ensemble: PathEnsemble, shift: MaterializedShift,
     if shift.ensemble is not ensemble:
         raise ValueError("shift is not bound to this ensemble")
     states = ensemble.states + epsilon * shift.h
-    drifts = ensemble.drifts + epsilon * shift.hdot
-    states.setflags(write=False)
-    drifts.setflags(write=False)
+    drifts = _records(ensemble.n_paths, ensemble.grid.m, ensemble.dim)
+    for j in range(ensemble.grid.m):
+        drifts[:, j] = ensemble.drift(j) + epsilon * shift.hdot[:, j]
+    _freeze(states, drifts)
     return replace(ensemble, states=states, drifts=drifts,
                    label=f"{ensemble.label}+{epsilon}*{shift.name}")
 
 
 def lift(ensemble: PathEnsemble, m: SpaceTimeMap) -> PathEnsemble:
     """Image law under the pathwise application of the space map."""
-    n, steps, d = ensemble.drifts.shape
+    n, steps, d = ensemble.n_paths, ensemble.grid.m, ensemble.dim
     states, drifts = _records(n, steps + 1, d), _records(n, steps, d)
     diffusions = np.empty((n, steps, d, d))
     for j in range(steps + 1):
@@ -69,7 +71,7 @@ def lift(ensemble: PathEnsemble, m: SpaceTimeMap) -> PathEnsemble:
     for j in range(steps):
         x = ensemble.states[:, j]
         jac = np.broadcast_to(np.asarray(m.jacobian(x), dtype=np.float64), (n, d, d))
-        drifts[:, j] = np.einsum("nij,nj->ni", jac, ensemble.drifts[:, j])
+        drifts[:, j] = np.einsum("nij,nj->ni", jac, ensemble.drift(j))
         if m.hessian is not None:
             hess = np.broadcast_to(np.asarray(m.hessian(x), dtype=np.float64),
                                    (n, d, d, d))
@@ -77,7 +79,6 @@ def lift(ensemble: PathEnsemble, m: SpaceTimeMap) -> PathEnsemble:
         diffusions[:, j] = np.einsum("nij,njk->nik", jac, ensemble.diffusions[:, j])
     if not (np.isfinite(states).all() and np.isfinite(drifts).all()):
         raise ValueError(f"map '{m.name}' produced non-finite values")
-    for arr in (states, drifts, diffusions):
-        arr.setflags(write=False)
+    _freeze(states, drifts, diffusions)
     return replace(ensemble, states=states, drifts=drifts, diffusions=diffusions,
                    label=f"{m.name}*{ensemble.label}")

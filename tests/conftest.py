@@ -93,3 +93,17 @@ def traced_peak(fn, *args, **kwargs):
     finally:
         if started:
             tracemalloc.stop()
+
+
+def weighted_drift_record(ens, anchor=0.5):
+    """The drift record the weighted squared-increment law used to store for
+    ``ens``: time-major, zero before the anchor and, from it on, the closed
+    form 2 (x_t - x_a) / (1 - t + (x_t - x_a)^2) written one column at a time."""
+    g = ens.grid
+    x = ens.states[:, :, 0]
+    ja = int(round(anchor * g.m))
+    record = np.zeros((g.m, ens.n_paths, 1)).transpose(1, 0, 2)
+    for j in np.flatnonzero(g.times[:-1] >= anchor):
+        d = x[:, j] - x[:, ja]
+        record[:, j, 0] = 2.0 * d / (1.0 - g.times[j] + d * d)
+    return record

@@ -456,13 +456,17 @@ def _noether_full_arrays(ens, lag, family, idx):
     return inv
 
 
+def _anisotropic_factor(dim):
+    return np.tril(np.ones((dim, dim))) + np.diag(np.linspace(0.0, -0.8, dim))
+
+
 def _correlated_law(grid, dim):
     """Law with a constant, non-isotropic diffusion: the rotation family then
     has a non-zero kappa, so theta can enter the invariant."""
-    sig = np.tril(np.ones((dim, dim))) + np.diag(np.linspace(0.0, -0.8, dim))
     model = SemimartingaleModel(name="corr", dim=dim,
                                 initial_sampler=catalog.point_sampler(np.eye(dim)[0]),
-                                drift=lambda j, p: -0.5 * p[:, j], diffusion_factor=sig)
+                                drift=lambda j, p: -0.5 * p[:, j],
+                                diffusion_factor=_anisotropic_factor(dim))
     return simulate(model, grid, 1000, seed=16)
 
 
@@ -474,6 +478,24 @@ _VAV = Lagrangian(
     grad_x=lambda t, x, v, a: np.zeros_like(x),
     grad_v=lambda t, x, v, a: 2.0 * np.einsum("nij,nj->ni", a, v),
     grad_a=lambda t, x, v, a: np.einsum("ni,nj->nij", v, v))
+
+
+def test_noether_invariant_needs_its_theta_term(grid200):
+    # a constant drift v0 with the anisotropic factor of _correlated_law: under
+    # L = v^T a v the momentum p = 2 a v0 is constant, so the law is critical,
+    # and the drift of <G X, p>, -2 v0^T G a v0, is cancelled by theta alone
+    v0 = np.array([1.0, 0.5])
+    model = SemimartingaleModel(name="const_corr", dim=2,
+                                initial_sampler=catalog.point_sampler(np.eye(2)[0]),
+                                drift=lambda j, p: v0,
+                                diffusion_factor=_anisotropic_factor(2))
+    ens = simulate(model, grid200, 10_000, seed=16)
+    rotation = catalog.get_family("rotation")
+    _, full = noether_invariant(ens, _VAV, rotation)
+    assert full.verdict, full.max_abs_statistic
+    no_theta = replace(_VAV, name="vav_no_theta", grad_a=lambda t, x, v, a: np.zeros(a.shape))
+    _, dropped = noether_invariant(ens, no_theta, rotation)
+    assert not dropped.verdict, dropped.max_abs_statistic
 
 
 def _rotation(dim):

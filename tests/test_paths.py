@@ -13,7 +13,13 @@ from actionlab import paths
 from actionlab.paths import (CSV_PATHS, NOISE_BLOCK, SemimartingaleModel,
                              export_paths_csv)
 from actionlab.catalog import make_state_features, make_test_feature_map, point_sampler
-from conftest import traced_peak
+from actionlab.lagrangians import path_actions
+from conftest import traced_peak, weighted_drift_record
+
+
+def _drift_rows(ens):
+    """Every drift row of ``ens``, read through its accessor, as [n, m, d]."""
+    return np.stack([ens.drift(j) for j in range(ens.grid.m)], axis=1)
 
 
 def test_timegrid_invariants():
@@ -146,8 +152,9 @@ def test_every_law_is_bit_identical_across_splits(law, three_cpus):
     split = catalog.build_law(law, g, n, seed=41)
     # the calling thread walks the first range, a pool of two the others
     assert three_cpus and set(three_cpus) == {2}
-    for field in ("states", "drifts", "diffusions"):
+    for field in ("states", "diffusions"):
         assert np.array_equal(getattr(one, field), getattr(split, field)), field
+    assert np.array_equal(_drift_rows(one), _drift_rows(split))
     assert (one.weights is None) == (split.weights is None)
     if one.weights is not None:
         assert np.array_equal(one.weights, split.weights)
@@ -577,11 +584,10 @@ def test_export_paths_csv(tmp_path, bm_small):
     assert header.split(",")[1:] == [f"path{i}_x0" for i in range(CSV_PATHS)]
 
 
-def test_weighted_law_holds_two_records():
+def test_weighted_law_holds_one_record():
     # the Brownian base stores its states alone, its noise drawn into the
-    # state rows; the weighted law adds its own drift record, which
-    # tracemalloc counts whole though the rows before the anchor stay
-    # untouched zero pages
+    # state rows; the weighted law stores nothing more, since its drift rows
+    # are computed from the states where they are read
     g, n = TimeGrid(500), 20000
     record = 8 * n * g.m
     base, peak = traced_peak(catalog.build_law, "brownian", g, n, seed=7)
@@ -589,9 +595,48 @@ def test_weighted_law_holds_two_records():
     assert base.drifts.strides[0] == 0 and not base.drifts.flags.writeable
     del base
     ens, peak = traced_peak(catalog.build_law, "squared_increment_weighted", g, n, seed=7)
-    assert peak < 2.2 * record, peak / record
-    assert ens.drifts.strides == (8, 8 * n, 8)
-    assert not ens.drifts.flags.writeable and not ens.drifts.base.flags.writeable
+    assert peak < 1.1 * record, peak / record
+    assert callable(ens.drifts)
+    # summing the action holds [n, d] rows, not a record
+    _, peak = traced_peak(path_actions, ens, catalog.get_lagrangian("kinetic"))
+    assert peak < 0.1 * record, peak / record
+
+
+@pytest.mark.parametrize("threads", [1, None])
+def test_weighted_drift_rows_match_the_stored_record(threads, three_cpus):
+    # drift(j) has the bits of the record the law used to store, before, at
+    # and after the anchor (step 5 of 10), on one range and on three, and a
+    # path range reads that record's rows
+    g, n = TimeGrid(10), 3 * NOISE_BLOCK + 7
+    ens = catalog.build_law("squared_increment_weighted", g, n, seed=43, threads=threads)
+    assert three_cpus == ([] if threads == 1 else [2])
+    ref = weighted_drift_record(ens)
+    ranges = paths.run_ranges(lambda lo, hi: (lo, hi), n, threads)
+    assert len(ranges) == (1 if threads == 1 else 3)
+    for j in range(g.m):
+        row = ens.drift(j)
+        assert _same_bits(row, ref[:, j]), j
+        if j < 5:
+            assert row.strides[0] == 0 and not row.flags.writeable
+        for lo, hi in ranges + [(5, NOISE_BLOCK + 9)]:
+            assert _same_bits(ens.path_range(lo, hi).drift(j), ref[lo:hi, j]), (j, lo)
+
+
+def test_validate_calls_a_row_function_drift(bm_small):
+    g, n = bm_small.grid, bm_small.n_paths
+    calls = []
+
+    def rows(j, states):
+        calls.append(j)
+        return np.zeros((states.shape[0], 1))
+
+    replace(bm_small, drifts=rows).validate()
+    assert calls == [0, g.m - 1]
+    with pytest.raises(ValueError, match="drifts shape mismatch or non-finite at step 0"):
+        replace(bm_small, drifts=lambda j, s: np.zeros((n, 2))).validate()
+    last_nan = lambda j, s: np.full((s.shape[0], 1), np.nan if j == g.m - 1 else 0.0)
+    with pytest.raises(ValueError, match=f"non-finite at step {g.m - 1}"):
+        replace(bm_small, drifts=last_nan).validate()
 
 
 def test_ensembles_are_immutable(bm_small):

@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from actionlab import (MaterializedShift, SpaceTimeMap, catalog,
+from actionlab import (MaterializedShift, SpaceTimeMap, TimeGrid, catalog,
                        estimate_characteristics, lift, materialize, push_shift)
 from actionlab.catalog import make_state_features, make_test_feature_map
+from actionlab.paths import NOISE_BLOCK
+from conftest import weighted_drift_record
 
 
 def homeomorphism_defect(m, points) -> float:
@@ -168,3 +172,27 @@ def test_lift_transformed_alpha_matches_regression(bm_mid):
     assert abs(est.alpha_coef[0, 0, 0] - formula_alpha) \
         < 4 * est.alpha_se[0, 0, 0] + 0.01
 
+
+def _frozen_time_major(record):
+    base = record if record.base is None else record.base
+    return (record.strides[0] < record.strides[1] and not record.flags.writeable
+            and not base.flags.writeable)
+
+
+def test_push_and_lift_of_row_function_drift_match_the_stored_record():
+    # the weighted law computes its drift rows where they are read; the maps
+    # must give the arrays they give the same law holding the stored record
+    g, n = TimeGrid(10), NOISE_BLOCK + 5
+    rows = catalog.build_law("squared_increment_weighted", g, n, seed=36)
+    stored = replace(rows, drifts=weighted_drift_record(rows))
+    for shift in ("sine", "state"):
+        pr = push_shift(rows, materialize(catalog.get_shift(shift, g), rows), 0.3)
+        ps = push_shift(stored, materialize(catalog.get_shift(shift, g), stored), 0.3)
+        assert np.array_equal(pr.states, ps.states)
+        assert np.array_equal(pr.drifts, ps.drifts), shift
+        assert _frozen_time_major(pr.states) and _frozen_time_major(pr.drifts)
+    for name in ("affine", "sine_squash"):
+        lr, ls = lift(rows, catalog.get_map(name)), lift(stored, catalog.get_map(name))
+        for field in ("states", "drifts", "diffusions"):
+            assert np.array_equal(getattr(lr, field), getattr(ls, field)), (name, field)
+        assert _frozen_time_major(lr.states) and _frozen_time_major(lr.drifts)
