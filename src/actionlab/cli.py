@@ -13,8 +13,8 @@ Reruns with the same config and seed are byte-identical.
 
 Each runner in ``_RUNNERS`` returns ``(header, rows, stats, report, ensemble)``:
 the ``report.csv`` header and rows, the nonnegative statistics, and what to
-plot (or ``None``).  :func:`run_scenario` alone turns the statistics into the
-verdict: PASS when all are finite and none exceeds the threshold.
+plot (or ``None``).  :func:`run_scenario` hands the statistics to
+:func:`~actionlab.diagnostics.verdict`; a run with none is a configuration error.
 """
 
 from __future__ import annotations
@@ -57,6 +57,9 @@ _ACCEPTS = {
     "operators": (("law", "shift_count", "peeking", "level"), ("law",)),
 }
 KINDS = tuple(_ACCEPTS)
+# kind -> the settings that give a statistic, where a runner may compute none
+_STATISTIC_KEYS = {"simulate": "expected_mean or expected_var",
+                   "action": "expected", "operators": "shift_count >= 1"}
 
 
 class ConfigError(ValueError):
@@ -136,20 +139,6 @@ def _law(cfg, grid, n, seed, default=None):
     return ens
 
 
-def _verdict(stats, threshold):
-    """PASS flag and largest statistic (0.0 for none); a non-finite one FAILs:
-    ``np.max`` propagates NaN, where Python's ``max`` drops a NaN after a number."""
-    arr = np.asarray(stats, dtype=np.float64)
-    max_stat = float(np.max(arr, initial=0.0))
-    return bool(np.isfinite(arr).all()) and max_stat <= threshold, max_stat
-
-
-def _z(value, expected, se, allowance=0.0):
-    """Gap between ``value`` and ``expected`` beyond ``allowance``, in units of
-    ``se``; a NaN value or standard error gives NaN, which fails the verdict."""
-    return max(abs(value - expected) - allowance, 0.0) / max(se, 1e-300)
-
-
 def _lagrangian(cfg, default="kinetic"):
     name = str(cfg["scenario"].get("lagrangian", default))
     return catalog.get_lagrangian(name, **cfg["lagrangian"])
@@ -171,9 +160,10 @@ def run_simulate(cfg, grid, n, seed, threshold, probes):
         rows.append((f"terminal_mean[{k}]", float(mean[k]), float(se[k])))
         rows.append((f"terminal_var[{k}]", float(var_k), float(se2[k])))
         if "expected_mean" in s:
-            stats.append(_z(float(mean[k]), float(s["expected_mean"]), float(se[k])))
+            stats.append(diagnostics.gap(float(mean[k]), float(s["expected_mean"]),
+                                         float(se[k])))
         if "expected_var" in s:
-            stats.append(_z(var_k, float(s["expected_var"]), float(se2[k])))
+            stats.append(diagnostics.gap(var_k, float(s["expected_var"]), float(se2[k])))
     return ["quantity", "value", "stderr"], rows, stats, None, ens
 
 
@@ -186,15 +176,15 @@ def run_action(cfg, grid, n, seed, threshold, probes):
     stats = []
     if "expected" in s:
         allowance = float(s.get("allowance", 0.0))
-        stats.append(_z(est.mean, float(s["expected"]), est.stderr, allowance))
+        stats.append(diagnostics.gap(est.mean, float(s["expected"]), est.stderr,
+                                     allowance))
         rows.append(("expected", float(s["expected"]), allowance))
     return ["quantity", "value", "stderr"], rows, stats, None, ens
 
 
 def run_el_certify(cfg, grid, n, seed, threshold, probes):
     ens = _law(cfg, grid, n, seed)
-    report = diagnostics.el_certify(ens, _lagrangian(cfg), probe_fractions=probes,
-                                    threshold=threshold)
+    report = diagnostics.el_certify(ens, _lagrangian(cfg), probe_fractions=probes)
     return _martingale_result(report, ens)
 
 
@@ -213,10 +203,7 @@ def run_variational(cfg, grid, n, seed, threshold, probes):
     res = diagnostics.variational_derivative(
         ens, lag, mat, eps_list=eps,
         allowance=float(s["allowance"]) if "allowance" in s else None)
-    stats = [_z(res.diff, 0.0, res.diff_se, res.allowance)]
-    if bool(s.get("expect_critical", False)):
-        stats.append(_z(res.formula, 0.0, res.formula_se, res.allowance))
-        stats.append(_z(res.fd, 0.0, max(res.fd_se, res.formula_se), res.allowance))
+    stats = list(res.gaps() if bool(s.get("expect_critical", False)) else res.gaps()[:1])
     rows = [("fd", res.fd, res.fd_se), ("formula", res.formula, res.formula_se),
             ("difference", res.diff, res.diff_se),
             ("allowance", res.allowance, 0.0), ("epsilon", res.epsilon, 0.0)]
@@ -228,9 +215,7 @@ def run_noether(cfg, grid, n, seed, threshold, probes):
     lag = _lagrangian(cfg)
     family = catalog.get_family(str(cfg["scenario"].get("family", "translation")),
                                 **cfg["family"])
-    _, report = diagnostics.noether_invariant(ens, lag, family,
-                                              probe_fractions=probes,
-                                              threshold=threshold)
+    _, report = diagnostics.noether_invariant(ens, lag, family, probe_fractions=probes)
     return _martingale_result(report, ens)
 
 
@@ -260,7 +245,8 @@ def run_bridge(cfg, grid, n, seed, threshold, probes):
             ("clamped_queries", holder.clamped, 0.0)]
     if "expected_action" in s:
         allowance = float(s.get("allowance", 2e-3))
-        stats.append(_z(est.mean, float(s["expected_action"]), est.stderr, allowance))
+        stats.append(diagnostics.gap(est.mean, float(s["expected_action"]),
+                                     est.stderr, allowance))
         rows.append(("expected_action", float(s["expected_action"]), allowance))
     if "expected_entropy" in s:
         etol = float(s.get("entropy_tol", 2e-3))
@@ -287,8 +273,7 @@ def run_fbsde(cfg, grid, n, seed, threshold, probes):
     rows, stats = [(name, defect, tol)], [threshold * defect / tol]
     report = None
     if float(np.max(np.abs(ens.diffusions))) > 0 and n >= diagnostics.MIN_PATHS:
-        report = diagnostics.el_certify(ens, lag, probe_fractions=probes,
-                                        threshold=threshold)
+        report = diagnostics.el_certify(ens, lag, probe_fractions=probes)
         rows.append(("el_certify_max_stat", report.max_abs_statistic, threshold))
         stats.append(report.max_abs_statistic)
     return ["quantity", "value", "tolerance"], rows, stats, report, ens
@@ -301,8 +286,7 @@ def run_navier_stokes(cfg, grid, n, seed, threshold, probes):
     div_tol = float(s.get("div_tol", 1e-12))
     ens = _law(cfg, grid, n, seed, default="taylor_green")
     lag = _lagrangian(cfg, default="kinetic_taylor_green")
-    report = diagnostics.el_certify(ens, lag, probe_fractions=probes,
-                                    threshold=threshold)
+    report = diagnostics.el_certify(ens, lag, probe_fractions=probes)
     stats = [threshold * residual / res_tol, threshold * div / div_tol,
              report.max_abs_statistic]
     rows = [("ns_residual", residual, res_tol), ("divergence", div, div_tol),
@@ -378,7 +362,10 @@ def run_scenario(cfg: dict, out_dir, seed=None, plot=False) -> int:
     os.makedirs(out_dir, exist_ok=True)
     header, rows, stats, report, ens = _RUNNERS[kind](
         cfg, grid, n, seed_v, threshold, probes)
-    passed, max_stat = _verdict(stats, threshold)
+    if not stats:   # no statistic is no evidence, not a PASS
+        raise ConfigError(f"kind '{kind}' computed no statistic; set "
+                          f"{_STATISTIC_KEYS[kind]}")
+    passed, max_stat = diagnostics.verdict(stats, threshold)
     reporting.write_csv(os.path.join(out_dir, "report.csv"), header, rows)
     line = reporting.write_verdict(os.path.join(out_dir, "verdict.txt"),
                                    kind, passed, max_stat)
@@ -386,7 +373,8 @@ def run_scenario(cfg: dict, out_dir, seed=None, plot=False) -> int:
     if ens is not None and bool(s.get("paths_csv", kind == "simulate")):
         export_paths_csv(ens, os.path.join(out_dir, "paths.csv"))
     if plot or bool(s.get("plot", False)):
-        reporting.render_figures(out_dir, ensemble=ens, report=report)
+        reporting.render_figures(out_dir, ensemble=ens, report=report,
+                                 z_line=threshold)
     return 0 if passed else 1
 
 

@@ -6,10 +6,10 @@ and bounded prefix functions phi, the normalized statistic
 
     z = mean_i [ w_i (X_t - X_s) phi_i(s) ] / stderr
 
-is approximately standard normal when X is a martingale.  A report passes
-when max |z| stays below the threshold (default 4.0, sized so that a family
-of up to ~50 statistics has a false-failure probability below one percent
-under normality).
+is approximately standard normal when X is a martingale.  The diagnostics
+only measure: :func:`verdict` alone compares statistics with the threshold
+(default 4.0, sized so that a family of up to ~50 statistics has a false-
+failure probability below one percent under normality).
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ from .paths import MIN_PATHS, PathEnsemble, run_ranges
 from .shifts import ENDPOINT_TOL, EndpointError, MaterializedShift
 
 __all__ = [
+    "verdict",
+    "gap",
     "MartingaleReport",
     "PowerError",
     "martingale_test",
@@ -35,7 +37,6 @@ __all__ = [
     "variational_derivative",
     "VariationalResult",
     "drift_representation_check",
-    "DriftRepresentationReport",
     "NoetherFamily",
     "noether_invariant",
 ]
@@ -49,6 +50,20 @@ class PowerError(ValueError):
     """Too few paths for the test to have meaningful power."""
 
 
+def verdict(stats, threshold: float = DEFAULT_THRESHOLD):
+    """``(passed, max_stat)``: PASS when all are finite and none exceeds
+    ``threshold``; ``np.max`` keeps a NaN, and no statistic raises ``ValueError``."""
+    arr = np.asarray(stats, dtype=np.float64)
+    max_stat = float(np.max(arr))
+    return bool(np.isfinite(arr).all() and max_stat <= threshold), max_stat
+
+
+def gap(value, expected, se, allowance=0.0):
+    """Gap between ``value`` and ``expected`` beyond ``allowance``, in units of
+    ``se``, as a verdict statistic; a NaN value or standard error gives NaN."""
+    return max(abs(value - expected) - allowance, 0.0) / max(se, 1e-300)
+
+
 @dataclass(frozen=True)
 class MartingaleReport:
     """Normalized increment statistics per probe pair and test function."""
@@ -56,15 +71,10 @@ class MartingaleReport:
     probe_pairs: list            # [(s, t), ...]
     test_names: list             # column labels: feature x process coordinate
     statistics: np.ndarray       # [n_pairs, n_columns]
-    threshold: float
 
     @property
     def max_abs_statistic(self) -> float:
         return float(np.max(np.abs(self.statistics)))
-
-    @property
-    def verdict(self) -> bool:
-        return self.max_abs_statistic <= self.threshold
 
     def rows(self):
         """(s, t, column, z) tuples for CSV serialization."""
@@ -108,8 +118,7 @@ def _orthogonality(resid: np.ndarray, ensemble: PathEnsemble, j: int):
 
 
 def martingale_test(process: np.ndarray, ensemble: PathEnsemble,
-                    probe_indices: Sequence[int],
-                    threshold: float = DEFAULT_THRESHOLD) -> MartingaleReport:
+                    probe_indices: Sequence[int]) -> MartingaleReport:
     """Test that a process sampled at the probe steps is a martingale.
 
     ``process`` has shape [n, P] or [n, P, d_proc] with P = len(probe_indices);
@@ -134,17 +143,16 @@ def martingale_test(process: np.ndarray, ensemble: PathEnsemble,
         stats.append(z)
         pairs.append((ja * dt, jb * dt))
     return MartingaleReport(probe_pairs=pairs, test_names=names or [],
-                            statistics=np.array(stats), threshold=threshold)
+                            statistics=np.array(stats))
 
 
 def el_certify(ensemble: PathEnsemble, lagrangian: Lagrangian,
-               probe_fractions: Sequence[float] = DEFAULT_PROBE_FRACTIONS,
-               threshold: float = DEFAULT_THRESHOLD) -> MartingaleReport:
+               probe_fractions: Sequence[float] = DEFAULT_PROBE_FRACTIONS
+               ) -> MartingaleReport:
     """Martingale test of the Euler-Lagrange process at ``probe_fractions``
-    of the ensemble's ``t_max``; the laboratory's verdict."""
+    of the ensemble's ``t_max``; the laboratory's central statistic."""
     idx = ensemble.grid.probe_indices(probe_fractions, ensemble.t_max)
-    return martingale_test(el_process(ensemble, lagrangian, idx), ensemble, idx,
-                           threshold=threshold)
+    return martingale_test(el_process(ensemble, lagrangian, idx), ensemble, idx)
 
 
 @dataclass(frozen=True)
@@ -160,14 +168,12 @@ class VariationalResult:
     allowance: float
     epsilon: float
 
-    @property
-    def agree(self) -> bool:
-        return abs(self.diff) <= DEFAULT_THRESHOLD * self.diff_se + self.allowance
-
-    def critical(self) -> bool:
-        k = DEFAULT_THRESHOLD
-        return (abs(self.formula) <= k * self.formula_se + self.allowance
-                and abs(self.fd) <= k * max(self.fd_se, self.formula_se) + self.allowance)
+    def gaps(self):
+        """:func:`gap` from zero of (diff, formula, fd): the first says the two
+        ways agree, the other two that the action is critical."""
+        return (gap(self.diff, 0.0, self.diff_se, self.allowance),
+                gap(self.formula, 0.0, self.formula_se, self.allowance),
+                gap(self.fd, 0.0, max(self.fd_se, self.formula_se), self.allowance))
 
 
 def variational_derivative(ensemble: PathEnsemble, lagrangian: Lagrangian,
@@ -235,13 +241,10 @@ def variational_derivative(ensemble: PathEnsemble, lagrangian: Lagrangian,
         raise EndpointError("variational_derivative requires an endpoint-zero shift")
     fd_by_eps = {eps: (actions[eps] - actions[-eps]) / (2 * eps) for eps in eps_list}
     eps_sorted = sorted(fd_by_eps, reverse=True)
-    if len(eps_sorted) == 1:
-        eps_star = eps_sorted[0]
-    else:
-        gaps = {}
-        for a, b in zip(eps_sorted[:-1], eps_sorted[1:]):
-            gaps[b] = abs(float(np.mean(fd_by_eps[a] - fd_by_eps[b])))
-        eps_star = min(gaps, key=gaps.get)
+    # the smaller epsilon of the neighbouring pair whose values differ least
+    spread = {b: abs(float(np.mean(fd_by_eps[a] - fd_by_eps[b])))
+              for a, b in zip(eps_sorted[:-1], eps_sorted[1:])}
+    eps_star = min(spread, key=spread.get) if spread else eps_sorted[0]
     fd_pp = fd_by_eps[eps_star]
 
     fd, fd_se = weighted_mean_stderr(fd_pp, ensemble.weights)
@@ -252,34 +255,17 @@ def variational_derivative(ensemble: PathEnsemble, lagrangian: Lagrangian,
                              allowance=allowance, epsilon=eps_star)
 
 
-@dataclass(frozen=True)
-class DriftRepresentationReport:
-    """Orthogonality statistics of (xi^V_t - v_t) against prefix features."""
-
-    probe_times: list
-    feature_names: list
-    statistics: np.ndarray       # [n_probes, k * d]
-    threshold: float
-
-    @property
-    def max_abs_statistic(self) -> float:
-        return float(np.max(np.abs(self.statistics)))
-
-    @property
-    def verdict(self) -> bool:
-        return self.max_abs_statistic <= self.threshold
-
-
 def drift_representation_check(ensemble: PathEnsemble,
                                grad_potential: Optional[Callable] = None,
-                               probe_fractions: Sequence[float] = (0.6, 0.75, 0.9),
-                               threshold: float = DEFAULT_THRESHOLD) -> DriftRepresentationReport:
+                               probe_fractions: Sequence[float] = (0.6, 0.75, 0.9)
+                               ) -> MartingaleReport:
     """Check that the recorded drift is the conditional mean of the pull-to-
     endpoint variable xi^V_t = (W_1 - W_t)/(1-t) + int_t^1 ((1-s)/(1-t)) grad V ds.
 
     Under the Euler-Lagrange condition E[xi^V_t | prefix] equals the drift, so
     (xi^V_t - v_t) must be orthogonal to every bounded prefix feature; the
-    report normalizes those inner products by their standard errors.
+    report normalizes those inner products by their standard errors, one row
+    per probe pair (t, 1), since xi^V_t reads the path up to the terminal time.
     """
     grid = ensemble.grid
     n, m, d = ensemble.n_paths, grid.m, ensemble.dim
@@ -299,7 +285,7 @@ def drift_representation_check(ensemble: PathEnsemble,
             if j in idx:
                 grad_term[j] = acc
 
-    stats, names, times = [], None, []
+    stats, names, pairs = [], None, []
     terminal = ensemble.states[:, m]
     for j in idx:
         t = j * dt
@@ -308,9 +294,9 @@ def drift_representation_check(ensemble: PathEnsemble,
             xi = xi + grad_term[j] / (1.0 - t)
         z, names = _orthogonality(xi - ensemble.drift(j), ensemble, j)
         stats.append(z)
-        times.append(t)
-    return DriftRepresentationReport(probe_times=times, feature_names=names or [],
-                                     statistics=np.array(stats), threshold=threshold)
+        pairs.append((t, 1.0))
+    return MartingaleReport(probe_pairs=pairs, test_names=names or [],
+                            statistics=np.array(stats))
 
 
 @dataclass(frozen=True)
@@ -329,8 +315,7 @@ class NoetherFamily:
 
 def noether_invariant(ensemble: PathEnsemble, lagrangian: Lagrangian,
                       family: NoetherFamily,
-                      probe_fractions: Sequence[float] = DEFAULT_PROBE_FRACTIONS,
-                      threshold: float = DEFAULT_THRESHOLD):
+                      probe_fractions: Sequence[float] = DEFAULT_PROBE_FRACTIONS):
     """Assemble the symmetry invariant and run the martingale test on it.
 
     I_t = <u~(W_t), p_t> - sum_i [u~^i, p^i]_t + int_0^t theta_s ds, with
@@ -373,5 +358,4 @@ def noether_invariant(ensemble: PathEnsemble, lagrangian: Lagrangian,
         ga = np.asarray(lagrangian.grad_a(t, x, v, alpha), dtype=np.float64)
         theta_sum = theta_sum + np.einsum("nij,nij->n", kappa, np.broadcast_to(ga, (n, d, d)))
         gen_prev, p_prev = gen, p
-    report = martingale_test(inv, ensemble, idx, threshold=threshold)
-    return inv, report
+    return inv, martingale_test(inv, ensemble, idx)

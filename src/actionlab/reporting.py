@@ -40,8 +40,9 @@ def write_verdict(path, scenario: str, passed: bool, max_stat: float) -> str:
     return line
 
 
-def render_figures(out_dir, ensemble=None, report=None) -> list:
-    """Render matplotlib figures next to the delimited output (opt-in).
+def render_figures(out_dir, ensemble=None, report=None, *, z_line) -> list:
+    """Render matplotlib figures next to the delimited output (opt-in), the
+    statistics with a dashed line at ``z_line``, the verdict's threshold.
 
     Returns the list of files written; silently renders nothing when
     matplotlib is unavailable so the report path never hard-depends on it.
@@ -70,7 +71,7 @@ def render_figures(out_dir, ensemble=None, report=None) -> list:
         fig, ax = plt.subplots(figsize=(7, 4))
         flat = abs(report.statistics).ravel()
         ax.bar(range(len(flat)), flat, color="#1f77b4")
-        ax.axhline(report.threshold, color="#d62728", ls="--", label="threshold")
+        ax.axhline(z_line, color="#d62728", ls="--", label="threshold")
         ax.set_xlabel("statistic index")
         ax.set_ylabel("|z|")
         ax.legend()

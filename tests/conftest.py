@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from actionlab import TimeGrid, catalog, paths
+from actionlab.diagnostics import verdict
 
 
 class _PoolSpy(paths.ThreadPoolExecutor):
@@ -59,6 +60,11 @@ def pinned_mid(grid200):
 @pytest.fixture(scope="session")
 def squared_mid(grid200):
     return catalog.build_law("squared_increment", grid200, 20000, seed=105)
+
+
+def passes(report):
+    """Verdict on a martingale report's largest |z| at the default threshold."""
+    return verdict([report.max_abs_statistic])[0]
 
 
 def deterministic_law(grid, n_paths=1500, drift_value=None):

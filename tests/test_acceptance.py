@@ -16,6 +16,8 @@ from actionlab import catalog
 from actionlab.catalog import (make_random_endpoint_zero_shift,
                                make_state_features, make_test_feature_map)
 from actionlab.cli import load_config, run_scenario
+from actionlab.diagnostics import verdict
+from conftest import passes
 
 N_FULL = 100_000
 SEED = 2024
@@ -95,15 +97,16 @@ def test_criterion_2_least_action_principle(grid, bm, squared, kin):
         for sname, build in shifts:
             u = al.materialize(build(grid), ens)
             res = al.variational_derivative(ens, kin, u)
-            if not res.agree:
+            agree, *critical = res.gaps()
+            if not verdict([agree])[0]:
                 failures.append((law_name, sname,
                                  f"fd {res.fd:.4f} vs formula {res.formula:.4f}"))
-            if certified and not res.critical():
+            if certified and not verdict(critical)[0]:
                 failures.append((law_name, sname, f"not critical: {res.formula:.4f}"))
         if not certified:
             u = al.materialize(catalog.get_shift("plus_minus", grid), ens)
             res = al.variational_derivative(ens, kin, u)
-            if res.critical():
+            if verdict(res.gaps()[1:])[0]:
                 failures.append((law_name, "plus_minus", "negative control critical"))
     report(2, not failures, f"3 laws x 5 shifts, failures={failures}")
 
@@ -126,7 +129,7 @@ def test_criterion_3_el_certification(grid, pinned, squared, bridge_ens, kin):
                                    ("ornstein_uhlenbeck", ou, kin, False)):
         rep = al.el_certify(ens, lag)
         stats[name] = round(rep.max_abs_statistic, 2)
-        ok = ok and (rep.verdict == expect)
+        ok = ok and (passes(rep) == expect)
     report(3, ok, f"max|z|: {stats}")
 
 
@@ -226,18 +229,18 @@ def test_criterion_6_noether_invariants(grid, pinned, squared, bridge_ens, bm, k
     for name, ens in (("brownian", bm), ("pinned", pinned),
                       ("squared_increment", squared), ("bridge", bridge_ens)):
         _, rep = al.noether_invariant(ens, kin, translation)
-        if not rep.verdict:
+        if not passes(rep):
             failures.append(("translation", name, round(rep.max_abs_statistic, 2)))
     osc2 = catalog.build_law("oscillator_adapted", grid, N_FULL, seed=SEED + 12,
                              dim=2, x0=(1.0, 0.0))
     kq2 = catalog.get_lagrangian("kinetic_quadratic", dim=2)
     _, rep = al.noether_invariant(osc2, kq2, rotation)
-    if not rep.verdict:
+    if not passes(rep):
         failures.append(("rotation", "radial", round(rep.max_abs_statistic, 2)))
     bad = catalog.build_law("oscillator_nonradial", grid, N_FULL, seed=SEED + 13)
     kx = catalog.get_lagrangian("kinetic_x1sq", dim=2)
     _, rep_bad = al.noether_invariant(bad, kx, rotation)
-    if rep_bad.verdict:
+    if passes(rep_bad):
         failures.append(("rotation", "nonradial passed", 0))
     report(6, not failures, f"failures={failures}")
 
@@ -248,9 +251,9 @@ def test_criterion_7_drift_representation(bm, pinned, squared):
     for name, ens in (("brownian", bm), ("pinned", pinned),
                       ("squared_increment", squared)):
         rep = al.drift_representation_check(ens)
-        assert rep.probe_times == [0.6, 0.75, 0.9]
+        assert rep.probe_pairs == [(0.6, 1.0), (0.75, 1.0), (0.9, 1.0)]
         stats[name] = round(rep.max_abs_statistic, 2)
-        ok = ok and rep.verdict
+        ok = ok and passes(rep)
     report(7, ok, f"max|z|: {stats}")
 
 
@@ -270,7 +273,7 @@ def test_criterion_8_fbsde(grid):
     riccati = float(np.max(np.abs(res.posterior_var - 1.0 / (1.0 + t))))
     ok2 = riccati < 1e-8
     rep = al.el_certify(res.ensemble, kq)
-    report(8, ok1 and ok2 and rep.verdict,
+    report(8, ok1 and ok2 and passes(rep),
            f"constancy {constancy:.2e}, riccati {riccati:.2e}, "
            f"certify max|z| {rep.max_abs_statistic:.2f}")
 
@@ -294,6 +297,7 @@ lagrangian = kinetic
 m = 200
 n_paths = 3000
 seed = 44
+expected = 0.7296371545385218
 """,
     "el-certify": """
 [scenario]

@@ -11,6 +11,7 @@ from actionlab import (BridgeProblem, FbsdeSpec, TimeGrid, action, bridge_to_mod
 from actionlab.bridge import (NS_SPACE, NS_TIME, ConvergenceError, KernelUnderflowError,
                               UnsupportedSpecError, _cell_kernel, _logsumexp, _ndtr,
                               reference_terminal)
+from conftest import passes
 
 
 def kl_oracle():
@@ -150,7 +151,7 @@ def test_bridge_simulation_terminal_fit_and_entropy_identity(grid200):
     # action equals the entropy of the fitted coupling (relative-entropy identity)
     est = action(ens, catalog.get_lagrangian("kinetic"))
     assert abs(est.mean - sol.entropy) < 4 * est.stderr + 2e-3
-    assert el_certify(ens, catalog.get_lagrangian("kinetic")).verdict
+    assert passes(el_certify(ens, catalog.get_lagrangian("kinetic")))
 
 
 @pytest.mark.parametrize("threads", [1, 3])
@@ -237,8 +238,8 @@ def test_fbsde_filtering_riccati_and_certification(grid200):
     res = fbsde_simulate(spec, grid200, 20000, seed=74)
     t = grid200.times[:-1]
     assert np.max(np.abs(res.posterior_var - 1.0 / (1.0 + t))) < 1e-8
-    assert el_certify(res.ensemble,
-                      catalog.get_lagrangian("kinetic_quadratic")).verdict
+    assert passes(el_certify(res.ensemble,
+                             catalog.get_lagrangian("kinetic_quadratic")))
 
 
 def test_fbsde_filtering_with_martingale_noise(grid200):
@@ -248,8 +249,8 @@ def test_fbsde_filtering_with_martingale_noise(grid200):
                      z_mode="independent_brownian",
                      initial_sampler=catalog.point_sampler(np.zeros(1)))
     res = fbsde_simulate(spec, grid200, 20000, seed=75)
-    assert el_certify(res.ensemble,
-                      catalog.get_lagrangian("kinetic_quadratic")).verdict
+    assert passes(el_certify(res.ensemble,
+                             catalog.get_lagrangian("kinetic_quadratic")))
 
 
 def test_fbsde_spec_validation(grid200):
@@ -298,7 +299,7 @@ def test_taylor_green_certification(grid200):
     ens = catalog.build_law("taylor_green", grid200, 20000, seed=76)
     assert ens.dim == 2
     rep = el_certify(ens, catalog.get_lagrangian("kinetic_taylor_green"))
-    assert rep.verdict, rep.max_abs_statistic
+    assert passes(rep), rep.max_abs_statistic
     # wrong potential is detected
     rep_bad = el_certify(ens, catalog.get_lagrangian("kinetic_quadratic", dim=2))
-    assert not rep_bad.verdict
+    assert not passes(rep_bad)

@@ -146,6 +146,7 @@ def test_unordered_probe_fractions_are_config_error(tmp_path, capsys, probes):
 
 HORIZON = {kind: f"[scenario]\nkind = {kind}\nlaw = brownian\nm = 20\nn_paths = 1000\n"
            for kind in ("el-certify", "noether", "action")}
+HORIZON["action"] += "expected = 0.0\n"   # the Brownian law's kinetic action
 
 
 @pytest.mark.parametrize("kind", sorted(HORIZON))
@@ -165,16 +166,35 @@ def test_horizon_outside_zero_one_is_config_error(tmp_path, capsys, kind, t_max)
 
 def test_action_kind_stops_at_the_law_horizon(tmp_path):
     # the pinned law's t_max = 1 - 1/m leaves out the singular last step
-    body = ("[scenario]\nkind = action\nlaw = pinned_brownian\nm = 200\n"
-            "n_paths = 3000\nseed = 5\n")
-    code, out = run(tmp_path, body)
-    assert code == 0
     ens = catalog.build_law("pinned_brownian", TimeGrid(200), 3000, seed=5)
     est = action(ens, catalog.get_lagrangian("kinetic"))
+    body = ("[scenario]\nkind = action\nlaw = pinned_brownian\nm = 200\n"
+            f"n_paths = 3000\nseed = 5\nexpected = {est.mean!r}\nallowance = 0\n")
+    code, out = run(tmp_path, body)
+    assert code == 0
     row = (out / "report.csv").read_text().splitlines()[1]
     assert row == f"action,{est.mean!r},{est.stderr!r}"
     assert est.mean < action(replace(ens, t_max=1.0),
                              catalog.get_lagrangian("kinetic")).mean
+
+
+@pytest.mark.parametrize("body, keys", [
+    ("[scenario]\nkind = simulate\nlaw = brownian\nm = 20\nn_paths = 1000\n",
+     "expected_mean or expected_var"),
+    ("[scenario]\nkind = action\nlaw = brownian\nm = 20\nn_paths = 1000\n", "expected"),
+    ("[scenario]\nkind = operators\nm = 32\nn_paths = 100\nshift_count = 0\n",
+     "shift_count >= 1"),
+], ids=["simulate", "action", "operators"])
+def test_scenario_without_a_statistic_is_config_error(tmp_path, capsys, body, keys):
+    # no statistic is no evidence: exit 2 and no verdict, not PASS max_stat=0.0
+    out = tmp_path / "o"
+    code = main(["run", "--config", str(write_config(tmp_path, "c.ini", body)),
+                 "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    kind = body.split("kind = ")[1].split("\n")[0]
+    assert f"kind '{kind}' computed no statistic; set {keys}" in captured.err
+    assert not (out / "verdict.txt").exists() and not (out / "report.csv").exists()
 
 
 @pytest.mark.parametrize("body", [
@@ -499,6 +519,34 @@ def test_plot_renders_figures(tmp_path):
     run_scenario(cfg, out, plot=True)
     assert (out / "paths.png").exists()
     assert (out / "statistics.png").exists()
+
+
+def test_plot_draws_the_scenario_threshold(tmp_path, monkeypatch):
+    # a stand-in matplotlib, so the run does not need it: the statistics
+    # figure draws its dashed line at the config's threshold
+    import types
+    drawn, saved = [], []
+
+    class Axes:
+        def axhline(self, level, **kwargs):
+            drawn.append(level)
+
+        def __getattr__(self, name):
+            return lambda *args, **kwargs: None
+
+    class Figure:
+        def savefig(self, target, **kwargs):
+            saved.append(os.path.basename(target))
+
+    pyplot = types.SimpleNamespace(subplots=lambda **kwargs: (Figure(), Axes()),
+                                   close=lambda fig: None)
+    monkeypatch.setitem(sys.modules, "matplotlib",
+                        types.SimpleNamespace(use=lambda backend: None, pyplot=pyplot))
+    monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+    body = EL_POS.replace("seed = 5\n", "seed = 5\nthreshold = 3.5\n")
+    cfg = load_config(write_config(tmp_path, "p.ini", body))
+    assert run_scenario(cfg, tmp_path / "plot_out", plot=True) == 0
+    assert drawn == [3.5] and saved == ["paths.png", "statistics.png"]
 
 
 def test_console_entry_point(tmp_path):

@@ -8,12 +8,13 @@ from actionlab import (EndpointError, MaterializedShift, PowerError, TimeGrid, c
                        drift_representation_check, el_certify, martingale_test,
                        materialize, noether_invariant, paths, variational_derivative)
 from actionlab.catalog import make_random_endpoint_zero_shift
-from actionlab.diagnostics import DEFAULT_PROBE_FRACTIONS, NoetherFamily
+from actionlab.diagnostics import (DEFAULT_PROBE_FRACTIONS, DEFAULT_THRESHOLD,
+                                   NoetherFamily, verdict)
 from actionlab._accum import weighted_mean_stderr
 from actionlab.lagrangians import Lagrangian, action, el_process, path_actions
 from actionlab.transform import push_shift
 from actionlab.paths import NOISE_BLOCK, PathEnsemble, SemimartingaleModel, simulate
-from conftest import traced_peak
+from conftest import passes, traced_peak
 
 
 def _probe_idx(ens, fr=DEFAULT_PROBE_FRACTIONS):
@@ -23,7 +24,7 @@ def _probe_idx(ens, fr=DEFAULT_PROBE_FRACTIONS):
 def test_martingale_test_brownian_passes(bm_mid):
     idx = _probe_idx(bm_mid)
     rep = martingale_test(bm_mid.states[:, idx, :], bm_mid, idx)
-    assert rep.verdict
+    assert passes(rep)
     assert rep.statistics.shape == (len(idx) - 1, 3)
 
 
@@ -47,7 +48,7 @@ def test_martingale_test_squared_process_fails(bm_mid):
     idx = _probe_idx(bm_mid)
     proc = bm_mid.states[:, idx, 0] ** 2
     rep = martingale_test(proc, bm_mid, idx)
-    assert not rep.verdict
+    assert not passes(rep)
     n = bm_mid.n_paths
     s, t = 0.5, 0.75
     predicted = (t - s) * np.sqrt(n) / np.sqrt(2 * (t ** 2 - s ** 2))
@@ -62,7 +63,7 @@ def test_martingale_test_space_time_harmonic_fields(bm_mid, field):
     dt = bm_mid.grid.dt
     proc = np.stack([field(j * dt, bm_mid.states[:, j, 0]) for j in idx], axis=1)
     rep = martingale_test(proc, bm_mid, idx)
-    assert rep.verdict, rep.max_abs_statistic
+    assert passes(rep), rep.max_abs_statistic
 
 
 def test_martingale_test_bridge_drift_process(pinned_mid):
@@ -72,16 +73,36 @@ def test_martingale_test_bridge_drift_process(pinned_mid):
     proc = np.stack([(1.0 - pinned_mid.states[:, j, 0]) / (1.0 - j * dt)
                      for j in idx], axis=1)
     rep = martingale_test(proc, pinned_mid, idx)
-    assert rep.verdict, rep.max_abs_statistic
+    assert passes(rep), rep.max_abs_statistic
 
 
-def test_martingale_test_threshold_monotone(bm_mid):
+def test_verdict_is_monotone_in_the_threshold(bm_mid):
     idx = _probe_idx(bm_mid)
-    proc = bm_mid.states[:, idx, 0] ** 2
-    rep4 = martingale_test(proc, bm_mid, idx, threshold=4.0)
-    rep_hi = martingale_test(proc, bm_mid, idx,
-                             threshold=rep4.max_abs_statistic + 1)
-    assert not rep4.verdict and rep_hi.verdict
+    stat = martingale_test(bm_mid.states[:, idx, 0] ** 2, bm_mid, idx).max_abs_statistic
+    assert verdict([stat], 4.0) == (False, stat)
+    assert verdict([stat], stat + 1) == (True, stat)
+    thresholds = np.linspace(0.0, 2 * stat, 41)
+    passed = [verdict([0.5 * stat, stat], c)[0] for c in thresholds]
+    assert passed == sorted(passed) and passed[0] is False and passed[-1] is True
+
+
+def test_verdict_passes_at_the_threshold_itself():
+    assert verdict([1.0, DEFAULT_THRESHOLD]) == (True, DEFAULT_THRESHOLD)
+    assert verdict([np.nextafter(DEFAULT_THRESHOLD, np.inf)])[0] is False
+
+
+@pytest.mark.parametrize("stats", [[float("nan")], [1.0, float("nan")],
+                                   [float("nan"), 1.0], [float("inf")]],
+                         ids=["nan", "nan_after_number", "nan_first", "inf"])
+def test_verdict_fails_a_non_finite_statistic(stats):
+    # at any threshold, however large
+    assert verdict(stats, threshold=float("inf"))[0] is False
+
+
+def test_verdict_on_no_statistic_raises():
+    # no statistic is no evidence, not a PASS
+    with pytest.raises(ValueError):
+        verdict([])
 
 
 def test_martingale_test_refuses_low_power(grid200):
@@ -93,12 +114,12 @@ def test_martingale_test_refuses_low_power(grid200):
 
 def test_el_certify_positive_and_negative(pinned_mid, squared_mid, grid200):
     kin = catalog.get_lagrangian("kinetic")
-    assert el_certify(pinned_mid, kin).verdict
-    assert el_certify(squared_mid, kin).verdict
+    assert passes(el_certify(pinned_mid, kin))
+    assert passes(el_certify(squared_mid, kin))
     neg = catalog.build_law("brownian_drift_t", grid200, 2000, seed=7)
-    assert not el_certify(neg, kin).verdict
+    assert not passes(el_certify(neg, kin))
     ou = catalog.build_law("ornstein_uhlenbeck", grid200, 20000, seed=8)
-    assert not el_certify(ou, kin).verdict
+    assert not passes(el_certify(ou, kin))
 
 
 def test_variational_critical_brownian(bm_mid):
@@ -106,7 +127,8 @@ def test_variational_critical_brownian(bm_mid):
     u = materialize(catalog.get_shift("plus_minus", bm_mid.grid), bm_mid)
     res = variational_derivative(bm_mid, kin, u)
     assert res.fd == 0.0 and res.formula == 0.0
-    assert res.agree and res.critical()
+    assert res.gaps() == (0.0, 0.0, 0.0)
+    assert verdict(res.gaps()[:1])[0] and verdict(res.gaps()[1:])[0]
 
 
 def test_variational_deterministic_constant_drift(grid200):
@@ -130,10 +152,10 @@ def test_variational_noncritical_quadrature_oracle(grid200):
     kin = catalog.get_lagrangian("kinetic")
     u = materialize(catalog.get_shift("plus_minus", grid200), ens)
     res = variational_derivative(ens, kin, u)
-    assert res.agree
+    assert verdict(res.gaps()[:1])[0]
     assert res.formula == pytest.approx(oracle, abs=2 / grid200.m)
     assert res.fd == pytest.approx(oracle, abs=2 / grid200.m)
-    assert not res.critical()
+    assert not verdict(res.gaps()[1:])[0]
 
 
 _BAD_EPS = "eps must be finite and positive"
@@ -230,7 +252,7 @@ def test_variational_holds_no_working_record(bm_mid):
     u = materialize(catalog.get_shift("plus_minus", bm_mid.grid), bm_mid)
     record = u.hdot.nbytes
     res, peak = traced_peak(variational_derivative, bm_mid, kin, u)
-    assert res.critical()
+    assert verdict(res.gaps()[1:])[0]
     assert peak < 0.1 * record, peak / record
 
 
@@ -356,8 +378,8 @@ def test_oscillator_mean_follows_classical_ode(grid200):
 def test_drift_representation_three_laws(bm_mid, pinned_mid, squared_mid):
     for ens in (bm_mid, pinned_mid, squared_mid):
         rep = drift_representation_check(ens)
-        assert rep.verdict, (ens.label, rep.max_abs_statistic)
-        assert rep.probe_times == [0.6, 0.75, 0.9]
+        assert passes(rep), (ens.label, rep.max_abs_statistic)
+        assert rep.probe_pairs == [(0.6, 1.0), (0.75, 1.0), (0.9, 1.0)]
 
 
 def test_drift_representation_with_potential_term(grid200):
@@ -365,16 +387,16 @@ def test_drift_representation_with_potential_term(grid200):
     # the forward potential integral
     osc = catalog.build_law("oscillator_adapted", grid200, 50_000, seed=13)
     rep = drift_representation_check(osc, grad_potential=lambda t, x: x)
-    assert rep.verdict, rep.max_abs_statistic
+    assert passes(rep), rep.max_abs_statistic
     # and without the potential term the check fails (wrong representation)
     rep_wrong = drift_representation_check(osc)
-    assert not rep_wrong.verdict
+    assert not passes(rep_wrong)
 
 
 def test_drift_representation_negative_control(grid200):
     ou = catalog.build_law("ornstein_uhlenbeck", grid200, 20000, seed=14)
     rep = drift_representation_check(ou)
-    assert not rep.verdict
+    assert not passes(rep)
 
 
 def test_noether_translation_collapses_to_momentum(pinned_mid):
@@ -385,24 +407,24 @@ def test_noether_translation_collapses_to_momentum(pinned_mid):
     # with zero generator gradient the invariant is the first momentum coord
     expected = np.stack([pinned_mid.drifts[:, j, 0] for j in idx], axis=1)
     assert np.allclose(inv, expected, atol=1e-12)
-    assert rep.verdict
+    assert passes(rep)
 
 
 def test_noether_rotation_radial_passes(grid200):
     osc = catalog.build_law("oscillator_adapted", grid200, 20000, seed=15,
                             dim=2, x0=(1.0, 0.0))
     kq = catalog.get_lagrangian("kinetic_quadratic", dim=2)
-    assert el_certify(osc, kq).verdict
+    assert passes(el_certify(osc, kq))
     _, rep = noether_invariant(osc, kq, catalog.get_family("rotation"))
-    assert rep.verdict, rep.max_abs_statistic
+    assert passes(rep), rep.max_abs_statistic
 
 
 def test_noether_rotation_nonradial_fails(grid200):
     bad = catalog.build_law("oscillator_nonradial", grid200, 20000, seed=15)
     kx = catalog.get_lagrangian("kinetic_x1sq", dim=2)
-    assert el_certify(bad, kx).verdict  # satisfies its own dynamics
+    assert passes(el_certify(bad, kx))  # satisfies its own dynamics
     _, rep = noether_invariant(bad, kx, catalog.get_family("rotation"))
-    assert not rep.verdict
+    assert not passes(rep)
 
 
 def test_noether_rejects_a_time_dependent_generator(pinned_mid):
@@ -492,10 +514,10 @@ def test_noether_invariant_needs_its_theta_term(grid200):
     ens = simulate(model, grid200, 10_000, seed=16)
     rotation = catalog.get_family("rotation")
     _, full = noether_invariant(ens, _VAV, rotation)
-    assert full.verdict, full.max_abs_statistic
+    assert passes(full), full.max_abs_statistic
     no_theta = replace(_VAV, name="vav_no_theta", grad_a=lambda t, x, v, a: np.zeros(a.shape))
     _, dropped = noether_invariant(ens, no_theta, rotation)
-    assert not dropped.verdict, dropped.max_abs_statistic
+    assert not passes(dropped), dropped.max_abs_statistic
 
 
 def _rotation(dim):
@@ -535,3 +557,26 @@ def test_noether_streaming_matches_full_array_assembly(grid200, law, dim, lag_na
             # order set by the memory layout of alpha, so for vav broadcast and
             # contiguous records may differ in the last bits, as they always have
             assert np.array_equal(*results)
+
+
+def test_noether_invariant_needs_its_bracket(grid200):
+    # dX = G X dt + dW with G the rotation generator, under kinetic_quadratic
+    # (grad_x L = -x = G G x): the law is critical and p = G X, so the
+    # realized bracket [G X, p] is |G dX|^2 summed, about 2t, and the
+    # invariant is |X|^2 - 2t; without the bracket <G X, p> = |X|^2 drifts
+    G = catalog.get_family("rotation").grad_generator(None)
+    model = SemimartingaleModel(name="rotating", dim=2,
+                                initial_sampler=catalog.point_sampler(np.eye(2)[0]),
+                                drift=lambda j, p: p[:, j] @ G.T)
+    ens = simulate(model, grid200, 10_000, seed=16)
+    kq = catalog.get_lagrangian("kinetic_quadratic", dim=2)
+    assert passes(el_certify(ens, kq))
+    inv, full = noether_invariant(ens, kq, catalog.get_family("rotation"))
+    assert passes(full), full.max_abs_statistic
+    idx = _probe_idx(ens)
+    no_bracket = np.stack([np.einsum("nd,nd->n", ens.states[:, j] @ G.T, ens.drift(j))
+                           for j in idx], axis=1)
+    assert np.allclose(np.mean(no_bracket - inv, axis=0), 2 * grid200.times[idx],
+                       atol=0.02)
+    dropped = martingale_test(no_bracket, ens, idx)
+    assert not passes(dropped), dropped.max_abs_statistic
