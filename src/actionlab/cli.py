@@ -14,7 +14,9 @@ Reruns with the same config and seed are byte-identical.
 Each runner in ``_RUNNERS`` returns ``(header, rows, stats, report, ensemble)``:
 the ``report.csv`` header and rows, the nonnegative statistics, and what to
 plot (or ``None``).  :func:`run_scenario` hands the statistics to
-:func:`~actionlab.diagnostics.verdict`; a run with none is a configuration error.
+:func:`~actionlab.diagnostics.verdict`.  A runner whose config would give no
+statistic raises :class:`ConfigError` before it simulates: no statistic is no
+evidence, not a PASS.
 """
 
 from __future__ import annotations
@@ -57,9 +59,6 @@ _ACCEPTS = {
     "operators": (("law", "shift_count", "peeking", "level"), ("law",)),
 }
 KINDS = tuple(_ACCEPTS)
-# kind -> the settings that give a statistic, where a runner may compute none
-_STATISTIC_KEYS = {"simulate": "expected_mean or expected_var",
-                   "action": "expected", "operators": "shift_count >= 1"}
 
 
 class ConfigError(ValueError):
@@ -150,10 +149,13 @@ def _martingale_result(report, ens):
 
 
 def run_simulate(cfg, grid, n, seed, threshold, probes):
+    s = cfg["scenario"]
+    if "expected_mean" not in s and "expected_var" not in s:
+        raise ConfigError("kind 'simulate' computes no statistic; set "
+                          "expected_mean or expected_var")
     ens = _law(cfg, grid, n, seed)
     ens.validate()
     (mean, se), (mean2, se2) = summarize_terminal(ens)
-    s = cfg["scenario"]
     rows, stats = [], []
     for k in range(ens.dim):
         var_k = mean2[k] - mean[k] ** 2
@@ -168,17 +170,15 @@ def run_simulate(cfg, grid, n, seed, threshold, probes):
 
 
 def run_action(cfg, grid, n, seed, threshold, probes):
+    s = cfg["scenario"]
+    if "expected" not in s:
+        raise ConfigError("kind 'action' computes no statistic; set expected")
     ens = _law(cfg, grid, n, seed)
     est = action(ens, _lagrangian(cfg))
-    s = cfg["scenario"]
+    allowance = float(s.get("allowance", 0.0))
     rows = [("action", est.mean, est.stderr), ("n_paths", est.n_paths, 0.0),
-            ("m", est.m, 0.0)]
-    stats = []
-    if "expected" in s:
-        allowance = float(s.get("allowance", 0.0))
-        stats.append(diagnostics.gap(est.mean, float(s["expected"]), est.stderr,
-                                     allowance))
-        rows.append(("expected", float(s["expected"]), allowance))
+            ("m", est.m, 0.0), ("expected", float(s["expected"]), allowance)]
+    stats = [diagnostics.gap(est.mean, float(s["expected"]), est.stderr, allowance)]
     return ["quantity", "value", "stderr"], rows, stats, None, ens
 
 
@@ -307,8 +307,11 @@ def run_operators(cfg, grid, n, seed, threshold, probes):
     s = cfg["scenario"]
     if grid.m % 32 != 0:
         raise ConfigError("operators scenario needs m divisible by 32")
-    ens = _law(cfg, grid, n, seed, default="brownian")
     count = int(s.get("shift_count", 5))
+    if count < 1:
+        raise ConfigError("kind 'operators' computes no statistic; set "
+                          "shift_count >= 1")
+    ens = _law(cfg, grid, n, seed, default="brownian")
     peeking = bool(s.get("peeking", False))
     rows, stats = [], []
     for k in range(count):
@@ -359,13 +362,10 @@ def run_scenario(cfg: dict, out_dir, seed=None, plot=False) -> int:
         s["seed"] = int(seed)
     grid, n, seed_v, threshold, probes = _scale(cfg)
     kind = s["kind"]
-    os.makedirs(out_dir, exist_ok=True)
     header, rows, stats, report, ens = _RUNNERS[kind](
         cfg, grid, n, seed_v, threshold, probes)
-    if not stats:   # no statistic is no evidence, not a PASS
-        raise ConfigError(f"kind '{kind}' computed no statistic; set "
-                          f"{_STATISTIC_KEYS[kind]}")
     passed, max_stat = diagnostics.verdict(stats, threshold)
+    os.makedirs(out_dir, exist_ok=True)
     reporting.write_csv(os.path.join(out_dir, "report.csv"), header, rows)
     line = reporting.write_verdict(os.path.join(out_dir, "verdict.txt"),
                                    kind, passed, max_stat)

@@ -241,10 +241,13 @@ def variational_derivative(ensemble: PathEnsemble, lagrangian: Lagrangian,
         raise EndpointError("variational_derivative requires an endpoint-zero shift")
     fd_by_eps = {eps: (actions[eps] - actions[-eps]) / (2 * eps) for eps in eps_list}
     eps_sorted = sorted(fd_by_eps, reverse=True)
-    # the smaller epsilon of the neighbouring pair whose values differ least
-    spread = {b: abs(float(np.mean(fd_by_eps[a] - fd_by_eps[b])))
-              for a, b in zip(eps_sorted[:-1], eps_sorted[1:])}
-    eps_star = min(spread, key=spread.get) if spread else eps_sorted[0]
+    if len(eps_sorted) == 1:
+        eps_star = eps_sorted[0]
+    else:
+        gaps = {}
+        for a, b in zip(eps_sorted[:-1], eps_sorted[1:]):
+            gaps[b] = abs(float(np.mean(fd_by_eps[a] - fd_by_eps[b])))
+        eps_star = min(gaps, key=gaps.get)
     fd_pp = fd_by_eps[eps_star]
 
     fd, fd_se = weighted_mean_stderr(fd_pp, ensemble.weights)
@@ -358,4 +361,5 @@ def noether_invariant(ensemble: PathEnsemble, lagrangian: Lagrangian,
         ga = np.asarray(lagrangian.grad_a(t, x, v, alpha), dtype=np.float64)
         theta_sum = theta_sum + np.einsum("nij,nij->n", kappa, np.broadcast_to(ga, (n, d, d)))
         gen_prev, p_prev = gen, p
-    return inv, martingale_test(inv, ensemble, idx)
+    report = martingale_test(inv, ensemble, idx)
+    return inv, report

@@ -193,8 +193,8 @@ def test_scenario_without_a_statistic_is_config_error(tmp_path, capsys, body, ke
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     kind = body.split("kind = ")[1].split("\n")[0]
-    assert f"kind '{kind}' computed no statistic; set {keys}" in captured.err
-    assert not (out / "verdict.txt").exists() and not (out / "report.csv").exists()
+    assert f"kind '{kind}' computes no statistic; set {keys}" in captured.err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("body", [
@@ -428,7 +428,8 @@ def test_internal_error_exits_three(tmp_path, monkeypatch, capsys):
         return simulate(model, grid, n_paths, seed, threads=threads)
 
     monkeypatch.setitem(catalog.LAWS, "nan_drift", nan_law)
-    body = "[scenario]\nkind = simulate\nlaw = nan_drift\nm = 20\nn_paths = 100\n"
+    body = ("[scenario]\nkind = simulate\nlaw = nan_drift\nm = 20\nn_paths = 100\n"
+            "expected_mean = 0.0\n")
     code = main(["run", "--config", str(write_config(tmp_path, "c.ini", body)),
                  "--out", str(tmp_path / "o")])
     assert code == 3

@@ -1,17 +1,17 @@
 """Measured false-failure rate of the verdict threshold on critical laws.
 
-    PYTHONPATH=src python3 tools/threshold_false_failures.py [--seeds N] [--out PATH]
+    PYTHONPATH=src python3 tools/threshold_false_failures.py [--out PATH]
 
 Each row is a scenario whose law satisfies the claim it tests, run through
 ``actionlab.cli.main`` at n = 1000 paths (``MIN_PATHS``) and m = 200 for
-``--seed`` 0 to N-1.  Every statistic is then close to a standard normal, so
-each exceedance of the threshold is a false failure.  The script reads
+``--seed`` 0 to N-1, with N fixed per row in ``ROWS``.  Every statistic is
+then close to a standard normal, so each exceedance of the threshold is a
+false failure.  The script reads
 ``max_stat`` from each run's ``verdict.txt`` and ``k``, the number of
 statistics, from its ``report.csv``.  For c = 3 and 4 it writes the measured
 P(max > c) beside Sidak's 1 - (1 - P(|Z| > c))^k, the rate for k independent
-standard normals, to ``tools/threshold_false_failures.json``.  ``--seeds``
-caps every row's seed count, for a quick check.  The script is a measurement,
-not a gate; the test suite does not run it.
+standard normals, to ``tools/threshold_false_failures.json``.  The script
+is a measurement, not a gate; the test suite does not run it.
 """
 
 from __future__ import annotations
@@ -105,15 +105,11 @@ def measure(name, seeds, body, work: Path) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--seeds", type=int, default=None,
-                        help="cap on each row's seed count")
     parser.add_argument("--out", default=str(HERE / "threshold_false_failures.json"))
     args = parser.parse_args(argv)
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
         for name, seeds, body in ROWS:
-            if args.seeds is not None:
-                seeds = min(seeds, args.seeds)
             rows.append(measure(name, seeds, body, Path(tmp)))
             print(json.dumps(rows[-1]), file=sys.stderr)
     result = {"n_paths": N_PATHS, "m": M, "levels": list(LEVELS),
