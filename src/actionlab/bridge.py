@@ -123,9 +123,13 @@ def gaussian_marginal(mean: float, var: float, x_min: float = -6.0,
 
 def delta_marginal(at: float = 0.0, x_min: float = -6.0, x_max: float = 6.0,
                    n_cells: int = 481) -> np.ndarray:
-    """Point mass on the lattice cell containing ``at``."""
+    """Point mass on the lattice cell containing ``at``, which must lie in
+    [x_min, x_max]."""
+    if not x_min <= at <= x_max:
+        raise ValueError(f"point mass at {at} lies outside the lattice "
+                         f"[{x_min}, {x_max}]")
     dx = (x_max - x_min) / n_cells
-    idx = int(np.clip((at - x_min) / dx, 0, n_cells - 1))
+    idx = min(int((at - x_min) / dx), n_cells - 1)
     p = np.zeros(n_cells)
     p[idx] = 1.0
     return p

@@ -6,7 +6,8 @@ and return a :class:`~actionlab.paths.PathEnsemble`; ``threads`` sets how
 many path ranges are simulated at once (one per usable CPU when ``None``)
 and never changes a bit of the result.  Everything else is a
 factory taking keyword parameters.  Unknown names raise ``KeyError`` with the
-list of valid entries, so configuration mistakes surface immediately.
+list of valid entries, and a keyword the builder does not read raises
+``TypeError``, so configuration mistakes surface immediately.
 """
 
 from __future__ import annotations
@@ -88,12 +89,12 @@ def point_sampler(x0):
 
 # -- potentials -----------------------------------------------------------------
 
-def _pot_quadratic(dim, k=1.0):
+def _pot_quadratic(k=1.0):
     return (lambda t, x: 0.5 * k * np.einsum("...d,...d->...", x, x),
             lambda t, x: k * x, float(k))
 
 
-def _pot_x1_squared(dim):
+def _pot_x1_squared():
     def grad(t, x):
         g = np.zeros_like(x)
         g[..., 0] = 2.0 * x[..., 0]
@@ -102,7 +103,7 @@ def _pot_x1_squared(dim):
     return (lambda t, x: x[..., 0] ** 2, grad, None)
 
 
-def _pot_taylor_green(dim):
+def _pot_taylor_green():
     # time-reversed pressure of the vortex pair
     def value(t, x):
         return _bridge.taylor_green_pressure(1.0 - t, x)
@@ -122,7 +123,7 @@ POTENTIALS: Dict[str, Callable] = {
 
 # -- Lagrangians ----------------------------------------------------------------
 
-def _kinetic(**_):
+def _kinetic():
     return Lagrangian(
         name="kinetic",
         value=lambda t, x, v, a: 0.5 * np.einsum("...d,...d->...", v, v),
@@ -131,12 +132,9 @@ def _kinetic(**_):
         grad_a=lambda t, x, v, a: np.zeros_like(a))
 
 
-def _kinetic_minus_potential(potential: str, name: str, **params):
-    def factory(**kw):
-        merged = dict(params)
-        merged.update(kw)
-        dim = merged.pop("dim", 1)
-        vfun, gfun, _ = POTENTIALS[potential](dim, **merged)
+def _kinetic_minus_potential(potential: str, name: str):
+    def factory(**params):
+        vfun, gfun, _ = POTENTIALS[potential](**params)
         return Lagrangian(
             name=name,
             value=lambda t, x, v, a: 0.5 * np.einsum("...d,...d->...", v, v) - vfun(t, x),
@@ -147,7 +145,7 @@ def _kinetic_minus_potential(potential: str, name: str, **params):
     return factory
 
 
-def _trace_alpha_kinetic(**_):
+def _trace_alpha_kinetic():
     return Lagrangian(
         name="trace_alpha_kinetic",
         value=lambda t, x, v, a: np.trace(a, axis1=-2, axis2=-1)
@@ -163,7 +161,7 @@ LAGRANGIANS: Dict[str, Callable[..., Lagrangian]] = {
     "kinetic_quadratic": _kinetic_minus_potential("quadratic", "kinetic_quadratic"),
     "kinetic_x1sq": _kinetic_minus_potential("x1_squared", "kinetic_x1sq"),
     "kinetic_taylor_green": _kinetic_minus_potential(
-        "taylor_green_pressure", "kinetic_taylor_green", dim=2),
+        "taylor_green_pressure", "kinetic_taylor_green"),
     "trace_alpha_kinetic": _trace_alpha_kinetic,
 }
 
@@ -217,6 +215,8 @@ def _law_pinned_brownian(grid, n_paths, seed, threads=None, dim=1, x0=0.0, y=1.0
 
 
 def _anchor_index(grid: TimeGrid, anchor: float) -> int:
+    if not 0.0 <= anchor < 1.0:
+        raise ValueError(f"anchor must lie in [0, 1), got {anchor}")
     a = anchor * grid.m
     if abs(a - round(a)) > 1e-9:
         raise ValueError("anchor time must sit on the grid (anchor * m integer)")
@@ -252,8 +252,8 @@ def _law_squared_increment_weighted(grid, n_paths, seed, threads=None, anchor=0.
     the closed-form drift along those paths, a row function of the states
     that ``PathEnsemble.drift`` evaluates where a row is read, so the law
     holds one record, the Brownian base's states."""
-    base = _law_brownian(grid, n_paths, seed, threads=threads, dim=1)
     ja = _anchor_index(grid, anchor)
+    base = _law_brownian(grid, n_paths, seed, threads=threads, dim=1)
     x = base.states[:, :, 0]
     w = (x[:, -1] - x[:, ja]) ** 2 / (1.0 - anchor)
     w = w * (n_paths / w.sum())
@@ -307,9 +307,9 @@ def oscillator_spec(variant: str, dim=1, curvature=1.0, potential="quadratic",
     keyword the variant does not take raises ``TypeError``.
     """
     if potential == "quadratic":
-        _, gfun, curv = POTENTIALS["quadratic"](dim, k=float(curvature))
+        _, gfun, curv = POTENTIALS["quadratic"](k=float(curvature))
     elif potential == "x1_squared":
-        _, gfun, curv = POTENTIALS["x1_squared"](dim)
+        _, gfun, curv = POTENTIALS["x1_squared"]()
     else:
         raise ValueError("oscillator potential must be 'quadratic' or 'x1_squared'")
     x0 = np.full(dim, x0, dtype=np.float64) if np.isscalar(x0) else np.asarray(x0, float)
@@ -386,14 +386,14 @@ def _shift_constant(coord=0, scale=1.0, dim=1):
     return AdaptedShift(name=f"constant[{coord}]", derivative=derivative)
 
 
-def _shift_state(**_):
+def _shift_state():
     def derivative(j, states):
         return states[:, j]
 
     return AdaptedShift(name="state", derivative=derivative)
 
 
-def _shift_tanh_state(scale=1.0, **_):
+def _shift_tanh_state(scale=1.0):
     def derivative(j, states):
         return np.tanh(scale * states[:, j])
 
@@ -581,7 +581,7 @@ def _family_translation(coord=0, dim=1):
                          grad_generator=lambda x: zero)
 
 
-def _family_rotation(**_):
+def _family_rotation():
     jmat = np.array([[0.0, -1.0], [1.0, 0.0]])
 
     return NoetherFamily(name="rotation",

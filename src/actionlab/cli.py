@@ -5,10 +5,12 @@ sections: ``[scenario]`` holds the experiment kind and scale, and the
 optional ``[law]``, ``[lagrangian]``, ``[shift]``, ``[family]``,
 ``[bridge]``, ``[fbsde]`` sections hold parameters forwarded to the
 registries.  Each kind accepts only the keys and sections its runner reads
-(``_ACCEPTS``); anything else is a configuration error.  Every run writes
-``report.csv`` (statistics), ``verdict.txt`` (one line: kind, PASS or FAIL,
-max statistic) and optionally ``paths.csv`` and figures; the exit status is
-0 on PASS, 1 on FAIL, 2 on configuration errors and 3 on internal errors.
+(``_ACCEPTS``), and each registry builder only the parameters it reads;
+anything else is a configuration error.  Every run writes ``report.csv``
+(statistics) and ``verdict.txt`` (one line: kind, PASS or FAIL, max
+statistic); ``simulate`` also writes ``paths.csv``, and ``--plot`` renders
+figures.  The exit status is 0 on PASS, 1 on FAIL, 2 on configuration errors
+and 3 on internal errors.
 Reruns with the same config and seed are byte-identical.
 
 Each runner in ``_RUNNERS`` returns ``(header, rows, stats, report, ensemble)``:
@@ -38,25 +40,23 @@ from .paths import (TimeGrid, adaptedness_probe, export_paths_csv,
 from .shifts import (delay_pn, endpoint_rn, h_dist_sq, h_norm_sq, materialize,
                      stop_truncate)
 
-_COMMON_KEYS = ("kind", "m", "n_paths", "seed", "threshold", "out",
-                "plot", "paths_csv")
+_COMMON_KEYS = ("kind", "m", "n_paths", "seed", "threshold", "out")
 # kind -> (further [scenario] keys, parameter sections) that its runner reads
 _ACCEPTS = {
     "simulate": (("law", "expected_mean", "expected_var"), ("law",)),
     "action": (("law", "lagrangian", "t_max", "expected", "allowance"),
                ("law", "lagrangian")),
     "el-certify": (("law", "lagrangian", "t_max", "probes"), ("law", "lagrangian")),
-    "variational": (("law", "lagrangian", "shift", "endpointize", "expect_critical",
-                     "eps", "allowance"), ("law", "lagrangian", "shift")),
+    "variational": (("law", "lagrangian", "shift", "expect_critical", "eps"),
+                    ("law", "lagrangian", "shift")),
     "noether": (("law", "lagrangian", "family", "t_max", "probes"),
                 ("law", "lagrangian", "family")),
-    "bridge": (("lagrangian", "expected_action", "expected_entropy", "entropy_tol",
-                "allowance", "tv_tol", "tv_bins"), ("lagrangian", "bridge")),
+    "bridge": (("lagrangian", "expected_action", "expected_entropy", "tv_tol"),
+               ("lagrangian", "bridge")),
     "fbsde": (("lagrangian", "variant", "constancy_tol", "riccati_tol", "probes"),
               ("lagrangian", "fbsde")),
-    "navier-stokes": (("lagrangian", "residual_tol", "div_tol", "probes"),
-                      ("lagrangian",)),
-    "operators": (("law", "shift_count", "peeking", "level"), ("law",)),
+    "navier-stokes": (("lagrangian", "probes"), ("lagrangian",)),
+    "operators": (("law", "shift_count", "peeking"), ("law",)),
 }
 KINDS = tuple(_ACCEPTS)
 
@@ -132,7 +132,9 @@ def _law(cfg, grid, n, seed, default=None):
     name = s.get("law", default)
     if name is None:
         raise ConfigError("this scenario kind requires a 'law' key")
-    ens = catalog.build_law(str(name), grid, n, seed, **cfg.get("law", {}))
+    # threads is passed here, so a [law] threads key is a TypeError
+    ens = catalog.build_law(str(name), grid, n, seed, threads=None,
+                            **cfg.get("law", {}))
     if "t_max" in s:
         ens = replace(ens, t_max=float(s["t_max"]))
     return ens
@@ -195,14 +197,10 @@ def run_variational(cfg, grid, n, seed, threshold, probes):
     shift_name = str(s.get("shift", "plus_minus"))
     base = catalog.get_shift(shift_name, grid, **cfg["shift"])
     mat = materialize(base, ens)
-    if "endpointize" in s:
-        mat = endpoint_rn(mat, int(s["endpointize"]))
     eps = s.get("eps", (1e-2, 1e-3))
     if not isinstance(eps, tuple):
         eps = (eps,)
-    res = diagnostics.variational_derivative(
-        ens, lag, mat, eps_list=eps,
-        allowance=float(s["allowance"]) if "allowance" in s else None)
+    res = diagnostics.variational_derivative(ens, lag, mat, eps_list=eps)
     stats = list(res.gaps() if bool(s.get("expect_critical", False)) else res.gaps()[:1])
     rows = [("fd", res.fd, res.fd_se), ("formula", res.formula, res.formula_se),
             ("difference", res.diff, res.diff_se),
@@ -221,12 +219,13 @@ def run_noether(cfg, grid, n, seed, threshold, probes):
 
 def run_bridge(cfg, grid, n, seed, threshold, probes):
     s = cfg["scenario"]
-    ens, solution, holder = catalog.sinkhorn_bridge_law(grid, n, seed, **cfg["bridge"])
+    ens, solution, holder = catalog.sinkhorn_bridge_law(grid, n, seed, threads=None,
+                                                        **cfg["bridge"])
     lag = _lagrangian(cfg)
     est = action(ens, lag)
 
     # terminal histogram against the target marginal on coarse bins
-    tv_bins = int(s.get("tv_bins", 48))
+    tv_bins = 48
     problem = solution.problem
     edges = np.linspace(problem.x_min, problem.x_max, tv_bins + 1)
     hist, _ = np.histogram(ens.states[:, -1, 0], bins=edges)
@@ -244,12 +243,12 @@ def run_bridge(cfg, grid, n, seed, threshold, probes):
             ("sinkhorn_iterations", solution.iterations, 0.0),
             ("clamped_queries", holder.clamped, 0.0)]
     if "expected_action" in s:
-        allowance = float(s.get("allowance", 2e-3))
+        allowance = 2e-3
         stats.append(diagnostics.gap(est.mean, float(s["expected_action"]),
                                      est.stderr, allowance))
         rows.append(("expected_action", float(s["expected_action"]), allowance))
     if "expected_entropy" in s:
-        etol = float(s.get("entropy_tol", 2e-3))
+        etol = 2e-3
         stats.append(threshold * abs(solution.entropy - float(s["expected_entropy"])) / etol)
         rows.append(("expected_entropy", float(s["expected_entropy"]), etol))
     return ["quantity", "value", "tolerance_or_stderr"], rows, stats, None, ens
@@ -280,10 +279,8 @@ def run_fbsde(cfg, grid, n, seed, threshold, probes):
 
 
 def run_navier_stokes(cfg, grid, n, seed, threshold, probes):
-    s = cfg["scenario"]
     residual, div = bridge_mod.navier_stokes_residual()
-    res_tol = float(s.get("residual_tol", 1e-10))
-    div_tol = float(s.get("div_tol", 1e-12))
+    res_tol, div_tol = 1e-10, 1e-12
     ens = _law(cfg, grid, n, seed, default="taylor_green")
     lag = _lagrangian(cfg, default="kinetic_taylor_green")
     report = diagnostics.el_certify(ens, lag, probe_fractions=probes)
@@ -343,7 +340,7 @@ def run_operators(cfg, grid, n, seed, threshold, probes):
         rows.append((f"shift{k}_r4_err", err4, 0.0))
         rows.append((f"shift{k}_r32_err", err32, 0.0))
         stats.append(0.0 if err32 < err4 else float("inf"))
-        level = float(s.get("level", float(np.median(np.sqrt(norm)))))
+        level = float(np.median(np.sqrt(norm)))
         excess = float(np.max(h_norm_sq(stop_truncate(u, level)) - norm))
         stats.append(0.0 if excess <= slack else float("inf"))
         del u   # the next shift's record is built without this one's beside it
@@ -370,9 +367,9 @@ def run_scenario(cfg: dict, out_dir, seed=None, plot=False) -> int:
     line = reporting.write_verdict(os.path.join(out_dir, "verdict.txt"),
                                    kind, passed, max_stat)
     print(line)
-    if ens is not None and bool(s.get("paths_csv", kind == "simulate")):
+    if kind == "simulate":
         export_paths_csv(ens, os.path.join(out_dir, "paths.csv"))
-    if plot or bool(s.get("plot", False)):
+    if plot:
         reporting.render_figures(out_dir, ensemble=ens, report=report,
                                  z_line=threshold)
     return 0 if passed else 1

@@ -178,8 +178,8 @@ class VariationalResult:
 
 def variational_derivative(ensemble: PathEnsemble, lagrangian: Lagrangian,
                            shift: MaterializedShift,
-                           eps_list: Sequence[float] = (1e-2, 1e-3),
-                           allowance: Optional[float] = None) -> VariationalResult:
+                           eps_list: Sequence[float] = (1e-2, 1e-3)
+                           ) -> VariationalResult:
     """Derivative of the action along the pushforward curve, two ways.
 
     The finite difference uses common random numbers (the same paths are
@@ -188,8 +188,8 @@ def variational_derivative(ensemble: PathEnsemble, lagrangian: Lagrangian,
     the noise of the difference.  One step loop sums ``L(t, x + e h, v + e
     hdot, alpha) dt`` over the steps before ``ensemble.t_max`` per signed
     epsilon ``e``: the bits of ``path_actions`` on ``push_shift(ensemble,
-    shift, e)``, without the pushed ensembles.  ``allowance`` defaults to 2/m
-    and absorbs the left-rectangle mismatch.
+    shift, e)``, without the pushed ensembles.  The gaps allow 2/m, which
+    absorbs the left-rectangle mismatch.
 
     The binding and epsilon checks come first.  The paths are then
     walked in the block-aligned ranges of :func:`~actionlab.paths.run_ranges`,
@@ -207,8 +207,6 @@ def variational_derivative(ensemble: PathEnsemble, lagrangian: Lagrangian,
     if not eps_list or not all(isinstance(e, Real) and 0.0 < e < math.inf
                                for e in eps_list):
         raise ValueError(f"eps must be finite and positive, got {list(eps_list)}")
-    if allowance is None:
-        allowance = 2.0 / ensemble.grid.m
     n, m, d = ensemble.n_paths, ensemble.grid.m, ensemble.dim
     dt = ensemble.grid.dt
     steps = ensemble.grid.steps_before(ensemble.t_max)
@@ -255,7 +253,7 @@ def variational_derivative(ensemble: PathEnsemble, lagrangian: Lagrangian,
     diff, diff_se = weighted_mean_stderr(fd_pp - formula_pp, ensemble.weights)
     return VariationalResult(fd=fd, fd_se=fd_se, formula=formula,
                              formula_se=formula_se, diff=diff, diff_se=diff_se,
-                             allowance=allowance, epsilon=eps_star)
+                             allowance=2.0 / m, epsilon=eps_star)
 
 
 def drift_representation_check(ensemble: PathEnsemble,

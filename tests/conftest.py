@@ -26,6 +26,17 @@ def three_cpus(monkeypatch):
     return _PoolSpy.sizes
 
 
+@pytest.fixture
+def no_simulation(monkeypatch):
+    # a registry builder must reject its parameters before it simulates
+    def simulated(*args, **kwargs):
+        raise AssertionError("simulated before the parameters were checked")
+
+    monkeypatch.setattr(catalog, "simulate", simulated)
+    monkeypatch.setattr(catalog._bridge, "fbsde_simulate", simulated)
+    monkeypatch.setattr(catalog._bridge, "sinkhorn_bridge", simulated)
+
+
 @pytest.fixture(scope="session")
 def grid200():
     return TimeGrid(200)

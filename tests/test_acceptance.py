@@ -233,12 +233,12 @@ def test_criterion_6_noether_invariants(grid, pinned, squared, bridge_ens, bm, k
             failures.append(("translation", name, round(rep.max_abs_statistic, 2)))
     osc2 = catalog.build_law("oscillator_adapted", grid, N_FULL, seed=SEED + 12,
                              dim=2, x0=(1.0, 0.0))
-    kq2 = catalog.get_lagrangian("kinetic_quadratic", dim=2)
+    kq2 = catalog.get_lagrangian("kinetic_quadratic")
     _, rep = al.noether_invariant(osc2, kq2, rotation)
     if not passes(rep):
         failures.append(("rotation", "radial", round(rep.max_abs_statistic, 2)))
     bad = catalog.build_law("oscillator_nonradial", grid, N_FULL, seed=SEED + 13)
-    kx = catalog.get_lagrangian("kinetic_x1sq", dim=2)
+    kx = catalog.get_lagrangian("kinetic_x1sq")
     _, rep_bad = al.noether_invariant(bad, kx, rotation)
     if passes(rep_bad):
         failures.append(("rotation", "nonradial passed", 0))

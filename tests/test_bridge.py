@@ -32,6 +32,16 @@ def test_marginal_helpers():
         BridgeProblem(p0=d, p1=p * 0.5)
 
 
+def test_delta_marginal_rejects_a_point_off_the_lattice(grid200, no_simulation):
+    # the edges stay on the lattice, in its first and last cells
+    assert delta_marginal(-6.0)[0] == 1.0 and delta_marginal(6.0)[-1] == 1.0
+    for at in (-6.5, 40.0):
+        with pytest.raises(ValueError, match="outside"):
+            delta_marginal(at)
+    with pytest.raises(ValueError, match="at 40.0 lies outside"):
+        catalog.sinkhorn_bridge_law(grid200, 1000, seed=3, initial_at=40.0)
+
+
 def test_kernel_rows_stochastic():
     centers = delta_marginal(0.0) * 0 + np.linspace(-6, 6, 481)
     k = _cell_kernel(np.linspace(-5.9875, 5.9875, 481), 0.025, 0.005)
@@ -301,5 +311,5 @@ def test_taylor_green_certification(grid200):
     rep = el_certify(ens, catalog.get_lagrangian("kinetic_taylor_green"))
     assert passes(rep), rep.max_abs_statistic
     # wrong potential is detected
-    rep_bad = el_certify(ens, catalog.get_lagrangian("kinetic_quadratic", dim=2))
+    rep_bad = el_certify(ens, catalog.get_lagrangian("kinetic_quadratic"))
     assert not passes(rep_bad)

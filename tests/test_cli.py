@@ -78,23 +78,37 @@ def test_unknown_key_lists_valid(tmp_path):
     assert "valid keys" in str(err.value)
 
 
-UNREAD = [
-    EL_POS.replace("seed = 5", "seed = 5\nmap = identity") + "[map]\ndim = 1\n",
-    EL_POS.replace("seed = 5", "seed = 5\nfamily = rotation"),
-    "[scenario]\nkind = navier-stokes\nm = 20\nn_paths = 1000\n[law]\ny = 1.0\n",
-    "[scenario]\nkind = simulate\nlaw = brownian\nm = 20\nn_paths = 1000\n"
-    "t_max = 0.5\n",
-    "[scenario]\nkind = action\nlaw = brownian\nm = 20\nn_paths = 1000\n"
-    "probes = 0.5\n",
-    "[scenario]\nkind = bridge\nlaw = brownian\nm = 20\nn_paths = 1000\n",
-    EL_POS.replace("seed = 5", "seed = 5\nthreads = 2"),
-]
+UNREAD = {
+    "el_certify_map":
+        EL_POS.replace("seed = 5", "seed = 5\nmap = identity") + "[map]\ndim = 1\n",
+    "el_certify_family": EL_POS.replace("seed = 5", "seed = 5\nfamily = rotation"),
+    "navier_stokes_law_section":
+        "[scenario]\nkind = navier-stokes\nm = 20\nn_paths = 1000\n[law]\ny = 1.0\n",
+    "simulate_t_max": "[scenario]\nkind = simulate\nlaw = brownian\nm = 20\n"
+                      "n_paths = 1000\nt_max = 0.5\n",
+    "action_probes": "[scenario]\nkind = action\nlaw = brownian\nm = 20\n"
+                     "n_paths = 1000\nprobes = 0.5\n",
+    "bridge_law": "[scenario]\nkind = bridge\nlaw = brownian\nm = 20\nn_paths = 1000\n",
+    "threads_key": EL_POS.replace("seed = 5", "seed = 5\nthreads = 2"),
+}
+# settings each runner keeps as a constant, so no config may set them
+CONSTANTS = [("simulate", "paths_csv"), ("el-certify", "plot"),
+             ("variational", "endpointize"), ("variational", "allowance"),
+             ("bridge", "entropy_tol"), ("bridge", "allowance"), ("bridge", "tv_bins"),
+             ("navier-stokes", "residual_tol"), ("navier-stokes", "div_tol"),
+             ("operators", "level")]
+UNREAD.update({f"{kind}_{key}".replace("-", "_"): f"[scenario]\nkind = {kind}\n{key} = 1\n"
+               for kind, key in CONSTANTS})
+COLLIDES = "multiple values for keyword argument 'threads'"
 
 
-@pytest.mark.parametrize("body,flags,message", [(body, [], "valid") for body in UNREAD] + [
+@pytest.mark.parametrize("body,flags,message", [
+    *[(body, [], "valid") for body in UNREAD.values()],
+    (EL_POS + "threads = 2\n", [], COLLIDES),
+    ("[scenario]\nkind = bridge\nm = 20\nn_paths = 1000\n[bridge]\nthreads = 2\n", [],
+     COLLIDES),
     (EL_POS, ["--threads", "2"], "unrecognized arguments: --threads 2")],
-    ids=["el_certify_map", "el_certify_family", "navier_stokes_law_section",
-         "simulate_t_max", "action_probes", "bridge_law", "threads_key", "threads_flag"])
+    ids=list(UNREAD) + ["law_threads", "bridge_threads", "threads_flag"])
 def test_setting_the_kind_does_not_read_is_config_error(tmp_path, capsys, body, flags,
                                                         message):
     argv = ["run", "--config", str(write_config(tmp_path, "c.ini", body)),
@@ -116,9 +130,6 @@ family = rotation
 m = 200
 n_paths = 3000
 seed = 5
-
-[lagrangian]
-dim = 2
 """
 
 
@@ -481,9 +492,6 @@ seed = 13
 [law]
 dim = 2
 x0 = 1.0, 0.0
-
-[lagrangian]
-dim = 2
 """
     code, _ = run(tmp_path, body)
     assert code == 0
@@ -642,6 +650,22 @@ def test_list_prints_each_registry_sorted(capsys):
     assert lines == [f"{title}: {', '.join(sorted(reg))}"
                      for title, reg in registries]
     assert lines[3] == "maps: affine, identity, sine_squash"
+
+
+REGISTRY_ARGS = {"laws": (catalog.LAWS, (TimeGrid(8), 10, 1)),
+                 "lagrangians": (catalog.LAGRANGIANS, ()),
+                 "shifts": (catalog.SHIFTS, (TimeGrid(8),)),
+                 "maps": (catalog.MAPS, ()), "families": (catalog.FAMILIES, ())}
+
+
+@pytest.mark.parametrize("registry,name", [(title, name)
+                                           for title, (reg, _) in REGISTRY_ARGS.items()
+                                           for name in sorted(reg)])
+def test_every_builder_rejects_a_parameter_it_does_not_read(no_simulation, registry, name):
+    # a builder that swallowed the keyword would run without the setting
+    reg, args = REGISTRY_ARGS[registry]
+    with pytest.raises(TypeError, match="bogus"):
+        reg[name](*args, bogus=3)
 
 
 def test_layer_modules_export_only_defined_names():

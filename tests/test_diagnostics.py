@@ -413,7 +413,7 @@ def test_noether_translation_collapses_to_momentum(pinned_mid):
 def test_noether_rotation_radial_passes(grid200):
     osc = catalog.build_law("oscillator_adapted", grid200, 20000, seed=15,
                             dim=2, x0=(1.0, 0.0))
-    kq = catalog.get_lagrangian("kinetic_quadratic", dim=2)
+    kq = catalog.get_lagrangian("kinetic_quadratic")
     assert passes(el_certify(osc, kq))
     _, rep = noether_invariant(osc, kq, catalog.get_family("rotation"))
     assert passes(rep), rep.max_abs_statistic
@@ -421,7 +421,7 @@ def test_noether_rotation_radial_passes(grid200):
 
 def test_noether_rotation_nonradial_fails(grid200):
     bad = catalog.build_law("oscillator_nonradial", grid200, 20000, seed=15)
-    kx = catalog.get_lagrangian("kinetic_x1sq", dim=2)
+    kx = catalog.get_lagrangian("kinetic_x1sq")
     assert passes(el_certify(bad, kx))  # satisfies its own dynamics
     _, rep = noether_invariant(bad, kx, catalog.get_family("rotation"))
     assert not passes(rep)
@@ -539,8 +539,7 @@ def test_noether_streaming_matches_full_array_assembly(grid200, law, dim, lag_na
                              x0=(1.0, 0.0)))
     assert ens.diffusions.strides[0] == 0
     contiguous = replace(ens, diffusions=np.array(ens.diffusions))
-    lag = _VAV if lag_name == "vav" else catalog.get_lagrangian(
-        lag_name, **({"dim": dim} if lag_name == "kinetic_quadratic" else {}))
+    lag = _VAV if lag_name == "vav" else catalog.get_lagrangian(lag_name)
     family = (_rotation(dim) if family_name == "rotation" else
               catalog.get_family("translation", dim=dim, coord=dim - 1))
     for fractions in (DEFAULT_PROBE_FRACTIONS, (0.0, 0.5, 1.0)):
@@ -569,7 +568,7 @@ def test_noether_invariant_needs_its_bracket(grid200):
                                 initial_sampler=catalog.point_sampler(np.eye(2)[0]),
                                 drift=lambda j, p: p[:, j] @ G.T)
     ens = simulate(model, grid200, 10_000, seed=16)
-    kq = catalog.get_lagrangian("kinetic_quadratic", dim=2)
+    kq = catalog.get_lagrangian("kinetic_quadratic")
     assert passes(el_certify(ens, kq))
     inv, full = noether_invariant(ens, kq, catalog.get_family("rotation"))
     assert passes(full), full.max_abs_statistic

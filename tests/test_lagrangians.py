@@ -133,7 +133,7 @@ def test_grad_check_quadratic_potential():
     rng = np.random.default_rng(6)
     pts = [(rng.random(), rng.standard_normal(2), rng.standard_normal(2),
             np.eye(2)) for _ in range(5)]
-    rep = grad_check(catalog.get_lagrangian("kinetic_quadratic", dim=2), pts)
+    rep = grad_check(catalog.get_lagrangian("kinetic_quadratic"), pts)
     assert rep.worst < 1e-8
 
 
@@ -185,7 +185,7 @@ def test_el_process_classical_oscillator_constant():
 
 @pytest.mark.parametrize("law, law_kw, lag, lag_kw", [
     ("pinned_brownian", {"y": 1.0}, "kinetic", {}),
-    ("oscillator_adapted", {"dim": 2, "x0": (1.0, 0.0)}, "kinetic_quadratic", {"dim": 2}),
+    ("oscillator_adapted", {"dim": 2, "x0": (1.0, 0.0)}, "kinetic_quadratic", {}),
     ("taylor_green", {}, "kinetic_taylor_green", {}),
 ])
 def test_el_process_at_steps_equals_full_columns(grid200, law, law_kw, lag, lag_kw):

@@ -142,6 +142,14 @@ def test_range_and_stage_edges_are_invisible():
     assert np.array_equal(head.drifts, a.drifts[:NOISE_BLOCK + 3])
 
 
+@pytest.mark.parametrize("law", ["squared_increment", "squared_increment_weighted"])
+@pytest.mark.parametrize("anchor", [-0.5, 1.0, 1.5])
+def test_anchor_outside_the_unit_interval_is_rejected(law, anchor, no_simulation):
+    # on the grid (anchor * m is an integer), yet no step of [0, 1) sits there
+    with pytest.raises(ValueError, match=r"anchor must lie in \[0, 1\)"):
+        catalog.build_law(law, TimeGrid(100), 1000, seed=3, anchor=anchor)
+
+
 @pytest.mark.parametrize("law", sorted(catalog.LAWS))
 def test_every_law_is_bit_identical_across_splits(law, three_cpus):
     # three full noise blocks and a partial one: the default split makes one

@@ -54,8 +54,6 @@ family = rotation
 [law]
 dim = 2
 x0 = 1.0, 0.0
-[lagrangian]
-dim = 2
 """),
     ("Taylor-Green el_certify", 800, """
 [scenario]
