@@ -223,20 +223,14 @@ def sinkhorn_bridge(problem: BridgeProblem, grid: TimeGrid, tol: float = 1e-9,
     for j in range(grid.m - 1, -1, -1):
         h[j] = kstep @ h[j + 1]
 
-    drift = np.zeros((grid.m, problem.n_cells))
-    with np.errstate(divide="ignore"):
-        logh = np.where(h > 0, np.log(np.where(h > 0, h, 1.0)), -np.inf)
-    for j in range(grid.m):
-        row = logh[j]
-        ok = np.isfinite(row)
-        v = np.zeros(problem.n_cells)
-        inner = ok[2:] & ok[:-2]
-        v[1:-1][inner] = (row[2:][inner] - row[:-2][inner]) / (2 * dx)
-        if ok[0] and ok[1]:
-            v[0] = (row[1] - row[0]) / dx
-        if ok[-1] and ok[-2]:
-            v[-1] = (row[-1] - row[-2]) / dx
-        drift[j] = v
+    logh = np.where(h[:-1] > 0, np.log(np.where(h[:-1] > 0, h[:-1], 1.0)), -np.inf)
+    ok = np.isfinite(logh)
+    drift = np.empty((grid.m, problem.n_cells))
+    with np.errstate(invalid="ignore"):
+        drift[:, 1:-1] = np.where(ok[:, 2:] & ok[:, :-2],
+                                  (logh[:, 2:] - logh[:, :-2]) / (2 * dx), 0.0)
+        drift[:, 0] = np.where(ok[:, 0] & ok[:, 1], (logh[:, 1] - logh[:, 0]) / dx, 0.0)
+        drift[:, -1] = np.where(ok[:, -1] & ok[:, -2], (logh[:, -1] - logh[:, -2]) / dx, 0.0)
     return BridgeSolution(problem=problem, grid=grid, log_f=log_f, log_g=log_g,
                           h=h, drift_field=drift, entropy=entropy,
                           marginal_error=float(err),
@@ -305,15 +299,18 @@ class FbsdeSpec:
     """Coupled system dX = sigma dB + Y dt, dY = dZ - grad V(t, X) dt.
 
     In the adapted variant Y_0 = y0_fn(X_0) and Z is constant, so Y is a
-    functional of the X prefix and the drift records are Y itself.  In the
-    filtering variant Y_0 is Gaussian and independent of X; the drift records
-    are the exact linear-Gaussian posterior means E[Y_j | X prefix], which
-    requires grad V(t, x) = curvature * x (scalar, d = 1).
+    functional of the X prefix and the drift records are Y itself.  ``y0_fn``
+    is called once per noise block on its ``[k, d]`` initial points and must
+    act row by row: it returns their ``[k, d]`` Y_0 rows, or one ``[d]`` row
+    that every path takes.  In the filtering variant Y_0 is Gaussian and
+    independent of X; the drift records are the exact linear-Gaussian
+    posterior means E[Y_j | X prefix], which requires
+    grad V(t, x) = curvature * x (scalar, d = 1).
     """
 
     dim: int
     grad_potential: Callable           # (t, x[n,d]) -> [n,d]
-    y0_fn: Optional[Callable] = None   # adapted variant: g(x0) -> [d]
+    y0_fn: Optional[Callable] = None   # adapted variant: g(x0[k,d]) -> [k,d]
     y0_gaussian: Optional[Tuple[float, float]] = None  # filtering: (mean, var)
     z_mode: str = "constant"           # "constant" | "independent_brownian"
     sigma: Optional[np.ndarray] = None  # constant factor, None = identity
@@ -376,7 +373,7 @@ def fbsde_simulate(spec: FbsdeSpec, grid: TimeGrid, n_paths: int,
                 mu, var = spec.y0_gaussian
                 y0[paths] = (mu + np.sqrt(var) * g.standard_normal((NOISE_BLOCK, d)))[cols]
             else:
-                y0[paths] = [spec.y0_fn(x) for x in states[paths, 0]]
+                y0[paths] = spec.y0_fn(states[paths, 0])
 
     run_ranges(draw, n, threads)
 
@@ -415,7 +412,7 @@ def fbsde_simulate(spec: FbsdeSpec, grid: TimeGrid, n_paths: int,
     diffusions = np.broadcast_to(sigma, (n, m, d, d))
     _freeze(states, drifts)
     ens = PathEnsemble(grid=grid, states=states, drifts=drifts,
-                       diffusions=diffusions, seed=seed, label=f"fbsde_{variant}")
+                       diffusions=diffusions, label=f"fbsde_{variant}")
     return FbsdeResult(ensemble=ens, posterior_var=post_var)
 
 

@@ -1,17 +1,22 @@
-"""Named registries of laws, Lagrangians, shifts, maps, potentials and
-symmetry families, shared by the CLI and the test suite.
+"""Named registries of laws, Lagrangians, shifts, maps, symmetry families
+and forward-backward oscillators, shared by the CLI and the test suite.
 
-Law builders have signature ``build(grid, n_paths, seed, threads=None, **params)``
+Law builders have signature ``build(grid, n_paths, seed, threads=None, ...)``
 and return a :class:`~actionlab.paths.PathEnsemble`; ``threads`` sets how
 many path ranges are simulated at once (one per usable CPU when ``None``)
-and never changes a bit of the result.  Everything else is a
-factory taking keyword parameters.  Unknown names raise ``KeyError`` with the
-list of valid entries, and a keyword the builder does not read raises
-``TypeError``, so configuration mistakes surface immediately.
+and never changes a bit of the result.  Shift builders take the grid first;
+everything else is a factory taking keyword parameters.  Past those fixed
+arguments, every parameter named is read: each registry entry is a plain
+function whose signature lists exactly the settings it uses, with no ``**``
+catch-all and none accepted and then ignored.  Unknown names raise
+``KeyError`` with the list of valid entries, and a keyword the builder does
+not name raises ``TypeError`` before anything is simulated, so configuration
+mistakes surface immediately.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import replace
 from typing import Callable, Dict, Optional
@@ -27,9 +32,10 @@ from .shifts import AdaptedShift
 from .transform import SpaceTimeMap
 
 __all__ = [
-    "LAWS", "LAGRANGIANS", "SHIFTS", "MAPS", "FAMILIES", "POTENTIALS",
-    "get_lagrangian", "get_shift", "get_map", "get_family",
-    "build_law", "sinkhorn_bridge_law", "oscillator_spec",
+    "LAWS", "LAGRANGIANS", "SHIFTS", "MAPS", "FAMILIES", "OSCILLATORS",
+    "get_lagrangian", "get_shift", "get_map", "get_family", "get_oscillator",
+    "build_law", "sinkhorn_bridge_law",
+    "oscillator_adapted_spec", "oscillator_filtering_spec",
     "make_state_features", "make_test_feature_map", "point_sampler",
 ]
 
@@ -87,40 +93,6 @@ def point_sampler(x0):
     return sampler
 
 
-# -- potentials -----------------------------------------------------------------
-
-def _pot_quadratic(k=1.0):
-    return (lambda t, x: 0.5 * k * np.einsum("...d,...d->...", x, x),
-            lambda t, x: k * x, float(k))
-
-
-def _pot_x1_squared():
-    def grad(t, x):
-        g = np.zeros_like(x)
-        g[..., 0] = 2.0 * x[..., 0]
-        return g
-
-    return (lambda t, x: x[..., 0] ** 2, grad, None)
-
-
-def _pot_taylor_green():
-    # time-reversed pressure of the vortex pair
-    def value(t, x):
-        return _bridge.taylor_green_pressure(1.0 - t, x)
-
-    def grad(t, x):
-        return _bridge.taylor_green_pressure_gradient(1.0 - t, x)
-
-    return (value, grad, None)
-
-
-POTENTIALS: Dict[str, Callable] = {
-    "quadratic": _pot_quadratic,
-    "x1_squared": _pot_x1_squared,
-    "taylor_green_pressure": _pot_taylor_green,
-}
-
-
 # -- Lagrangians ----------------------------------------------------------------
 
 def _kinetic():
@@ -132,17 +104,39 @@ def _kinetic():
         grad_a=lambda t, x, v, a: np.zeros_like(a))
 
 
-def _kinetic_minus_potential(potential: str, name: str):
-    def factory(**params):
-        vfun, gfun, _ = POTENTIALS[potential](**params)
-        return Lagrangian(
-            name=name,
-            value=lambda t, x, v, a: 0.5 * np.einsum("...d,...d->...", v, v) - vfun(t, x),
-            grad_x=lambda t, x, v, a: -gfun(t, x),
-            grad_v=lambda t, x, v, a: v,
-            grad_a=lambda t, x, v, a: np.zeros_like(a))
+def _kinetic_minus_potential(name, vfun, gfun):
+    """Kinetic energy minus the potential ``vfun(t, x)`` with gradient ``gfun``."""
+    return Lagrangian(
+        name=name,
+        value=lambda t, x, v, a: 0.5 * np.einsum("...d,...d->...", v, v) - vfun(t, x),
+        grad_x=lambda t, x, v, a: -gfun(t, x),
+        grad_v=lambda t, x, v, a: v,
+        grad_a=lambda t, x, v, a: np.zeros_like(a))
 
-    return factory
+
+def _grad_x1_squared(t, x):
+    g = np.zeros_like(x)
+    g[..., 0] = 2.0 * x[..., 0]
+    return g
+
+
+def _kinetic_quadratic(k=1.0):
+    return _kinetic_minus_potential(
+        "kinetic_quadratic", lambda t, x: 0.5 * k * np.einsum("...d,...d->...", x, x),
+        lambda t, x: k * x)
+
+
+def _kinetic_x1sq():
+    return _kinetic_minus_potential("kinetic_x1sq", lambda t, x: x[..., 0] ** 2,
+                                    _grad_x1_squared)
+
+
+def _kinetic_taylor_green():
+    # time-reversed pressure of the vortex pair
+    return _kinetic_minus_potential(
+        "kinetic_taylor_green",
+        lambda t, x: _bridge.taylor_green_pressure(1.0 - t, x),
+        lambda t, x: _bridge.taylor_green_pressure_gradient(1.0 - t, x))
 
 
 def _trace_alpha_kinetic():
@@ -158,10 +152,9 @@ def _trace_alpha_kinetic():
 
 LAGRANGIANS: Dict[str, Callable[..., Lagrangian]] = {
     "kinetic": _kinetic,
-    "kinetic_quadratic": _kinetic_minus_potential("quadratic", "kinetic_quadratic"),
-    "kinetic_x1sq": _kinetic_minus_potential("x1_squared", "kinetic_x1sq"),
-    "kinetic_taylor_green": _kinetic_minus_potential(
-        "taylor_green_pressure", "kinetic_taylor_green"),
+    "kinetic_quadratic": _kinetic_quadratic,
+    "kinetic_x1sq": _kinetic_x1sq,
+    "kinetic_taylor_green": _kinetic_taylor_green,
     "trace_alpha_kinetic": _trace_alpha_kinetic,
 }
 
@@ -269,26 +262,18 @@ def _law_squared_increment_weighted(grid, n_paths, seed, threads=None, anchor=0.
                    label="squared_increment_weighted")
 
 
-def sinkhorn_bridge_law(grid, n_paths, seed, threads=None, final="gaussian",
-                        final_mean=0.0, final_var=2.0, initial_at=0.0,
-                        x_min=-6.0, x_max=6.0, n_cells=481, tol=1e-9,
-                        max_iter=10_000):
-    """Entropic bridge from a point mass at ``initial_at`` to a Gaussian
-    (``final = 'gaussian'``) or to the Brownian reference's terminal law
-    (``final = 'reference'``), fitted on the lattice and simulated.
+def sinkhorn_bridge_law(grid, n_paths, seed, threads=None, final_mean=0.0,
+                        final_var=2.0, initial_at=0.0, x_min=-6.0, x_max=6.0,
+                        n_cells=481, tol=1e-9, max_iter=10_000):
+    """Entropic bridge from a point mass at ``initial_at`` to the Gaussian
+    N(``final_mean``, ``final_var``), fitted on the lattice and simulated.
 
     Returns ``(ensemble, solution, holder)``: the paths, the fitted
     :class:`~actionlab.bridge.BridgeSolution` and the drift holder whose
     ``clamped`` counts drift queries outside the lattice.
     """
     p0 = _bridge.delta_marginal(initial_at, x_min, x_max, n_cells)
-    if final == "gaussian":
-        p1 = _bridge.gaussian_marginal(final_mean, final_var, x_min, x_max, n_cells)
-    elif final == "reference":
-        p1 = _bridge.reference_terminal(
-            _bridge.BridgeProblem(p0=p0, p1=p0, x_min=x_min, x_max=x_max))
-    else:
-        raise ValueError("final must be 'gaussian' or 'reference'")
+    p1 = _bridge.gaussian_marginal(final_mean, final_var, x_min, x_max, n_cells)
     problem = _bridge.BridgeProblem(p0=p0, p1=p1, x_min=x_min, x_max=x_max)
     solution = _bridge.sinkhorn_bridge(problem, grid, tol=tol, max_iter=max_iter)
     model, holder = _bridge.bridge_to_model(solution)
@@ -296,50 +281,59 @@ def sinkhorn_bridge_law(grid, n_paths, seed, threads=None, final="gaussian",
     return ens, solution, holder
 
 
-def oscillator_spec(variant: str, dim=1, curvature=1.0, potential="quadratic",
-                    x0=1.0, y0=0.0, **params) -> _bridge.FbsdeSpec:
-    """The forward-backward oscillator dX = sigma dB + Y dt, dY = dZ - grad V dt.
-
-    ``potential`` is 'quadratic' (grad V = curvature * x) or 'x1_squared'; X
-    starts at ``x0``.  The 'adapted' variant starts Y at ``y0`` and takes
-    ``sigma_scale`` (sigma = sigma_scale * I); the 'filtering' variant draws
-    Y_0 ~ N(``y0_mean``, ``y0_var``) independent of X and ignores ``y0``.  A
-    keyword the variant does not take raises ``TypeError``.
-    """
-    if potential == "quadratic":
-        _, gfun, curv = POTENTIALS["quadratic"](k=float(curvature))
-    elif potential == "x1_squared":
-        _, gfun, curv = POTENTIALS["x1_squared"]()
-    else:
-        raise ValueError("oscillator potential must be 'quadratic' or 'x1_squared'")
-    x0 = np.full(dim, x0, dtype=np.float64) if np.isscalar(x0) else np.asarray(x0, float)
-    if variant == "adapted":
-        y0 = np.full(dim, y0, dtype=np.float64) if np.isscalar(y0) else np.asarray(y0, float)
-        spec = _bridge.FbsdeSpec(
-            dim=dim, grad_potential=gfun, y0_fn=lambda x_init: y0,
-            sigma=float(params.pop("sigma_scale", 1.0)) * np.eye(dim),
-            initial_sampler=point_sampler(x0))
-    elif variant == "filtering":
-        spec = _bridge.FbsdeSpec(
-            dim=dim, grad_potential=gfun,
-            y0_gaussian=(float(params.pop("y0_mean", 0.0)),
-                         float(params.pop("y0_var", 1.0))),
-            curvature=curv, initial_sampler=point_sampler(x0))
-    else:
-        raise ValueError("variant must be 'adapted' or 'filtering'")
-    if params:
-        raise TypeError(f"unknown {variant} oscillator parameters {sorted(params)}")
-    return spec
+@functools.wraps(sinkhorn_bridge_law, assigned=())
+def _law_sinkhorn_bridge(*args, **kwargs):
+    """The paths of :func:`sinkhorn_bridge_law`, whose signature this law has."""
+    return sinkhorn_bridge_law(*args, **kwargs)[0]
 
 
-def _law_oscillator_adapted(grid, n_paths, seed, threads=None, **params):
-    return _bridge.fbsde_simulate(oscillator_spec("adapted", **params), grid,
-                                  n_paths, seed, threads=threads).ensemble
+def oscillator_adapted_spec(dim=1, curvature=1.0, x0=1.0, y0=0.0,
+                            sigma_scale=1.0) -> _bridge.FbsdeSpec:
+    """The forward-backward oscillator dX = sigma dB + Y dt,
+    dY = dZ - curvature X dt, with X_0 = ``x0``, Y_0 = ``y0`` and
+    sigma = ``sigma_scale`` * I in ``dim`` dimensions."""
+    k, y0 = float(curvature), np.broadcast_to(y0, dim)
+    return _bridge.FbsdeSpec(dim=dim, grad_potential=lambda t, x: k * x,
+                             y0_fn=lambda x_init: y0,
+                             sigma=float(sigma_scale) * np.eye(dim),
+                             initial_sampler=point_sampler(np.broadcast_to(x0, dim)))
 
 
-def _law_oscillator_filtering(grid, n_paths, seed, threads=None, x0=0.0, **params):
-    return _bridge.fbsde_simulate(oscillator_spec("filtering", x0=x0, **params),
-                                  grid, n_paths, seed, threads=threads).ensemble
+def oscillator_filtering_spec(curvature=1.0, x0=1.0, y0_mean=0.0,
+                              y0_var=1.0) -> _bridge.FbsdeSpec:
+    """The scalar oscillator of :func:`oscillator_adapted_spec` with unit
+    sigma and Y_0 ~ N(``y0_mean``, ``y0_var``) drawn independent of X."""
+    k = float(curvature)
+    return _bridge.FbsdeSpec(dim=1, grad_potential=lambda t, x: k * x,
+                             y0_gaussian=(float(y0_mean), float(y0_var)),
+                             curvature=k, initial_sampler=point_sampler(x0))
+
+
+OSCILLATORS: Dict[str, Callable[..., _bridge.FbsdeSpec]] = {
+    "adapted": oscillator_adapted_spec,
+    "filtering": oscillator_filtering_spec,
+}
+
+
+def _law_oscillator_adapted(grid, n_paths, seed, threads=None, dim=1,
+                            curvature=1.0, x0=1.0, y0=0.0, sigma_scale=1.0):
+    spec = oscillator_adapted_spec(dim, curvature, x0, y0, sigma_scale)
+    return _bridge.fbsde_simulate(spec, grid, n_paths, seed, threads=threads).ensemble
+
+
+def _law_oscillator_nonradial(grid, n_paths, seed, threads=None, x0=(1.0, 0.0),
+                              y0=0.0, sigma_scale=1.0):
+    """Planar adapted oscillator in the potential x1^2 in place of the
+    quadratic, which breaks the rotation symmetry."""
+    spec = replace(oscillator_adapted_spec(2, 1.0, x0, y0, sigma_scale),
+                   grad_potential=_grad_x1_squared)
+    return _bridge.fbsde_simulate(spec, grid, n_paths, seed, threads=threads).ensemble
+
+
+def _law_oscillator_filtering(grid, n_paths, seed, threads=None, curvature=1.0,
+                              x0=0.0, y0_mean=0.0, y0_var=1.0):
+    spec = oscillator_filtering_spec(curvature, x0, y0_mean, y0_var)
+    return _bridge.fbsde_simulate(spec, grid, n_paths, seed, threads=threads).ensemble
 
 
 def _law_classical_oscillator(grid, n_paths, seed, threads=None):
@@ -361,13 +355,9 @@ LAWS: Dict[str, Callable[..., PathEnsemble]] = {
     "pinned_brownian": _law_pinned_brownian,
     "squared_increment": _law_squared_increment,
     "squared_increment_weighted": _law_squared_increment_weighted,
-    "sinkhorn_bridge": lambda grid, n, seed, threads=None, **kw: sinkhorn_bridge_law(
-        grid, n, seed, threads=threads, **kw)[0],
+    "sinkhorn_bridge": _law_sinkhorn_bridge,
     "oscillator_adapted": _law_oscillator_adapted,
-    "oscillator_nonradial": lambda grid, n, seed, threads=None, **kw: (
-        _law_oscillator_adapted(grid, n, seed, threads=threads, dim=2,
-                                potential="x1_squared", x0=kw.pop("x0", (1.0, 0.0)),
-                                y0=kw.pop("y0", 0.0), **kw)),
+    "oscillator_nonradial": _law_oscillator_nonradial,
     "oscillator_filtering": _law_oscillator_filtering,
     "classical_oscillator": _law_classical_oscillator,
     "taylor_green": _law_taylor_green,
@@ -376,7 +366,7 @@ LAWS: Dict[str, Callable[..., PathEnsemble]] = {
 
 # -- shifts ---------------------------------------------------------------------
 
-def _shift_constant(coord=0, scale=1.0, dim=1):
+def _shift_constant(grid, coord=0, scale=1.0, dim=1):
     vec = np.zeros(dim)
     vec[coord] = scale
 
@@ -386,14 +376,14 @@ def _shift_constant(coord=0, scale=1.0, dim=1):
     return AdaptedShift(name=f"constant[{coord}]", derivative=derivative)
 
 
-def _shift_state():
+def _shift_state(grid):
     def derivative(j, states):
         return states[:, j]
 
     return AdaptedShift(name="state", derivative=derivative)
 
 
-def _shift_tanh_state(scale=1.0):
+def _shift_tanh_state(grid, scale=1.0):
     def derivative(j, states):
         return np.tanh(scale * states[:, j])
 
@@ -412,16 +402,23 @@ def make_plus_minus_shift(grid: TimeGrid, coord=0, scale=1.0, dim=1, split=0.5):
     return AdaptedShift(name=f"plus_minus[{coord}]", derivative=derivative)
 
 
-def make_wave_shift(grid: TimeGrid, kind="sine", k=1, coord=0, dim=1, scale=1.0):
+def _wave_shift(fn, kind, grid, k, coord, dim, scale):
     vec = np.zeros(dim)
     vec[coord] = scale
-    fn = np.sin if kind == "sine" else np.cos
 
     def derivative(j, states):
         return np.broadcast_to(fn(2 * np.pi * k * j * grid.dt) * vec,
                                (states.shape[0], dim))
 
     return AdaptedShift(name=f"{kind}{k}[{coord}]", derivative=derivative)
+
+
+def _shift_sine(grid, k=1, coord=0, dim=1, scale=1.0):
+    return _wave_shift(np.sin, "sine", grid, k, coord, dim, scale)
+
+
+def _shift_cosine(grid, k=1, coord=0, dim=1, scale=1.0):
+    return _wave_shift(np.cos, "cosine", grid, k, coord, dim, scale)
 
 
 def _envelope(kind, x):
@@ -494,12 +491,12 @@ def make_random_endpoint_zero_shift(grid: TimeGrid, seed: int, dim=1):
 
 
 SHIFTS: Dict[str, Callable] = {
-    "constant": lambda grid, **kw: _shift_constant(**kw),
-    "state": lambda grid, **kw: _shift_state(**kw),
-    "tanh_state": lambda grid, **kw: _shift_tanh_state(**kw),
+    "constant": _shift_constant,
+    "state": _shift_state,
+    "tanh_state": _shift_tanh_state,
     "plus_minus": make_plus_minus_shift,
-    "sine": lambda grid, **kw: make_wave_shift(grid, kind="sine", **kw),
-    "cosine": lambda grid, **kw: make_wave_shift(grid, kind="cosine", **kw),
+    "sine": _shift_sine,
+    "cosine": _shift_cosine,
     "random": make_random_shift,
     "random_ez": make_random_endpoint_zero_shift,
 }
@@ -525,7 +522,7 @@ def _map_affine(matrix=None, offset=None, dim=1):
                         inverse=lambda y: (y - b) @ ainv.T)
 
 
-def _map_sine_squash(amplitude=0.2, dim=1):
+def _map_sine_squash(amplitude=0.2):
     amp = float(amplitude)
     if not abs(amp) < 1.0:
         raise ValueError("amplitude must lie in (-1, 1) for invertibility")
@@ -616,3 +613,7 @@ def get_map(name: str, **params) -> SpaceTimeMap:
 
 def get_family(name: str, **params) -> NoetherFamily:
     return _lookup(FAMILIES, "family", name)(**params)
+
+
+def get_oscillator(variant: str, **params) -> _bridge.FbsdeSpec:
+    return _lookup(OSCILLATORS, "oscillator variant", variant)(**params)

@@ -18,7 +18,8 @@ the ``report.csv`` header and rows, the nonnegative statistics, and what to
 plot (or ``None``).  :func:`run_scenario` hands the statistics to
 :func:`~actionlab.diagnostics.verdict`.  A runner whose config would give no
 statistic raises :class:`ConfigError` before it simulates: no statistic is no
-evidence, not a PASS.
+evidence, not a PASS.  Each runner also builds its registry objects before
+it simulates, so a bad key in any section is rejected first.
 """
 
 from __future__ import annotations
@@ -175,8 +176,9 @@ def run_action(cfg, grid, n, seed, threshold, probes):
     s = cfg["scenario"]
     if "expected" not in s:
         raise ConfigError("kind 'action' computes no statistic; set expected")
+    lag = _lagrangian(cfg)
     ens = _law(cfg, grid, n, seed)
-    est = action(ens, _lagrangian(cfg))
+    est = action(ens, lag)
     allowance = float(s.get("allowance", 0.0))
     rows = [("action", est.mean, est.stderr), ("n_paths", est.n_paths, 0.0),
             ("m", est.m, 0.0), ("expected", float(s["expected"]), allowance)]
@@ -185,17 +187,17 @@ def run_action(cfg, grid, n, seed, threshold, probes):
 
 
 def run_el_certify(cfg, grid, n, seed, threshold, probes):
+    lag = _lagrangian(cfg)
     ens = _law(cfg, grid, n, seed)
-    report = diagnostics.el_certify(ens, _lagrangian(cfg), probe_fractions=probes)
+    report = diagnostics.el_certify(ens, lag, probe_fractions=probes)
     return _martingale_result(report, ens)
 
 
 def run_variational(cfg, grid, n, seed, threshold, probes):
     s = cfg["scenario"]
-    ens = _law(cfg, grid, n, seed)
     lag = _lagrangian(cfg)
-    shift_name = str(s.get("shift", "plus_minus"))
-    base = catalog.get_shift(shift_name, grid, **cfg["shift"])
+    base = catalog.get_shift(str(s.get("shift", "plus_minus")), grid, **cfg["shift"])
+    ens = _law(cfg, grid, n, seed)
     mat = materialize(base, ens)
     eps = s.get("eps", (1e-2, 1e-3))
     if not isinstance(eps, tuple):
@@ -209,19 +211,19 @@ def run_variational(cfg, grid, n, seed, threshold, probes):
 
 
 def run_noether(cfg, grid, n, seed, threshold, probes):
-    ens = _law(cfg, grid, n, seed)
     lag = _lagrangian(cfg)
     family = catalog.get_family(str(cfg["scenario"].get("family", "translation")),
                                 **cfg["family"])
+    ens = _law(cfg, grid, n, seed)
     _, report = diagnostics.noether_invariant(ens, lag, family, probe_fractions=probes)
     return _martingale_result(report, ens)
 
 
 def run_bridge(cfg, grid, n, seed, threshold, probes):
     s = cfg["scenario"]
+    lag = _lagrangian(cfg)
     ens, solution, holder = catalog.sinkhorn_bridge_law(grid, n, seed, threads=None,
                                                         **cfg["bridge"])
-    lag = _lagrangian(cfg)
     est = action(ens, lag)
 
     # terminal histogram against the target marginal on coarse bins
@@ -256,11 +258,12 @@ def run_bridge(cfg, grid, n, seed, threshold, probes):
 
 def run_fbsde(cfg, grid, n, seed, threshold, probes):
     s = cfg["scenario"]
-    spec = catalog.oscillator_spec(str(s.get("variant", "adapted")), **cfg["fbsde"])
+    variant = str(s.get("variant", "adapted"))
+    spec = catalog.get_oscillator(variant, **cfg["fbsde"])
+    lag = _lagrangian(cfg, default="kinetic_quadratic")
     result = bridge_mod.fbsde_simulate(spec, grid, n, seed)
     ens = result.ensemble
-    lag = _lagrangian(cfg, default="kinetic_quadratic")
-    if spec.y0_fn is not None:   # the adapted variant, as fbsde_simulate reads it
+    if variant == "adapted":
         tol = float(s.get("constancy_tol", 1e-3))
         name, defect = "el_constancy_defect", el_constancy_defect(ens, lag)
     else:
@@ -281,8 +284,8 @@ def run_fbsde(cfg, grid, n, seed, threshold, probes):
 def run_navier_stokes(cfg, grid, n, seed, threshold, probes):
     residual, div = bridge_mod.navier_stokes_residual()
     res_tol, div_tol = 1e-10, 1e-12
-    ens = _law(cfg, grid, n, seed, default="taylor_green")
     lag = _lagrangian(cfg, default="kinetic_taylor_green")
+    ens = _law(cfg, grid, n, seed, default="taylor_green")
     report = diagnostics.el_certify(ens, lag, probe_fractions=probes)
     stats = [threshold * residual / res_tol, threshold * div / div_tol,
              report.max_abs_statistic]

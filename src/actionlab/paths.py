@@ -154,7 +154,6 @@ class PathEnsemble:
     states: np.ndarray
     drifts: Union[np.ndarray, DriftFn]
     diffusions: np.ndarray
-    seed: int
     weights: Optional[np.ndarray] = None
     label: str = ""
     t_max: float = 1.0
@@ -419,7 +418,7 @@ def simulate(model: SemimartingaleModel, grid: TimeGrid, n_paths: int,
         if rec.flags.writeable:
             _freeze(rec)
     return PathEnsemble(grid=grid, states=states, drifts=drifts,
-                        diffusions=diffusions, seed=seed, label=model.name,
+                        diffusions=diffusions, label=model.name,
                         t_max=t_max)
 
 

@@ -282,20 +282,24 @@ def test_fbsde_spec_validation(grid200):
 
 
 def test_oscillator_laws_match_oscillator_spec(grid200):
-    for law, variant, params in (
-            ("oscillator_adapted", "adapted", {}),
-            ("oscillator_nonradial", "adapted",
-             dict(dim=2, potential="x1_squared", x0=(1.0, 0.0))),
-            ("oscillator_filtering", "filtering", dict(x0=0.0))):
+    def grad_x1_squared(t, x):
+        return np.stack([2.0 * x[..., 0], np.zeros_like(x[..., 1])], axis=-1)
+
+    nonradial = FbsdeSpec(dim=2, grad_potential=grad_x1_squared,
+                          y0_fn=lambda x0: np.zeros(2),
+                          initial_sampler=catalog.point_sampler((1.0, 0.0)))
+    for law, spec in (
+            ("oscillator_adapted", catalog.OSCILLATORS["adapted"]()),
+            ("oscillator_nonradial", nonradial),
+            ("oscillator_filtering", catalog.OSCILLATORS["filtering"](x0=0.0))):
         ens = catalog.build_law(law, grid200, 1000, seed=77)
-        ref = fbsde_simulate(catalog.oscillator_spec(variant, **params), grid200,
-                             1000, seed=77).ensemble
+        ref = fbsde_simulate(spec, grid200, 1000, seed=77).ensemble
         for name in ("states", "drifts", "diffusions"):
             assert np.array_equal(getattr(ens, name), getattr(ref, name)), (law, name)
     with pytest.raises(TypeError, match="y0_var"):
-        catalog.oscillator_spec("adapted", y0_var=2.0)
+        catalog.get_oscillator("adapted", y0_var=2.0)
     with pytest.raises(TypeError, match="sigma_scale"):
-        catalog.oscillator_spec("filtering", sigma_scale=2.0)
+        catalog.get_oscillator("filtering", sigma_scale=2.0)
 
 
 def test_navier_stokes_oracles():

@@ -1,4 +1,5 @@
 import importlib.util
+import inspect
 import os
 import re
 import subprocess
@@ -417,7 +418,9 @@ seed = 11
     "variant = adapted\n[fbsde]\ny0_var = 2.0",
     "variant = filtering\n[fbsde]\nsigma_scale = 2.0",
     "variant = filtering\n[fbsde]\npotential = x1_squared",
-], ids=["adapted_unknown_key", "filtering_unknown_key", "filtering_x1_squared"])
+    "variant = filtering\n[fbsde]\ny0 = 5.0",
+], ids=["adapted_unknown_key", "filtering_unknown_key", "filtering_x1_squared",
+        "filtering_y0"])
 def test_fbsde_bad_section_is_config_error(tmp_path, extra):
     body = "[scenario]\nkind = fbsde\nm = 20\nn_paths = 100\n" + extra + "\n"
     code = main(["run", "--config", str(write_config(tmp_path, "c.ini", body)),
@@ -655,17 +658,65 @@ def test_list_prints_each_registry_sorted(capsys):
 REGISTRY_ARGS = {"laws": (catalog.LAWS, (TimeGrid(8), 10, 1)),
                  "lagrangians": (catalog.LAGRANGIANS, ()),
                  "shifts": (catalog.SHIFTS, (TimeGrid(8),)),
-                 "maps": (catalog.MAPS, ()), "families": (catalog.FAMILIES, ())}
+                 "maps": (catalog.MAPS, ()), "families": (catalog.FAMILIES, ()),
+                 "oscillators": (catalog.OSCILLATORS, ())}
+BUILDERS = [(title, name) for title, (reg, _) in REGISTRY_ARGS.items()
+            for name in sorted(reg)]
 
 
-@pytest.mark.parametrize("registry,name", [(title, name)
-                                           for title, (reg, _) in REGISTRY_ARGS.items()
-                                           for name in sorted(reg)])
+@pytest.mark.parametrize("registry,name", BUILDERS)
 def test_every_builder_rejects_a_parameter_it_does_not_read(no_simulation, registry, name):
     # a builder that swallowed the keyword would run without the setting
     reg, args = REGISTRY_ARGS[registry]
     with pytest.raises(TypeError, match="bogus"):
         reg[name](*args, bogus=3)
+
+
+@pytest.mark.parametrize("registry,name", BUILDERS)
+def test_every_builder_names_its_parameters(registry, name):
+    # no *args or **kwargs, so each section can be checked against the signature
+    params = inspect.signature(REGISTRY_ARGS[registry][0][name]).parameters.values()
+    assert not [p.name for p in params
+                if p.kind in (p.VAR_POSITIONAL, p.VAR_KEYWORD)]
+
+
+@pytest.mark.parametrize("registry,name,key,value", [
+    ("laws", "oscillator_adapted", "potential", "quadratic"),
+    ("laws", "oscillator_nonradial", "curvature", 2.0),
+    ("laws", "oscillator_filtering", "y0", 5.0),
+    ("laws", "sinkhorn_bridge", "final", "gaussian"),
+    ("maps", "sine_squash", "dim", 1),
+    ("oscillators", "filtering", "y0", 5.0),
+    ("oscillators", "filtering", "dim", 1),
+    ("oscillators", "filtering", "potential", "quadratic")])
+def test_a_removed_builder_parameter_is_rejected(no_simulation, registry, name, key, value):
+    # each was accepted and then ignored, or had one value that worked or was set
+    reg, args = REGISTRY_ARGS[registry]
+    with pytest.raises(TypeError, match=key):
+        reg[name](*args, **{key: value})
+
+
+BAD_KEYS = [("el-certify", "law = brownian", "lagrangian"),
+            ("action", "law = brownian\nexpected = 0.5", "lagrangian"),
+            ("variational", "law = brownian", "lagrangian"),
+            ("noether", "law = brownian", "lagrangian"),
+            ("bridge", "", "lagrangian"), ("fbsde", "", "lagrangian"),
+            ("navier-stokes", "", "lagrangian"),
+            ("variational", "law = brownian", "shift"),
+            ("noether", "law = brownian", "family"), ("fbsde", "", "fbsde")]
+
+
+@pytest.mark.parametrize("kind,keys,section", BAD_KEYS,
+                         ids=[f"{kind}-{section}" for kind, _, section in BAD_KEYS])
+def test_a_bad_registry_key_exits_before_the_law_is_simulated(tmp_path, capsys,
+                                                              no_simulation, kind,
+                                                              keys, section):
+    body = (f"[scenario]\nkind = {kind}\nm = 20\nn_paths = 1000\n{keys}\n"
+            f"[{section}]\nbogus = 3\n")
+    code = main(["run", "--config", str(write_config(tmp_path, "c.ini", body)),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "bogus" in capsys.readouterr().err
 
 
 def test_layer_modules_export_only_defined_names():

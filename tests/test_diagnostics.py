@@ -363,7 +363,7 @@ def test_ensemble_rejects_a_horizon_outside_zero_one(bm_small, t_max):
         replace(bm_small, t_max=t_max)
     with pytest.raises(ValueError, match=r"t_max must lie in \(0, 1\]"):
         PathEnsemble(grid=bm_small.grid, states=bm_small.states, drifts=bm_small.drifts,
-                     diffusions=bm_small.diffusions, seed=0, t_max=t_max)
+                     diffusions=bm_small.diffusions, t_max=t_max)
 
 
 def test_oscillator_mean_follows_classical_ode(grid200):

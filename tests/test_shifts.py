@@ -31,7 +31,7 @@ def test_materialize_hand_cumsum():
     diffusions = np.broadcast_to(np.eye(1), (1, 3, 1, 1))
     from actionlab.paths import PathEnsemble
     ens = PathEnsemble(grid=g, states=states, drifts=drifts,
-                       diffusions=diffusions, seed=0)
+                       diffusions=diffusions)
     u = materialize(catalog.get_shift("state", g), ens)
     dt = 1.0 / 3
     expected = [0.0, 0.0, 0.3 * dt, (0.3 - 0.6) * dt]
@@ -241,7 +241,7 @@ def test_stop_truncate_hand_built_path():
     from actionlab.paths import PathEnsemble
     states = np.zeros((1, 5, 1))
     ens = PathEnsemble(grid=g, states=states, drifts=np.zeros((1, 4, 1)),
-                       diffusions=np.broadcast_to(np.eye(1), (1, 4, 1, 1)), seed=0)
+                       diffusions=np.broadcast_to(np.eye(1), (1, 4, 1, 1)))
     hdot = np.array([[[2.0], [2.0], [-2.0], [-2.0]]])
     h = np.empty((1, 5, 1))
     h[:, 0] = 0
@@ -264,7 +264,7 @@ def test_stop_truncate_at_last_step_keeps_the_shift():
     g = TimeGrid(4)
     from actionlab.paths import PathEnsemble
     ens = PathEnsemble(grid=g, states=np.zeros((1, 5, 1)), drifts=np.zeros((1, 4, 1)),
-                       diffusions=np.broadcast_to(np.eye(1), (1, 4, 1, 1)), seed=0)
+                       diffusions=np.broadcast_to(np.eye(1), (1, 4, 1, 1)))
     u = MaterializedShift(np.array([[[0.5], [0.5], [0.5], [-1.5]]]), ens)
     assert stop_steps_for(u, np.sqrt(0.15))[0] == g.m - 1
     k = stop_truncate(u, np.sqrt(0.15))
@@ -321,7 +321,7 @@ def test_stop_steps_for_matches_the_running_norm_formula(grid192, bm192):
     g = TimeGrid(4)
     from actionlab.paths import PathEnsemble
     ens = PathEnsemble(grid=g, states=np.zeros((1, 5, 1)), drifts=np.zeros((1, 4, 1)),
-                       diffusions=np.broadcast_to(np.eye(1), (1, 4, 1, 1)), seed=0)
+                       diffusions=np.broadcast_to(np.eye(1), (1, 4, 1, 1)))
     u = MaterializedShift(np.array([[[0.5], [0.5], [0.5], [-1.5]]]), ens)
     for level_sq in (0.01, 0.0625, 0.1, 0.15, 0.5, 0.75, 1.0):
         level = np.sqrt(level_sq)
