@@ -9,9 +9,9 @@ symmetry invariants, on concrete constructions (pinned diffusions, entropic
 bridges, coupled forward-backward systems, a decaying vortex flow).
 """
 
-from .paths import (TimeGrid, SemimartingaleModel, PathEnsemble, simulate,
-                    estimate_characteristics, adaptedness_probe, export_paths_csv,
-                    SimulationError, RankDeficiencyError)
+from .paths import (TimeGrid, SemimartingaleModel, PathEnsemble, LawRecipe,
+                    simulate, estimate_characteristics, adaptedness_probe,
+                    export_paths_csv, SimulationError, RankDeficiencyError)
 from .shifts import (AdaptedShift, MaterializedShift, materialize, h_norm_sq,
                      h_dist_sq, delay_pn, endpoint_qn, endpoint_rn, stop_truncate,
                      GridCompatibilityError, EndpointError)

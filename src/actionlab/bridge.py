@@ -240,16 +240,23 @@ def sinkhorn_bridge(problem: BridgeProblem, grid: TimeGrid, tol: float = 1e-9,
 class _FieldDrift:
     """Linear lookup of a lattice drift field; clamps and counts excursions.
 
-    The lattice is uniform, so the cell is ``floor((x - c0) / dx)`` up to one
-    cell of rounding, and the value has ``np.interp``'s bits.  Pool workers
-    query it at once and ``+=`` on a shared int can lose updates, so each
-    count goes to a list (``append`` is atomic under the GIL)."""
+    A query is clipped to the lattice ``[c_0, c_L]``, and its cell is
+    ``floor((x - c_0) / dx)``, capped at ``L`` and moved one cell down or up
+    where rounding put it off by one (``c_{L+1} = +inf``).  The value is
+    ``slope_k (x - c_k) + f_k``, with a zero slope past the last center, and
+    has ``np.interp``'s bits: at ``x = c_k`` the product is a zero, and the
+    sum is ``f_k`` because the field never holds ``-0.0`` (it is made of
+    differences of logarithms and ``+0.0`` fills).  Pool workers query it at
+    once and ``+=`` on a shared int can lose updates, so each count goes to a
+    list (``append`` is atomic under the GIL)."""
 
     def __init__(self, solution: BridgeSolution):
-        self.centers = solution.problem.centers
-        self.dx = solution.problem.dx
+        c = solution.problem.centers
+        self.c0, self.cl, self.dx, self.last = c[0], c[-1], solution.problem.dx, len(c) - 1
+        self.centers = np.append(c, np.inf)
         self.field = solution.drift_field
-        self.slopes = np.diff(self.field, axis=1) / np.diff(self.centers)
+        slopes = np.diff(self.field, axis=1) / np.diff(c)
+        self.slopes = np.concatenate([slopes, np.zeros((len(slopes), 1))], axis=1)
         self._clamps = []
 
     @property
@@ -258,17 +265,15 @@ class _FieldDrift:
 
     def __call__(self, j: int, prefix: np.ndarray) -> np.ndarray:
         x = prefix[:, j, 0]
-        c, f = self.centers, self.field[j]
-        out_of_range = int((x < c[0]).sum() + (x > c[-1]).sum())
+        out_of_range = np.count_nonzero(x < self.c0) + np.count_nonzero(x > self.cl)
         if out_of_range:
-            self._clamps.append(out_of_range)
-        k = np.fmin(np.fmax(np.floor((x - c[0]) / self.dx), 0), len(c) - 2).astype(np.intp)
-        k -= (x < c[k]) & (k > 0)
-        k += (x >= c[k + 1]) & (k < len(c) - 2)
-        y = np.where(x == c[k], f[k], self.slopes[j][k] * (x - c[k]) + f[k])
-        y[x <= c[0]] = f[0]
-        y[x >= c[-1]] = f[-1]
-        return y[:, None]
+            self._clamps.append(int(out_of_range))
+        c = self.centers
+        x = np.clip(x, self.c0, self.cl)
+        k = np.minimum(((x - self.c0) / self.dx).astype(np.intp), self.last)
+        k -= x < c.take(k)
+        k += x >= c.take(k + 1)
+        return (self.slopes[j].take(k) * (x - c.take(k)) + self.field[j].take(k))[:, None]
 
 
 def bridge_to_model(solution: BridgeSolution):
@@ -363,17 +368,18 @@ def fbsde_simulate(spec: FbsdeSpec, grid: TimeGrid, n_paths: int,
     y0 = np.empty((n, d))
 
     def draw(lo, hi):
-        for g, paths, cols in path_streams(seed, lo, hi, noise):
+        x, y = states[lo:hi, 0], y0[lo:hi]
+        for g, paths, cols in path_streams(seed, lo, hi, [r[lo:hi] for r in noise]):
             if spec.initial_sampler is not None:
                 x0 = np.asarray(spec.initial_sampler(g, NOISE_BLOCK), dtype=np.float64)
-                states[paths, 0] = x0[cols]
+                x[paths] = x0[cols]
             else:
-                states[paths, 0] = 0.0
+                x[paths] = 0.0
             if variant == "filtering":
                 mu, var = spec.y0_gaussian
-                y0[paths] = (mu + np.sqrt(var) * g.standard_normal((NOISE_BLOCK, d)))[cols]
+                y[paths] = (mu + np.sqrt(var) * g.standard_normal((NOISE_BLOCK, d)))[cols]
             else:
-                y0[paths] = spec.y0_fn(states[paths, 0])
+                y[paths] = spec.y0_fn(x[paths])
 
     run_ranges(draw, n, threads)
 

@@ -1,14 +1,18 @@
 """Named registries of laws, Lagrangians, shifts, maps, symmetry families
 and forward-backward oscillators, shared by the CLI and the test suite.
 
-Law builders have signature ``build(grid, n_paths, seed, threads=None, ...)``
-and return a :class:`~actionlab.paths.PathEnsemble`; ``threads`` sets how
-many path ranges are simulated at once (one per usable CPU when ``None``)
-and never changes a bit of the result.  Shift builders take the grid first;
-everything else is a factory taking keyword parameters.  Past those fixed
-arguments, every parameter named is read: each registry entry is a plain
-function whose signature lists exactly the settings it uses, with no ``**``
-catch-all and none accepted and then ignored.  Unknown names raise
+Law builders have signature ``build(grid, n_paths, seed, threads=None, ...)``.
+A law :func:`~actionlab.paths.simulate` makes comes back as a
+:class:`~actionlab.paths.LawRecipe`, which :func:`build_law` materializes
+and ``LawRecipe.fold`` walks chunk by chunk; a law the forward-backward
+scheme makes comes back as its :class:`~actionlab.paths.PathEnsemble`.
+``threads`` sets how many path ranges are simulated at once (one per usable
+CPU when ``None``) and never changes a bit of the result.  Shift builders
+take the grid first; everything else is a factory taking keyword
+parameters.  Past those fixed arguments, every parameter named is read:
+each registry entry is a plain function whose signature lists exactly the
+settings it uses, with no ``**`` catch-all and none accepted and then
+ignored.  Unknown names raise
 ``KeyError`` with the list of valid entries, and a keyword the builder does
 not name raises ``TypeError`` before anything is simulated, so configuration
 mistakes surface immediately.
@@ -19,7 +23,7 @@ from __future__ import annotations
 import functools
 import threading
 from dataclasses import replace
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Union
 
 import numpy as np
 from numpy.random import Generator
@@ -27,14 +31,14 @@ from numpy.random import Generator
 from . import bridge as _bridge
 from .diagnostics import NoetherFamily
 from .lagrangians import Lagrangian
-from .paths import PathEnsemble, SemimartingaleModel, TimeGrid, simulate
+from .paths import LawRecipe, PathEnsemble, SemimartingaleModel, TimeGrid
 from .shifts import AdaptedShift
 from .transform import SpaceTimeMap
 
 __all__ = [
     "LAWS", "LAGRANGIANS", "SHIFTS", "MAPS", "FAMILIES", "OSCILLATORS",
     "get_lagrangian", "get_shift", "get_map", "get_family", "get_oscillator",
-    "build_law", "sinkhorn_bridge_law",
+    "get_law", "build_law", "sinkhorn_bridge_law",
     "oscillator_adapted_spec", "oscillator_filtering_spec",
     "make_state_features", "make_test_feature_map", "point_sampler",
 ]
@@ -166,7 +170,7 @@ def _law_brownian(grid, n_paths, seed, threads=None, dim=1, x0=0.0):
         name="brownian", dim=dim,
         initial_sampler=point_sampler(np.full(dim, x0)),
         drift=None, diffusion_factor=None)
-    return simulate(model, grid, n_paths, seed, threads=threads)
+    return LawRecipe(model, grid, n_paths, seed, threads=threads)
 
 
 def _law_brownian_drift_t(grid, n_paths, seed, threads=None, dim=1):
@@ -180,7 +184,7 @@ def _law_brownian_drift_t(grid, n_paths, seed, threads=None, dim=1):
     model = SemimartingaleModel(name="brownian_drift_t", dim=dim,
                                 initial_sampler=point_sampler(np.zeros(dim)),
                                 drift=drift, diffusion_factor=None)
-    return simulate(model, grid, n_paths, seed, threads=threads)
+    return LawRecipe(model, grid, n_paths, seed, threads=threads)
 
 
 def _law_ornstein_uhlenbeck(grid, n_paths, seed, threads=None, dim=1, rate=1.0, x0=0.0):
@@ -190,7 +194,7 @@ def _law_ornstein_uhlenbeck(grid, n_paths, seed, threads=None, dim=1, rate=1.0, 
     model = SemimartingaleModel(name="ornstein_uhlenbeck", dim=dim,
                                 initial_sampler=point_sampler(np.full(dim, x0)),
                                 drift=drift, diffusion_factor=None)
-    return simulate(model, grid, n_paths, seed, threads=threads)
+    return LawRecipe(model, grid, n_paths, seed, threads=threads)
 
 
 def _law_pinned_brownian(grid, n_paths, seed, threads=None, dim=1, x0=0.0, y=1.0):
@@ -203,8 +207,8 @@ def _law_pinned_brownian(grid, n_paths, seed, threads=None, dim=1, x0=0.0, y=1.0
     model = SemimartingaleModel(name="pinned_brownian", dim=dim,
                                 initial_sampler=point_sampler(np.full(dim, x0)),
                                 drift=drift, diffusion_factor=None)
-    return simulate(model, grid, n_paths, seed, threads=threads,
-                    t_max=1.0 - grid.dt)
+    return LawRecipe(model, grid, n_paths, seed, threads=threads,
+                     t_max=1.0 - grid.dt)
 
 
 def _anchor_index(grid: TimeGrid, anchor: float) -> int:
@@ -237,19 +241,16 @@ def _law_squared_increment(grid, n_paths, seed, threads=None, anchor=0.5):
     model = SemimartingaleModel(name="squared_increment", dim=1,
                                 initial_sampler=point_sampler(np.zeros(1)),
                                 drift=drift, diffusion_factor=None)
-    return simulate(model, grid, n_paths, seed, threads=threads)
+    return LawRecipe(model, grid, n_paths, seed, threads=threads)
 
 
 def _law_squared_increment_weighted(grid, n_paths, seed, threads=None, anchor=0.5):
     """Same law represented by density weights on Wiener paths.  Its drift is
     the closed-form drift along those paths, a row function of the states
     that ``PathEnsemble.drift`` evaluates where a row is read, so the law
-    holds one record, the Brownian base's states."""
+    holds one record, the Brownian base's states.  The finish step gives a
+    run of paths that drift and its raw weights ``(x_1 - x_a)^2 / (1 - a)``."""
     ja = _anchor_index(grid, anchor)
-    base = _law_brownian(grid, n_paths, seed, threads=threads, dim=1)
-    x = base.states[:, :, 0]
-    w = (x[:, -1] - x[:, ja]) ** 2 / (1.0 - anchor)
-    w = w * (n_paths / w.sum())
     times, zero = grid.times, np.zeros(1)
 
     def drift(j, states):
@@ -258,32 +259,37 @@ def _law_squared_increment_weighted(grid, n_paths, seed, threads=None, anchor=0.
         return _squared_increment_drift(states[:, j, 0], states[:, ja, 0],
                                         times[j])[:, None]
 
-    return replace(base, drifts=drift, weights=w,
-                   label="squared_increment_weighted")
+    def finish(ens):
+        x = ens.states[:, :, 0]
+        w = (x[:, -1] - x[:, ja]) ** 2 / (1.0 - anchor)
+        return replace(ens, drifts=drift, weights=w, label="squared_increment_weighted")
+
+    base = _law_brownian(grid, n_paths, seed, threads=threads, dim=1)
+    return replace(base, finish=finish)
 
 
 def sinkhorn_bridge_law(grid, n_paths, seed, threads=None, final_mean=0.0,
                         final_var=2.0, initial_at=0.0, x_min=-6.0, x_max=6.0,
                         n_cells=481, tol=1e-9, max_iter=10_000):
     """Entropic bridge from a point mass at ``initial_at`` to the Gaussian
-    N(``final_mean``, ``final_var``), fitted on the lattice and simulated.
+    N(``final_mean``, ``final_var``), fitted on the lattice.
 
-    Returns ``(ensemble, solution, holder)``: the paths, the fitted
+    Returns ``(law, solution, holder)``: the recipe of the paths, the fitted
     :class:`~actionlab.bridge.BridgeSolution` and the drift holder whose
-    ``clamped`` counts drift queries outside the lattice.
+    ``clamped`` counts the drift queries outside the lattice of every
+    simulation of the recipe.
     """
     p0 = _bridge.delta_marginal(initial_at, x_min, x_max, n_cells)
     p1 = _bridge.gaussian_marginal(final_mean, final_var, x_min, x_max, n_cells)
     problem = _bridge.BridgeProblem(p0=p0, p1=p1, x_min=x_min, x_max=x_max)
     solution = _bridge.sinkhorn_bridge(problem, grid, tol=tol, max_iter=max_iter)
     model, holder = _bridge.bridge_to_model(solution)
-    ens = simulate(model, grid, n_paths, seed, threads=threads)
-    return ens, solution, holder
+    return LawRecipe(model, grid, n_paths, seed, threads=threads), solution, holder
 
 
 @functools.wraps(sinkhorn_bridge_law, assigned=())
 def _law_sinkhorn_bridge(*args, **kwargs):
-    """The paths of :func:`sinkhorn_bridge_law`, whose signature this law has."""
+    """The recipe of :func:`sinkhorn_bridge_law`, whose signature this law has."""
     return sinkhorn_bridge_law(*args, **kwargs)[0]
 
 
@@ -345,10 +351,10 @@ def _law_classical_oscillator(grid, n_paths, seed, threads=None):
 
 def _law_taylor_green(grid, n_paths, seed, threads=None):
     model = _bridge.taylor_green_model(grid)
-    return simulate(model, grid, n_paths, seed, threads=threads)
+    return LawRecipe(model, grid, n_paths, seed, threads=threads)
 
 
-LAWS: Dict[str, Callable[..., PathEnsemble]] = {
+LAWS: Dict[str, Callable[..., Union[LawRecipe, PathEnsemble]]] = {
     "brownian": _law_brownian,
     "brownian_drift_t": _law_brownian_drift_t,
     "ornstein_uhlenbeck": _law_ornstein_uhlenbeck,
@@ -594,9 +600,17 @@ FAMILIES: Dict[str, Callable[..., NoetherFamily]] = {
 
 # -- lookups --------------------------------------------------------------------
 
+def get_law(name: str, grid: TimeGrid, n_paths: int, seed: int,
+            threads: Optional[int] = None, **params) -> Union[LawRecipe, PathEnsemble]:
+    """The law ``name`` as its builder gives it: a recipe, or an ensemble."""
+    return _lookup(LAWS, "law", name)(grid, n_paths, seed, threads=threads, **params)
+
+
 def build_law(name: str, grid: TimeGrid, n_paths: int, seed: int,
               threads: Optional[int] = None, **params) -> PathEnsemble:
-    return _lookup(LAWS, "law", name)(grid, n_paths, seed, threads=threads, **params)
+    """The law ``name`` with its paths held whole."""
+    law = get_law(name, grid, n_paths, seed, threads=threads, **params)
+    return law.build() if isinstance(law, LawRecipe) else law
 
 
 def get_lagrangian(name: str, **params) -> Lagrangian:

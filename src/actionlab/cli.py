@@ -36,8 +36,8 @@ import numpy as np
 from . import bridge as bridge_mod
 from . import catalog, diagnostics, reporting
 from .lagrangians import action, el_constancy_defect
-from .paths import (TimeGrid, adaptedness_probe, export_paths_csv,
-                    summarize_terminal)
+from .paths import (NOISE_BLOCK, LawRecipe, TimeGrid, adaptedness_probe,
+                    export_paths_csv, summarize_terminal)
 from .shifts import (delay_pn, endpoint_rn, h_dist_sq, h_norm_sq, materialize,
                      stop_truncate)
 
@@ -116,11 +116,21 @@ def load_config(path) -> dict:
     return cfg
 
 
+def _typed(s, key, kind, default):
+    """``s[key]`` (or ``default``) if :func:`_parse_value` read it as a
+    ``kind``, an ``int`` or a ``bool``; a bool is not an int here."""
+    value = s.get(key, default)
+    if type(value) is not kind:
+        expected = "an integer" if kind is int else "true or false"
+        raise ConfigError(f"[scenario] {key} must be {expected}, got {value!r}")
+    return value
+
+
 def _scale(cfg):
     s = cfg["scenario"]
-    grid = TimeGrid(int(s.get("m", 200)))
-    n = int(s.get("n_paths", 100_000))
-    seed = int(s.get("seed", 7))
+    grid = TimeGrid(_typed(s, "m", int, 200))
+    n = _typed(s, "n_paths", int, 100_000)
+    seed = _typed(s, "seed", int, 7)
     threshold = float(s.get("threshold", diagnostics.DEFAULT_THRESHOLD))
     probes = s.get("probes", diagnostics.DEFAULT_PROBE_FRACTIONS)
     if isinstance(probes, float):
@@ -128,17 +138,27 @@ def _scale(cfg):
     return grid, n, seed, threshold, probes
 
 
-def _law(cfg, grid, n, seed, default=None):
+def _law(cfg, grid, n, seed, default=None, fold=False):
+    """The configured law, with its paths held whole, or as the builder gives
+    it when ``fold`` is set: a recipe for ``LawRecipe.fold``."""
     s = cfg["scenario"]
     name = s.get("law", default)
     if name is None:
         raise ConfigError("this scenario kind requires a 'law' key")
     # threads is passed here, so a [law] threads key is a TypeError
-    ens = catalog.build_law(str(name), grid, n, seed, threads=None,
-                            **cfg.get("law", {}))
+    make = catalog.get_law if fold else catalog.build_law
+    law = make(str(name), grid, n, seed, threads=None, **cfg.get("law", {}))
     if "t_max" in s:
-        ens = replace(ens, t_max=float(s["t_max"]))
-    return ens
+        law = replace(law, t_max=float(s["t_max"]))
+    return law
+
+
+def _first_block(law):
+    """What ``--plot`` draws of a folded law: a recipe's first noise block,
+    built, or an ensemble already held."""
+    if isinstance(law, LawRecipe):
+        return replace(law, n_paths=min(law.n_paths, NOISE_BLOCK)).build()
+    return law
 
 
 def _lagrangian(cfg, default="kinetic"):
@@ -177,13 +197,13 @@ def run_action(cfg, grid, n, seed, threshold, probes):
     if "expected" not in s:
         raise ConfigError("kind 'action' computes no statistic; set expected")
     lag = _lagrangian(cfg)
-    ens = _law(cfg, grid, n, seed)
-    est = action(ens, lag)
+    law = _law(cfg, grid, n, seed, fold=True)
+    est = action(law, lag)
     allowance = float(s.get("allowance", 0.0))
     rows = [("action", est.mean, est.stderr), ("n_paths", est.n_paths, 0.0),
             ("m", est.m, 0.0), ("expected", float(s["expected"]), allowance)]
     stats = [diagnostics.gap(est.mean, float(s["expected"]), est.stderr, allowance)]
-    return ["quantity", "value", "stderr"], rows, stats, None, ens
+    return ["quantity", "value", "stderr"], rows, stats, None, _first_block(law)
 
 
 def run_el_certify(cfg, grid, n, seed, threshold, probes):
@@ -195,6 +215,7 @@ def run_el_certify(cfg, grid, n, seed, threshold, probes):
 
 def run_variational(cfg, grid, n, seed, threshold, probes):
     s = cfg["scenario"]
+    critical = _typed(s, "expect_critical", bool, False)
     lag = _lagrangian(cfg)
     base = catalog.get_shift(str(s.get("shift", "plus_minus")), grid, **cfg["shift"])
     ens = _law(cfg, grid, n, seed)
@@ -203,7 +224,7 @@ def run_variational(cfg, grid, n, seed, threshold, probes):
     if not isinstance(eps, tuple):
         eps = (eps,)
     res = diagnostics.variational_derivative(ens, lag, mat, eps_list=eps)
-    stats = list(res.gaps() if bool(s.get("expect_critical", False)) else res.gaps()[:1])
+    stats = list(res.gaps() if critical else res.gaps()[:1])
     rows = [("fd", res.fd, res.fd_se), ("formula", res.formula, res.formula_se),
             ("difference", res.diff, res.diff_se),
             ("allowance", res.allowance, 0.0), ("epsilon", res.epsilon, 0.0)]
@@ -222,16 +243,21 @@ def run_noether(cfg, grid, n, seed, threshold, probes):
 def run_bridge(cfg, grid, n, seed, threshold, probes):
     s = cfg["scenario"]
     lag = _lagrangian(cfg)
-    ens, solution, holder = catalog.sinkhorn_bridge_law(grid, n, seed, threads=None,
+    law, solution, holder = catalog.sinkhorn_bridge_law(grid, n, seed, threads=None,
                                                         **cfg["bridge"])
-    est = action(ens, lag)
+    terminal = np.empty(n)
+
+    def keep_terminal(lo, ens):
+        terminal[lo:lo + ens.n_paths] = ens.states[:, -1, 0]
+
+    est = action(law, lag, also=keep_terminal)
 
     # terminal histogram against the target marginal on coarse bins
     tv_bins = 48
     problem = solution.problem
     edges = np.linspace(problem.x_min, problem.x_max, tv_bins + 1)
-    hist, _ = np.histogram(ens.states[:, -1, 0], bins=edges)
-    hist = hist / ens.n_paths
+    hist, _ = np.histogram(terminal, bins=edges)
+    hist = hist / n
     centers = problem.centers
     target = np.array([problem.p1[(centers >= a) & (centers < b)].sum()
                        for a, b in zip(edges[:-1], edges[1:])])
@@ -253,7 +279,8 @@ def run_bridge(cfg, grid, n, seed, threshold, probes):
         etol = 2e-3
         stats.append(threshold * abs(solution.entropy - float(s["expected_entropy"])) / etol)
         rows.append(("expected_entropy", float(s["expected_entropy"]), etol))
-    return ["quantity", "value", "tolerance_or_stderr"], rows, stats, None, ens
+    # built after the rows, so its drift queries leave clamped_queries as it is
+    return ["quantity", "value", "tolerance_or_stderr"], rows, stats, None, _first_block(law)
 
 
 def run_fbsde(cfg, grid, n, seed, threshold, probes):
@@ -307,12 +334,12 @@ def run_operators(cfg, grid, n, seed, threshold, probes):
     s = cfg["scenario"]
     if grid.m % 32 != 0:
         raise ConfigError("operators scenario needs m divisible by 32")
-    count = int(s.get("shift_count", 5))
+    count = _typed(s, "shift_count", int, 5)
     if count < 1:
         raise ConfigError("kind 'operators' computes no statistic; set "
                           "shift_count >= 1")
+    peeking = _typed(s, "peeking", bool, False)
     ens = _law(cfg, grid, n, seed, default="brownian")
-    peeking = bool(s.get("peeking", False))
     rows, stats = [], []
     for k in range(count):
         if peeking:

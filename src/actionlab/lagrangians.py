@@ -8,12 +8,12 @@ the matrix argument a.  All callables are vectorized: x, v carry shape
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from ._accum import weighted_mean_stderr
-from .paths import PathEnsemble, run_ranges
+from .paths import LawRecipe, PathEnsemble
 
 __all__ = [
     "Lagrangian",
@@ -57,6 +57,31 @@ class ActionEstimate:
             raise ValueError("stderr must be nonnegative")
 
 
+def _fold_actions(law, lagrangian: Lagrangian, also=None):
+    """Per-path left-rectangle sums of L over steps with t_j < ``law.t_max``,
+    shape [n], and the law's weights.
+
+    ``law`` is a :class:`~actionlab.paths.PathEnsemble`, whose block-aligned
+    ranges are walked as views, or a :class:`~actionlab.paths.LawRecipe`,
+    whose chunks are walked as they are simulated; one kernel sums both, and
+    the sums are bit-identical either way and for any split.  ``also(lo,
+    chunk)``, when given, is called on each chunk after its sums.
+    """
+    grid = law.grid
+    total = np.zeros(law.n_paths)
+
+    def add(lo, ens):
+        out = total[lo:lo + ens.n_paths]
+        for j in range(grid.steps_before(ens.t_max)):
+            t = j * grid.dt
+            val = lagrangian.value(t, ens.states[:, j], ens.drift(j), ens.alpha(j))
+            out += np.asarray(val, dtype=np.float64) * grid.dt
+        if also is not None:
+            also(lo, ens)
+
+    return total, law.fold(add)
+
+
 def path_actions(ensemble: PathEnsemble, lagrangian: Lagrangian) -> np.ndarray:
     """Per-path left-rectangle sums of L over steps with t_j < ``ensemble.t_max``,
     shape [n].
@@ -65,27 +90,22 @@ def path_actions(ensemble: PathEnsemble, lagrangian: Lagrangian) -> np.ndarray:
     :func:`~actionlab.paths.run_ranges`, one per usable CPU; the sums are
     bit-identical for any split.
     """
-    grid = ensemble.grid
-    total = np.zeros(ensemble.n_paths)
-
-    def walk(lo, hi):
-        ens, out = ensemble.path_range(lo, hi), total[lo:hi]
-        for j in range(grid.steps_before(ensemble.t_max)):
-            t = j * grid.dt
-            val = lagrangian.value(t, ens.states[:, j], ens.drift(j), ens.alpha(j))
-            out += np.asarray(val, dtype=np.float64) * grid.dt
-
-    run_ranges(walk, ensemble.n_paths)
-    return total
+    return _fold_actions(ensemble, lagrangian)[0]
 
 
-def action(ensemble: PathEnsemble, lagrangian: Lagrangian) -> ActionEstimate:
+def action(law: Union[PathEnsemble, LawRecipe], lagrangian: Lagrangian,
+           also: Optional[Callable] = None) -> ActionEstimate:
     """Monte Carlo estimate of the expected pathwise action up to
-    ``ensemble.t_max``."""
-    per_path = path_actions(ensemble, lagrangian)
-    mean, se = weighted_mean_stderr(per_path, ensemble.weights)
-    return ActionEstimate(mean=mean, stderr=se, n_paths=ensemble.n_paths,
-                          m=ensemble.grid.m)
+    ``law.t_max``.
+
+    A :class:`~actionlab.paths.LawRecipe` is folded: its paths are simulated
+    and summed a chunk at a time, never held whole, and the estimate has the
+    bits of the estimate on its built ensemble.  ``also(lo, chunk)`` is then
+    called on every chunk, so one walk of the law serves the caller too.
+    """
+    per_path, weights = _fold_actions(law, lagrangian, also)
+    mean, se = weighted_mean_stderr(per_path, weights)
+    return ActionEstimate(mean=mean, stderr=se, n_paths=law.n_paths, m=law.grid.m)
 
 
 def _el_columns(ensemble: PathEnsemble, lagrangian: Lagrangian, steps):

@@ -32,7 +32,8 @@ def no_simulation(monkeypatch):
     def simulated(*args, **kwargs):
         raise AssertionError("simulated before the parameters were checked")
 
-    monkeypatch.setattr(catalog, "simulate", simulated)
+    # simulate and LawRecipe.fold both walk their ranges through _simulate_range
+    monkeypatch.setattr(paths, "_simulate_range", simulated)
     monkeypatch.setattr(catalog._bridge, "fbsde_simulate", simulated)
     monkeypatch.setattr(catalog._bridge, "sinkhorn_bridge", simulated)
 

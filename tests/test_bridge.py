@@ -168,9 +168,10 @@ def test_bridge_simulation_terminal_fit_and_entropy_identity(grid200):
 def test_clamped_counts_every_excursion(grid200, threads):
     # a lattice far narrower than the paths' spread forces many clamps, which
     # pool workers report at once; none may be lost
-    ens, sol, holder = catalog.sinkhorn_bridge_law(
+    law, sol, holder = catalog.sinkhorn_bridge_law(
         grid200, 3000, seed=23, threads=threads, final_var=0.5,
         x_min=-1.0, x_max=1.0, n_cells=41)
+    ens = law.build()
     centers = sol.problem.centers
     x = ens.states[:, :grid200.m, 0]
     expected = int(((x < centers[0]) | (x > centers[-1])).sum())
@@ -178,28 +179,39 @@ def test_clamped_counts_every_excursion(grid200, threads):
     assert holder.clamped == expected
 
 
+def _same_bits(a, b):
+    # equal as float64 bit patterns, so -0.0 differs from +0.0
+    return np.array_equal(np.asarray(a, np.float64).view(np.int64),
+                          np.asarray(b, np.float64).view(np.int64))
+
+
 def test_field_drift_matches_interp(grid200):
-    # the direct cell index must give np.interp's bits: at the nodes, one ulp
-    # either side of them, outside the lattice and inside it
-    ens, sol, holder = catalog.sinkhorn_bridge_law(
+    # the direct cell index must give np.interp's bits, sign of zero included:
+    # at the nodes, one ulp either side of them, the midpoints, outside the
+    # lattice and inside it
+    law, sol, holder = catalog.sinkhorn_bridge_law(
         grid200, 3000, seed=23, final_var=0.5, x_min=-1.0, x_max=1.0, n_cells=41)
+    ens = law.build()
     c, field = sol.problem.centers, sol.drift_field
+    # the lookup's x == c[k] case relies on a field without -0.0
+    assert not np.signbit(field[field == 0.0]).any()
     m = grid200.m
     x = ens.states[:, :m, 0]
     assert holder.clamped == int(((x < c[0]) | (x > c[-1])).sum())
     for j in range(m):
-        assert np.array_equal(ens.drifts[:, j, 0], np.interp(x[:, j], c, field[j]))
+        assert _same_bits(ens.drifts[:, j, 0], np.interp(x[:, j], c, field[j]))
 
     rng = np.random.default_rng(5)
     q = np.concatenate([c, np.nextafter(c, -np.inf), np.nextafter(c, np.inf),
+                        0.5 * (c[:-1] + c[1:]), [-100.0, 100.0],
                         c[0] - rng.uniform(0, 3, 50), c[-1] + rng.uniform(0, 3, 50),
                         rng.uniform(c[0], c[-1], 5000)])
     _, fresh = bridge_to_model(sol)
-    for j in (0, 1, m // 2, m - 1):
+    for j in range(m):
         prefix = np.broadcast_to(q[:, None, None], (q.size, j + 1, 1))
-        assert np.array_equal(fresh(j, prefix)[:, 0], np.interp(q, c, field[j]))
+        assert _same_bits(fresh(j, prefix)[:, 0], np.interp(q, c, field[j])), j
     outside = int(((q < c[0]) | (q > c[-1])).sum())
-    assert outside == 2 + 100 and fresh.clamped == 4 * outside
+    assert outside == 2 + 2 + 100 and fresh.clamped == m * outside
 
 
 def test_bridge_sampler_keeps_the_bisect_rule():

@@ -11,6 +11,7 @@ import pytest
 
 from actionlab import TimeGrid, action, catalog
 from actionlab.cli import ConfigError, load_config, main, run_scenario
+from actionlab.paths import NOISE_BLOCK
 
 SMALL = dict(m=200, n_paths=3000, seed=5)
 
@@ -731,3 +732,51 @@ def test_layer_modules_export_only_defined_names():
         mod = importlib.import_module(f"actionlab.{short}")
         missing = [name for name in mod.__all__ if not hasattr(mod, name)]
         assert not missing, short
+
+
+OPERATORS = "[scenario]\nkind = operators\nm = 32\nn_paths = 1000\n"
+VARIATIONAL = "[scenario]\nkind = variational\nlaw = brownian\nm = 20\nn_paths = 1000\n"
+MISTYPED = [
+    (EL_POS.replace("m = 200", "m = 20.9"), "m", "an integer", "20.9"),
+    (EL_POS.replace("m = 200", "m = true"), "m", "an integer", "True"),
+    (EL_POS.replace("n_paths = 3000", "n_paths = 1000.7"), "n_paths", "an integer",
+     "1000.7"),
+    (EL_POS.replace("seed = 5", "seed = 5.5"), "seed", "an integer", "5.5"),
+    (EL_POS.replace("seed = 5", "seed = five"), "seed", "an integer", "'five'"),
+    (OPERATORS + "shift_count = 2.5\n", "shift_count", "an integer", "2.5"),
+    (OPERATORS + "peeking = nope\n", "peeking", "true or false", "'nope'"),
+    (OPERATORS + "peeking = 1\n", "peeking", "true or false", "1"),
+    (VARIATIONAL + "expect_critical = no_thanks\n", "expect_critical", "true or false",
+     "'no_thanks'"),
+]
+
+
+@pytest.mark.parametrize("body,key,expected,got", MISTYPED,
+                         ids=[f"{key}={got}" for _, key, _, got in MISTYPED])
+def test_a_mistyped_integer_or_boolean_is_config_error(tmp_path, capsys, no_simulation,
+                                                       body, key, expected, got):
+    # int() truncated 20.9 to 20 and bool() read any word as true; each such
+    # value now exits 2, naming the key and its type, before anything runs
+    code = main(["run", "--config", str(write_config(tmp_path, "c.ini", body)),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"[scenario] {key} must be {expected}, got {got}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("kind,extra", [
+    ("action", "law = squared_increment_weighted\nexpected = 0.73\n"),
+    ("action", "law = oscillator_adapted\nexpected = 0.5\n"),
+    ("bridge", "")])
+def test_folding_runners_return_a_built_first_block(tmp_path, kind, extra):
+    # action and bridge fold their law and never hold it; what they return for
+    # --plot is the first noise block, built, or an eagerly built law as it is
+    from actionlab import cli
+
+    body = f"[scenario]\nkind = {kind}\nm = 20\nn_paths = 1000\n{extra}"
+    cfg = load_config(write_config(tmp_path, "c.ini", body))
+    grid, n, seed, threshold, probes = cli._scale(cfg)
+    *_, ens = cli._RUNNERS[kind](cfg, grid, n, seed, threshold, probes)
+    rows = n if "oscillator" in extra else NOISE_BLOCK
+    assert ens.states.shape == (rows, grid.m + 1, 1)
+    ens.validate()

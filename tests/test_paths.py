@@ -13,7 +13,7 @@ from actionlab import paths
 from actionlab.paths import (CSV_PATHS, NOISE_BLOCK, SemimartingaleModel,
                              export_paths_csv)
 from actionlab.catalog import make_state_features, make_test_feature_map, point_sampler
-from actionlab.lagrangians import path_actions
+from actionlab.lagrangians import action, path_actions
 from conftest import passes, traced_peak, weighted_drift_record
 
 
@@ -650,3 +650,105 @@ def test_validate_calls_a_row_function_drift(bm_small):
 def test_ensembles_are_immutable(bm_small):
     with pytest.raises(ValueError):
         bm_small.states[0, 0, 0] = 1.0
+
+
+def _record_bytes(law):
+    """Bytes of the records ``LawRecipe.fold`` holds per path of a 1-d
+    recipe: the states, and the drift record unless the drift is zero."""
+    m = law.grid.m
+    return 8 * ((m + 1) + (law.model.drift is not None) * m)
+
+
+def _bits(est):
+    return (est.mean, est.stderr, est.n_paths, est.m)
+
+
+FOLDED = [("brownian", {}), ("pinned_brownian", {"y": 1.0}),
+          ("squared_increment_weighted", {}), ("oscillator_adapted", {})]
+
+
+@pytest.mark.parametrize("threads", [1, None])
+@pytest.mark.parametrize("blocks", [1, 2, 4])
+@pytest.mark.parametrize("name,params", FOLDED, ids=[name for name, _ in FOLDED])
+def test_folded_action_has_the_bits_of_the_built_law(name, params, blocks, threads,
+                                                     three_cpus, monkeypatch):
+    # three full noise blocks and a partial one, in chunks of one block, two
+    # blocks and all of them, on one range and on three; the pinned law keeps
+    # its own t_max, and the oscillator is an ensemble, folded over its views
+    g, n = TimeGrid(10), 3 * NOISE_BLOCK + 7
+    lag = catalog.get_lagrangian("kinetic")
+    law = catalog.get_law(name, g, n, seed=47, threads=threads, **params)
+    built = catalog.build_law(name, g, n, seed=47, threads=threads, **params)
+    if isinstance(law, paths.LawRecipe):
+        monkeypatch.setattr(paths, "CHUNK_BYTES", blocks * NOISE_BLOCK * _record_bytes(law))
+        assert law.t_max == built.t_max
+    else:
+        assert name == "oscillator_adapted"
+    seen = []
+    folded = action(law, lag, also=lambda lo, ens: seen.append((lo, ens.n_paths)))
+    assert _bits(folded) == _bits(action(built, lag))
+    # a recipe's chunks are whole blocks from the start of each range, and an
+    # ensemble's are its ranges
+    if isinstance(law, paths.LawRecipe):
+        chunk = blocks * NOISE_BLOCK
+        ranges = paths.run_ranges(lambda lo, hi: (lo, hi), n, threads)
+        expected = [(c, min(chunk, hi - c)) for lo, hi in ranges
+                    for c in range(lo, hi, chunk)]
+    else:
+        expected = paths.run_ranges(lambda lo, hi: (lo, hi - lo), n)
+    assert sorted(seen) == expected
+
+
+def test_fold_hands_out_the_chunks_build_holds(three_cpus):
+    # each chunk's states, drift rows, diffusions and raw weights are the
+    # built law's rows; the weights come back scaled to mean one
+    g, n = TimeGrid(10), 3 * NOISE_BLOCK + 7
+    law = catalog.get_law("squared_increment_weighted", g, n, seed=49)
+    built = law.build()
+    raw = np.empty(n)
+
+    def check(lo, ens):
+        view = built.path_range(lo, lo + ens.n_paths)
+        assert np.array_equal(ens.states, view.states)
+        assert np.array_equal(_drift_rows(ens), _drift_rows(view))
+        assert np.array_equal(ens.diffusions, view.diffusions)
+        raw[lo:lo + ens.n_paths] = ens.weights
+
+    weights = law.fold(check)
+    assert np.array_equal(weights, built.weights) and abs(weights.mean() - 1) < 1e-12
+    assert np.array_equal(raw * (n / raw.sum()), built.weights)
+
+
+@pytest.mark.parametrize("threads", [1, None])
+@pytest.mark.parametrize("what", ["drift", "diffusion"])
+def test_fold_raises_the_simulation_error_of_simulate(what, threads, three_cpus,
+                                                      monkeypatch):
+    # path 300 sits in the second one-block chunk and fails first in time;
+    # the first chunk fails later, at step 10, and is met first
+    model, g, n = _nan_model(**{f"{what}_fails": [(10, 100), (3, 300)]})
+    monkeypatch.setattr(paths, "CHUNK_BYTES", 1)
+    with pytest.raises(SimulationError) as direct:
+        simulate(model, g, n, seed=5, threads=threads)
+    consumed = []
+    with pytest.raises(SimulationError) as folded:
+        paths.LawRecipe(model, g, n, seed=5, threads=threads).fold(
+            lambda lo, ens: consumed.append(lo))
+    assert str(folded.value) == str(direct.value) == (
+        f"model 'nan': non-finite {what} at step 3, path 300")
+    # a range consumes no chunk from its first failing one on: the one range,
+    # or the first two of three, consume nothing
+    assert consumed == ([] if threads == 1 else [512, 768])
+
+
+def test_folded_weighted_action_holds_no_record(three_cpus, monkeypatch):
+    # the fold holds one set of chunk records per range, here three ranges
+    # of 4 MiB (1024 paths), each with its 1 MiB staging buffer, and [n] sums
+    # and weights, about 16 MB; the law's states would be 80 MB.  At the
+    # default 64 MiB a chunk would outgrow each range of these 20,000 paths.
+    g, n = TimeGrid(500), 20000
+    record = 8 * n * g.m
+    monkeypatch.setattr(paths, "CHUNK_BYTES", 4 << 20)
+    law = catalog.get_law("squared_increment_weighted", g, n, seed=7)
+    est, peak = traced_peak(action, law, catalog.get_lagrangian("kinetic"))
+    assert peak < 0.25 * record, peak / record
+    assert est.n_paths == n
