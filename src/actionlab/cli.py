@@ -18,8 +18,10 @@ the ``report.csv`` header and rows, the nonnegative statistics, and what to
 plot (or ``None``).  :func:`run_scenario` hands the statistics to
 :func:`~actionlab.diagnostics.verdict`.  A runner whose config would give no
 statistic raises :class:`ConfigError` before it simulates: no statistic is no
-evidence, not a PASS.  Each runner also builds its registry objects before
-it simulates, so a bad key in any section is rejected first.
+evidence, not a PASS.  Each runner also builds its registry objects and
+reads its typed ``[scenario]`` values (:func:`_typed`: integers, booleans
+and numbers) before it simulates, so a bad key in any section is rejected
+first.
 """
 
 from __future__ import annotations
@@ -116,13 +118,20 @@ def load_config(path) -> dict:
     return cfg
 
 
-def _typed(s, key, kind, default):
-    """``s[key]`` (or ``default``) if :func:`_parse_value` read it as a
-    ``kind``, an ``int`` or a ``bool``; a bool is not an int here."""
-    value = s.get(key, default)
+_TYPE_NAMES = {int: "an integer", bool: "true or false", float: "a number"}
+
+
+def _typed(s, key, kind, default=None):
+    """``s[key]`` if :func:`_parse_value` read it as a ``kind``, an ``int``, a
+    ``bool`` or a ``float``, or ``default`` if the key is unset.  A bool is
+    neither number here, and an int is read as a float."""
+    if key not in s:
+        return default
+    value = s[key]
+    if kind is float and type(value) is int:
+        return float(value)
     if type(value) is not kind:
-        expected = "an integer" if kind is int else "true or false"
-        raise ConfigError(f"[scenario] {key} must be {expected}, got {value!r}")
+        raise ConfigError(f"[scenario] {key} must be {_TYPE_NAMES[kind]}, got {value!r}")
     return value
 
 
@@ -131,7 +140,7 @@ def _scale(cfg):
     grid = TimeGrid(_typed(s, "m", int, 200))
     n = _typed(s, "n_paths", int, 100_000)
     seed = _typed(s, "seed", int, 7)
-    threshold = float(s.get("threshold", diagnostics.DEFAULT_THRESHOLD))
+    threshold = _typed(s, "threshold", float, diagnostics.DEFAULT_THRESHOLD)
     probes = s.get("probes", diagnostics.DEFAULT_PROBE_FRACTIONS)
     if isinstance(probes, float):
         probes = (probes,)
@@ -145,12 +154,11 @@ def _law(cfg, grid, n, seed, default=None, fold=False):
     name = s.get("law", default)
     if name is None:
         raise ConfigError("this scenario kind requires a 'law' key")
+    t_max = _typed(s, "t_max", float)
     # threads is passed here, so a [law] threads key is a TypeError
     make = catalog.get_law if fold else catalog.build_law
     law = make(str(name), grid, n, seed, threads=None, **cfg.get("law", {}))
-    if "t_max" in s:
-        law = replace(law, t_max=float(s["t_max"]))
-    return law
+    return law if t_max is None else replace(law, t_max=t_max)
 
 
 def _first_block(law):
@@ -173,7 +181,9 @@ def _martingale_result(report, ens):
 
 def run_simulate(cfg, grid, n, seed, threshold, probes):
     s = cfg["scenario"]
-    if "expected_mean" not in s and "expected_var" not in s:
+    expected_mean = _typed(s, "expected_mean", float)
+    expected_var = _typed(s, "expected_var", float)
+    if expected_mean is None and expected_var is None:
         raise ConfigError("kind 'simulate' computes no statistic; set "
                           "expected_mean or expected_var")
     ens = _law(cfg, grid, n, seed)
@@ -184,51 +194,50 @@ def run_simulate(cfg, grid, n, seed, threshold, probes):
         var_k = mean2[k] - mean[k] ** 2
         rows.append((f"terminal_mean[{k}]", float(mean[k]), float(se[k])))
         rows.append((f"terminal_var[{k}]", float(var_k), float(se2[k])))
-        if "expected_mean" in s:
-            stats.append(diagnostics.gap(float(mean[k]), float(s["expected_mean"]),
-                                         float(se[k])))
-        if "expected_var" in s:
-            stats.append(diagnostics.gap(var_k, float(s["expected_var"]), float(se2[k])))
+        if expected_mean is not None:
+            stats.append(diagnostics.gap(float(mean[k]), expected_mean, float(se[k])))
+        if expected_var is not None:
+            stats.append(diagnostics.gap(var_k, expected_var, float(se2[k])))
     return ["quantity", "value", "stderr"], rows, stats, None, ens
 
 
 def run_action(cfg, grid, n, seed, threshold, probes):
     s = cfg["scenario"]
-    if "expected" not in s:
+    expected = _typed(s, "expected", float)
+    if expected is None:
         raise ConfigError("kind 'action' computes no statistic; set expected")
+    allowance = _typed(s, "allowance", float, 0.0)
     lag = _lagrangian(cfg)
     law = _law(cfg, grid, n, seed, fold=True)
     est = action(law, lag)
-    allowance = float(s.get("allowance", 0.0))
     rows = [("action", est.mean, est.stderr), ("n_paths", est.n_paths, 0.0),
-            ("m", est.m, 0.0), ("expected", float(s["expected"]), allowance)]
-    stats = [diagnostics.gap(est.mean, float(s["expected"]), est.stderr, allowance)]
+            ("m", est.m, 0.0), ("expected", expected, allowance)]
+    stats = [diagnostics.gap(est.mean, expected, est.stderr, allowance)]
     return ["quantity", "value", "stderr"], rows, stats, None, _first_block(law)
 
 
 def run_el_certify(cfg, grid, n, seed, threshold, probes):
     lag = _lagrangian(cfg)
-    ens = _law(cfg, grid, n, seed)
-    report = diagnostics.el_certify(ens, lag, probe_fractions=probes)
-    return _martingale_result(report, ens)
+    law = _law(cfg, grid, n, seed, fold=True)
+    report = diagnostics.el_certify(law, lag, probe_fractions=probes)
+    return _martingale_result(report, _first_block(law))
 
 
 def run_variational(cfg, grid, n, seed, threshold, probes):
     s = cfg["scenario"]
     critical = _typed(s, "expect_critical", bool, False)
     lag = _lagrangian(cfg)
-    base = catalog.get_shift(str(s.get("shift", "plus_minus")), grid, **cfg["shift"])
-    ens = _law(cfg, grid, n, seed)
-    mat = materialize(base, ens)
+    shift = catalog.get_shift(str(s.get("shift", "plus_minus")), grid, **cfg["shift"])
+    law = _law(cfg, grid, n, seed, fold=True)
     eps = s.get("eps", (1e-2, 1e-3))
     if not isinstance(eps, tuple):
         eps = (eps,)
-    res = diagnostics.variational_derivative(ens, lag, mat, eps_list=eps)
+    res = diagnostics.variational_derivative(law, lag, shift, eps_list=eps)
     stats = list(res.gaps() if critical else res.gaps()[:1])
     rows = [("fd", res.fd, res.fd_se), ("formula", res.formula, res.formula_se),
             ("difference", res.diff, res.diff_se),
             ("allowance", res.allowance, 0.0), ("epsilon", res.epsilon, 0.0)]
-    return ["quantity", "value", "stderr"], rows, stats, None, ens
+    return ["quantity", "value", "stderr"], rows, stats, None, _first_block(law)
 
 
 def run_noether(cfg, grid, n, seed, threshold, probes):
@@ -242,6 +251,9 @@ def run_noether(cfg, grid, n, seed, threshold, probes):
 
 def run_bridge(cfg, grid, n, seed, threshold, probes):
     s = cfg["scenario"]
+    tv_tol = _typed(s, "tv_tol", float, 0.02)
+    expected_action = _typed(s, "expected_action", float)
+    expected_entropy = _typed(s, "expected_entropy", float)
     lag = _lagrangian(cfg)
     law, solution, holder = catalog.sinkhorn_bridge_law(grid, n, seed, threads=None,
                                                         **cfg["bridge"])
@@ -262,7 +274,6 @@ def run_bridge(cfg, grid, n, seed, threshold, probes):
     target = np.array([problem.p1[(centers >= a) & (centers < b)].sum()
                        for a, b in zip(edges[:-1], edges[1:])])
     tv = 0.5 * float(np.abs(hist - target / target.sum()).sum())
-    tv_tol = float(s.get("tv_tol", 0.02))
 
     stats = [threshold * tv / tv_tol]
     rows = [("entropy", solution.entropy, solution.marginal_error),
@@ -270,15 +281,14 @@ def run_bridge(cfg, grid, n, seed, threshold, probes):
             ("terminal_tv", tv, tv_tol),
             ("sinkhorn_iterations", solution.iterations, 0.0),
             ("clamped_queries", holder.clamped, 0.0)]
-    if "expected_action" in s:
+    if expected_action is not None:
         allowance = 2e-3
-        stats.append(diagnostics.gap(est.mean, float(s["expected_action"]),
-                                     est.stderr, allowance))
-        rows.append(("expected_action", float(s["expected_action"]), allowance))
-    if "expected_entropy" in s:
+        stats.append(diagnostics.gap(est.mean, expected_action, est.stderr, allowance))
+        rows.append(("expected_action", expected_action, allowance))
+    if expected_entropy is not None:
         etol = 2e-3
-        stats.append(threshold * abs(solution.entropy - float(s["expected_entropy"])) / etol)
-        rows.append(("expected_entropy", float(s["expected_entropy"]), etol))
+        stats.append(threshold * abs(solution.entropy - expected_entropy) / etol)
+        rows.append(("expected_entropy", expected_entropy, etol))
     # built after the rows, so its drift queries leave clamped_queries as it is
     return ["quantity", "value", "tolerance_or_stderr"], rows, stats, None, _first_block(law)
 
@@ -286,15 +296,17 @@ def run_bridge(cfg, grid, n, seed, threshold, probes):
 def run_fbsde(cfg, grid, n, seed, threshold, probes):
     s = cfg["scenario"]
     variant = str(s.get("variant", "adapted"))
+    constancy_tol = _typed(s, "constancy_tol", float, 1e-3)
+    riccati_tol = _typed(s, "riccati_tol", float, 1e-8)
     spec = catalog.get_oscillator(variant, **cfg["fbsde"])
     lag = _lagrangian(cfg, default="kinetic_quadratic")
     result = bridge_mod.fbsde_simulate(spec, grid, n, seed)
     ens = result.ensemble
     if variant == "adapted":
-        tol = float(s.get("constancy_tol", 1e-3))
+        tol = constancy_tol
         name, defect = "el_constancy_defect", el_constancy_defect(ens, lag)
     else:
-        tol = float(s.get("riccati_tol", 1e-8))
+        tol = riccati_tol
         v0 = float(spec.y0_gaussian[1])
         oracle = v0 / (1.0 + v0 * grid.times[:-1])
         name = "riccati_defect"

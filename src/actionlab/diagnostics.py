@@ -15,16 +15,17 @@ failure probability below one percent under normality).
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from numbers import Real
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from ._accum import weighted_mean_stderr, zscores
 from .lagrangians import Lagrangian, _el_columns, el_process
-from .paths import MIN_PATHS, PathEnsemble, run_ranges
-from .shifts import ENDPOINT_TOL, EndpointError, MaterializedShift
+from .paths import MIN_PATHS, LawRecipe, PathEnsemble
+from .shifts import ENDPOINT_TOL, AdaptedShift, EndpointError
 
 __all__ = [
     "verdict",
@@ -83,14 +84,14 @@ class MartingaleReport:
                 yield s, t, name, float(z)
 
 
-def default_test_functions(ensemble: PathEnsemble, j: int):
-    """Bounded prefix features at probe step j: 1, W, clip(W^2).
+def default_test_functions(x: np.ndarray):
+    """Bounded prefix features of the ``[n, d]`` states ``x`` at a probe step:
+    1, W, clip(W^2).
 
     The state features are clipped at the :data:`CLIP_QUANTILE` quantile of
     their absolute value so the statistics stay well behaved for heavy-tailed
     laws.
     """
-    x = ensemble.states[:, j]
     d = x.shape[1]
     feats = [np.ones(x.shape[0])]
     names = ["1"]
@@ -106,29 +107,44 @@ def default_test_functions(ensemble: PathEnsemble, j: int):
     return np.stack(feats, axis=1), names
 
 
-def _orthogonality(resid: np.ndarray, ensemble: PathEnsemble, j: int):
-    """z-scores of E[w resid phi] for each prefix feature phi at step j and
-    coordinate of ``resid`` [n, d], with their column names."""
-    feats, feat_names = default_test_functions(ensemble, j)
+def _orthogonality(resid: np.ndarray, x: np.ndarray, weights):
+    """z-scores of E[w resid phi] for each prefix feature phi of the ``[n, d]``
+    states ``x`` and coordinate of ``resid`` [n, d], with their column names."""
+    feats, feat_names = default_test_functions(x)
     n, d = resid.shape
     prod = resid[:, None, :] * feats[:, :, None]              # [n, k, d]
-    mean, se = weighted_mean_stderr(prod.reshape(n, -1), ensemble.weights)
+    mean, se = weighted_mean_stderr(prod.reshape(n, -1), weights)
     names = [f"{f}|x{c}" if d > 1 else f for f in feat_names for c in range(d)]
     return zscores(mean, se), names
 
 
-def martingale_test(process: np.ndarray, ensemble: PathEnsemble,
-                    probe_indices: Sequence[int]) -> MartingaleReport:
+def _check_power(n_paths: int, probe_indices: Sequence[int]) -> None:
+    """Raise unless a martingale test on these paths and probes has power."""
+    if n_paths < MIN_PATHS:
+        raise PowerError(f"martingale test needs >= {MIN_PATHS} paths")
+    if len(probe_indices) < 2:   # no pair: an empty report, not a PASS
+        raise ValueError(f"need two distinct probe steps, got {len(probe_indices)}")
+
+
+def martingale_test(process: np.ndarray, ensemble: Union[PathEnsemble, LawRecipe],
+                    probe_indices: Sequence[int], *,
+                    probe_states: Optional[np.ndarray] = None,
+                    weights: Optional[np.ndarray] = None) -> MartingaleReport:
     """Test that a process sampled at the probe steps is a martingale.
 
     ``process`` has shape [n, P] or [n, P, d_proc] with P = len(probe_indices);
     the statistic matrix has one row per consecutive probe pair and one column
-    per (test function, process coordinate).
+    per (test function, process coordinate).  The prefix features are read
+    from the states ``ensemble.states[:, j]`` at each probe step and weighted
+    by ``ensemble.weights``.  A law walked by ``fold`` holds no states: its
+    caller passes the law as ``ensemble``, whose ``n_paths`` and grid are
+    read, with the ``[n, d]`` states it kept at each probe step
+    (``probe_states``, [P, n, d]) and the ``weights`` ``fold`` returned.
     """
-    if ensemble.n_paths < MIN_PATHS:
-        raise PowerError(f"martingale test needs >= {MIN_PATHS} paths")
-    if len(probe_indices) < 2:   # no pair: an empty report, not a PASS
-        raise ValueError(f"need two distinct probe steps, got {len(probe_indices)}")
+    _check_power(ensemble.n_paths, probe_indices)
+    if probe_states is None:
+        probe_states = [ensemble.states[:, j] for j in probe_indices]
+        weights = ensemble.weights
     proc = np.asarray(process, dtype=np.float64)
     if proc.ndim == 2:
         proc = proc[:, :, None]
@@ -139,20 +155,47 @@ def martingale_test(process: np.ndarray, ensemble: PathEnsemble,
     pairs, stats, names = [], [], None
     for a in range(p - 1):
         ja, jb = probe_indices[a], probe_indices[a + 1]
-        z, names = _orthogonality(proc[:, a + 1] - proc[:, a], ensemble, ja)
+        z, names = _orthogonality(proc[:, a + 1] - proc[:, a], probe_states[a], weights)
         stats.append(z)
         pairs.append((ja * dt, jb * dt))
     return MartingaleReport(probe_pairs=pairs, test_names=names or [],
                             statistics=np.array(stats))
 
 
-def el_certify(ensemble: PathEnsemble, lagrangian: Lagrangian,
+def el_certify(law: Union[PathEnsemble, LawRecipe], lagrangian: Lagrangian,
                probe_fractions: Sequence[float] = DEFAULT_PROBE_FRACTIONS
                ) -> MartingaleReport:
     """Martingale test of the Euler-Lagrange process at ``probe_fractions``
-    of the ensemble's ``t_max``; the laboratory's central statistic."""
-    idx = ensemble.grid.probe_indices(probe_fractions, ensemble.t_max)
-    return martingale_test(el_process(ensemble, lagrangian, idx), ensemble, idx)
+    of the law's ``t_max``; the laboratory's central statistic.
+
+    The law is walked once by ``law.fold``: each chunk, or each range view of
+    a held ensemble, writes its rows of the process and of the states at the
+    probe steps, so a :class:`~actionlab.paths.LawRecipe` is never held
+    whole.  The test then runs on the joined ``[n, P, d]`` arrays, so the
+    report has the bits of the report on the built law.  Too few paths or
+    probe steps raise before the walk.
+
+    The chunks' ``el_process`` calls take turns, under a lock.  Each is a
+    small part of its chunk's work (about 25 ms for 10^5 paths at m = 200 on
+    a 2-CPU Xeon VM, against 0.3-0.6 s to simulate them), and ``el_process`` is a traced
+    layer of the benchmark, whose one span stack must see each call begin
+    and end under this one, not two calls interleaved from two threads.
+    """
+    idx = law.grid.probe_indices(probe_fractions, law.t_max)
+    _check_power(law.n_paths, idx)
+    n, p, d = law.n_paths, len(idx), law.dim
+    process, states = np.empty((n, p, d)), np.empty((p, n, d))
+    one_at_a_time = threading.Lock()
+
+    def keep(lo, chunk):
+        rows = slice(lo, lo + chunk.n_paths)
+        with one_at_a_time:
+            process[rows] = el_process(chunk, lagrangian, idx)
+        for a, j in enumerate(idx):
+            states[a, rows] = chunk.states[:, j]
+
+    weights = law.fold(keep)
+    return martingale_test(process, law, idx, probe_states=states, weights=weights)
 
 
 @dataclass(frozen=True)
@@ -176,8 +219,8 @@ class VariationalResult:
                 gap(self.fd, 0.0, max(self.fd_se, self.formula_se), self.allowance))
 
 
-def variational_derivative(ensemble: PathEnsemble, lagrangian: Lagrangian,
-                           shift: MaterializedShift,
+def variational_derivative(law: Union[PathEnsemble, LawRecipe], lagrangian: Lagrangian,
+                           shift: AdaptedShift,
                            eps_list: Sequence[float] = (1e-2, 1e-3)
                            ) -> VariationalResult:
     """Derivative of the action along the pushforward curve, two ways.
@@ -186,42 +229,44 @@ def variational_derivative(ensemble: PathEnsemble, lagrangian: Lagrangian,
     shifted by +-epsilon), differenced per path against the formula value
     <xi, h>_H with xi the Euler-Lagrange process, so the comparison noise is
     the noise of the difference.  One step loop sums ``L(t, x + e h, v + e
-    hdot, alpha) dt`` over the steps before ``ensemble.t_max`` per signed
+    hdot, alpha) dt`` over the steps before ``law.t_max`` per signed
     epsilon ``e``: the bits of ``path_actions`` on ``push_shift(ensemble,
-    shift, e)``, without the pushed ensembles.  The gaps allow 2/m, which
-    absorbs the left-rectangle mismatch.
+    materialize(shift, ensemble), e)``, without the pushed ensembles.  The
+    gaps allow 2/m, which absorbs the left-rectangle mismatch.
 
-    The binding and epsilon checks come first.  The paths are then
-    walked in the block-aligned ranges of :func:`~actionlab.paths.run_ranges`,
-    one per usable CPU.  Each range runs one step loop: it adds step j's
-    ``<xi_j, hdot_j>`` to the formula value, with xi_j streamed from the
-    Euler-Lagrange columns, and streams h as the running sum of hdot times
-    dt (the bits of ``shift.h``, which is never built), so no ``[n, m, d]``
-    record is held.  The endpoint-zero check reads the streamed terminal
-    value, so :class:`EndpointError` is raised after that pass.  The epsilon
-    choice and the weighted means run on the per-path values of all ranges,
-    so the result is bit-identical for any split.
+    The epsilon check comes first.  The law is then walked once by
+    ``law.fold``, so a :class:`~actionlab.paths.LawRecipe` is never held
+    whole.  Each chunk, or range view of a held ensemble, runs one step
+    loop: it evaluates ``shift.derivative`` at step j (the call
+    :func:`~actionlab.shifts.materialize` makes), adds ``<xi_j, hdot_j>`` to
+    the formula value, with xi_j streamed from the Euler-Lagrange columns,
+    and streams h as the running sum of hdot times dt (the bits of
+    ``shift.h``), so neither the shift nor any ``[n, m, d]`` record is held.
+    After the walk, a non-finite derivative raises materialize's
+    ``ValueError``, and then a nonzero streamed terminal value raises
+    :class:`EndpointError`.  The epsilon choice and the weighted means run on
+    the per-path values of all chunks, so the result is bit-identical for
+    any split.
     """
-    if shift.ensemble is not ensemble:
-        raise ValueError("shift is not bound to this ensemble")
     if not eps_list or not all(isinstance(e, Real) and 0.0 < e < math.inf
                                for e in eps_list):
         raise ValueError(f"eps must be finite and positive, got {list(eps_list)}")
-    n, m, d = ensemble.n_paths, ensemble.grid.m, ensemble.dim
-    dt = ensemble.grid.dt
-    steps = ensemble.grid.steps_before(ensemble.t_max)
-    formula_pp, terminal = np.zeros(n), np.empty((n, d))
+    n, m, d = law.n_paths, law.grid.m, law.dim
+    dt = law.grid.dt
+    steps = law.grid.steps_before(law.t_max)
+    formula_pp, terminal, finite = np.zeros(n), np.empty((n, d)), []
     actions = {e: np.zeros(n) for eps in eps_list for e in (eps, -eps)}
 
-    def walk(lo, hi):
-        ens, hdot = ensemble.path_range(lo, hi), shift.hdot[lo:hi]
-        sums = {e: total[lo:hi] for e, total in actions.items()}
-        formula = formula_pp[lo:hi]
+    def walk(lo, ens):
+        rows = slice(lo, lo + ens.n_paths)
+        sums = {e: total[rows] for e, total in actions.items()}
+        formula, hd = formula_pp[rows], np.empty((ens.n_paths, d))
         # h_j = (hdot_0 + ... + hdot_{j-1}) dt, summed in np.cumsum's order
         # from -0.0, the exact additive identity
-        h, cum = np.zeros((hi - lo, d)), np.full((hi - lo, d), -0.0)
+        h, cum = np.zeros((ens.n_paths, d)), np.full((ens.n_paths, d), -0.0)
         for j, xi in _el_columns(ens, lagrangian, range(m)):
-            hd = hdot[:, j]
+            hd[...] = shift.derivative(j, ens.states)   # materialize's row of hdot
+            finite.append(np.isfinite(hd).all())
             formula += np.einsum("nd,nd->n", xi, hd)
             if j < steps:
                 t = j * dt
@@ -231,9 +276,11 @@ def variational_derivative(ensemble: PathEnsemble, lagrangian: Lagrangian,
                     total += np.asarray(val, dtype=np.float64) * dt
             cum = cum + hd
             h = cum * dt
-        terminal[lo:hi] = h
+        terminal[rows] = h
 
-    run_ranges(walk, n)
+    weights = law.fold(walk)
+    if not all(finite):
+        raise ValueError(f"shift '{shift.name}' produced non-finite derivative")
     formula_pp *= dt
     if not np.max(np.abs(terminal)) <= ENDPOINT_TOL:
         raise EndpointError("variational_derivative requires an endpoint-zero shift")
@@ -248,9 +295,9 @@ def variational_derivative(ensemble: PathEnsemble, lagrangian: Lagrangian,
         eps_star = min(gaps, key=gaps.get)
     fd_pp = fd_by_eps[eps_star]
 
-    fd, fd_se = weighted_mean_stderr(fd_pp, ensemble.weights)
-    formula, formula_se = weighted_mean_stderr(formula_pp, ensemble.weights)
-    diff, diff_se = weighted_mean_stderr(fd_pp - formula_pp, ensemble.weights)
+    fd, fd_se = weighted_mean_stderr(fd_pp, weights)
+    formula, formula_se = weighted_mean_stderr(formula_pp, weights)
+    diff, diff_se = weighted_mean_stderr(fd_pp - formula_pp, weights)
     return VariationalResult(fd=fd, fd_se=fd_se, formula=formula,
                              formula_se=formula_se, diff=diff, diff_se=diff_se,
                              allowance=2.0 / m, epsilon=eps_star)
@@ -293,7 +340,8 @@ def drift_representation_check(ensemble: PathEnsemble,
         xi = (terminal - ensemble.states[:, j]) / (1.0 - t)
         if grad_potential is not None:
             xi = xi + grad_term[j] / (1.0 - t)
-        z, names = _orthogonality(xi - ensemble.drift(j), ensemble, j)
+        z, names = _orthogonality(xi - ensemble.drift(j), ensemble.states[:, j],
+                                  ensemble.weights)
         stats.append(z)
         pairs.append((t, 1.0))
     return MartingaleReport(probe_pairs=pairs, test_names=names or [],

@@ -494,6 +494,10 @@ class LawRecipe:
         if not 0.0 < self.t_max <= 1.0:
             raise ValueError("t_max must lie in (0, 1]")
 
+    @property
+    def dim(self) -> int:
+        return self.model.dim
+
     def _finished(self, ens: PathEnsemble) -> PathEnsemble:
         return ens if self.finish is None else self.finish(ens)
 

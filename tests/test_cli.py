@@ -736,6 +736,10 @@ def test_layer_modules_export_only_defined_names():
 
 OPERATORS = "[scenario]\nkind = operators\nm = 32\nn_paths = 1000\n"
 VARIATIONAL = "[scenario]\nkind = variational\nlaw = brownian\nm = 20\nn_paths = 1000\n"
+SIMULATE = "[scenario]\nkind = simulate\nlaw = brownian\nm = 20\nn_paths = 2000\n"
+ACTION = "[scenario]\nkind = action\nlaw = brownian\nm = 20\nn_paths = 1000\n"
+BRIDGE = "[scenario]\nkind = bridge\nm = 20\nn_paths = 1000\n"
+FBSDE = "[scenario]\nkind = fbsde\nm = 20\nn_paths = 1000\n"
 MISTYPED = [
     (EL_POS.replace("m = 200", "m = 20.9"), "m", "an integer", "20.9"),
     (EL_POS.replace("m = 200", "m = true"), "m", "an integer", "True"),
@@ -748,6 +752,19 @@ MISTYPED = [
     (OPERATORS + "peeking = 1\n", "peeking", "true or false", "1"),
     (VARIATIONAL + "expect_critical = no_thanks\n", "expect_critical", "true or false",
      "'no_thanks'"),
+    # float() read yes/true/on as 1.0: threshold = yes ran at threshold 1.0
+    (SIMULATE + "expected_mean = 0.0\nthreshold = yes\n", "threshold", "a number", "True"),
+    (SIMULATE + "expected_mean = zero\n", "expected_mean", "a number", "'zero'"),
+    (SIMULATE + "expected_var = on\n", "expected_var", "a number", "True"),
+    (ACTION + "expected = true\n", "expected", "a number", "True"),
+    (ACTION + "expected = 0.5\nallowance = no\n", "allowance", "a number", "False"),
+    (EL_POS.replace("seed = 5", "seed = 5\nt_max = yes"), "t_max", "a number", "True"),
+    (BRIDGE + "expected_action = true\n", "expected_action", "a number", "True"),
+    (BRIDGE + "expected_entropy = 0.1,0.2\n", "expected_entropy", "a number",
+     "(0.1, 0.2)"),
+    (BRIDGE + "tv_tol = off\n", "tv_tol", "a number", "False"),
+    (FBSDE + "constancy_tol = small\n", "constancy_tol", "a number", "'small'"),
+    (FBSDE + "riccati_tol = true\n", "riccati_tol", "a number", "True"),
 ]
 
 
@@ -755,8 +772,9 @@ MISTYPED = [
                          ids=[f"{key}={got}" for _, key, _, got in MISTYPED])
 def test_a_mistyped_integer_or_boolean_is_config_error(tmp_path, capsys, no_simulation,
                                                        body, key, expected, got):
-    # int() truncated 20.9 to 20 and bool() read any word as true; each such
-    # value now exits 2, naming the key and its type, before anything runs
+    # int() truncated 20.9 to 20, bool() read any word as true and float()
+    # a boolean word as 0.0 or 1.0; each such value now exits 2, naming the
+    # key and its type, before anything runs
     code = main(["run", "--config", str(write_config(tmp_path, "c.ini", body)),
                  "--out", str(tmp_path / "o")])
     assert code == 2
@@ -764,13 +782,27 @@ def test_a_mistyped_integer_or_boolean_is_config_error(tmp_path, capsys, no_simu
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("kind,extra", [
-    ("action", "law = squared_increment_weighted\nexpected = 0.73\n"),
-    ("action", "law = oscillator_adapted\nexpected = 0.5\n"),
-    ("bridge", "")])
+def test_a_float_key_reads_an_integer_as_a_number():
+    from actionlab import cli
+
+    value = cli._typed({"threshold": 3}, "threshold", float, 4.0)
+    assert (type(value), value) == (float, 3.0)
+    assert cli._typed({}, "threshold", float, 4.0) == 4.0
+
+
+FOLDING = [("action", "law = squared_increment_weighted\nexpected = 0.73\n"),
+           ("action", "law = oscillator_adapted\nexpected = 0.5\n"),
+           ("bridge", ""),
+           ("el-certify", "law = pinned_brownian\n"),
+           ("el-certify", "law = oscillator_adapted\n"),
+           ("variational", "law = squared_increment_weighted\n")]
+
+
+@pytest.mark.parametrize("kind,extra", FOLDING)
 def test_folding_runners_return_a_built_first_block(tmp_path, kind, extra):
-    # action and bridge fold their law and never hold it; what they return for
-    # --plot is the first noise block, built, or an eagerly built law as it is
+    # action, bridge, el-certify and variational fold their law and never
+    # hold it; what they return for --plot is the first noise block, built,
+    # or an eagerly built law as it is
     from actionlab import cli
 
     body = f"[scenario]\nkind = {kind}\nm = 20\nn_paths = 1000\n{extra}"
@@ -780,3 +812,24 @@ def test_folding_runners_return_a_built_first_block(tmp_path, kind, extra):
     rows = n if "oscillator" in extra else NOISE_BLOCK
     assert ens.states.shape == (rows, grid.m + 1, 1)
     ens.validate()
+
+
+@pytest.mark.parametrize("kind,extra", [("el-certify", "law = pinned_brownian\n"),
+                                        ("variational", "law = squared_increment_weighted\n")])
+def test_folding_runners_simulate_only_the_plotted_block(tmp_path, monkeypatch, kind,
+                                                        extra):
+    # the law is walked by LawRecipe.fold, never simulated whole: the one
+    # call to simulate builds the first noise block for --plot
+    from actionlab import cli, paths
+
+    def simulate(model, grid, n_paths, *args, **kwargs):
+        if n_paths > NOISE_BLOCK:
+            raise AssertionError(f"simulated {n_paths} paths")
+        return real(model, grid, n_paths, *args, **kwargs)
+
+    real = paths.simulate
+    monkeypatch.setattr(paths, "simulate", simulate)
+    body = f"[scenario]\nkind = {kind}\nm = 20\nn_paths = 3000\n{extra}"
+    cfg = load_config(write_config(tmp_path, "c.ini", body))
+    *_, ens = cli._RUNNERS[kind](cfg, *cli._scale(cfg))
+    assert ens.n_paths == NOISE_BLOCK

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from actionlab import (EndpointError, MaterializedShift, PowerError, TimeGrid, catalog,
+from actionlab import (AdaptedShift, EndpointError, PowerError, TimeGrid, catalog,
                        drift_representation_check, el_certify, martingale_test,
                        materialize, noether_invariant, paths, variational_derivative)
 from actionlab.catalog import make_random_endpoint_zero_shift
@@ -124,8 +124,7 @@ def test_el_certify_positive_and_negative(pinned_mid, squared_mid, grid200):
 
 def test_variational_critical_brownian(bm_mid):
     kin = catalog.get_lagrangian("kinetic")
-    u = materialize(catalog.get_shift("plus_minus", bm_mid.grid), bm_mid)
-    res = variational_derivative(bm_mid, kin, u)
+    res = variational_derivative(bm_mid, kin, catalog.get_shift("plus_minus", bm_mid.grid))
     assert res.fd == 0.0 and res.formula == 0.0
     assert res.gaps() == (0.0, 0.0, 0.0)
     assert verdict(res.gaps()[:1])[0] and verdict(res.gaps()[1:])[0]
@@ -136,8 +135,7 @@ def test_variational_deterministic_constant_drift(grid200):
     from conftest import deterministic_law
     ens = deterministic_law(grid200, n_paths=256, drift_value=lambda t: 2.0)
     kin = catalog.get_lagrangian("kinetic")
-    u = materialize(catalog.get_shift("plus_minus", grid200), ens)
-    res = variational_derivative(ens, kin, u)
+    res = variational_derivative(ens, kin, catalog.get_shift("plus_minus", grid200))
     # fd carries rounding amplified by the 1/(2 eps) division
     assert abs(res.fd) < 1e-10 and abs(res.formula) < 1e-12
 
@@ -150,8 +148,7 @@ def test_variational_noncritical_quadrature_oracle(grid200):
     assert oracle == pytest.approx(-0.25, abs=1e-14)
     ens = catalog.build_law("brownian_drift_t", grid200, 20000, seed=9)
     kin = catalog.get_lagrangian("kinetic")
-    u = materialize(catalog.get_shift("plus_minus", grid200), ens)
-    res = variational_derivative(ens, kin, u)
+    res = variational_derivative(ens, kin, catalog.get_shift("plus_minus", grid200))
     assert verdict(res.gaps()[:1])[0]
     assert res.formula == pytest.approx(oracle, abs=2 / grid200.m)
     assert res.fd == pytest.approx(oracle, abs=2 / grid200.m)
@@ -161,31 +158,29 @@ def test_variational_noncritical_quadrature_oracle(grid200):
 _BAD_EPS = "eps must be finite and positive"
 
 
-@pytest.mark.parametrize("bound,t_max,eps_list,error,message", [
-    (False, 1.0, (1e-2, 1e-3), ValueError, "not bound to this ensemble"),
-    (True, 0.0, (1e-2, 1e-3), ValueError, r"t_max must lie in \(0, 1\]"),
-    (True, 1.5, (1e-2, 1e-3), ValueError, r"t_max must lie in \(0, 1\]"),
-    (True, 1.0, (1e-2, 1e-3), EndpointError, "requires an endpoint-zero shift"),
-    (True, 1.0, (0.0,), ValueError, _BAD_EPS),
-    (True, 1.0, (float("nan"),), ValueError, _BAD_EPS),
-    (True, 1.0, (float("inf"),), ValueError, _BAD_EPS),
-    (True, 1.0, (-1e-2,), ValueError, _BAD_EPS),
-    (True, 1.0, (1e-2, 0.0), ValueError, _BAD_EPS),
-    (True, 1.0, (), ValueError, _BAD_EPS),
-], ids=["unbound", "t_max_zero", "t_max_above_one", "not_endpoint_zero", "eps_zero",
+@pytest.mark.parametrize("t_max,eps_list,error,message", [
+    (0.0, (1e-2, 1e-3), ValueError, r"t_max must lie in \(0, 1\]"),
+    (1.5, (1e-2, 1e-3), ValueError, r"t_max must lie in \(0, 1\]"),
+    (1.0, (1e-2, 1e-3), EndpointError, "requires an endpoint-zero shift"),
+    (1.0, (0.0,), ValueError, _BAD_EPS),
+    (1.0, (float("nan"),), ValueError, _BAD_EPS),
+    (1.0, (float("inf"),), ValueError, _BAD_EPS),
+    (1.0, (-1e-2,), ValueError, _BAD_EPS),
+    (1.0, (1e-2, 0.0), ValueError, _BAD_EPS),
+    (1.0, (), ValueError, _BAD_EPS),
+], ids=["t_max_zero", "t_max_above_one", "not_endpoint_zero", "eps_zero",
         "eps_nan", "eps_inf", "eps_negative", "eps_second_zero", "eps_empty"])
-def test_variational_argument_checks(bm_small, bm_mid, bound, t_max, eps_list, error,
-                                     message):
-    # the constant shift is not endpoint-zero, so the binding, t_max and
-    # epsilon errors must be raised before the endpoint-zero check; the
-    # horizon is checked when the ensemble with it is made
+def test_variational_argument_checks(bm_small, t_max, eps_list, error, message):
+    # the constant shift is not endpoint-zero, so the t_max and epsilon
+    # errors must be raised before the endpoint-zero check; the horizon is
+    # checked when the ensemble with it is made
     kin = catalog.get_lagrangian("kinetic")
-    u = materialize(catalog.get_shift("constant", bm_small.grid), bm_small)
-    ens = bm_small if bound else bm_mid
+    shift = catalog.get_shift("constant", bm_small.grid)
+    ens = bm_small
     with pytest.raises(error, match=message):
         if t_max != ens.t_max:
             ens = replace(ens, t_max=t_max)
-        variational_derivative(ens, kin, u, eps_list=eps_list)
+        variational_derivative(ens, kin, shift, eps_list=eps_list)
 
 
 def _bits(values):
@@ -202,7 +197,9 @@ def test_variational_is_bit_identical_across_splits(law, t_max, shift, eps_list,
                                                     three_cpus, monkeypatch):
     # three full noise blocks and a partial one, walked in three path ranges
     # and in one: materialize, path_actions and every field of the result
-    # must keep their bits; the potential makes x + e h enter the action
+    # must keep their bits; the potential makes x + e h enter the action.
+    # variational_derivative evaluates the shift along its walk, never
+    # materialized
     g, n = TimeGrid(16), 3 * NOISE_BLOCK + 7
     ens = replace(catalog.build_law(law, g, n, seed=43), t_max=t_max)
     lag = catalog.get_lagrangian("kinetic_quadratic")
@@ -212,8 +209,7 @@ def test_variational_is_bit_identical_across_splits(law, t_max, shift, eps_list,
     def run():
         three_cpus.clear()
         u = materialize(sh, ens)
-        res = variational_derivative(ens, lag, u, eps_list=eps_list)
-        assert "h" not in vars(u)     # streamed, never built
+        res = variational_derivative(ens, lag, sh, eps_list=eps_list)
         return u.hdot, path_actions(ens, lag), _bits(astuple(res)), list(three_cpus)
 
     hdot3, act3, res3, pools = run()
@@ -227,21 +223,57 @@ def test_variational_is_bit_identical_across_splits(law, t_max, shift, eps_list,
     assert res1 == res3
 
 
+def _off_on_the_last_path(ens, shift, value):
+    """``shift`` with its derivative set to ``value`` from step 1 on, on the
+    last path of ``ens`` alone, found by its first state after the start;
+    the derivative calls are recorded as ``(step, paths)``."""
+    marker, calls = ens.states[-1, 1, 0], []
+
+    def derivative(j, states):
+        out = np.array(shift.derivative(j, states), dtype=np.float64)
+        if j >= 1:
+            out[states[:, 1, 0] == marker] = value
+        calls.append((j, states.shape[0]))
+        return out
+
+    return AdaptedShift(shift.name, derivative), calls
+
+
 @pytest.mark.parametrize("cpus", [1, 3])
 def test_variational_endpoint_error_after_the_pass(cpus, three_cpus, monkeypatch):
     # only the last path misses the endpoint, so at three ranges only the
-    # last range sees it; the error still comes, after the pass
+    # last range sees it; the error still comes, after the pass: every
+    # path has been walked through every step
     monkeypatch.setattr(paths, "_usable_cpus", lambda: cpus)
-    g = TimeGrid(16)
-    ens = catalog.build_law("brownian", g, 3 * NOISE_BLOCK + 7, seed=44)
-    hdot = np.array(materialize(catalog.get_shift("plus_minus", g), ens).hdot)
-    hdot[-1] = 1.0
-    u = MaterializedShift(hdot, ens)
+    g, n = TimeGrid(16), 3 * NOISE_BLOCK + 7
+    ens = catalog.build_law("brownian", g, n, seed=44)
+    shift, calls = _off_on_the_last_path(ens, catalog.get_shift("plus_minus", g), 1.0)
     three_cpus.clear()
     with pytest.raises(EndpointError, match="requires an endpoint-zero shift"):
-        variational_derivative(ens, catalog.get_lagrangian("kinetic"), u)
+        variational_derivative(ens, catalog.get_lagrangian("kinetic"), shift)
     assert three_cpus == ([2] if cpus == 3 else [])
-    assert "h" not in vars(u)
+    for j in range(g.m):
+        assert sum(k for i, k in calls if i == j) == n
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_variational_raises_the_non_finite_error_of_materialize(cpus, three_cpus,
+                                                                monkeypatch):
+    # a NaN derivative on the last path, which also makes its endpoint NaN:
+    # the error is materialize's, at one range and at three, and comes first
+    monkeypatch.setattr(paths, "_usable_cpus", lambda: cpus)
+    g = TimeGrid(16)
+    law = catalog.get_law("brownian", g, 3 * NOISE_BLOCK + 7, seed=44)
+    ens = law.build()
+    shift, _ = _off_on_the_last_path(ens, catalog.get_shift("plus_minus", g), np.nan)
+    with pytest.raises(ValueError) as direct:
+        materialize(shift, ens)
+    kin = catalog.get_lagrangian("kinetic")
+    for folded in (ens, law):
+        with pytest.raises(ValueError) as walked:
+            variational_derivative(folded, kin, shift)
+        assert str(walked.value) == str(direct.value) == (
+            f"shift '{shift.name}' produced non-finite derivative")
 
 
 def test_variational_holds_no_working_record(bm_mid):
@@ -249,9 +281,9 @@ def test_variational_holds_no_working_record(bm_mid):
     # only [n] and [n, d] arrays are held above the inputs: 0.075-0.079 of
     # one [n, m, d] record at m = 200 when split into 1 to 8 ranges
     kin = catalog.get_lagrangian("kinetic")
-    u = materialize(catalog.get_shift("plus_minus", bm_mid.grid), bm_mid)
-    record = u.hdot.nbytes
-    res, peak = traced_peak(variational_derivative, bm_mid, kin, u)
+    shift = catalog.get_shift("plus_minus", bm_mid.grid)
+    record = 8 * bm_mid.n_paths * bm_mid.grid.m * bm_mid.dim
+    res, peak = traced_peak(variational_derivative, bm_mid, kin, shift)
     assert verdict(res.gaps()[1:])[0]
     assert peak < 0.1 * record, peak / record
 
@@ -291,8 +323,9 @@ def test_streaming_fd_matches_pushed_ensembles(grid200, law, lag_name, shift, ep
                                                t_max):
     ens = replace(catalog.build_law(law, grid200, 1500, seed=41), t_max=t_max)
     lag = catalog.get_lagrangian(lag_name)
-    u = materialize(catalog.get_shift(grid=grid200, **shift), ens)
-    res = variational_derivative(ens, lag, u, eps_list=eps_list)
+    sh = catalog.get_shift(grid=grid200, **shift)
+    u = materialize(sh, ens)
+    res = variational_derivative(ens, lag, sh, eps_list=eps_list)
     assert np.array_equal(astuple(res), _reference_variational(ens, lag, u, eps_list))
 
 
@@ -314,11 +347,12 @@ def test_pinned_horizon_stops_before_the_last_step(m):
     kin = catalog.get_lagrangian("kinetic")
     assert np.array_equal(path_actions(ens, kin), _explicit_action(ens, kin, m - 1))
 
-    u = materialize(catalog.get_shift("random_ez", g, seed=5), ens)
+    shift = catalog.get_shift("random_ez", g, seed=5)
+    u = materialize(shift, ens)
     eps = 1e-2
     fd_pp = (_explicit_action(push_shift(ens, u, eps), kin, m - 1)
              - _explicit_action(push_shift(ens, u, -eps), kin, m - 1)) / (2 * eps)
-    res = variational_derivative(ens, kin, u, eps_list=(eps,))
+    res = variational_derivative(ens, kin, shift, eps_list=(eps,))
     assert (res.fd, res.fd_se) == weighted_mean_stderr(fd_pp, ens.weights)
 
 
@@ -348,8 +382,7 @@ def test_action_and_variational_stop_at_the_law_horizon(m):
     assert ens.t_max == 1.0 - g.dt
     kin = catalog.get_lagrangian("kinetic")
     est = action(ens, kin)
-    u = materialize(catalog.get_shift("random_ez", g, seed=5), ens)
-    res = variational_derivative(ens, kin, u)
+    res = variational_derivative(ens, kin, catalog.get_shift("random_ez", g, seed=5))
     assert (_bits((est.mean, est.stderr)), _bits(astuple(res))) == _PINNED_AT_HORIZON[m]
     # the whole horizon integrates the singular last step: another value
     whole = replace(ens, t_max=1.0)

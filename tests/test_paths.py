@@ -1,13 +1,13 @@
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 from numpy.random import SFC64, Generator, SeedSequence
 
 from actionlab import (RankDeficiencyError, SimulationError,
-                       TimeGrid, adaptedness_probe, catalog,
+                       TimeGrid, adaptedness_probe, catalog, el_certify,
                        estimate_characteristics, lift, materialize, push_shift,
-                       simulate)
+                       simulate, variational_derivative)
 from actionlab.bridge import FbsdeSpec, fbsde_simulate
 from actionlab import paths
 from actionlab.paths import (CSV_PATHS, NOISE_BLOCK, SemimartingaleModel,
@@ -752,3 +752,57 @@ def test_folded_weighted_action_holds_no_record(three_cpus, monkeypatch):
     est, peak = traced_peak(action, law, catalog.get_lagrangian("kinetic"))
     assert peak < 0.25 * record, peak / record
     assert est.n_paths == n
+
+
+def _hex(values):
+    """Each float as hex, so that -0.0 and 0.0 differ."""
+    return [float(v).hex() for v in values]
+
+
+def _report_bits(rep):
+    assert np.isfinite(rep.statistics).all() and rep.statistics.size
+    return rep.probe_pairs, rep.test_names, _hex(rep.statistics.ravel())
+
+
+FOLDED_DIAGNOSTICS = [("pinned_brownian", {"y": 1.0}), ("brownian_drift_t", {}),
+                      ("squared_increment_weighted", {})]
+
+
+@pytest.mark.parametrize("threads", [1, None])
+@pytest.mark.parametrize("blocks", [1, 2, 4])
+@pytest.mark.parametrize("name,params", FOLDED_DIAGNOSTICS,
+                         ids=[name for name, _ in FOLDED_DIAGNOSTICS])
+def test_folded_diagnostics_have_the_bits_of_the_built_law(name, params, blocks, threads,
+                                                           three_cpus, monkeypatch):
+    # four full noise blocks and a partial one (a martingale test needs
+    # MIN_PATHS = 1000 paths), in chunks of one block, two blocks and four,
+    # on one range and on three: el_certify and variational_derivative on
+    # the recipe give the bits they give on the built law; the pinned law
+    # keeps its own t_max, and the potential makes x enter both
+    g, n = TimeGrid(10), 4 * NOISE_BLOCK + 7
+    lag = catalog.get_lagrangian("kinetic_quadratic")
+    shift = catalog.get_shift("random_ez", g, seed=5)
+    law = catalog.get_law(name, g, n, seed=47, threads=threads, **params)
+    built = law.build()
+    monkeypatch.setattr(paths, "CHUNK_BYTES", blocks * NOISE_BLOCK * _record_bytes(law))
+    assert _report_bits(el_certify(law, lag)) == _report_bits(el_certify(built, lag))
+    assert (_hex(astuple(variational_derivative(law, lag, shift)))
+            == _hex(astuple(variational_derivative(built, lag, shift))))
+
+
+def test_folded_diagnostics_hold_no_record(three_cpus, monkeypatch):
+    # as for the folded action: three ranges of 4 MiB chunk records (2,560
+    # paths) with their staging buffers, and the [n] or [n, P, d] per-path
+    # values, about 18 MB; the law's states would be 80 MB
+    g, n = TimeGrid(200), 50000
+    record = 8 * n * g.m
+    monkeypatch.setattr(paths, "CHUNK_BYTES", 4 << 20)
+    law = catalog.get_law("squared_increment_weighted", g, n, seed=7)
+    kin = catalog.get_lagrangian("kinetic")
+    report, peak = traced_peak(el_certify, law, kin)
+    assert peak < 0.25 * record, peak / record
+    assert report.statistics.shape == (4, 3)
+    shift = catalog.get_shift("plus_minus", g)
+    res, peak = traced_peak(variational_derivative, law, kin, shift)
+    assert peak < 0.25 * record, peak / record
+    assert res.epsilon > 0
