@@ -19,9 +19,9 @@ plot (or ``None``).  :func:`run_scenario` hands the statistics to
 :func:`~actionlab.diagnostics.verdict`.  A runner whose config would give no
 statistic raises :class:`ConfigError` before it simulates: no statistic is no
 evidence, not a PASS.  Each runner also builds its registry objects and
-reads its typed ``[scenario]`` values (:func:`_typed`: integers, booleans
-and numbers) before it simulates, so a bad key in any section is rejected
-first.
+reads its typed ``[scenario]`` values (:func:`_typed`: integers, booleans,
+numbers and lists of numbers) before it simulates, so a bad key in any
+section is rejected first.
 """
 
 from __future__ import annotations
@@ -118,21 +118,27 @@ def load_config(path) -> dict:
     return cfg
 
 
-_TYPE_NAMES = {int: "an integer", bool: "true or false", float: "a number"}
+_TYPE_NAMES = {int: "an integer", bool: "true or false", float: "a number",
+               tuple: "a number or a comma-separated list of numbers"}
 
 
 def _typed(s, key, kind, default=None):
     """``s[key]`` if :func:`_parse_value` read it as a ``kind``, an ``int``, a
-    ``bool`` or a ``float``, or ``default`` if the key is unset.  A bool is
-    neither number here, and an int is read as a float."""
+    ``bool``, a ``float`` or a ``tuple`` of floats, or ``default`` if the key
+    is unset.  A bool is neither number here, an int is read as a float, and
+    a lone number as a tuple of one."""
     if key not in s:
         return default
     value = s[key]
-    if kind is float and type(value) is int:
+    if kind is tuple:
+        items = value if type(value) is tuple else (value,)
+        if all(type(v) in (int, float) for v in items):
+            return tuple(float(v) for v in items)
+    elif kind is float and type(value) is int:
         return float(value)
-    if type(value) is not kind:
-        raise ConfigError(f"[scenario] {key} must be {_TYPE_NAMES[kind]}, got {value!r}")
-    return value
+    elif type(value) is kind:
+        return value
+    raise ConfigError(f"[scenario] {key} must be {_TYPE_NAMES[kind]}, got {value!r}")
 
 
 def _scale(cfg):
@@ -141,9 +147,7 @@ def _scale(cfg):
     n = _typed(s, "n_paths", int, 100_000)
     seed = _typed(s, "seed", int, 7)
     threshold = _typed(s, "threshold", float, diagnostics.DEFAULT_THRESHOLD)
-    probes = s.get("probes", diagnostics.DEFAULT_PROBE_FRACTIONS)
-    if isinstance(probes, float):
-        probes = (probes,)
+    probes = _typed(s, "probes", tuple, diagnostics.DEFAULT_PROBE_FRACTIONS)
     return grid, n, seed, threshold, probes
 
 
@@ -226,12 +230,10 @@ def run_el_certify(cfg, grid, n, seed, threshold, probes):
 def run_variational(cfg, grid, n, seed, threshold, probes):
     s = cfg["scenario"]
     critical = _typed(s, "expect_critical", bool, False)
+    eps = _typed(s, "eps", tuple, (1e-2, 1e-3))
     lag = _lagrangian(cfg)
     shift = catalog.get_shift(str(s.get("shift", "plus_minus")), grid, **cfg["shift"])
     law = _law(cfg, grid, n, seed, fold=True)
-    eps = s.get("eps", (1e-2, 1e-3))
-    if not isinstance(eps, tuple):
-        eps = (eps,)
     res = diagnostics.variational_derivative(law, lag, shift, eps_list=eps)
     stats = list(res.gaps() if critical else res.gaps()[:1])
     rows = [("fd", res.fd, res.fd_se), ("formula", res.formula, res.formula_se),
@@ -324,13 +326,13 @@ def run_navier_stokes(cfg, grid, n, seed, threshold, probes):
     residual, div = bridge_mod.navier_stokes_residual()
     res_tol, div_tol = 1e-10, 1e-12
     lag = _lagrangian(cfg, default="kinetic_taylor_green")
-    ens = _law(cfg, grid, n, seed, default="taylor_green")
-    report = diagnostics.el_certify(ens, lag, probe_fractions=probes)
+    law = _law(cfg, grid, n, seed, default="taylor_green", fold=True)
+    report = diagnostics.el_certify(law, lag, probe_fractions=probes)
     stats = [threshold * residual / res_tol, threshold * div / div_tol,
              report.max_abs_statistic]
     rows = [("ns_residual", residual, res_tol), ("divergence", div, div_tol),
             ("el_certify_max_stat", report.max_abs_statistic, threshold)]
-    return ["quantity", "value", "tolerance"], rows, stats, report, ens
+    return ["quantity", "value", "tolerance"], rows, stats, report, _first_block(law)
 
 
 def run_operators(cfg, grid, n, seed, threshold, probes):
@@ -371,7 +373,7 @@ def run_operators(cfg, grid, n, seed, threshold, probes):
         u = materialize(base, ens)
         norm = h_norm_sq(u)
         slack = 1e-10 * max(1.0, float(norm.max()))
-        for nblocks in (4, 8, 16, 32):
+        for nblocks in (32, 16, 8, 4):     # finest first: u's edges are summed once
             excess = float(np.max(h_norm_sq(delay_pn(u, nblocks)) - norm))
             stats.append(0.0 if excess <= slack else float("inf"))
         term = float(np.max(np.abs(endpoint_rn(u, 8).terminal())))
@@ -385,7 +387,7 @@ def run_operators(cfg, grid, n, seed, threshold, probes):
         level = float(np.median(np.sqrt(norm)))
         excess = float(np.max(h_norm_sq(stop_truncate(u, level)) - norm))
         stats.append(0.0 if excess <= slack else float("inf"))
-        del u   # the next shift's record is built without this one's beside it
+        del u   # the next shift's values are built without this one's beside them
     return ["check", "value", "tolerance"], rows, stats, None, ens
 
 

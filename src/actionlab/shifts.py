@@ -11,7 +11,10 @@ A materialized shift keeps the values of hdot on k equal blocks of the grid:
 k = m for a general shift, k = n for the output of the block operators, which
 is constant on each of their n blocks.  The norm ``h_norm_sq``, the distance
 ``h_dist_sq`` and ``terminal`` read the block values alone; the ``[n, m, d]``
-``hdot`` and the integral ``h`` are built only when a caller reads them.
+``hdot`` and the integral ``h`` are built only when a caller reads them, and
+no operator does.  The operators read h at the few grid steps they need (the
+block edges, each path's stop) from one running sum over the block values,
+added in ``np.cumsum``'s order, so those values carry the bits of ``h``.
 Every ``[n, m, d]`` record here is stored time-major, as the path records
 are, so the per-step walks read contiguous rows.
 
@@ -21,7 +24,8 @@ satisfy are asserted per path in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -82,13 +86,16 @@ class MaterializedShift:
     values: [n, k, d], the derivative on each of k equal blocks of the m grid
     steps (k = m for a general shift).  hdot: [n, m, d] (``values`` itself
     when k = m) and h: [n, m+1, d], the cumulative integral with h[:, 0] = 0,
-    are built on first read and kept, both time-major, so the block
-    operators read the edges of h as rows.
+    are built on first read and kept, both time-major.  ``_edge_record`` is
+    ``(stride, edges)``: h every ``stride`` steps, as the block operators
+    last summed it (see :func:`_edges`).
     """
 
     values: np.ndarray
     ensemble: PathEnsemble
     name: str = ""
+    _edge_record: Optional[tuple] = field(default=None, init=False, repr=False,
+                                          compare=False)
 
     def __post_init__(self):
         if self.ensemble.grid.m % self.values.shape[1]:
@@ -184,14 +191,57 @@ def h_dist_sq(u: MaterializedShift, v: MaterializedShift) -> np.ndarray:
     return total.sum(axis=1) * u.ensemble.grid.dt
 
 
+def _running_sums(u: MaterializedShift, lo: int, hi: int):
+    """Yield ``(j, s)`` for j = 1 .. m: ``s`` is the sum of the first j steps
+    of hdot on paths lo .. hi-1, added in ``np.cumsum``'s order into one
+    reused ``[hi - lo, d]`` buffer, so ``s * dt`` has the bits of
+    ``u.h[lo:hi, j]``."""
+    rows = _rows(u.values)
+    s = np.array(rows[0, lo:hi])
+    yield 1, s
+    for j in range(1, u.ensemble.grid.m):
+        np.add(s, rows[j // u.block, lo:hi], out=s)
+        yield j + 1, s
+
+
+def _summed_edges(u: MaterializedShift, stride: int) -> np.ndarray:
+    """h every ``stride`` grid steps, [paths, m // stride + 1, d], time-major,
+    from the running sums of each range of :func:`~actionlab.paths.run_ranges`."""
+    edges = _records(u.n_paths, u.ensemble.grid.m // stride + 1, u.dim)
+    rows, dt = _rows(edges), u.ensemble.grid.dt
+    rows[0] = 0.0
+
+    def walk(lo, hi):
+        for j, s in _running_sums(u, lo, hi):
+            if j % stride == 0:
+                np.multiply(s, dt, out=rows[j // stride, lo:hi])
+
+    run_ranges(walk, u.n_paths)
+    return edges
+
+
 def _edges(u: MaterializedShift, n: int) -> np.ndarray:
-    """h at the n + 1 edges of n equal blocks, [paths, n+1, d]."""
+    """h at the n + 1 edges of n equal blocks, [paths, n+1, d].
+
+    A built ``u.h`` is sliced.  Otherwise one record of edges is kept on
+    ``u``: a block count whose stride is a multiple of the kept stride is a
+    slice of it, and any other sums the edges again at the greatest common
+    divisor of both strides.  Asked finest first, a shift is summed once."""
     m = u.ensemble.grid.m
     if n < 3:
         raise GridCompatibilityError("block count n must be >= 3")
     if m % n != 0:
         raise GridCompatibilityError(f"grid m={m} not divisible by n={n}")
-    return u.h[:, :: m // n]
+    stride = m // n
+    if "h" in vars(u):
+        return u.h[:, ::stride]
+    kept = u._edge_record
+    if kept is None or stride % kept[0]:
+        every = stride if kept is None else math.gcd(stride, kept[0])
+        kept = (every, _summed_edges(u, every))
+        object.__setattr__(u, "_edge_record", kept)
+    every, edges = kept
+    return edges[:, ::stride // every]
 
 
 def delay_pn(u: MaterializedShift, n: int) -> MaterializedShift:
@@ -236,13 +286,16 @@ def stop_truncate(u: MaterializedShift, level: float,
         raise EndpointError("stop_truncate requires an endpoint-zero shift")
     n, m, d = u.hdot.shape
     dt = u.ensemble.grid.dt
+    jstar = None
     if stop_steps is not None:
         jstar = np.asarray(stop_steps, dtype=int)
         if jstar.shape != (n,) or (jstar < 1).any() or (jstar > m).any():
             raise ValueError("stop_steps must be per-path indices in [1, m]")
+    if "h" in vars(u):
+        jstar = stop_steps_for(u, level) if jstar is None else jstar
+        u_tau = u.h[np.arange(n), jstar]                  # value at the stop time
     else:
-        jstar = stop_steps_for(u, level)
-    u_tau = u.h[np.arange(n), jstar]                      # value at the stop time
+        jstar, u_tau = _stop_walk(u, level, jstar)
     denom = np.where(jstar < m, 1.0 - jstar * dt, 1.0)
     recenter = np.where((jstar < m)[:, None], -u_tau / denom[:, None], 0.0)
     stopped = np.arange(m)[:, None] >= jstar[None, :]     # [m, n]
@@ -250,22 +303,42 @@ def stop_truncate(u: MaterializedShift, level: float,
     return MaterializedShift(_rows(rows), u.ensemble, f"k[{u.name}]")
 
 
-def stop_steps_for(u: MaterializedShift, level: float) -> np.ndarray:
-    """First grid index where the running H-norm exceeds ``level`` (m if never).
+def _stop_walk(u: MaterializedShift, level: float,
+               steps: Optional[np.ndarray] = None) -> tuple:
+    """Each path's stop step, [n], and h there, [n, d], from one walk.
 
-    Each range of :func:`~actionlab.paths.run_ranges` walks the step rows in
-    time order and carries the running sum of |hdot_j|^2 dt.  The running
-    norm at index 0 is zero and never exceeds a positive level, so index
-    j + 1 is the first whose sum, up to step j, exceeds ``level ** 2``."""
+    Each range of :func:`~actionlab.paths.run_ranges` walks the steps in time
+    order and carries the running h of :func:`_running_sums`.  Given
+    ``steps``, it keeps h at them.  Otherwise it also carries the running sum
+    of |hdot_j|^2 dt: the norm at index 0 is zero and never exceeds a
+    positive level, so index j + 1 is the first whose sum, up to step j,
+    exceeds ``level ** 2``, and the path keeps h there (m and zero if it
+    never does)."""
     dt, m = u.ensemble.grid.dt, u.ensemble.grid.m
-    steps = np.full(u.n_paths, m, dtype=np.intp)
-    rows = _rows(u.hdot)
+    given = steps is not None
+    if not given:
+        steps = np.full(u.n_paths, m, dtype=np.intp)
+    u_tau = np.zeros((u.n_paths, u.dim))
+    values = _rows(u.values)
 
     def walk(lo, hi):
-        running, out = np.zeros(hi - lo), steps[lo:hi]
-        for j, row in enumerate(rows[:, lo:hi]):
-            running += np.einsum("nd,nd->n", row, row) * dt
-            out[(out == m) & (running > level ** 2)] = j + 1
+        out, tau, running = steps[lo:hi], u_tau[lo:hi], np.zeros(hi - lo)
+        for j, s in _running_sums(u, lo, hi):
+            if given:
+                hit = out == j
+            else:
+                row = values[(j - 1) // u.block, lo:hi]
+                running += np.einsum("nd,nd->n", row, row) * dt
+                hit = (out == m) & (running > level ** 2)
+                out[hit] = j
+            tau[hit] = s[hit]
 
     run_ranges(walk, u.n_paths)
-    return steps
+    u_tau *= dt
+    return steps, u_tau
+
+
+def stop_steps_for(u: MaterializedShift, level: float) -> np.ndarray:
+    """First grid index where the running H-norm exceeds ``level`` (m if
+    never), walked as :func:`_stop_walk` walks it."""
+    return _stop_walk(u, level)[0]

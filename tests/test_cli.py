@@ -740,6 +740,7 @@ SIMULATE = "[scenario]\nkind = simulate\nlaw = brownian\nm = 20\nn_paths = 2000\
 ACTION = "[scenario]\nkind = action\nlaw = brownian\nm = 20\nn_paths = 1000\n"
 BRIDGE = "[scenario]\nkind = bridge\nm = 20\nn_paths = 1000\n"
 FBSDE = "[scenario]\nkind = fbsde\nm = 20\nn_paths = 1000\n"
+NUMBERS = "a number or a comma-separated list of numbers"
 MISTYPED = [
     (EL_POS.replace("m = 200", "m = 20.9"), "m", "an integer", "20.9"),
     (EL_POS.replace("m = 200", "m = true"), "m", "an integer", "True"),
@@ -765,6 +766,14 @@ MISTYPED = [
     (BRIDGE + "tv_tol = off\n", "tv_tol", "a number", "False"),
     (FBSDE + "constancy_tol = small\n", "constancy_tol", "a number", "'small'"),
     (FBSDE + "riccati_tol = true\n", "riccati_tol", "a number", "True"),
+    # eps = yes ran at eps 1 and wrote the row epsilon,True
+    (VARIATIONAL + "eps = yes\n", "eps", NUMBERS, "True"),
+    (VARIATIONAL + "eps = tiny\n", "eps", NUMBERS, "'tiny'"),
+    (VARIATIONAL + "eps = 0.01, small\n", "eps", NUMBERS, "('0.01', 'small')"),
+    (EL_POS.replace("seed = 5", "seed = 5\nprobes = yes"), "probes", NUMBERS, "True"),
+    (EL_POS.replace("seed = 5", "seed = 5\nprobes = half"), "probes", NUMBERS, "'half'"),
+    (EL_POS.replace("seed = 5", "seed = 5\nprobes = 0.1, 0.5, off"), "probes", NUMBERS,
+     "('0.1', '0.5', 'off')"),
 ]
 
 
@@ -790,19 +799,29 @@ def test_a_float_key_reads_an_integer_as_a_number():
     assert cli._typed({}, "threshold", float, 4.0) == 4.0
 
 
+def test_a_list_key_reads_a_number_as_a_list_of_one():
+    from actionlab import cli
+
+    for value, expected in ((1, (1.0,)), (0.5, (0.5,)), ((0.1, 0.9), (0.1, 0.9))):
+        got = cli._typed({"eps": value}, "eps", tuple)
+        assert got == expected and all(type(v) is float for v in got)
+    assert cli._typed({}, "probes", tuple, (0.5, 0.9)) == (0.5, 0.9)
+
+
 FOLDING = [("action", "law = squared_increment_weighted\nexpected = 0.73\n"),
            ("action", "law = oscillator_adapted\nexpected = 0.5\n"),
            ("bridge", ""),
            ("el-certify", "law = pinned_brownian\n"),
            ("el-certify", "law = oscillator_adapted\n"),
-           ("variational", "law = squared_increment_weighted\n")]
+           ("variational", "law = squared_increment_weighted\n"),
+           ("navier-stokes", "")]
 
 
 @pytest.mark.parametrize("kind,extra", FOLDING)
 def test_folding_runners_return_a_built_first_block(tmp_path, kind, extra):
-    # action, bridge, el-certify and variational fold their law and never
-    # hold it; what they return for --plot is the first noise block, built,
-    # or an eagerly built law as it is
+    # action, bridge, el-certify, variational and navier-stokes fold their
+    # law and never hold it; what they return for --plot is the first noise
+    # block, built, or an eagerly built law as it is
     from actionlab import cli
 
     body = f"[scenario]\nkind = {kind}\nm = 20\nn_paths = 1000\n{extra}"
@@ -810,12 +829,14 @@ def test_folding_runners_return_a_built_first_block(tmp_path, kind, extra):
     grid, n, seed, threshold, probes = cli._scale(cfg)
     *_, ens = cli._RUNNERS[kind](cfg, grid, n, seed, threshold, probes)
     rows = n if "oscillator" in extra else NOISE_BLOCK
-    assert ens.states.shape == (rows, grid.m + 1, 1)
+    dim = 2 if kind == "navier-stokes" else 1
+    assert ens.states.shape == (rows, grid.m + 1, dim)
     ens.validate()
 
 
 @pytest.mark.parametrize("kind,extra", [("el-certify", "law = pinned_brownian\n"),
-                                        ("variational", "law = squared_increment_weighted\n")])
+                                        ("variational", "law = squared_increment_weighted\n"),
+                                        ("navier-stokes", "")])
 def test_folding_runners_simulate_only_the_plotted_block(tmp_path, monkeypatch, kind,
                                                         extra):
     # the law is walked by LawRecipe.fold, never simulated whole: the one
@@ -833,3 +854,17 @@ def test_folding_runners_simulate_only_the_plotted_block(tmp_path, monkeypatch, 
     cfg = load_config(write_config(tmp_path, "c.ini", body))
     *_, ens = cli._RUNNERS[kind](cfg, *cli._scale(cfg))
     assert ens.n_paths == NOISE_BLOCK
+
+
+def test_operators_runner_builds_no_integral(tmp_path, monkeypatch):
+    # every operator reads h from running sums over the block values: the
+    # [n, m+1, d] integral of a shift is never built
+    from actionlab import cli, shifts
+
+    def built(u):
+        raise AssertionError(f"built h of shift '{u.name}'")
+
+    monkeypatch.setattr(shifts.MaterializedShift, "h", property(built))
+    cfg = load_config(write_config(tmp_path, "c.ini", OPERATORS + "shift_count = 2\n"))
+    _, rows, stats, *_ = cli._RUNNERS["operators"](cfg, *cli._scale(cfg))
+    assert len(rows) == 8 and stats == [0.0] * 14

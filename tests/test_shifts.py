@@ -4,9 +4,9 @@ import pytest
 from actionlab import (EndpointError, GridCompatibilityError, MaterializedShift,
                        TimeGrid, catalog, delay_pn, endpoint_qn, endpoint_rn,
                        h_dist_sq, h_norm_sq, materialize, stop_truncate)
-from actionlab import paths
+from actionlab import paths, shifts
 from actionlab._accum import weighted_mean_stderr
-from actionlab.shifts import stop_steps_for
+from actionlab.shifts import _edges, stop_steps_for
 from actionlab.paths import adaptedness_probe
 from actionlab.catalog import make_random_endpoint_zero_shift
 from conftest import deterministic_law, traced_peak
@@ -42,7 +42,7 @@ def test_h_built_once_and_only_when_read(grid192, bm192):
     u = materialize(catalog.get_shift("state", grid192), bm192)
     assert "h" not in vars(u)
     assert u.h is u.h
-    p = delay_pn(u, 4)            # reads u.h, builds no h of its own
+    p = delay_pn(u, 4)            # slices the built u.h, builds no h of its own
     h_norm_sq(p)
     p.terminal()
     assert "h" not in vars(p) and "hdot" not in vars(p)
@@ -534,3 +534,72 @@ def test_shift_records_are_time_major(grid192, bm192):
     for record in (u.hdot, u.h, k.hdot, endpoint_rn(u, 8).hdot):
         assert record.strides[0] < record.strides[1]
         assert record.transpose(1, 0, 2).flags.c_contiguous
+
+
+# coarse first, the runner's fine first, and mixed strides whose record is
+# summed again at their greatest common divisor
+EDGE_ORDERS = [(3, 4, 8, 16, 32), (32, 16, 8, 4), (8, 3, 32, 4, 48, 6, 24)]
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_edges_have_the_bits_of_h(three_cpus, monkeypatch, cpus):
+    # edges summed from the block values of a general shift and of block-valued
+    # ones, in each order of EDGE_ORDERS, on 1 or 3 path ranges, are the
+    # integral h at the block edges, bit for bit; in the runner's order a
+    # shift sums them once
+    monkeypatch.setattr(paths, "_usable_cpus", lambda: cpus)
+    g, n = TimeGrid(96), 5 * paths.NOISE_BLOCK + 7
+    ens = catalog.build_law("brownian", g, n, seed=45)
+    general = materialize(make_random_endpoint_zero_shift(g, seed=7), ens)
+    rng = np.random.default_rng(3)
+    records = (general.values, endpoint_rn(general, 8).values,
+               rng.standard_normal((n, 12, 2)))
+    sums = []
+    summed = shifts._summed_edges
+    monkeypatch.setattr(shifts, "_summed_edges", lambda u, stride: sums.append(stride)
+                        or summed(u, stride))
+    for order in EDGE_ORDERS:
+        for values in records:
+            h = MaterializedShift(values, ens).h
+            u = MaterializedShift(values, ens)
+            sums.clear()
+            for nb in order:
+                assert np.array_equal(_edges(u, nb), h[:, ::g.m // nb])
+            assert "h" not in vars(u)
+            if order == (32, 16, 8, 4):
+                assert sums == [g.m // 32]
+    assert bool(three_cpus) == (cpus == 3)
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_stop_truncate_keeps_its_bits_without_h(three_cpus, monkeypatch, cpus):
+    # the stop reads h at each path's stop from its walk; with u.h built it
+    # slices h there: both give the same values, under the level rule and at
+    # given stop steps, for a general and a block-valued shift
+    monkeypatch.setattr(paths, "_usable_cpus", lambda: cpus)
+    g, n = TimeGrid(96), 5 * paths.NOISE_BLOCK + 7
+    ens = catalog.build_law("brownian", g, n, seed=46)
+    general = materialize(make_random_endpoint_zero_shift(g, seed=8), ens)
+    given = np.random.default_rng(4).integers(1, g.m + 1, size=n)
+    for values in (general.values, endpoint_rn(general, 8).values):
+        u, built = MaterializedShift(values, ens), MaterializedShift(values, ens)
+        built.h
+        level = float(np.median(np.sqrt(h_norm_sq(u))))
+        stops = stop_steps_for(u, level)
+        assert (stops < g.m).any() and (stops == g.m).any()
+        assert np.array_equal(stop_truncate(u, level).values,
+                              stop_truncate(built, level).values)
+        assert np.array_equal(stop_truncate(u, level, stop_steps=given).values,
+                              stop_truncate(built, level, stop_steps=given).values)
+        assert "h" not in vars(u)
+
+
+def test_operators_build_no_integral(grid192, bm192):
+    # the runner's operator calls on one shift read h from running sums alone
+    u = materialize(make_random_endpoint_zero_shift(grid192, seed=6), bm192)
+    for nb in (32, 16, 8, 4):
+        delay_pn(u, nb)
+    for nb in (8, 4, 32):
+        endpoint_rn(u, nb)
+    stop_truncate(u, float(np.median(np.sqrt(h_norm_sq(u)))))
+    assert "h" not in vars(u)
