@@ -24,7 +24,6 @@ satisfy are asserted per path in the tests.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
@@ -176,19 +175,34 @@ def h_dist_sq(u: MaterializedShift, v: MaterializedShift) -> np.ndarray:
     two shifts bound to the same ensemble (``ValueError`` otherwise).
 
     The grid steps are walked in time order over contiguous step rows of
-    both shifts' block values, so neither ``hdot`` nor any ``[n, m, d]``
-    difference is built; each coordinate of each path sums its steps in
-    time order, then the coordinates are summed.
+    both shifts' block values (:func:`_step_rows`), so neither ``hdot`` nor
+    any ``[n, m, d]`` difference is built; each coordinate of each path sums
+    its steps in time order, then the coordinates are summed.
     """
     if u.ensemble is not v.ensemble:
         raise ValueError("shifts are bound to different ensembles")
-    a, b = (np.ascontiguousarray(_rows(w.values)) for w in (u, v))
-    total, diff = np.zeros(a.shape[1:]), np.empty(a.shape[1:])
-    for j in range(u.ensemble.grid.m):
-        np.subtract(a[j // u.block], b[j // v.block], out=diff)
+    total, diff = np.zeros((u.n_paths, u.dim)), np.empty((u.n_paths, u.dim))
+    for a, b in zip(_step_rows(u), _step_rows(v)):
+        np.subtract(a, b, out=diff)
         diff *= diff
         total += diff
     return total.sum(axis=1) * u.ensemble.grid.dt
+
+
+def _step_rows(u: MaterializedShift):
+    """Yield hdot's contiguous ``[n, d]`` row at each grid step.  A
+    time-major record's rows are read in place; a path-major one's (the
+    block operators' outputs) are copied into one buffer, once per block."""
+    rows = _rows(u.values)
+    if rows[0].flags.c_contiguous:
+        for j in range(u.ensemble.grid.m):
+            yield rows[j // u.block]
+        return
+    row = np.empty(rows.shape[1:])
+    for j in range(u.ensemble.grid.m):
+        if j % u.block == 0:
+            np.copyto(row, rows[j // u.block])
+        yield row
 
 
 def _running_sums(u: MaterializedShift, lo: int, hi: int):
@@ -223,22 +237,19 @@ def _summed_edges(u: MaterializedShift, stride: int) -> np.ndarray:
 def _edges(u: MaterializedShift, n: int) -> np.ndarray:
     """h at the n + 1 edges of n equal blocks, [paths, n+1, d].
 
-    A built ``u.h`` is sliced.  Otherwise one record of edges is kept on
-    ``u``: a block count whose stride is a multiple of the kept stride is a
-    slice of it, and any other sums the edges again at the greatest common
-    divisor of both strides.  Asked finest first, a shift is summed once."""
+    One record of edges is kept on ``u``: a block count whose stride is a
+    multiple of the kept stride is a slice of it, and any other sums the
+    edges again at its own stride.  Asked finest first, a shift is summed
+    once."""
     m = u.ensemble.grid.m
     if n < 3:
         raise GridCompatibilityError("block count n must be >= 3")
     if m % n != 0:
         raise GridCompatibilityError(f"grid m={m} not divisible by n={n}")
     stride = m // n
-    if "h" in vars(u):
-        return u.h[:, ::stride]
     kept = u._edge_record
     if kept is None or stride % kept[0]:
-        every = stride if kept is None else math.gcd(stride, kept[0])
-        kept = (every, _summed_edges(u, every))
+        kept = (stride, _summed_edges(u, stride))
         object.__setattr__(u, "_edge_record", kept)
     every, edges = kept
     return edges[:, ::stride // every]
@@ -291,11 +302,7 @@ def stop_truncate(u: MaterializedShift, level: float,
         jstar = np.asarray(stop_steps, dtype=int)
         if jstar.shape != (n,) or (jstar < 1).any() or (jstar > m).any():
             raise ValueError("stop_steps must be per-path indices in [1, m]")
-    if "h" in vars(u):
-        jstar = stop_steps_for(u, level) if jstar is None else jstar
-        u_tau = u.h[np.arange(n), jstar]                  # value at the stop time
-    else:
-        jstar, u_tau = _stop_walk(u, level, jstar)
+    jstar, u_tau = _stop_walk(u, level, jstar)            # h at the stop time
     denom = np.where(jstar < m, 1.0 - jstar * dt, 1.0)
     recenter = np.where((jstar < m)[:, None], -u_tau / denom[:, None], 0.0)
     stopped = np.arange(m)[:, None] >= jstar[None, :]     # [m, n]
@@ -313,7 +320,8 @@ def _stop_walk(u: MaterializedShift, level: float,
     of |hdot_j|^2 dt: the norm at index 0 is zero and never exceeds a
     positive level, so index j + 1 is the first whose sum, up to step j,
     exceeds ``level ** 2``, and the path keeps h there (m and zero if it
-    never does)."""
+    never does).  A path's h is copied under a mask true at its stop alone:
+    a sparse mask copies fast."""
     dt, m = u.ensemble.grid.dt, u.ensemble.grid.m
     given = steps is not None
     if not given:
@@ -331,7 +339,7 @@ def _stop_walk(u: MaterializedShift, level: float,
                 running += np.einsum("nd,nd->n", row, row) * dt
                 hit = (out == m) & (running > level ** 2)
                 out[hit] = j
-            tau[hit] = s[hit]
+            np.copyto(tau, s, where=hit[:, None])
 
     run_ranges(walk, u.n_paths)
     u_tau *= dt
