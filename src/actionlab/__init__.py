@@ -14,7 +14,7 @@ from .paths import (TimeGrid, SemimartingaleModel, PathEnsemble, LawRecipe,
                     export_paths_csv, SimulationError, RankDeficiencyError)
 from .shifts import (AdaptedShift, MaterializedShift, materialize, h_norm_sq,
                      h_dist_sq, delay_pn, endpoint_qn, endpoint_rn, stop_truncate,
-                     GridCompatibilityError, EndpointError)
+                     stop_norm_sq, GridCompatibilityError, EndpointError)
 from .lagrangians import Lagrangian, ActionEstimate, action, path_actions, \
     el_process
 from .transform import SpaceTimeMap, push_shift, lift

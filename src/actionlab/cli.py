@@ -41,7 +41,7 @@ from .lagrangians import action, el_constancy_defect
 from .paths import (NOISE_BLOCK, LawRecipe, TimeGrid, adaptedness_probe,
                     export_paths_csv, summarize_terminal)
 from .shifts import (delay_pn, endpoint_rn, h_dist_sq, h_norm_sq, materialize,
-                     stop_truncate)
+                     stop_norm_sq)
 
 _COMMON_KEYS = ("kind", "m", "n_paths", "seed", "threshold", "out")
 # kind -> (further [scenario] keys, parameter sections) that its runner reads
@@ -315,7 +315,8 @@ def run_fbsde(cfg, grid, n, seed, threshold, probes):
         defect = float(np.max(np.abs(result.posterior_var - oracle)))
     rows, stats = [(name, defect, tol)], [threshold * defect / tol]
     report = None
-    if float(np.max(np.abs(ens.diffusions))) > 0 and n >= diagnostics.MIN_PATHS:
+    # ens.diffusions broadcasts the one [d, d] factor sigma: read sigma alone
+    if n >= diagnostics.MIN_PATHS and np.max(np.abs(ens.diffusions[0, 0])) > 0:
         report = diagnostics.el_certify(ens, lag, probe_fractions=probes)
         rows.append(("el_certify_max_stat", report.max_abs_statistic, threshold))
         stats.append(report.max_abs_statistic)
@@ -385,7 +386,7 @@ def run_operators(cfg, grid, n, seed, threshold, probes):
         rows.append((f"shift{k}_r32_err", err32, 0.0))
         stats.append(0.0 if err32 < err4 else float("inf"))
         level = float(np.median(np.sqrt(norm)))
-        excess = float(np.max(h_norm_sq(stop_truncate(u, level)) - norm))
+        excess = float(np.max(stop_norm_sq(u, level) - norm))
         stats.append(0.0 if excess <= slack else float("inf"))
         del u   # the next shift's values are built without this one's beside them
     return ["check", "value", "tolerance"], rows, stats, None, ens

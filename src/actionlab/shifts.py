@@ -5,7 +5,7 @@ path, with hdot adapted to the path filtration.  This module materializes
 shifts along an ensemble and implements the constructive operators on them:
 the block-delay operator ``delay_pn``, the endpoint operators ``endpoint_qn``
 / ``endpoint_rn`` (whose output vanishes at t = 1 on every path) and the
-stop-and-recenter truncation ``stop_truncate``.
+stop-and-recenter truncation ``stop_truncate`` and its norm ``stop_norm_sq``.
 
 A materialized shift keeps the values of hdot on k equal blocks of the grid:
 k = m for a general shift, k = n for the output of the block operators, which
@@ -44,6 +44,7 @@ __all__ = [
     "endpoint_qn",
     "endpoint_rn",
     "stop_truncate",
+    "stop_norm_sq",
     "stop_steps_for",
 ]
 
@@ -172,20 +173,22 @@ def h_norm_sq(u: MaterializedShift) -> np.ndarray:
 
 def h_dist_sq(u: MaterializedShift, v: MaterializedShift) -> np.ndarray:
     """Pathwise squared Cameron-Martin distance |u - v|_H^2, shape [n], of
-    two shifts bound to the same ensemble (``ValueError`` otherwise).
-
-    The grid steps are walked in time order over contiguous step rows of
-    both shifts' block values (:func:`_step_rows`), so neither ``hdot`` nor
-    any ``[n, m, d]`` difference is built; each coordinate of each path sums
-    its steps in time order, then the coordinates are summed.
-    """
+    two shifts bound to the same ensemble (``ValueError`` otherwise), summed
+    over the differences of their contiguous step rows (:func:`_step_rows`):
+    neither ``hdot`` nor any ``[n, m, d]`` difference is built."""
     if u.ensemble is not v.ensemble:
         raise ValueError("shifts are bound to different ensembles")
-    total, diff = np.zeros((u.n_paths, u.dim)), np.empty((u.n_paths, u.dim))
-    for a, b in zip(_step_rows(u), _step_rows(v)):
-        np.subtract(a, b, out=diff)
-        diff *= diff
-        total += diff
+    diff = np.empty((u.n_paths, u.dim))
+    return _summed_sq((np.subtract(a, b, out=diff)
+                       for a, b in zip(_step_rows(u), _step_rows(v))), u)
+
+
+def _summed_sq(rows, u: MaterializedShift) -> np.ndarray:
+    """sum |row|^2 dt over u's [n, d] step rows, shape [n], per coordinate first."""
+    total, sq = np.zeros((u.n_paths, u.dim)), np.empty((u.n_paths, u.dim))
+    for row in rows:
+        np.multiply(row, row, out=sq)
+        total += sq
     return total.sum(axis=1) * u.ensemble.grid.dt
 
 
@@ -260,7 +263,8 @@ def delay_pn(u: MaterializedShift, n: int) -> MaterializedShift:
     is n * (u_{(k-1)/n} - u_{(k-2)/n}); zero on [0, 2/n)."""
     h = _edges(u, n)
     values = np.zeros((u.n_paths, n, u.dim))
-    values[:, 2:] = n * (h[:, 1:-2] - h[:, :-3])
+    np.subtract(h[:, 1:-2], h[:, :-3], out=values[:, 2:])
+    values[:, 2:] *= n
     return MaterializedShift(values, u.ensemble, f"p{n}({u.name})")
 
 
@@ -291,23 +295,36 @@ def stop_truncate(u: MaterializedShift, level: float,
     linear; ``stop_steps`` (per-path grid indices, m meaning untriggered)
     overrides the level rule for that use.
     """
+    values = _records(u.n_paths, u.ensemble.grid.m, u.dim)
+    for j, row in enumerate(_stop_rows(u, level, stop_steps)):
+        _rows(values)[j] = row
+    return MaterializedShift(values, u.ensemble, f"k[{u.name}]")
+
+
+def stop_norm_sq(u: MaterializedShift, level: float) -> np.ndarray:
+    """``h_norm_sq(stop_truncate(u, level))``, shape [n], summed over the
+    truncation's step rows: no ``[n, m, d]`` record (the same bits at d = 1)."""
+    return _summed_sq(_stop_rows(u, level), u)
+
+
+def _stop_rows(u: MaterializedShift, level: float,
+               stop_steps: Optional[np.ndarray] = None):
+    """Yield k[u]'s ``[n, d]`` row at each grid step: hdot before each
+    path's stop, -u_tau / (1 - tau) from it on (0 if it never stops)."""
     if level <= 0:
         raise ValueError("level must be positive")
     if not np.max(np.abs(u.terminal())) <= ENDPOINT_TOL:
-        raise EndpointError("stop_truncate requires an endpoint-zero shift")
-    n, m, d = u.hdot.shape
-    dt = u.ensemble.grid.dt
-    jstar = None
+        raise EndpointError("the stop requires an endpoint-zero shift")
+    n, m, dt = u.n_paths, u.ensemble.grid.m, u.ensemble.grid.dt
     if stop_steps is not None:
-        jstar = np.asarray(stop_steps, dtype=int)
-        if jstar.shape != (n,) or (jstar < 1).any() or (jstar > m).any():
+        stop_steps = np.asarray(stop_steps, dtype=int)
+        if stop_steps.shape != (n,) or (stop_steps < 1).any() or (stop_steps > m).any():
             raise ValueError("stop_steps must be per-path indices in [1, m]")
-    jstar, u_tau = _stop_walk(u, level, jstar)            # h at the stop time
+    jstar, u_tau = _stop_walk(u, level, stop_steps)       # h at the stop time
     denom = np.where(jstar < m, 1.0 - jstar * dt, 1.0)
     recenter = np.where((jstar < m)[:, None], -u_tau / denom[:, None], 0.0)
-    stopped = np.arange(m)[:, None] >= jstar[None, :]     # [m, n]
-    rows = np.where(stopped[:, :, None], recenter[None], _rows(u.hdot))
-    return MaterializedShift(_rows(rows), u.ensemble, f"k[{u.name}]")
+    for j, row in enumerate(_step_rows(u)):
+        yield np.where((j >= jstar)[:, None], recenter, row)
 
 
 def _stop_walk(u: MaterializedShift, level: float,

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -413,6 +414,53 @@ seed = 11
                                                         "n_paths = 3000")
     cfg = load_config(write_config(tmp_path, "w.ini", wrong))
     assert run_scenario(cfg, tmp_path / "outw") == 1
+
+
+def test_fbsde_certifies_a_diffusing_law_only(tmp_path):
+    # el_certify runs when sigma is non-zero: the shipped adapted config
+    # writes its row, and the same system without noise writes none
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    shipped = os.path.join(here, "scenarios", "fbsde_adapted.ini")
+    assert main(["run", "--config", shipped, "--out", str(tmp_path / "s")]) == 0
+    assert "el_certify_max_stat" in (tmp_path / "s" / "report.csv").read_text()
+    body = FBSDE.replace("m = 20", "m = 100") + "[fbsde]\nsigma_scale = 0.0\n"
+    cfg = write_config(tmp_path, "quiet.ini", body)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "q")]) == 0
+    report = (tmp_path / "q" / "report.csv").read_text()
+    assert "el_constancy_defect" in report and "el_certify_max_stat" not in report
+
+
+def test_fbsde_gate_builds_no_diffusion_record(tmp_path, monkeypatch):
+    # between the constancy defect and el_certify, run_fbsde only asks
+    # whether the law diffuses: it reads sigma, not the [n, m, d, d]
+    # broadcast the ensemble carries as its diffusions
+    from actionlab import cli, diagnostics
+
+    n, m, d = 1000, 100, 2
+    marks = []
+    defect, certify = cli.el_constancy_defect, diagnostics.el_certify
+
+    def defect_then_reset(*args, **kwargs):
+        out = defect(*args, **kwargs)
+        tracemalloc.reset_peak()
+        marks.append(tracemalloc.get_traced_memory()[0])
+        return out
+
+    def peak_then_certify(*args, **kwargs):
+        marks.append(tracemalloc.get_traced_memory()[1])
+        return certify(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "el_constancy_defect", defect_then_reset)
+    monkeypatch.setattr(diagnostics, "el_certify", peak_then_certify)
+    body = f"[scenario]\nkind = fbsde\nm = {m}\nn_paths = {n}\n[fbsde]\ndim = {d}\n"
+    cfg = load_config(write_config(tmp_path, "planar.ini", body))
+    tracemalloc.start()
+    try:
+        run_scenario(cfg, tmp_path / "out")
+    finally:
+        tracemalloc.stop()
+    assert len(marks) == 2
+    assert marks[1] - marks[0] < n * m * d * d * 8 / 2
 
 
 @pytest.mark.parametrize("extra", [

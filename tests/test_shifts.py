@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from actionlab import (EndpointError, GridCompatibilityError, MaterializedShift,
-                       TimeGrid, catalog, delay_pn, endpoint_qn, endpoint_rn,
-                       h_dist_sq, h_norm_sq, materialize, stop_truncate)
+from actionlab import (AdaptedShift, EndpointError, GridCompatibilityError,
+                       MaterializedShift, TimeGrid, catalog, delay_pn, endpoint_qn,
+                       endpoint_rn, h_dist_sq, h_norm_sq, materialize, stop_norm_sq,
+                       stop_truncate)
 from actionlab import paths, shifts
 from actionlab._accum import weighted_mean_stderr
 from actionlab.shifts import _edges, stop_steps_for
@@ -481,13 +482,16 @@ def test_h_dist_sq_rejects_shifts_on_different_ensembles(grid192):
 
 def test_operator_checks_build_no_record(grid192, bm192):
     # the runner's checks allocate far less than one [paths, m, d] record:
-    # the kept edges of u's integral, block values and per-step rows only
+    # the kept edges of u's integral, block values and per-step rows only,
+    # and the stop's contraction check builds no truncated shift
     u = materialize(make_random_endpoint_zero_shift(grid192, seed=6), bm192)
     record = u.values.nbytes
+    level = float(np.median(np.sqrt(h_norm_sq(u))))
     checks = (lambda: h_norm_sq(delay_pn(u, 4)),
               lambda: endpoint_rn(u, 8).terminal(),
               lambda: h_dist_sq(endpoint_rn(u, 4), u),
-              lambda: h_dist_sq(endpoint_rn(u, 32), u))
+              lambda: h_dist_sq(endpoint_rn(u, 32), u),
+              lambda: stop_norm_sq(u, level))
     for check in checks:
         assert traced_peak(check)[1] < record / 2
 
@@ -601,6 +605,52 @@ def test_stop_truncate_keeps_its_bits_without_h(three_cpus, monkeypatch, cpus):
             assert np.array_equal(walked, steps) and np.array_equal(tau[hit], u_tau[hit])
             assert np.array_equal(stop_truncate(u, level, **kwargs).values, expected)
         assert "h" not in vars(u)
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_stop_norm_sq_is_the_norm_of_the_truncation(grid192, bm192, three_cpus,
+                                                    monkeypatch, cpus):
+    # the runner's contraction check sums the truncation's step rows and keeps
+    # the bits of h_norm_sq(stop_truncate(u, level)) at d = 1, at levels that
+    # stop some paths, none and all of them, on one path range and on three
+    monkeypatch.setattr(paths, "_usable_cpus", lambda: cpus)
+    m = grid192.m
+    for seed in range(20):
+        u = materialize(make_random_endpoint_zero_shift(grid192, seed=900 + seed), bm192)
+        root = np.sqrt(h_norm_sq(u))
+        some, none = float(np.median(root)), float(root.max()) * 10 + 1
+        every = float(root.min()) / 2
+        assert (stop_steps_for(u, none) == m).all()
+        assert (stop_steps_for(u, every) < m).all()
+        for level in (some, none, every):
+            assert np.array_equal(stop_norm_sq(u, level),
+                                  h_norm_sq(stop_truncate(u, level)))
+    assert bool(three_cpus) == (cpus == 3)
+    # at d = 2 the coordinates are summed after the steps, h_norm_sq sums
+    # both at once: the same value up to the order of the additions
+    ens = catalog.build_law("brownian", grid192, 2000, seed=105, dim=2)
+    a, b = (make_random_endpoint_zero_shift(grid192, seed=s, dim=2) for s in (11, 12))
+    planar = AdaptedShift("planar", lambda j, x: a.derivative(j, x)
+                          + b.derivative(j, x)[:, ::-1])
+    u = materialize(planar, ens)
+    assert (u.values != 0).any(axis=(0, 1)).all()
+    level = float(np.median(np.sqrt(h_norm_sq(u))))
+    expected = h_norm_sq(stop_truncate(u, level))
+    assert np.allclose(stop_norm_sq(u, level), expected, rtol=1e-13, atol=0)
+
+
+def test_stop_norm_sq_rejects_what_stop_truncate_rejects(grid192, bm192):
+    ez = materialize(make_random_endpoint_zero_shift(grid192, seed=3), bm192)
+    drifting = materialize(catalog.get_shift("constant", grid192), bm192)
+    for u, level, error in ((ez, 0.0, ValueError), (ez, -1.0, ValueError),
+                            (drifting, 1.0, EndpointError),
+                            (drifting, 0.0, ValueError)):
+        for op in (stop_truncate, stop_norm_sq):
+            with pytest.raises(error) as caught:
+                op(u, level)
+            assert type(caught.value) is error
+    for op in (stop_truncate, stop_norm_sq):
+        op(ez, 1.0)
 
 
 def test_operators_build_no_integral(grid192, bm192):
