@@ -255,12 +255,15 @@ def variational_derivative(law: Union[PathEnsemble, LawRecipe], lagrangian: Lagr
     dt = law.grid.dt
     steps = law.grid.steps_before(law.t_max)
     formula_pp, terminal, finite = np.zeros(n), np.empty((n, d)), []
-    actions = {e: np.zeros(n) for eps in eps_list for e in (eps, -eps)}
+    epsilons = list(dict.fromkeys(eps_list))
+    actions = {e: np.zeros(n) for eps in epsilons for e in (eps, -eps)}
 
     def walk(lo, ens):
         rows = slice(lo, lo + ens.n_paths)
         sums = {e: total[rows] for e, total in actions.items()}
         formula, hd = formula_pp[rows], np.empty((ens.n_paths, d))
+        # e h, e hdot, and x +- e h, v +- e hdot: x + (-e) h is x - e h bit for bit
+        eh, ehd, xe, ve = (np.empty((ens.n_paths, d)) for _ in range(4))
         # h_j = (hdot_0 + ... + hdot_{j-1}) dt, summed in np.cumsum's order
         # from -0.0, the exact additive identity
         h, cum = np.zeros((ens.n_paths, d)), np.full((ens.n_paths, d), -0.0)
@@ -271,11 +274,14 @@ def variational_derivative(law: Union[PathEnsemble, LawRecipe], lagrangian: Lagr
             if j < steps:
                 t = j * dt
                 x, v, a = ens.states[:, j], ens.drift(j), ens.alpha(j)
-                for e, total in sums.items():
-                    val = lagrangian.value(t, x + e * h, v + e * hd, a)
-                    total += np.asarray(val, dtype=np.float64) * dt
-            cum = cum + hd
-            h = cum * dt
+                for eps in epsilons:
+                    np.multiply(h, eps, out=eh)
+                    np.multiply(hd, eps, out=ehd)
+                    for e, op in ((eps, np.add), (-eps, np.subtract)):
+                        val = lagrangian.value(t, op(x, eh, out=xe), op(v, ehd, out=ve), a)
+                        sums[e] += np.asarray(val, dtype=np.float64) * dt
+            np.add(cum, hd, out=cum)
+            np.multiply(cum, dt, out=h)
         terminal[rows] = h
 
     weights = law.fold(walk)

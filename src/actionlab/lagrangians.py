@@ -67,15 +67,14 @@ def _fold_actions(law, lagrangian: Lagrangian, also=None):
     the sums are bit-identical either way and for any split.  ``also(lo,
     chunk)``, when given, is called on each chunk after its sums.
     """
-    grid = law.grid
+    grid, dt = law.grid, law.grid.dt
     total = np.zeros(law.n_paths)
 
     def add(lo, ens):
         out = total[lo:lo + ens.n_paths]
         for j in range(grid.steps_before(ens.t_max)):
-            t = j * grid.dt
-            val = lagrangian.value(t, ens.states[:, j], ens.drift(j), ens.alpha(j))
-            out += np.asarray(val, dtype=np.float64) * grid.dt
+            val = lagrangian.value(j * dt, ens.states[:, j], ens.drift(j), ens.alpha(j))
+            out += np.asarray(val, dtype=np.float64) * dt
         if also is not None:
             also(lo, ens)
 
@@ -114,22 +113,19 @@ def _el_columns(ensemble: PathEnsemble, lagrangian: Lagrangian, steps):
     ``N_j = grad_v L(t_j) - sum_{k<j} grad_x L(t_k) dt`` is an [n, d] array.
     ``grad_v`` is evaluated only at those steps and ``grad_x`` only before the
     last one."""
-    grid = ensemble.grid
-    n, m, d = ensemble.n_paths, grid.m, ensemble.dim
+    n, m, d, dt = ensemble.n_paths, ensemble.grid.m, ensemble.dim, ensemble.grid.dt
     column = {j: c for c, j in enumerate(steps)}
     if len(column) != len(steps) or not all(0 <= j < m for j in column):
         raise ValueError("steps must be distinct step indices in [0, m)")
     last = max(column, default=-1)
     cum = np.zeros((n, d))
     for j in range(last + 1):
-        t = j * grid.dt
-        x, v = ensemble.states[:, j], ensemble.drift(j)
-        a = ensemble.alpha(j)
+        t, x, v, a = j * dt, ensemble.states[:, j], ensemble.drift(j), ensemble.alpha(j)
         if j in column:
             yield column[j], (np.asarray(lagrangian.grad_v(t, x, v, a), dtype=np.float64)
                               - cum)
         if j < last:
-            cum = cum + np.asarray(lagrangian.grad_x(t, x, v, a), dtype=np.float64) * grid.dt
+            cum += np.asarray(lagrangian.grad_x(t, x, v, a), dtype=np.float64) * dt
 
 
 def el_process(ensemble: PathEnsemble, lagrangian: Lagrangian,

@@ -29,6 +29,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
@@ -112,8 +113,8 @@ class SemimartingaleModel:
 
     ``drift(j, states)`` receives the states array with at least ``j+1``
     filled entries along axis 1 and must return the per-path drift [n, d]
-    reading only ``states[:, :j+1, :]`` (:func:`simulate` keeps the normals
-    in the later rows); ``drift = None`` is the zero drift, for which
+    reading only ``states[:, :j+1, :]`` (:func:`simulate` keeps the scaled
+    normals in the later rows); ``drift = None`` is the zero drift, for which
     :func:`simulate` stores no drift record.  ``diffusion_factor`` is ``None``
     (identity), a constant [d, d] matrix, or a callable with the same
     signature returning [n, d, d] (or a broadcastable [d, d]).
@@ -127,6 +128,12 @@ class SemimartingaleModel:
     initial_sampler: Callable[[Generator, int], np.ndarray]
     drift: Optional[DriftFn]
     diffusion_factor: DiffusionSpec = None
+
+
+def _one_row_alpha(s: np.ndarray) -> np.ndarray:
+    """sigma sigma^T of ``[n, d, d]`` factors broadcast over the paths,
+    formed on one row and broadcast read-only to ``[n, d, d]``."""
+    return np.broadcast_to(np.einsum("nik,njk->nij", s[:1], s[:1]), s.shape)
 
 
 @dataclass(frozen=True)
@@ -183,13 +190,20 @@ class PathEnsemble:
 
         When the diffusion records are broadcast over the paths (stride 0 on
         the path axis, as ``simulate`` gives for a ``None`` or constant
-        factor), the product is formed once and returned as a read-only
-        broadcast view; callers must not write into it.
+        factor), the product is formed on one row and returned as a read-only
+        broadcast view; callers must not write into it.  Records broadcast
+        over the steps too give one such view, formed once, at every step.
         """
+        if self.diffusions.strides[:2] == (0, 0):
+            return self._constant_alpha
         s = self.diffusions[:, j]
         if s.strides[0] == 0:
-            return np.broadcast_to(np.einsum("nik,njk->nij", s[:1], s[:1]), s.shape)
+            return _one_row_alpha(s)
         return np.einsum("nik,njk->nij", s, s)
+
+    @cached_property
+    def _constant_alpha(self) -> np.ndarray:
+        return _one_row_alpha(self.diffusions[:, 0])
 
     def path_range(self, lo: int, hi: int) -> "PathEnsemble":
         """Paths ``lo .. hi-1`` as an ensemble of views into these records,
@@ -295,14 +309,15 @@ def run_ranges(fn: Callable[[int, int], object], n: int,
         return [first] + [f.result() for f in rest]
 
 
-def path_streams(seed: int, lo: int, hi: int, records):
+def path_streams(seed: int, lo: int, hi: int, records, scale: Optional[float] = None):
     """Yield ``(generator, paths, cols)`` once per block of :data:`NOISE_BLOCK`
     paths in ``lo .. hi-1``, where ``lo`` is a block boundary (as every range
     of :func:`run_ranges` is): ``paths`` slices the block's paths below
     ``hi``, counted from ``lo``, and ``cols`` the same paths within the
     block.  Then draw the block's ``[m, NOISE_BLOCK, d]`` normals for each
-    record of the range's paths (``[hi - lo, m, d]``), in order, and copy the
-    ``cols`` columns into the record's ``paths``.
+    record of the range's paths (``[hi - lo, m, d]``), in order, multiply
+    them by ``scale`` when it is given, and copy the ``cols`` columns into
+    the record's ``paths``.
 
     Block ``b`` draws from ``SFC64(SeedSequence(seed mod 2**64,
     spawn_key=(b,)))``.  The block index is a spawn key, not a second entropy
@@ -320,6 +335,8 @@ def path_streams(seed: int, lo: int, hi: int, records):
         yield gen, paths, cols
         for rec in records:
             gen.standard_normal(out=stage)
+            if scale is not None:
+                stage *= scale
             rec[paths] = stage[:, cols].transpose(1, 0, 2)
 
 
@@ -357,31 +374,35 @@ def _simulate_range(model, grid, seed, lo, states, drifts, diffusions):
     """Initial points, normals and Euler steps of the paths ``lo ..
     lo + k - 1``, written into their own ``[k, ...]`` records.
 
-    The normals are drawn into the state rows ``1 .. m``: step ``j`` reads
-    them from ``states[:, j+1]`` after the coefficient calls, which see only
-    ``states[:, :j+1]``, and before it writes the state there.  ``drifts``
-    is ``None`` for a zero drift.  Returns ``None``, or ``(step, kind,
-    path)`` of the range's first non-finite coefficient (``kind`` indexes
+    The normals, scaled by sqrt(dt), are drawn into the state rows ``1 ..
+    m``: step ``j`` reads them from ``states[:, j+1]`` after the coefficient
+    calls, which see only ``states[:, :j+1]``, and writes ``(x + v * dt) +
+    increment`` over them through one ``[k, d]`` buffer.  ``drifts`` is
+    ``None`` for a zero drift.  Returns ``None``, or ``(step, kind, path)``
+    of the range's first non-finite coefficient (``kind`` indexes
     :data:`_FAILED`), where the walk stops.
     """
-    n, d = states.shape[0], states.shape[2]
-    for g, paths, cols in path_streams(seed, lo, lo + n, [states[:, 1:]]):
+    n, d, dt = states.shape[0], states.shape[2], grid.dt
+    for g, paths, cols in path_streams(seed, lo, lo + n, [states[:, 1:]], np.sqrt(dt)):
         x0 = np.asarray(model.initial_sampler(g, NOISE_BLOCK), dtype=np.float64)
         states[paths, 0] = x0.reshape(NOISE_BLOCK, d)[cols]
-    sqdt = np.sqrt(grid.dt)
     diff = model.diffusion_factor
     const_diff = diff is None or isinstance(diff, np.ndarray)
+    step = np.empty((n, d))          # x + v * dt, before the increment
     for j in range(grid.m):
-        prefix = states[:, : j + 1]
-        # a zero drift adds v * dt = +0.0, as a zero drift record's row does
-        v = 0.0
+        prefix, db, x = states[:, : j + 1], states[:, j + 1], states[:, j]
         if drifts is not None:
             v = np.asarray(model.drift(j, prefix), dtype=np.float64)
-            v = np.broadcast_to(v, (n, d))
+            if v.shape != (n, d):
+                v = np.broadcast_to(v, (n, d))
             if not np.isfinite(v).all():
                 return j, 0, lo + _first_bad_path(v)
             drifts[:, j] = v
-        db = states[:, j + 1] * sqdt
+            x = np.add(x, np.multiply(v, dt, out=step), out=step)
+        elif j == 0:
+            # a zero drift adds v * dt = +0.0, as a zero drift record's row
+            # does: x + 0.0 is x except at -0.0, which no later state holds
+            x = np.add(x, 0.0, out=step)
         if diff is None:
             inc = db
         elif const_diff:
@@ -393,7 +414,7 @@ def _simulate_range(model, grid, seed, lo, states, drifts, diffusions):
                 return j, 1, lo + _first_bad_path(s)
             diffusions[:, j] = s
             inc = np.einsum("nij,nj->ni", s, db)
-        states[:, j + 1] = states[:, j] + v * grid.dt + inc
+        np.add(x, inc, out=db)
     return None
 
 
@@ -452,11 +473,13 @@ def simulate(model: SemimartingaleModel, grid: TimeGrid, n_paths: int,
 
 
 # Bytes of records each range of LawRecipe.fold simulates at once: a chunk is
-# the whole noise blocks that fit, and at least one block (16,640 paths of a
-# zero-drift law at m = 500, d = 1).  Smaller chunks run more, smaller numpy calls per step, and
-# two ranges then wait on each other for the GIL: on a 2-CPU VM, at 32 MiB the
-# folded action of 10^5 paths ran 10% slower than on the built law.
-CHUNK_BYTES = 64 << 20
+# the whole noise blocks that fit, and at least one block (8,192 paths of a
+# zero-drift law at m = 500, d = 1).  Each step of a chunk makes a few numpy
+# calls whatever its size, and two ranges wait on each other for the GIL at
+# each one: on a 2-CPU VM the wide-1d folds run as fast at 32 MiB as at 64 MiB
+# (2.15 against 2.17 s a pass), and 30% slower at 16 MiB.  glibc's malloc maps
+# records over 32 MiB afresh for every chunk, and reuses smaller ones.
+CHUNK_BYTES = 32 << 20
 
 
 def _mean_one(w: np.ndarray) -> np.ndarray:

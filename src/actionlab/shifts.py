@@ -118,16 +118,12 @@ class MaterializedShift:
         n, m, d = self.hdot.shape
         h = _records(n, m + 1, d)
         rows, hdot = _rows(h), _rows(self.hdot)
-
-        def walk(lo, hi):
-            # np.cumsum's order, one contiguous row at a time
-            rows[0, lo:hi] = 0.0
-            rows[1, lo:hi] = hdot[0, lo:hi]
-            for j in range(1, m):
-                np.add(rows[j, lo:hi], hdot[j, lo:hi], out=rows[j + 1, lo:hi])
-            rows[1:, lo:hi] *= self.ensemble.grid.dt
-
-        run_ranges(walk, n)
+        # np.cumsum's order, one contiguous row at a time
+        rows[0] = 0.0
+        rows[1] = hdot[0]
+        for j in range(1, m):
+            np.add(rows[j], hdot[j], out=rows[j + 1])
+        rows[1:] *= self.ensemble.grid.dt
         return h
 
     @property
@@ -208,32 +204,29 @@ def _step_rows(u: MaterializedShift):
         yield row
 
 
-def _running_sums(u: MaterializedShift, lo: int, hi: int):
+def _running_sums(u: MaterializedShift):
     """Yield ``(j, s)`` for j = 1 .. m: ``s`` is the sum of the first j steps
-    of hdot on paths lo .. hi-1, added in ``np.cumsum``'s order into one
-    reused ``[hi - lo, d]`` buffer, so ``s * dt`` has the bits of
-    ``u.h[lo:hi, j]``."""
+    of hdot, added in ``np.cumsum``'s order into one reused ``[n, d]``
+    buffer, so ``s * dt`` has the bits of ``u.h[:, j]``.  Each step adds a
+    few rows, so one walk over all paths on the calling thread beats ranges
+    on pool threads, which would only wait on each other for the GIL."""
     rows = _rows(u.values)
-    s = np.array(rows[0, lo:hi])
+    s = np.array(rows[0])
     yield 1, s
     for j in range(1, u.ensemble.grid.m):
-        np.add(s, rows[j // u.block, lo:hi], out=s)
+        np.add(s, rows[j // u.block], out=s)
         yield j + 1, s
 
 
 def _summed_edges(u: MaterializedShift, stride: int) -> np.ndarray:
     """h every ``stride`` grid steps, [paths, m // stride + 1, d], time-major,
-    from the running sums of each range of :func:`~actionlab.paths.run_ranges`."""
+    from the running sums."""
     edges = _records(u.n_paths, u.ensemble.grid.m // stride + 1, u.dim)
     rows, dt = _rows(edges), u.ensemble.grid.dt
     rows[0] = 0.0
-
-    def walk(lo, hi):
-        for j, s in _running_sums(u, lo, hi):
-            if j % stride == 0:
-                np.multiply(s, dt, out=rows[j // stride, lo:hi])
-
-    run_ranges(walk, u.n_paths)
+    for j, s in _running_sums(u):
+        if j % stride == 0:
+            np.multiply(s, dt, out=rows[j // stride])
     return edges
 
 
@@ -331,34 +324,28 @@ def _stop_walk(u: MaterializedShift, level: float,
                steps: Optional[np.ndarray] = None) -> tuple:
     """Each path's stop step, [n], and h there, [n, d], from one walk.
 
-    Each range of :func:`~actionlab.paths.run_ranges` walks the steps in time
-    order and carries the running h of :func:`_running_sums`.  Given
-    ``steps``, it keeps h at them.  Otherwise it also carries the running sum
-    of |hdot_j|^2 dt: the norm at index 0 is zero and never exceeds a
-    positive level, so index j + 1 is the first whose sum, up to step j,
-    exceeds ``level ** 2``, and the path keeps h there (m and zero if it
-    never does).  A path's h is copied under a mask true at its stop alone:
-    a sparse mask copies fast."""
+    The walk takes the steps in time order and carries the running h of
+    :func:`_running_sums`.  Given ``steps``, it keeps h at them.  Otherwise
+    it also carries the running sum of |hdot_j|^2 dt: the norm at index 0 is
+    zero and never exceeds a positive level, so index j + 1 is the first
+    whose sum, up to step j, exceeds ``level ** 2``, and the path keeps h
+    there (m and zero if it never does).  A path's h is copied under a mask
+    true at its stop alone: a sparse mask copies fast."""
     dt, m = u.ensemble.grid.dt, u.ensemble.grid.m
     given = steps is not None
     if not given:
         steps = np.full(u.n_paths, m, dtype=np.intp)
-    u_tau = np.zeros((u.n_paths, u.dim))
+    u_tau, running = np.zeros((u.n_paths, u.dim)), np.zeros(u.n_paths)
     values = _rows(u.values)
-
-    def walk(lo, hi):
-        out, tau, running = steps[lo:hi], u_tau[lo:hi], np.zeros(hi - lo)
-        for j, s in _running_sums(u, lo, hi):
-            if given:
-                hit = out == j
-            else:
-                row = values[(j - 1) // u.block, lo:hi]
-                running += np.einsum("nd,nd->n", row, row) * dt
-                hit = (out == m) & (running > level ** 2)
-                out[hit] = j
-            np.copyto(tau, s, where=hit[:, None])
-
-    run_ranges(walk, u.n_paths)
+    for j, s in _running_sums(u):
+        if given:
+            hit = steps == j
+        else:
+            row = values[(j - 1) // u.block]
+            running += np.einsum("nd,nd->n", row, row) * dt
+            hit = (steps == m) & (running > level ** 2)
+            steps[hit] = j
+        np.copyto(u_tau, s, where=hit[:, None])
     u_tau *= dt
     return steps, u_tau
 

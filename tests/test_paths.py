@@ -445,6 +445,61 @@ def test_time_major_records_match_reference(threads, diffusion):
     _assert_time_major_equal(ens, _reference_simulate(model, g, n, 31))
 
 
+def _stepwise_reference(model, grid, n, seed):
+    """The Euler step written out, one step at a time, from the initial points
+    and normals of ``path_streams``: ``states[:, j] + v * dt + inc``, with
+    ``v = 0.0`` for a zero drift, whose drift rows stay zero."""
+    m, d, dt = grid.m, model.dim, grid.dt
+    states, drifts, noise = np.empty((n, m + 1, d)), np.zeros((n, m, d)), np.empty((n, m, d))
+    for g, rows, cols in paths.path_streams(seed, 0, n, [noise]):
+        states[rows, 0] = model.initial_sampler(g, NOISE_BLOCK)[cols]
+    sig = model.diffusion_factor
+    for j in range(m):
+        prefix = states[:, :j + 1]
+        v = 0.0 if model.drift is None else model.drift(j, prefix)
+        db = noise[:, j] * np.sqrt(dt)
+        if sig is None:
+            inc = db
+        elif isinstance(sig, np.ndarray):
+            inc = db @ sig.T
+        else:
+            inc = np.einsum("nij,nj->ni", np.broadcast_to(sig(j, prefix), (n, d, d)), db)
+        drifts[:, j] = v
+        states[:, j + 1] = states[:, j] + v * dt + inc
+    return states, drifts
+
+
+EULER_CASES = [(_prefix_drift, None), (_prefix_drift, _SIGMA), (_prefix_drift, _state_diffusion),
+               (None, None)]
+
+
+@pytest.mark.parametrize("threads", [1, None])
+@pytest.mark.parametrize("drift,diffusion", EULER_CASES,
+                         ids=["drift", "constant", "callable", "zero_drift"])
+def test_euler_step_has_the_bits_of_the_stepwise_reference(drift, diffusion, threads,
+                                                           three_cpus, monkeypatch):
+    # simulate writes (x + v * dt) + inc through one [n, d] buffer and scales
+    # the normals in their state row: every state and drift bit is the
+    # reference's, on one range and on three, and in one-block fold chunks
+    g, n = TimeGrid(6), 3 * NOISE_BLOCK + 7
+    model = SemimartingaleModel(name="euler", dim=2, initial_sampler=_normal_start,
+                                drift=drift, diffusion_factor=diffusion)
+    states, drifts = _stepwise_reference(model, g, n, 36)
+    ens = simulate(model, g, n, seed=36, threads=threads)
+    assert _same_bits(ens.states, states) and _same_bits(ens.drifts, drifts)
+    monkeypatch.setattr(paths, "CHUNK_BYTES", 1)
+    seen = []
+
+    def check(lo, chunk):
+        rows = slice(lo, lo + chunk.n_paths)
+        assert _same_bits(chunk.states, states[rows])
+        assert _same_bits(chunk.drifts, drifts[rows])
+        seen.append(chunk.n_paths)
+
+    paths.LawRecipe(model, g, n, seed=36, threads=threads).fold(check)
+    assert sum(seen) == n and max(seen) == NOISE_BLOCK
+
+
 @pytest.mark.parametrize("variant,z_mode", [("adapted", "constant"),
                                             ("filtering", "constant"),
                                             ("filtering", "independent_brownian")])
@@ -510,6 +565,48 @@ def test_alpha_psd_and_validate(grid200, bm_small):
         a = ens.alpha(j)
         assert a.shape == (500, 2, 2) and a.strides[0] == 0 and not a.flags.writeable
         assert np.array_equal(a, np.einsum("nik,njk->nij", full[:, j], full[:, j]))
+
+
+@pytest.mark.parametrize("diffusion", [None, _SIGMA], ids=["identity", "constant"])
+def test_constant_diffusion_alpha_is_formed_once(diffusion):
+    # a None or constant factor is recorded with stride 0 on the path and
+    # the step axes: alpha is one read-only object at every step, with the
+    # bits of the product on one row, and a path_range view forms its own
+    g = TimeGrid(8)
+    model = SemimartingaleModel(name="c", dim=2, initial_sampler=_normal_start,
+                                drift=None, diffusion_factor=diffusion)
+    ens = simulate(model, g, NOISE_BLOCK + 9, seed=37)
+    assert ens.diffusions.strides[:2] == (0, 0)
+    s = ens.diffusions[:, 0]
+    one_row = np.einsum("nik,njk->nij", s[:1], s[:1])
+    for e in (ens, ens.path_range(NOISE_BLOCK, ens.n_paths)):
+        a = e.alpha(0)
+        assert all(e.alpha(j) is a for j in range(g.m))
+        assert a.shape == (e.n_paths, 2, 2) and not a.flags.writeable
+        assert _same_bits(a, np.broadcast_to(one_row, a.shape))
+    ens.validate()
+
+
+def test_varying_diffusion_alpha_is_formed_per_step():
+    # a callable factor varies by path and step, a hand-built record by step
+    # alone: each step forms its own product; fbsde_simulate's sigma
+    # broadcast gives the per-step product's bits
+    g, n = TimeGrid(8), NOISE_BLOCK + 9
+    model = SemimartingaleModel(name="v", dim=2, initial_sampler=_normal_start,
+                                drift=None, diffusion_factor=_state_diffusion)
+    varying = simulate(model, g, n, seed=38)
+    by_step = np.broadcast_to(np.stack([(1 + 0.1 * j) * _SIGMA for j in range(g.m)]),
+                              (n, g.m, 2, 2))
+    spec = FbsdeSpec(dim=2, grad_potential=lambda t, x: 0.5 * x, y0_fn=lambda x0: -0.5 * x0,
+                     sigma=_SIGMA, initial_sampler=_normal_start)
+    fbsde = fbsde_simulate(spec, g, n, seed=38).ensemble
+    for ens in (varying, replace(varying, diffusions=by_step), fbsde):
+        for j in (0, 3, g.m - 1):
+            s = ens.diffusions[:, j]
+            assert _same_bits(ens.alpha(j), np.einsum("nik,njk->nij", s, s))
+        ens.validate()
+    assert varying.alpha(0) is not varying.alpha(0)
+    assert not np.array_equal(by_step[0, 0], by_step[0, 1])
 
 
 def test_weights_must_have_mean_one(grid200, bm_small):
@@ -744,7 +841,8 @@ def test_folded_weighted_action_holds_no_record(three_cpus, monkeypatch):
     # the fold holds one set of chunk records per range, here three ranges
     # of 4 MiB (1024 paths), each with its 1 MiB staging buffer, and [n] sums
     # and weights, about 16 MB; the law's states would be 80 MB.  At the
-    # default 64 MiB a chunk would outgrow each range of these 20,000 paths.
+    # default 32 MiB (8,192 paths) a chunk would outgrow each range of these
+    # 20,000 paths.
     g, n = TimeGrid(500), 20000
     record = 8 * n * g.m
     monkeypatch.setattr(paths, "CHUNK_BYTES", 4 << 20)
