@@ -21,10 +21,10 @@ from .transform import SpaceTimeMap, push_shift, lift
 from .diagnostics import (MartingaleReport, martingale_test, el_certify,
                           variational_derivative,
                           drift_representation_check, NoetherFamily,
-                          noether_invariant, PowerError)
+                          noether_invariant, el_constancy, PowerError)
 from .bridge import (BridgeProblem, sinkhorn_bridge, bridge_to_model,
                      gaussian_marginal, delta_marginal, FbsdeSpec,
-                     fbsde_simulate, navier_stokes_residual)
+                     FbsdeRecipe, fbsde_simulate, navier_stokes_residual)
 from . import catalog
 
 __version__ = "0.1.0"

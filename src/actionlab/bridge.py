@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 from numpy.random import Generator
 
-from .paths import (NOISE_BLOCK, PathEnsemble, SemimartingaleModel, TimeGrid, _freeze,
-                    _records, path_streams, run_ranges)
+from .paths import (NOISE_BLOCK, PathEnsemble, SemimartingaleModel, TimeGrid, _fold_chunks,
+                    _freeze, _records, _views, path_streams, run_ranges)
 
 __all__ = [
     "BridgeProblem",
@@ -35,6 +36,7 @@ __all__ = [
     "bridge_to_model",
     "FbsdeSpec",
     "FbsdeResult",
+    "FbsdeRecipe",
     "fbsde_simulate",
     "taylor_green_velocity",
     "taylor_green_pressure",
@@ -329,97 +331,162 @@ class FbsdeResult:
     posterior_var: Optional[np.ndarray] = None  # [m] filtering variance P_j
 
 
-def fbsde_simulate(spec: FbsdeSpec, grid: TimeGrid, n_paths: int,
-                   seed: int, threads: Optional[int] = None) -> FbsdeResult:
-    """Coupled Euler scheme for the forward-backward system.
+def _fbsde_range(law: "FbsdeRecipe", lo: int, states: np.ndarray, drifts: np.ndarray,
+                 znoise: Optional[np.ndarray]) -> None:
+    """Initial points, ``Y_0``, noise records and coupled Euler steps of the
+    law's paths ``lo .. lo + k - 1``, written into their own ``[k, ...]``
+    records.  ``drifts`` and ``znoise`` (``None`` unless Z is an independent
+    Brownian motion) first take the block normals scaled by sqrt(dt), and
+    step ``j`` reads its increments before it writes its drift.  Every
+    update acts row by row, so a path has the same bits in any range."""
+    spec, n, m, d = law.spec, states.shape[0], law.grid.m, law.dim
+    dt, sqdt, sigma, gains = law.grid.dt, np.sqrt(law.grid.dt), law.sigma, law._filter[1]
+    x, y = states[:, 0], np.empty((n, d))
+    noise = [drifts] if znoise is None else [drifts, znoise]
+    for g, paths, cols in path_streams(law.seed, lo, lo + n, noise, sqdt):
+        if spec.initial_sampler is not None:
+            x0 = np.asarray(spec.initial_sampler(g, NOISE_BLOCK), dtype=np.float64)
+            x[paths] = x0[cols]
+        else:
+            x[paths] = 0.0
+        if gains is None:
+            y[paths] = spec.y0_fn(x[paths])
+        else:
+            mu, var = spec.y0_gaussian
+            y[paths] = (mu + np.sqrt(var) * g.standard_normal((NOISE_BLOCK, d)))[cols]
+    if gains is not None:
+        mean = np.full(n, spec.y0_gaussian[0])
+    for j in range(m):
+        dx = y * dt + drifts[:, j] @ sigma.T
+        if gains is None:
+            drifts[:, j] = y
+        else:
+            drifts[:, j, 0] = mean
+        np.add(states[:, j], dx, out=states[:, j + 1])
+        if gains is not None:
+            mean = mean + gains[j] * (dx[:, 0] - mean * dt)
+            mean = mean - spec.curvature * states[:, j, 0] * dt
+        gv = np.asarray(spec.grad_potential(j * dt, states[:, j]), dtype=np.float64)
+        y = y - gv * dt
+        if znoise is not None:
+            y = y + znoise[:, j]
+
+
+@dataclass(frozen=True)
+class FbsdeRecipe:
+    """The coupled Euler scheme's law of the forward-backward system, given
+    by how it is made: ``n_paths`` paths of ``spec`` on ``grid`` from
+    ``seed``, in ``threads`` ranges (one per usable CPU when ``None``), read
+    up to ``t_max``.
 
     The spec sets the variant: ``y0_fn`` alone means adapted, ``y0_gaussian``
     alone means filtering.  Initial points, filtering ``Y_0`` draws and noise
-    records come from the streams of :func:`~actionlab.paths.simulate`, drawn
-    on the same block-aligned ranges (one per usable CPU unless ``threads``
-    says how many), so ``initial_sampler`` and ``y0_fn`` run concurrently on
-    disjoint ranges; the Euler steps then run in one pass over all paths.
-    The result is bit-identical for any split.  The ensemble is labelled
-    ``fbsde_<variant>``.
+    come from the streams of :func:`~actionlab.paths.simulate`, and each
+    block-aligned range runs its own Euler steps, so the spec's callables
+    run concurrently on disjoint ranges and must act row by row.
+    :meth:`build` holds the law whole, and :meth:`fold` walks it a chunk at
+    a time, as ``LawRecipe.fold`` does; both give every path the same bits,
+    for any split.  The ensembles are labelled ``fbsde_<variant>``.
     """
-    if (spec.y0_fn is None) == (spec.y0_gaussian is None):
-        raise UnsupportedSpecError(
-            "spec needs exactly one of y0_fn (adapted) and y0_gaussian (filtering)")
-    variant = "adapted" if spec.y0_fn is not None else "filtering"
-    if variant == "adapted":
-        if spec.z_mode != "constant":
+
+    spec: FbsdeSpec
+    grid: TimeGrid
+    n_paths: int
+    seed: int
+    threads: Optional[int] = None
+    t_max: float = 1.0
+
+    def __post_init__(self):
+        spec = self.spec
+        if not 0.0 < self.t_max <= 1.0:
+            raise ValueError("t_max must lie in (0, 1]")
+        if (spec.y0_fn is None) == (spec.y0_gaussian is None):
             raise UnsupportedSpecError(
-                "adapted variant requires a constant martingale component")
-    else:
-        if spec.curvature is None:
-            raise UnsupportedSpecError(
-                "filtering variant supports only linear grad V (quadratic potential)")
-        if spec.dim != 1:
-            raise UnsupportedSpecError("filtering variant is scalar (d = 1)")
-
-    n, m, d = n_paths, grid.m, spec.dim
-    dt, sqdt = grid.dt, np.sqrt(grid.dt)
-    sigma = np.eye(d) if spec.sigma is None else np.asarray(spec.sigma, dtype=np.float64)
-
-    # step j reads its normals before writing its drift
-    states, drifts = _records(n, m + 1, d), _records(n, m, d)
-    znoise = _records(n, m, d) if spec.z_mode == "independent_brownian" else None
-    noise = [drifts] if znoise is None else [drifts, znoise]
-    y0 = np.empty((n, d))
-
-    def draw(lo, hi):
-        x, y = states[lo:hi, 0], y0[lo:hi]
-        for g, paths, cols in path_streams(seed, lo, hi, [r[lo:hi] for r in noise]):
-            if spec.initial_sampler is not None:
-                x0 = np.asarray(spec.initial_sampler(g, NOISE_BLOCK), dtype=np.float64)
-                x[paths] = x0[cols]
-            else:
-                x[paths] = 0.0
-            if variant == "filtering":
-                mu, var = spec.y0_gaussian
-                y[paths] = (mu + np.sqrt(var) * g.standard_normal((NOISE_BLOCK, d)))[cols]
-            else:
-                y[paths] = spec.y0_fn(x[paths])
-
-    run_ranges(draw, n, threads)
-
-    y = y0.copy()
-    post_var = None
-    if variant == "filtering":
-        mu, var = spec.y0_gaussian
-        mean = np.full(n, mu)
-        pvar = float(var)
-        s2 = float(sigma[0, 0] ** 2)
-        qvar = 1.0 if spec.z_mode == "independent_brownian" else 0.0
-        post_var = np.empty(m)
-
-    for j in range(m):
-        t = j * dt
-        db = drifts[:, j] * sqdt
-        if variant == "adapted":
-            drifts[:, j] = y
+                "spec needs exactly one of y0_fn (adapted) and y0_gaussian (filtering)")
+        if self.variant == "adapted":
+            if spec.z_mode != "constant":
+                raise UnsupportedSpecError(
+                    "adapted variant requires a constant martingale component")
         else:
-            post_var[j] = pvar
-            drifts[:, j, 0] = mean
-        dx = y * dt + db @ sigma.T
-        states[:, j + 1] = states[:, j] + dx
-        if variant == "filtering":
-            innov = dx[:, 0] - mean * dt
-            gain = pvar * dt / (pvar * dt * dt + s2 * dt)
-            mean = mean + gain * innov
-            pvar = pvar * s2 / (pvar * dt + s2)
-            mean = mean - spec.curvature * states[:, j, 0] * dt
-            pvar = pvar + qvar * dt
-        gv = np.asarray(spec.grad_potential(t, states[:, j]), dtype=np.float64)
-        y = y - gv * dt
-        if znoise is not None:
-            y = y + znoise[:, j] * sqdt
+            if spec.curvature is None:
+                raise UnsupportedSpecError(
+                    "filtering variant supports only linear grad V (quadratic potential)")
+            if spec.dim != 1:
+                raise UnsupportedSpecError("filtering variant is scalar (d = 1)")
 
-    diffusions = np.broadcast_to(sigma, (n, m, d, d))
-    _freeze(states, drifts)
-    ens = PathEnsemble(grid=grid, states=states, drifts=drifts,
-                       diffusions=diffusions, label=f"fbsde_{variant}")
-    return FbsdeResult(ensemble=ens, posterior_var=post_var)
+    @property
+    def variant(self) -> str:
+        return "adapted" if self.spec.y0_fn is not None else "filtering"
+
+    @property
+    def dim(self) -> int:
+        return self.spec.dim
+
+    @property
+    def sigma(self) -> np.ndarray:
+        """The constant ``[d, d]`` diffusion factor."""
+        spec = self.spec
+        return np.eye(spec.dim) if spec.sigma is None else np.asarray(spec.sigma, dtype=np.float64)
+
+    @cached_property
+    def _filter(self):
+        """The filtering variance ``P_j`` ([m]) and the Kalman gain of each
+        step, one scalar recursion; ``(None, None)`` for the adapted variant."""
+        if self.variant == "adapted":
+            return None, None
+        m, dt = self.grid.m, self.grid.dt
+        pvar, s2 = float(self.spec.y0_gaussian[1]), float(self.sigma[0, 0] ** 2)
+        qvar = 1.0 if self.spec.z_mode == "independent_brownian" else 0.0
+        post_var, gains = np.empty(m), []
+        for j in range(m):
+            post_var[j] = pvar
+            gains.append(pvar * dt / (pvar * dt * dt + s2 * dt))
+            pvar = pvar * s2 / (pvar * dt + s2)
+            pvar = pvar + qvar * dt
+        return post_var, gains
+
+    @property
+    def posterior_var(self) -> Optional[np.ndarray]:
+        """The filtering variance ``P_j`` of each step, [m], or ``None``."""
+        return self._filter[0]
+
+    def _allocate(self, n: int) -> list:
+        """Empty ``[states, drifts, znoise]`` records of ``n`` paths."""
+        m, d = self.grid.m, self.dim
+        znoise = _records(n, m, d) if self.spec.z_mode == "independent_brownian" else None
+        return [_records(n, m + 1, d), _records(n, m, d), znoise]
+
+    def _ensemble(self, states, drifts, _znoise) -> PathEnsemble:
+        n, m, d = states.shape[0], self.grid.m, self.dim
+        return PathEnsemble(grid=self.grid, states=states, drifts=drifts,
+                            diffusions=np.broadcast_to(self.sigma, (n, m, d, d)),
+                            label=f"fbsde_{self.variant}", t_max=self.t_max)
+
+    def build(self) -> PathEnsemble:
+        """The law's ensemble, its states and drifts time-major and read-only."""
+        records = self._allocate(self.n_paths)
+        run_ranges(lambda lo, hi: _fbsde_range(self, lo, *_views(records, lo, hi)),
+                   self.n_paths, self.threads)
+        _freeze(*records[:2])
+        return self._ensemble(*records)
+
+    def fold(self, consume: Callable[[int, PathEnsemble], None]) -> None:
+        """Call ``consume(lo, chunk)`` on the chunks of
+        :func:`~actionlab.paths._fold_chunks`, each the ensemble of paths
+        ``lo .. lo + chunk.n_paths - 1``; the law has no weights."""
+        m, d = self.grid.m, self.dim
+        per_path = 8 * d * ((m + 1) + m * (1 + (self.spec.z_mode == "independent_brownian")))
+        _fold_chunks(self.n_paths, self.threads, per_path, self._allocate,
+                     lambda c, views: _fbsde_range(self, c, *views),
+                     lambda views: self._ensemble(*views), consume)
+
+
+def fbsde_simulate(spec: FbsdeSpec, grid: TimeGrid, n_paths: int,
+                   seed: int, threads: Optional[int] = None) -> FbsdeResult:
+    """The :class:`FbsdeRecipe` law built, with the filtering variance
+    ``P_j`` for the filtering variant; bit-identical for any split."""
+    recipe = FbsdeRecipe(spec, grid, n_paths, seed, threads)
+    return FbsdeResult(ensemble=recipe.build(), posterior_var=recipe.posterior_var)
 
 
 # -- decaying vortex flow ------------------------------------------------------

@@ -1,11 +1,12 @@
 """Named registries of laws, Lagrangians, shifts, maps, symmetry families
 and forward-backward oscillators, shared by the CLI and the test suite.
 
-Law builders have signature ``build(grid, n_paths, seed, threads=None, ...)``.
-A law :func:`~actionlab.paths.simulate` makes comes back as a
-:class:`~actionlab.paths.LawRecipe`, which :func:`build_law` materializes
-and ``LawRecipe.fold`` walks chunk by chunk; a law the forward-backward
-scheme makes comes back as its :class:`~actionlab.paths.PathEnsemble`.
+Law builders have signature ``build(grid, n_paths, seed, threads=None, ...)``
+and return a recipe: a :class:`~actionlab.paths.LawRecipe` for a law
+:func:`~actionlab.paths.simulate` makes, and a
+:class:`~actionlab.bridge.FbsdeRecipe` for a law the forward-backward scheme
+makes.  :func:`build_law` materializes it, and its ``fold`` walks it chunk
+by chunk.
 ``threads`` sets how many path ranges are simulated at once (one per usable
 CPU when ``None``) and never changes a bit of the result.  Shift builders
 take the grid first; everything else is a factory taking keyword
@@ -324,7 +325,7 @@ OSCILLATORS: Dict[str, Callable[..., _bridge.FbsdeSpec]] = {
 def _law_oscillator_adapted(grid, n_paths, seed, threads=None, dim=1,
                             curvature=1.0, x0=1.0, y0=0.0, sigma_scale=1.0):
     spec = oscillator_adapted_spec(dim, curvature, x0, y0, sigma_scale)
-    return _bridge.fbsde_simulate(spec, grid, n_paths, seed, threads=threads).ensemble
+    return _bridge.FbsdeRecipe(spec, grid, n_paths, seed, threads=threads)
 
 
 def _law_oscillator_nonradial(grid, n_paths, seed, threads=None, x0=(1.0, 0.0),
@@ -333,13 +334,13 @@ def _law_oscillator_nonradial(grid, n_paths, seed, threads=None, x0=(1.0, 0.0),
     quadratic, which breaks the rotation symmetry."""
     spec = replace(oscillator_adapted_spec(2, 1.0, x0, y0, sigma_scale),
                    grad_potential=_grad_x1_squared)
-    return _bridge.fbsde_simulate(spec, grid, n_paths, seed, threads=threads).ensemble
+    return _bridge.FbsdeRecipe(spec, grid, n_paths, seed, threads=threads)
 
 
 def _law_oscillator_filtering(grid, n_paths, seed, threads=None, curvature=1.0,
                               x0=0.0, y0_mean=0.0, y0_var=1.0):
     spec = oscillator_filtering_spec(curvature, x0, y0_mean, y0_var)
-    return _bridge.fbsde_simulate(spec, grid, n_paths, seed, threads=threads).ensemble
+    return _bridge.FbsdeRecipe(spec, grid, n_paths, seed, threads=threads)
 
 
 def _law_classical_oscillator(grid, n_paths, seed, threads=None):
@@ -354,7 +355,9 @@ def _law_taylor_green(grid, n_paths, seed, threads=None):
     return LawRecipe(model, grid, n_paths, seed, threads=threads)
 
 
-LAWS: Dict[str, Callable[..., Union[LawRecipe, PathEnsemble]]] = {
+Recipe = Union[LawRecipe, _bridge.FbsdeRecipe]
+
+LAWS: Dict[str, Callable[..., Recipe]] = {
     "brownian": _law_brownian,
     "brownian_drift_t": _law_brownian_drift_t,
     "ornstein_uhlenbeck": _law_ornstein_uhlenbeck,
@@ -601,16 +604,15 @@ FAMILIES: Dict[str, Callable[..., NoetherFamily]] = {
 # -- lookups --------------------------------------------------------------------
 
 def get_law(name: str, grid: TimeGrid, n_paths: int, seed: int,
-            threads: Optional[int] = None, **params) -> Union[LawRecipe, PathEnsemble]:
-    """The law ``name`` as its builder gives it: a recipe, or an ensemble."""
+            threads: Optional[int] = None, **params) -> Recipe:
+    """The recipe of the law ``name``."""
     return _lookup(LAWS, "law", name)(grid, n_paths, seed, threads=threads, **params)
 
 
 def build_law(name: str, grid: TimeGrid, n_paths: int, seed: int,
               threads: Optional[int] = None, **params) -> PathEnsemble:
     """The law ``name`` with its paths held whole."""
-    law = get_law(name, grid, n_paths, seed, threads=threads, **params)
-    return law.build() if isinstance(law, LawRecipe) else law
+    return get_law(name, grid, n_paths, seed, threads=threads, **params).build()
 
 
 def get_lagrangian(name: str, **params) -> Lagrangian:

@@ -37,9 +37,9 @@ import numpy as np
 
 from . import bridge as bridge_mod
 from . import catalog, diagnostics, reporting
-from .lagrangians import action, el_constancy_defect
-from .paths import (NOISE_BLOCK, LawRecipe, TimeGrid, adaptedness_probe,
-                    export_paths_csv, summarize_terminal)
+from ._accum import weighted_mean_stderr
+from .lagrangians import action
+from .paths import NOISE_BLOCK, TimeGrid, adaptedness_probe, check_weights, export_paths_csv
 from .shifts import (delay_pn, endpoint_rn, h_dist_sq, h_norm_sq, materialize,
                      stop_norm_sq)
 
@@ -151,26 +151,21 @@ def _scale(cfg):
     return grid, n, seed, threshold, probes
 
 
-def _law(cfg, grid, n, seed, default=None, fold=False):
-    """The configured law, with its paths held whole, or as the builder gives
-    it when ``fold`` is set: a recipe for ``LawRecipe.fold``."""
+def _law(cfg, grid, n, seed, default=None):
+    """The recipe of the configured law."""
     s = cfg["scenario"]
     name = s.get("law", default)
     if name is None:
         raise ConfigError("this scenario kind requires a 'law' key")
     t_max = _typed(s, "t_max", float)
     # threads is passed here, so a [law] threads key is a TypeError
-    make = catalog.get_law if fold else catalog.build_law
-    law = make(str(name), grid, n, seed, threads=None, **cfg.get("law", {}))
+    law = catalog.get_law(str(name), grid, n, seed, threads=None, **cfg.get("law", {}))
     return law if t_max is None else replace(law, t_max=t_max)
 
 
 def _first_block(law):
-    """What ``--plot`` draws of a folded law: a recipe's first noise block,
-    built, or an ensemble already held."""
-    if isinstance(law, LawRecipe):
-        return replace(law, n_paths=min(law.n_paths, NOISE_BLOCK)).build()
-    return law
+    """What ``--plot`` draws of a folded law: its first noise block, built."""
+    return replace(law, n_paths=min(law.n_paths, NOISE_BLOCK)).build()
 
 
 def _lagrangian(cfg, default="kinetic"):
@@ -190,11 +185,21 @@ def run_simulate(cfg, grid, n, seed, threshold, probes):
     if expected_mean is None and expected_var is None:
         raise ConfigError("kind 'simulate' computes no statistic; set "
                           "expected_mean or expected_var")
-    ens = _law(cfg, grid, n, seed)
-    ens.validate()
-    (mean, se), (mean2, se2) = summarize_terminal(ens)
+    law = _law(cfg, grid, n, seed)
+    terminal = np.empty((n, law.dim))
+
+    def keep(lo, chunk):
+        # a chunk's weights are raw: the law's are checked once scaled
+        replace(chunk, weights=None).validate()
+        terminal[lo:lo + chunk.n_paths] = chunk.states[:, -1]
+
+    weights = law.fold(keep)
+    if weights is not None:
+        check_weights(weights, n)
+    mean, se = weighted_mean_stderr(terminal, weights)
+    mean2, se2 = weighted_mean_stderr(terminal ** 2, weights)
     rows, stats = [], []
-    for k in range(ens.dim):
+    for k in range(law.dim):
         var_k = mean2[k] - mean[k] ** 2
         rows.append((f"terminal_mean[{k}]", float(mean[k]), float(se[k])))
         rows.append((f"terminal_var[{k}]", float(var_k), float(se2[k])))
@@ -202,7 +207,7 @@ def run_simulate(cfg, grid, n, seed, threshold, probes):
             stats.append(diagnostics.gap(float(mean[k]), expected_mean, float(se[k])))
         if expected_var is not None:
             stats.append(diagnostics.gap(var_k, expected_var, float(se2[k])))
-    return ["quantity", "value", "stderr"], rows, stats, None, ens
+    return ["quantity", "value", "stderr"], rows, stats, None, _first_block(law)
 
 
 def run_action(cfg, grid, n, seed, threshold, probes):
@@ -212,7 +217,7 @@ def run_action(cfg, grid, n, seed, threshold, probes):
         raise ConfigError("kind 'action' computes no statistic; set expected")
     allowance = _typed(s, "allowance", float, 0.0)
     lag = _lagrangian(cfg)
-    law = _law(cfg, grid, n, seed, fold=True)
+    law = _law(cfg, grid, n, seed)
     est = action(law, lag)
     rows = [("action", est.mean, est.stderr), ("n_paths", est.n_paths, 0.0),
             ("m", est.m, 0.0), ("expected", expected, allowance)]
@@ -222,7 +227,7 @@ def run_action(cfg, grid, n, seed, threshold, probes):
 
 def run_el_certify(cfg, grid, n, seed, threshold, probes):
     lag = _lagrangian(cfg)
-    law = _law(cfg, grid, n, seed, fold=True)
+    law = _law(cfg, grid, n, seed)
     report = diagnostics.el_certify(law, lag, probe_fractions=probes)
     return _martingale_result(report, _first_block(law))
 
@@ -233,7 +238,7 @@ def run_variational(cfg, grid, n, seed, threshold, probes):
     eps = _typed(s, "eps", tuple, (1e-2, 1e-3))
     lag = _lagrangian(cfg)
     shift = catalog.get_shift(str(s.get("shift", "plus_minus")), grid, **cfg["shift"])
-    law = _law(cfg, grid, n, seed, fold=True)
+    law = _law(cfg, grid, n, seed)
     res = diagnostics.variational_derivative(law, lag, shift, eps_list=eps)
     stats = list(res.gaps() if critical else res.gaps()[:1])
     rows = [("fd", res.fd, res.fd_se), ("formula", res.formula, res.formula_se),
@@ -246,9 +251,9 @@ def run_noether(cfg, grid, n, seed, threshold, probes):
     lag = _lagrangian(cfg)
     family = catalog.get_family(str(cfg["scenario"].get("family", "translation")),
                                 **cfg["family"])
-    ens = _law(cfg, grid, n, seed)
-    _, report = diagnostics.noether_invariant(ens, lag, family, probe_fractions=probes)
-    return _martingale_result(report, ens)
+    law = _law(cfg, grid, n, seed)
+    _, report = diagnostics.noether_invariant(law, lag, family, probe_fractions=probes)
+    return _martingale_result(report, _first_block(law))
 
 
 def run_bridge(cfg, grid, n, seed, threshold, probes):
@@ -302,32 +307,31 @@ def run_fbsde(cfg, grid, n, seed, threshold, probes):
     riccati_tol = _typed(s, "riccati_tol", float, 1e-8)
     spec = catalog.get_oscillator(variant, **cfg["fbsde"])
     lag = _lagrangian(cfg, default="kinetic_quadratic")
-    result = bridge_mod.fbsde_simulate(spec, grid, n, seed)
-    ens = result.ensemble
+    law = bridge_mod.FbsdeRecipe(spec, grid, n, seed)
+    # the law is certified when it diffuses, on enough paths
+    certify = n >= diagnostics.MIN_PATHS and np.max(np.abs(law.sigma)) > 0
     if variant == "adapted":
-        tol = constancy_tol
-        name, defect = "el_constancy_defect", el_constancy_defect(ens, lag)
+        # one walk of the law gives the defect and, if asked, the report
+        tol, name = constancy_tol, "el_constancy_defect"
+        defect, report = diagnostics.el_constancy(law, lag, probes if certify else None)
     else:
-        tol = riccati_tol
+        tol, name = riccati_tol, "riccati_defect"
         v0 = float(spec.y0_gaussian[1])
         oracle = v0 / (1.0 + v0 * grid.times[:-1])
-        name = "riccati_defect"
-        defect = float(np.max(np.abs(result.posterior_var - oracle)))
+        defect = float(np.max(np.abs(law.posterior_var - oracle)))
+        report = diagnostics.el_certify(law, lag, probe_fractions=probes) if certify else None
     rows, stats = [(name, defect, tol)], [threshold * defect / tol]
-    report = None
-    # ens.diffusions broadcasts the one [d, d] factor sigma: read sigma alone
-    if n >= diagnostics.MIN_PATHS and np.max(np.abs(ens.diffusions[0, 0])) > 0:
-        report = diagnostics.el_certify(ens, lag, probe_fractions=probes)
+    if report is not None:
         rows.append(("el_certify_max_stat", report.max_abs_statistic, threshold))
         stats.append(report.max_abs_statistic)
-    return ["quantity", "value", "tolerance"], rows, stats, report, ens
+    return ["quantity", "value", "tolerance"], rows, stats, report, _first_block(law)
 
 
 def run_navier_stokes(cfg, grid, n, seed, threshold, probes):
     residual, div = bridge_mod.navier_stokes_residual()
     res_tol, div_tol = 1e-10, 1e-12
     lag = _lagrangian(cfg, default="kinetic_taylor_green")
-    law = _law(cfg, grid, n, seed, default="taylor_green", fold=True)
+    law = _law(cfg, grid, n, seed, default="taylor_green")
     report = diagnostics.el_certify(law, lag, probe_fractions=probes)
     stats = [threshold * residual / res_tol, threshold * div / div_tol,
              report.max_abs_statistic]
@@ -354,7 +358,7 @@ def run_operators(cfg, grid, n, seed, threshold, probes):
         raise ConfigError("kind 'operators' computes no statistic; set "
                           "shift_count >= 1")
     peeking = _typed(s, "peeking", bool, False)
-    ens = _law(cfg, grid, n, seed, default="brownian")
+    ens = _law(cfg, grid, n, seed, default="brownian").build()
     rows, stats = [], []
     for k in range(count):
         if peeking:

@@ -40,6 +40,7 @@ __all__ = [
     "drift_representation_check",
     "NoetherFamily",
     "noether_invariant",
+    "el_constancy",
 ]
 
 DEFAULT_PROBE_FRACTIONS = (0.1, 0.25, 0.5, 0.75, 0.9)
@@ -360,7 +361,8 @@ class NoetherFamily:
 
     ``generator(x[n, d])`` is the parameter-derivative of the family at zero,
     an [n, d] field u~(x), and ``grad_generator(x)`` its spatial Jacobian
-    [.., d, d]; neither takes a time argument.
+    [.., d, d]; neither takes a time argument.  Both are called on chunks of
+    the paths from pool threads, so they must act row by row.
     """
 
     name: str
@@ -368,33 +370,22 @@ class NoetherFamily:
     grad_generator: Callable
 
 
-def noether_invariant(ensemble: PathEnsemble, lagrangian: Lagrangian,
-                      family: NoetherFamily,
-                      probe_fractions: Sequence[float] = DEFAULT_PROBE_FRACTIONS):
-    """Assemble the symmetry invariant and run the martingale test on it.
-
-    I_t = <u~(W_t), p_t> - sum_i [u~^i, p^i]_t + int_0^t theta_s ds, with
-    p the momentum grad_v L, the bracket the realized covariation on the
-    simulation grid, theta = sum_ij kappa_ij dL/da_ij and
-    kappa = alpha grad_u~^T + grad_u~ alpha.  Returns (I at probes, report).
-    """
-    grid = ensemble.grid
-    n, d = ensemble.n_paths, ensemble.dim
-    dt = grid.dt
-    idx = grid.probe_indices(probe_fractions, ensemble.t_max)
+def _noether_columns(ens: PathEnsemble, lagrangian: Lagrangian, family: NoetherFamily,
+                     idx: Sequence[int], out: np.ndarray) -> None:
+    """Write the invariant of each of ``ens``'s paths at the probe steps
+    ``idx`` into the columns of ``out`` [n, P]."""
+    n, d, dt = ens.n_paths, ens.dim, ens.grid.dt
     column = {j: a for a, j in enumerate(idx)}
-
     # Running covariation and theta sums, one step at a time up to the last
     # probe.  They start from -0.0, the exact additive identity, so they hold
     # the bits a cumulative sum over the steps would.
     cov = np.full(n, -0.0)
     theta_sum = np.full(n, -0.0)
-    inv = np.empty((n, len(idx)))
     gen_prev = p_prev = None
-    for j in range(max(idx, default=-1) + 1):
+    for j in range(max(idx) + 1):
         t = j * dt
-        x, v = ensemble.states[:, j], ensemble.drift(j)
-        alpha = ensemble.alpha(j)
+        x, v = ens.states[:, j], ens.drift(j)
+        alpha = ens.alpha(j)
         # C order, as rows of a path array: einsum's summation order over d
         # depends on the operands' memory layout
         gen = np.ascontiguousarray(family.generator(x), dtype=np.float64)
@@ -402,7 +393,7 @@ def noether_invariant(ensemble: PathEnsemble, lagrangian: Lagrangian,
         if j > 0:
             cov = cov + np.einsum("nd,nd->n", gen - gen_prev, p - p_prev)
         if j in column:
-            inv[:, column[j]] = np.einsum("nd,nd->n", gen, p) - cov + theta_sum * dt
+            out[:, column[j]] = np.einsum("nd,nd->n", gen, p) - cov + theta_sum * dt
         gu = np.broadcast_to(np.asarray(family.grad_generator(x),
                                         dtype=np.float64), (n, d, d))
         # one product when neither factor varies over the paths; alpha is
@@ -413,5 +404,77 @@ def noether_invariant(ensemble: PathEnsemble, lagrangian: Lagrangian,
         ga = np.asarray(lagrangian.grad_a(t, x, v, alpha), dtype=np.float64)
         theta_sum = theta_sum + np.einsum("nij,nij->n", kappa, np.broadcast_to(ga, (n, d, d)))
         gen_prev, p_prev = gen, p
-    report = martingale_test(inv, ensemble, idx)
-    return inv, report
+
+
+def noether_invariant(law, lagrangian: Lagrangian, family: NoetherFamily,
+                      probe_fractions: Sequence[float] = DEFAULT_PROBE_FRACTIONS):
+    """Assemble the symmetry invariant and run the martingale test on it.
+
+    I_t = <u~(W_t), p_t> - sum_i [u~^i, p^i]_t + int_0^t theta_s ds, with
+    p the momentum grad_v L, the bracket the realized covariation on the
+    simulation grid, theta = sum_ij kappa_ij dL/da_ij and
+    kappa = alpha grad_u~^T + grad_u~ alpha.  Returns (I at probes, report).
+
+    The law, a :class:`~actionlab.paths.PathEnsemble` or a recipe, is walked
+    once by ``law.fold``, as :func:`el_certify` walks it: each chunk, or each
+    range view of a held ensemble, writes its rows of the ``[n, P]``
+    invariant and of the states at the probe steps, so a recipe is never
+    held whole, and the test then runs on the joined arrays.  Too few paths
+    or probe steps raise before the walk.
+    """
+    idx = law.grid.probe_indices(probe_fractions, law.t_max)
+    _check_power(law.n_paths, idx)
+    n, p, d = law.n_paths, len(idx), law.dim
+    inv, states = np.empty((n, p)), np.empty((p, n, d))
+
+    def keep(lo, chunk):
+        rows = slice(lo, lo + chunk.n_paths)
+        _noether_columns(chunk, lagrangian, family, idx, inv[rows])
+        for a, j in enumerate(idx):
+            states[a, rows] = chunk.states[:, j]
+
+    weights = law.fold(keep)
+    return inv, martingale_test(inv, law, idx, probe_states=states, weights=weights)
+
+
+def el_constancy(law, lagrangian: Lagrangian,
+                 probe_fractions: Optional[Sequence[float]] = None):
+    """``(defect, report)`` from one walk of the law by ``law.fold``: the
+    defect is ``max |N_j - N_0|`` over the paths, steps and coordinates of
+    the Euler-Lagrange process N, zero for a law whose N is constant in
+    time, and the report is :func:`el_certify`'s at ``probe_fractions``, or
+    ``None`` when they are ``None``.
+
+    Each chunk, or range view of a held ensemble, streams N one step at a
+    time and keeps its largest deviation from N_0 and its rows of N and of
+    the states at the probe steps, so no ``[n, m, d]`` record is built.  Too
+    few paths or probe steps raise before the walk.  The chunks' walks take
+    turns under a lock, while other ranges simulate: a walk is a loop of
+    small numpy calls, and two at once trade the interpreter lock at each
+    call (``fbsde_adapted``'s run took about 190 ms with two walks at once
+    and 160 ms taking turns, on a 2-CPU Xeon VM).
+    """
+    idx = []
+    if probe_fractions is not None:
+        idx = law.grid.probe_indices(probe_fractions, law.t_max)
+        _check_power(law.n_paths, idx)
+    column = {j: a for a, j in enumerate(idx)}
+    n, p, d = law.n_paths, len(idx), law.dim
+    process, states, worst = np.empty((n, p, d)), np.empty((p, n, d)), []
+    one_at_a_time = threading.Lock()
+
+    def walk(lo, chunk):
+        rows, n0, top = slice(lo, lo + chunk.n_paths), None, []
+        with one_at_a_time:
+            for j, nj in _el_columns(chunk, lagrangian, range(chunk.grid.m)):
+                n0 = nj if n0 is None else n0
+                top.append(np.max(np.abs(nj - n0)))
+                if j in column:
+                    process[rows, column[j]] = nj
+                    states[column[j], rows] = chunk.states[:, j]
+        worst.append(np.max(top))
+
+    weights = law.fold(walk)
+    report = None if probe_fractions is None else martingale_test(
+        process, law, idx, probe_states=states, weights=weights)
+    return float(np.max(worst)), report

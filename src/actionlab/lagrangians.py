@@ -21,7 +21,6 @@ __all__ = [
     "action",
     "path_actions",
     "el_process",
-    "el_constancy_defect",
 ]
 
 
@@ -145,13 +144,3 @@ def el_process(ensemble: PathEnsemble, lagrangian: Lagrangian,
         out[:, c] = col
     return out
 
-
-def el_constancy_defect(ensemble: PathEnsemble, lagrangian: Lagrangian) -> float:
-    """``max |N_j - N_0|`` over paths, steps and coordinates of
-    :func:`el_process`, streamed one step at a time: it holds [n, d] arrays,
-    never an [n, m, d] record.  Zero for a law whose N is constant in time."""
-    n0, worst = None, []
-    for _, nj in _el_columns(ensemble, lagrangian, range(ensemble.grid.m)):
-        n0 = nj if n0 is None else n0
-        worst.append(np.max(np.abs(nj - n0)))
-    return float(np.max(worst))

@@ -35,8 +35,6 @@ from typing import Callable, List, Optional, Sequence, Union
 import numpy as np
 from numpy.random import SFC64, Generator, SeedSequence
 
-from ._accum import weighted_mean_stderr
-
 __all__ = [
     "TimeGrid",
     "SemimartingaleModel",
@@ -240,11 +238,7 @@ class PathEnsemble:
         if not np.isfinite(self.states).all():
             raise ValueError("non-finite states")
         if self.weights is not None:
-            w = self.weights
-            if w.shape != (n,) or not np.isfinite(w).all() or (w < 0).any():
-                raise ValueError("weights must be finite and nonnegative")
-            if abs(w.mean() - 1.0) > 1e-12:
-                raise ValueError("weights must have mean one within 1e-12")
+            check_weights(self.weights, n)
         take_p = np.linspace(0, n - 1, min(n, VALIDATE_SAMPLE)).astype(int)
         take_j = np.linspace(0, m - 1, min(m, VALIDATE_SAMPLE)).astype(int)
         for j in take_j:
@@ -253,6 +247,15 @@ class PathEnsemble:
                 raise ValueError(f"alpha not symmetric at step {j}")
             if np.min(np.linalg.eigvalsh(a)) < -1e-10:
                 raise ValueError(f"alpha not PSD at step {j}")
+
+
+def check_weights(w: np.ndarray, n: int) -> None:
+    """Raise unless ``w`` holds ``n`` finite, nonnegative weights of mean one
+    within 1e-12, as :meth:`PathEnsemble.validate` asks of an ensemble's."""
+    if w.shape != (n,) or not np.isfinite(w).all() or (w < 0).any():
+        raise ValueError("weights must be finite and nonnegative")
+    if abs(w.mean() - 1.0) > 1e-12:
+        raise ValueError("weights must have mean one within 1e-12")
 
 
 # Paths per keyed noise block, a module constant because it sets every
@@ -539,39 +542,60 @@ class LawRecipe:
         lo + chunk.n_paths - 1``; return the law's weights, scaled to mean
         one, or ``None``.
 
-        Each range of :func:`run_ranges` simulates its paths a chunk at a
-        time into one set of chunk records, which the next chunk overwrites:
-        ``consume`` copies what it keeps, runs on pool threads for other
-        ranges, and ignores ``chunk.weights``, which are raw.  A chunk is the
-        whole noise blocks whose records fill about :data:`CHUNK_BYTES`, at
-        least one block, so it starts on a block boundary and its paths have
+        The chunks are those of :func:`_fold_chunks`, so their paths have
         the bits :meth:`build` gives them.  A non-finite coefficient raises
         the :class:`SimulationError` :func:`simulate` raises; a range
         consumes no chunk after its first failing one.
         """
-        model, m, d = self.model, self.grid.m, self.model.dim
+        model, grid, m, d = self.model, self.grid, self.grid.m, self.model.dim
         per_path = 8 * ((m + 1) * d + (model.drift is not None) * m * d
                         + callable(model.diffusion_factor) * m * d * d)
-        chunk = max(1, CHUNK_BYTES // (NOISE_BLOCK * per_path)) * NOISE_BLOCK
-        raw, weighted = np.empty(self.n_paths), []
+        failures, weights = _fold_chunks(
+            self.n_paths, self.threads, per_path, lambda k: _allocate(model, k, m),
+            lambda c, views: _simulate_range(model, grid, self.seed, c, *views),
+            lambda views: self._finished(_ensemble(model, grid, self.t_max, *views)),
+            consume)
+        _raise_first(model, failures)
+        return weights
 
-        def walk(lo, hi):
-            records, failed = _allocate(model, min(chunk, hi - lo), m), []
-            for c in range(lo, hi, chunk):
-                views = _views(records, 0, min(chunk, hi - c))
-                failure = _simulate_range(model, self.grid, self.seed, c, *views)
-                if failure is not None:
-                    failed.append(failure)
-                elif not failed:
-                    ens = self._finished(_ensemble(model, self.grid, self.t_max, *views))
-                    if ens.weights is not None:
-                        raw[c:c + ens.n_paths] = ens.weights
-                        weighted.append(c)
-                    consume(c, ens)
-            return min(failed, default=None)
 
-        _raise_first(model, run_ranges(walk, self.n_paths, self.threads))
-        return _mean_one(raw) if weighted else None
+def _fold_chunks(n_paths, threads, per_path, allocate, fill, finish, consume):
+    """The chunk loop of every recipe's ``fold``: call ``consume(lo, chunk)``
+    on consecutive chunks of ``n_paths`` paths; return the ranges' first
+    failures and the weights, scaled to mean one, or ``None``.
+
+    Each range of :func:`run_ranges` (``threads`` of them, one per usable CPU
+    when ``None``) holds one set of chunk records, ``allocate(k)`` for ``k``
+    paths, which the next chunk overwrites: ``consume`` copies what it
+    keeps, runs on pool threads for other ranges, and ignores
+    ``chunk.weights``, which are raw.  A chunk is the whole noise blocks
+    whose records, ``per_path`` bytes a path, fill about
+    :data:`CHUNK_BYTES`, and at least one block, so it starts on a block
+    boundary.  ``fill(c, views)`` simulates the paths from ``c`` into views
+    of the records and returns ``None`` or its first failure; ``finish(views)``
+    then makes the chunk's ensemble.  A range consumes no chunk after its
+    first failing one.
+    """
+    chunk = max(1, CHUNK_BYTES // (NOISE_BLOCK * per_path)) * NOISE_BLOCK
+    raw, weighted = np.empty(n_paths), []
+
+    def walk(lo, hi):
+        records, failed = allocate(min(chunk, hi - lo)), []
+        for c in range(lo, hi, chunk):
+            views = _views(records, 0, min(chunk, hi - c))
+            failure = fill(c, views)
+            if failure is not None:
+                failed.append(failure)
+            elif not failed:
+                ens = finish(views)
+                if ens.weights is not None:
+                    raw[c:c + ens.n_paths] = ens.weights
+                    weighted.append(c)
+                consume(c, ens)
+        return min(failed, default=None)
+
+    failures = run_ranges(walk, n_paths, threads)
+    return failures, (_mean_one(raw) if weighted else None)
 
 
 def adaptedness_probe(fn, ensemble: PathEnsemble, steps: Sequence[int]) -> float:
@@ -668,11 +692,3 @@ def export_paths_csv(ensemble: PathEnsemble, path) -> None:
         buf.write(",".join(vals) + "\n")
     with open(path, "wb") as fh:
         fh.write(buf.getvalue().encode())
-
-
-def summarize_terminal(ensemble: PathEnsemble):
-    """Weighted mean and stderr of W_1 and of each coordinate's square."""
-    x = ensemble.states[:, -1]
-    mean, se = weighted_mean_stderr(x, ensemble.weights)
-    mean2, se2 = weighted_mean_stderr(x ** 2, ensemble.weights)
-    return (mean, se), (mean2, se2)

@@ -32,9 +32,10 @@ def no_simulation(monkeypatch):
     def simulated(*args, **kwargs):
         raise AssertionError("simulated before the parameters were checked")
 
-    # simulate and LawRecipe.fold both walk their ranges through _simulate_range
+    # simulate and LawRecipe.fold both walk their ranges through
+    # _simulate_range, and FbsdeRecipe.build and fold through _fbsde_range
     monkeypatch.setattr(paths, "_simulate_range", simulated)
-    monkeypatch.setattr(catalog._bridge, "fbsde_simulate", simulated)
+    monkeypatch.setattr(catalog._bridge, "_fbsde_range", simulated)
     monkeypatch.setattr(catalog._bridge, "sinkhorn_bridge", simulated)
 
 

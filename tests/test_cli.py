@@ -4,15 +4,16 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from actionlab import TimeGrid, action, catalog
+from actionlab._accum import weighted_mean_stderr
 from actionlab.cli import ConfigError, load_config, main, run_scenario
 from actionlab.paths import NOISE_BLOCK
+from conftest import traced_peak
 
 SMALL = dict(m=200, n_paths=3000, seed=5)
 
@@ -430,37 +431,61 @@ def test_fbsde_certifies_a_diffusing_law_only(tmp_path):
     assert "el_constancy_defect" in report and "el_certify_max_stat" not in report
 
 
-def test_fbsde_gate_builds_no_diffusion_record(tmp_path, monkeypatch):
-    # between the constancy defect and el_certify, run_fbsde only asks
-    # whether the law diffuses: it reads sigma, not the [n, m, d, d]
-    # broadcast the ensemble carries as its diffusions
-    from actionlab import cli, diagnostics
+def test_fbsde_runner_folds_its_law_once(tmp_path, three_cpus, monkeypatch):
+    # run_fbsde never holds its law: one walk of one-block chunks gives the
+    # constancy defect and the EL process at the probes, and the gate reads
+    # sigma, so the run holds well under one [n, m+1, d] states record, let
+    # alone the [n, m, d, d] broadcast of sigma; the only other simulation is
+    # the first noise block, built for --plot
+    from actionlab import bridge, paths
 
-    n, m, d = 1000, 100, 2
-    marks = []
-    defect, certify = cli.el_constancy_defect, diagnostics.el_certify
+    n, m, d = 8000, 200, 2
+    simulated = []
+    kernel = bridge._fbsde_range
 
-    def defect_then_reset(*args, **kwargs):
-        out = defect(*args, **kwargs)
-        tracemalloc.reset_peak()
-        marks.append(tracemalloc.get_traced_memory()[0])
-        return out
+    def counted(law, lo, states, *records):
+        simulated.append(states.shape[0])
+        return kernel(law, lo, states, *records)
 
-    def peak_then_certify(*args, **kwargs):
-        marks.append(tracemalloc.get_traced_memory()[1])
-        return certify(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "el_constancy_defect", defect_then_reset)
-    monkeypatch.setattr(diagnostics, "el_certify", peak_then_certify)
+    monkeypatch.setattr(bridge, "_fbsde_range", counted)
+    monkeypatch.setattr(paths, "CHUNK_BYTES", 1)
     body = f"[scenario]\nkind = fbsde\nm = {m}\nn_paths = {n}\n[fbsde]\ndim = {d}\n"
     cfg = load_config(write_config(tmp_path, "planar.ini", body))
-    tracemalloc.start()
-    try:
-        run_scenario(cfg, tmp_path / "out")
-    finally:
-        tracemalloc.stop()
-    assert len(marks) == 2
-    assert marks[1] - marks[0] < n * m * d * d * 8 / 2
+    code, peak = traced_peak(run_scenario, cfg, tmp_path / "out")
+    assert code == 0
+    assert "el_certify_max_stat" in (tmp_path / "out" / "report.csv").read_text()
+    assert sum(simulated) == n + NOISE_BLOCK and max(simulated) == NOISE_BLOCK
+    assert peak < 8 * n * (m + 1) * d / 2, peak / (8 * n * (m + 1) * d)
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("variant", ["adapted", "filtering"])
+def test_fbsde_rows_match_the_held_ensemble(tmp_path, three_cpus, monkeypatch, variant,
+                                            cpus):
+    # the folded runner writes the rows the held ensemble gives, on one range
+    # and on three, with a chunk boundary inside each range (seven blocks in
+    # one-block chunks, split 2, 2, 3 among three ranges)
+    from actionlab import bridge, cli, diagnostics, el_process, paths
+
+    g, n = TimeGrid(40), 6 * NOISE_BLOCK + 7
+    lag = catalog.get_lagrangian("kinetic_quadratic")
+    res = bridge.fbsde_simulate(catalog.get_oscillator(variant), g, n, seed=5, threads=1)
+    ens = res.ensemble
+    if variant == "adapted":
+        full = el_process(ens, lag)
+        head = ("el_constancy_defect", float(np.max(np.abs(full - full[:, :1]))), 1e-3)
+    else:
+        oracle = 1.0 / (1.0 + g.times[:-1])
+        head = ("riccati_defect", float(np.max(np.abs(res.posterior_var - oracle))), 1e-8)
+    report = diagnostics.el_certify(ens, lag)
+    expected = [head, ("el_certify_max_stat", report.max_abs_statistic, 4.0)]
+    monkeypatch.setattr(paths, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(paths, "CHUNK_BYTES", 1)
+    body = f"[scenario]\nkind = fbsde\nvariant = {variant}\nm = 40\nn_paths = {n}\nseed = 5\n"
+    cfg = load_config(write_config(tmp_path, "c.ini", body))
+    _, rows, stats, folded, _ = cli.run_fbsde(cfg, *cli._scale(cfg))
+    assert [tuple(map(repr, row)) for row in rows] == [tuple(map(repr, row)) for row in expected]
+    assert np.array_equal(folded.statistics, report.statistics)
 
 
 @pytest.mark.parametrize("extra", [
@@ -869,16 +894,15 @@ FOLDING = [("action", "law = squared_increment_weighted\nexpected = 0.73\n"),
 def test_folding_runners_return_a_built_first_block(tmp_path, kind, extra):
     # action, bridge, el-certify, variational and navier-stokes fold their
     # law and never hold it; what they return for --plot is the first noise
-    # block, built, or an eagerly built law as it is
+    # block, built, for a forward-backward law too
     from actionlab import cli
 
     body = f"[scenario]\nkind = {kind}\nm = 20\nn_paths = 1000\n{extra}"
     cfg = load_config(write_config(tmp_path, "c.ini", body))
     grid, n, seed, threshold, probes = cli._scale(cfg)
     *_, ens = cli._RUNNERS[kind](cfg, grid, n, seed, threshold, probes)
-    rows = n if "oscillator" in extra else NOISE_BLOCK
     dim = 2 if kind == "navier-stokes" else 1
-    assert ens.states.shape == (rows, grid.m + 1, dim)
+    assert ens.states.shape == (NOISE_BLOCK, grid.m + 1, dim)
     ens.validate()
 
 
@@ -902,6 +926,38 @@ def test_folding_runners_simulate_only_the_plotted_block(tmp_path, monkeypatch, 
     cfg = load_config(write_config(tmp_path, "c.ini", body))
     *_, ens = cli._RUNNERS[kind](cfg, *cli._scale(cfg))
     assert ens.n_paths == NOISE_BLOCK
+
+
+@pytest.mark.parametrize("law", ["brownian", "squared_increment_weighted"])
+def test_simulate_runner_folds_its_law(tmp_path, three_cpus, monkeypatch, law):
+    # run_simulate keeps the [n, d] terminal states of one-block chunks and
+    # validates each chunk (its raw weights aside: the law's are checked
+    # once scaled); its rows are the built law's, and what it returns for
+    # paths.csv is the first noise block, with the built law's bits
+    from actionlab import cli, paths
+
+    g, n = TimeGrid(20), 6 * NOISE_BLOCK + 7
+    built = catalog.build_law(law, g, n, seed=5)
+    x = built.states[:, -1]
+    mean, se = weighted_mean_stderr(x, built.weights)
+    mean2, se2 = weighted_mean_stderr(x ** 2, built.weights)
+    expected = [("terminal_mean[0]", float(mean[0]), float(se[0])),
+                ("terminal_var[0]", float(mean2[0] - mean[0] ** 2), float(se2[0]))]
+    validated, validate = [], paths.PathEnsemble.validate
+
+    def counted(ens):
+        validated.append(ens.n_paths)
+        return validate(ens)
+
+    monkeypatch.setattr(paths.PathEnsemble, "validate", counted)
+    monkeypatch.setattr(paths, "CHUNK_BYTES", 1)
+    body = (f"[scenario]\nkind = simulate\nlaw = {law}\nm = 20\nn_paths = {n}\n"
+            "seed = 5\nexpected_mean = 0.0\n")
+    cfg = load_config(write_config(tmp_path, "c.ini", body))
+    _, rows, *_, ens = cli.run_simulate(cfg, *cli._scale(cfg))
+    assert [tuple(map(repr, row)) for row in rows] == [tuple(map(repr, row)) for row in expected]
+    assert sorted(validated) == [7] + [NOISE_BLOCK] * 6
+    assert np.array_equal(ens.states, built.states[:NOISE_BLOCK])
 
 
 def test_operators_runner_builds_no_integral(tmp_path, monkeypatch):

@@ -515,6 +515,57 @@ def _anisotropic_factor(dim):
     return np.tril(np.ones((dim, dim))) + np.diag(np.linspace(0.0, -0.8, dim))
 
 
+FOLDED_NOETHER = [("oscillator_adapted", {"dim": 2, "x0": (1.0, 0.0)}, "kinetic_quadratic",
+                   "rotation"),
+                  ("oscillator_nonradial", {}, "trace_alpha_kinetic", "rotation"),
+                  ("squared_increment_weighted", {}, "kinetic", "translation")]
+
+
+@pytest.mark.parametrize("threads", [1, None])
+@pytest.mark.parametrize("name,params,lag,family", FOLDED_NOETHER,
+                         ids=[name for name, *_ in FOLDED_NOETHER])
+def test_folded_noether_has_the_bits_of_the_built_law(name, params, lag, family, threads,
+                                                      three_cpus, monkeypatch):
+    # seven noise blocks, 2, 2 and 3 to a range at three ranges, in one-block
+    # chunks, so a chunk boundary falls inside each range: the recipe, and the
+    # built law walked in range views, give the invariant and the report of
+    # one pass over all the built paths; trace(a)|v|^2 makes theta non-zero,
+    # and the weighted law carries its weights into the test
+    from actionlab.diagnostics import _noether_columns
+
+    g, n = TimeGrid(20), 6 * NOISE_BLOCK + 7
+    lagrangian, fam = catalog.get_lagrangian(lag), catalog.get_family(family)
+    law = catalog.get_law(name, g, n, seed=51, threads=threads, **params)
+    built = law.build()
+    idx = _probe_idx(built)
+    inv = np.empty((n, len(idx)))
+    _noether_columns(built, lagrangian, fam, idx, inv)
+    report = martingale_test(inv, built, idx)
+    monkeypatch.setattr(paths, "CHUNK_BYTES", 1)
+    for source in (law, built):
+        got, rep = noether_invariant(source, lagrangian, fam)
+        assert _bits(got.ravel()) == _bits(inv.ravel())
+        assert (rep.probe_pairs, rep.test_names) == (report.probe_pairs, report.test_names)
+        assert _bits(rep.statistics.ravel()) == _bits(report.statistics.ravel())
+
+
+def test_folded_noether_holds_no_record(three_cpus, monkeypatch):
+    # three ranges of 2 MiB chunk records (512 paths of the planar oscillator
+    # at m = 100, 3,216 B a path) with their staging buffers, and the [n, P]
+    # invariant and [P, n, d] probe states, about 10 MB: the law's [n, m+1, d]
+    # states record would be 32 MB, more than two sets of chunk records
+    g, n, d = TimeGrid(100), 20_000, 2
+    record = 8 * n * (g.m + 1) * d
+    monkeypatch.setattr(paths, "CHUNK_BYTES", 2 << 20)
+    assert record > 2 * 3 * (2 << 20)
+    law = catalog.get_law("oscillator_adapted", g, n, seed=7, dim=d, x0=(1.0, 0.0))
+    (inv, rep), peak = traced_peak(noether_invariant, law,
+                                   catalog.get_lagrangian("kinetic_quadratic"),
+                                   catalog.get_family("rotation"))
+    assert peak < record / 2, peak / record
+    assert inv.shape == (n, 5) and rep.statistics.shape == (4, 5)
+
+
 def _correlated_law(grid, dim):
     """Law with a constant, non-isotropic diffusion: the rotation family then
     has a non-zero kappa, so theta can enter the invariant."""

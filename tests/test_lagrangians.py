@@ -6,7 +6,8 @@ import pytest
 from scipy import integrate, special
 
 from actionlab import TimeGrid, action, catalog, el_process, path_actions
-from actionlab.lagrangians import Lagrangian, el_constancy_defect
+from actionlab.diagnostics import el_constancy
+from actionlab.lagrangians import Lagrangian
 from conftest import deterministic_law, traced_peak
 
 
@@ -204,12 +205,15 @@ def test_el_process_at_steps_equals_full_columns(grid200, law, law_kw, lag, lag_
 def test_el_constancy_defect_streams_el_process(lag, defect_is_zero):
     # the fbsde runner's defect: max |N_j - N_0| with the bits of the full
     # el_process difference, while holding well under one [n, m, d] record
+    # beside a held law, and the same value from the folded recipe
     g, n = TimeGrid(200), 4000
-    ens = catalog.build_law("oscillator_adapted", g, n, seed=23)
+    law = catalog.get_law("oscillator_adapted", g, n, seed=23)
+    ens = law.build()
     lagrangian = catalog.get_lagrangian(lag)
     full = el_process(ens, lagrangian)
     expected = float(np.max(np.abs(full - full[:, :1])))
-    defect, peak = traced_peak(el_constancy_defect, ens, lagrangian)
-    assert defect == expected
+    (defect, report), peak = traced_peak(el_constancy, ens, lagrangian)
+    assert defect == expected and report is None
     assert (defect < 1e-9) == defect_is_zero
     assert peak < full.nbytes / 8, peak / full.nbytes
+    assert el_constancy(law, lagrangian)[0] == expected

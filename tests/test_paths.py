@@ -8,7 +8,7 @@ from actionlab import (RankDeficiencyError, SimulationError,
                        TimeGrid, adaptedness_probe, catalog, el_certify,
                        estimate_characteristics, lift, materialize, push_shift,
                        simulate, variational_derivative)
-from actionlab.bridge import FbsdeSpec, fbsde_simulate
+from actionlab.bridge import FbsdeRecipe, FbsdeSpec, fbsde_simulate
 from actionlab import paths
 from actionlab.paths import (CSV_PATHS, NOISE_BLOCK, SemimartingaleModel,
                              export_paths_csv)
@@ -500,23 +500,55 @@ def test_euler_step_has_the_bits_of_the_stepwise_reference(drift, diffusion, thr
     assert sum(seen) == n and max(seen) == NOISE_BLOCK
 
 
-@pytest.mark.parametrize("variant,z_mode", [("adapted", "constant"),
-                                            ("filtering", "constant"),
-                                            ("filtering", "independent_brownian")])
+def _fbsde_spec(variant, z_mode):
+    if variant == "adapted":
+        return FbsdeSpec(dim=2, grad_potential=lambda t, x: 0.5 * x,
+                         y0_fn=lambda x0: -0.5 * x0, sigma=np.array([[1.0, 0.3], [0.0, 0.8]]),
+                         initial_sampler=_normal_start)
+    return FbsdeSpec(dim=1, grad_potential=lambda t, x: x, y0_gaussian=(0.2, 1.5),
+                     curvature=1.0, z_mode=z_mode,
+                     initial_sampler=lambda rng, size: rng.standard_normal((size, 1)))
+
+
+FBSDE_CASES = [("adapted", "constant"), ("filtering", "constant"),
+               ("filtering", "independent_brownian")]
+
+
+@pytest.mark.parametrize("variant,z_mode", FBSDE_CASES)
 def test_time_major_fbsde_records_match_reference(variant, z_mode):
     g = TimeGrid(7)
     n = 2 * NOISE_BLOCK + 3
-    if variant == "adapted":
-        spec = FbsdeSpec(dim=2, grad_potential=lambda t, x: 0.5 * x,
-                         y0_fn=lambda x0: -0.5 * x0, sigma=np.array([[1.0, 0.3], [0.0, 0.8]]),
-                         initial_sampler=_normal_start)
-    else:
-        spec = FbsdeSpec(dim=1, grad_potential=lambda t, x: x, y0_gaussian=(0.2, 1.5),
-                         curvature=1.0, z_mode=z_mode,
-                         initial_sampler=lambda rng, size: rng.standard_normal((size, 1)))
+    spec = _fbsde_spec(variant, z_mode)
     ens = fbsde_simulate(spec, g, n, seed=32).ensemble
     assert ens.label == f"fbsde_{variant}"
     _assert_time_major_equal(ens, _reference_fbsde(spec, g, n, 32, variant))
+
+
+@pytest.mark.parametrize("threads", [1, None])
+@pytest.mark.parametrize("variant,z_mode", FBSDE_CASES)
+def test_folded_fbsde_records_match_reference(variant, z_mode, threads, three_cpus,
+                                              monkeypatch):
+    # seven noise blocks, 2, 2 and 3 to a range at three ranges: in one-block
+    # chunks a chunk boundary falls inside each range, and every chunk, like
+    # the built law, has the reference's bits; the Euler steps run per range
+    g, n = TimeGrid(7), 6 * NOISE_BLOCK + 3
+    spec = _fbsde_spec(variant, z_mode)
+    ref = _reference_fbsde(spec, g, n, 32, variant)
+    law = FbsdeRecipe(spec, g, n, seed=32, threads=threads)
+    _assert_time_major_equal(law.build(), ref)
+    assert three_cpus == ([] if threads == 1 else [2])
+    monkeypatch.setattr(paths, "CHUNK_BYTES", 1)
+    seen = []
+
+    def check(lo, chunk):
+        rows = slice(lo, lo + chunk.n_paths)
+        for got, want in zip((chunk.states, chunk.drifts, chunk.diffusions), ref):
+            assert np.array_equal(got, want[rows])
+        assert chunk.label == f"fbsde_{variant}" and chunk.weights is None
+        seen.append((lo, chunk.n_paths))
+
+    assert law.fold(check) is None
+    assert sorted(seen) == [(c, min(NOISE_BLOCK, n - c)) for c in range(0, n, NOISE_BLOCK)]
 
 
 def test_adaptedness_probe_on_registry_drifts(grid200):
@@ -750,10 +782,12 @@ def test_ensembles_are_immutable(bm_small):
 
 
 def _record_bytes(law):
-    """Bytes of the records ``LawRecipe.fold`` holds per path of a 1-d
-    recipe: the states, and the drift record unless the drift is zero."""
+    """Bytes of the records a 1-d recipe's ``fold`` holds per path: the
+    states, and the drift record unless the drift is zero (a forward-backward
+    law always has one)."""
     m = law.grid.m
-    return 8 * ((m + 1) + (law.model.drift is not None) * m)
+    drift = isinstance(law, FbsdeRecipe) or law.model.drift is not None
+    return 8 * ((m + 1) + drift * m)
 
 
 def _bits(est):
@@ -771,28 +805,21 @@ def test_folded_action_has_the_bits_of_the_built_law(name, params, blocks, threa
                                                      three_cpus, monkeypatch):
     # three full noise blocks and a partial one, in chunks of one block, two
     # blocks and all of them, on one range and on three; the pinned law keeps
-    # its own t_max, and the oscillator is an ensemble, folded over its views
+    # its own t_max, and the oscillator is a forward-backward recipe
     g, n = TimeGrid(10), 3 * NOISE_BLOCK + 7
     lag = catalog.get_lagrangian("kinetic")
     law = catalog.get_law(name, g, n, seed=47, threads=threads, **params)
     built = catalog.build_law(name, g, n, seed=47, threads=threads, **params)
-    if isinstance(law, paths.LawRecipe):
-        monkeypatch.setattr(paths, "CHUNK_BYTES", blocks * NOISE_BLOCK * _record_bytes(law))
-        assert law.t_max == built.t_max
-    else:
-        assert name == "oscillator_adapted"
+    monkeypatch.setattr(paths, "CHUNK_BYTES", blocks * NOISE_BLOCK * _record_bytes(law))
+    assert law.t_max == built.t_max
     seen = []
     folded = action(law, lag, also=lambda lo, ens: seen.append((lo, ens.n_paths)))
     assert _bits(folded) == _bits(action(built, lag))
-    # a recipe's chunks are whole blocks from the start of each range, and an
-    # ensemble's are its ranges
-    if isinstance(law, paths.LawRecipe):
-        chunk = blocks * NOISE_BLOCK
-        ranges = paths.run_ranges(lambda lo, hi: (lo, hi), n, threads)
-        expected = [(c, min(chunk, hi - c)) for lo, hi in ranges
-                    for c in range(lo, hi, chunk)]
-    else:
-        expected = paths.run_ranges(lambda lo, hi: (lo, hi - lo), n)
+    # a recipe's chunks are whole blocks from the start of each range
+    chunk = blocks * NOISE_BLOCK
+    ranges = paths.run_ranges(lambda lo, hi: (lo, hi), n, threads)
+    expected = [(c, min(chunk, hi - c)) for lo, hi in ranges
+                for c in range(lo, hi, chunk)]
     assert sorted(seen) == expected
 
 
